@@ -1,6 +1,6 @@
 //! The `prism bench` perf suite as a `cargo bench` target: measures
 //! simulator/µDG/transform throughput and end-to-end exploration wall
-//! time (composed vs direct), printing the metric table and the JSON
+//! time (cold and warm store), printing the metric table and the JSON
 //! report to stdout. (Dependency-free timing harness; criterion is not
 //! available in this build environment.)
 //!

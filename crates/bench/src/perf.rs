@@ -2,8 +2,7 @@
 //! dependency-free microbench suite covering every hot layer of the
 //! framework — functional-simulator trace throughput, µDG model
 //! throughput, transform (IR + plan analysis) throughput, and end-to-end
-//! design-space exploration wall time with and without the trace-walk
-//! timing memo.
+//! design-space exploration wall time on a cold and on a warm store.
 //!
 //! Results serialize to `BENCH_<rev>.json` (hand-rolled JSON; the build
 //! environment has no serde) so CI can compare a fresh run against the
@@ -234,35 +233,26 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
         }),
     );
 
-    // End-to-end exploration over the MICRO registry, composed vs direct
-    // (best of three — these sweeps are short enough that a single
-    // scheduler hiccup on a shared host can swallow the CI gate).
+    // End-to-end exploration over the MICRO registry (best of three —
+    // these sweeps are short enough that a single scheduler hiccup on a
+    // shared host can swallow the CI gate).
     let micro: Vec<&Workload> = prism_workloads::MICRO.iter().collect();
-    let best_of3 = |composition: bool| {
-        (0..3)
-            .map(|_| explore_secs(&micro, composition))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let composed = best_of3(true);
-    let direct = best_of3(false);
+    let cold = (0..3)
+        .map(|_| explore_secs(&micro))
+        .fold(f64::INFINITY, f64::min);
     let warm = explore_warm_secs(&micro);
-    record("explore_micro_wall_s", composed);
-    record("explore_micro_direct_wall_s", direct);
-    record("explore_micro_speedup", direct / composed.max(1e-9));
+    record("explore_micro_wall_s", cold);
     record("explore_micro_warm_wall_s", warm);
-    record("explore_micro_warm_speedup", composed / warm.max(1e-9));
+    record("explore_micro_warm_speedup", cold / warm.max(1e-9));
 
     // Full-registry exploration (the paper's 49 workloads × 64 points).
     if !opts.quick {
         let all: Vec<&Workload> = prism_workloads::ALL.iter().collect();
-        let composed = explore_secs(&all, true);
-        let direct = explore_secs(&all, false);
+        let cold = explore_secs(&all);
         let warm = explore_warm_secs(&all);
-        record("explore_wall_s", composed);
-        record("explore_direct_wall_s", direct);
-        record("explore_speedup", direct / composed.max(1e-9));
+        record("explore_wall_s", cold);
         record("explore_warm_wall_s", warm);
-        record("explore_warm_speedup", composed / warm.max(1e-9));
+        record("explore_warm_speedup", cold / warm.max(1e-9));
     }
 
     let calibration_mops = calib_pre.min(calibrate());
@@ -298,15 +288,14 @@ fn bench_secs<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Fresh-store, single-threaded, end-to-end exploration wall seconds over
-/// `workloads` × the full 64-point grid, with the trace-walk timing memo
-/// on (`composition`) or off. The session is insulated from ambient env
-/// knobs so results are comparable across hosts and CI configurations.
-fn explore_secs(workloads: &[&Workload], composition: bool) -> f64 {
+/// `workloads` × the full 64-point grid. The session is insulated from
+/// ambient env knobs so results are comparable across hosts and CI
+/// configurations.
+fn explore_secs(workloads: &[&Workload]) -> f64 {
     let dir = std::env::temp_dir().join(format!(
-        "prism-bench-{}-{}-{}",
+        "prism-bench-{}-{}",
         std::process::id(),
-        workloads.len(),
-        composition
+        workloads.len()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let session = Session::new()
@@ -317,8 +306,7 @@ fn explore_secs(workloads: &[&Workload], composition: bool) -> f64 {
         .with_divergence_guard(None)
         .with_streaming(false)
         .with_timing_cache(true)
-        .with_store_cap(None)
-        .with_composition(composition);
+        .with_store_cap(None);
     let start = Instant::now();
     let report = session.evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());
     let secs = start.elapsed().as_secs_f64();
@@ -335,7 +323,7 @@ fn explore_secs(workloads: &[&Workload], composition: bool) -> f64 {
     secs.max(1e-9)
 }
 
-/// Warm-store exploration wall seconds: one cold composed run populates
+/// Warm-store exploration wall seconds: one cold run populates
 /// a fresh store, then fresh single-threaded sessions over the same
 /// store repeat the sweep (best of three) — the design-result +
 /// timing-artifact warm path a repeated `prism explore` or a `--resume`
@@ -357,7 +345,6 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
             .with_streaming(false)
             .with_timing_cache(true)
             .with_store_cap(None)
-            .with_composition(true)
     };
     let cold = session_at().evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());
     assert!(
@@ -459,7 +446,8 @@ mod tests {
     #[test]
     fn speedup_metrics_are_informational_not_gated() {
         let mut base = sample();
-        base.metrics.push(("explore_micro_speedup".into(), 3.0));
+        base.metrics
+            .push(("explore_micro_warm_speedup".into(), 3.0));
         let mut new = base.clone();
         new.metrics[1].1 = 3.0; // wall regression: still gated…
         new.metrics[2].1 = 1.0; // …but the derived ratio never is.

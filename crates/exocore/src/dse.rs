@@ -2,14 +2,10 @@
 //! × 16 BSA subsets = 64 ExoCore design points, evaluated over a workload
 //! set with Oracle scheduling.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use prism_ir::LoopId;
-use prism_tdg::{price_exocore, run_exocore, run_exocore_timing, BsaKind, ExoRunResult, ExoTiming};
+use prism_tdg::{run_exocore, BsaKind, ExoRunResult};
 use prism_udg::CoreConfig;
 
-use crate::{oracle_pick, oracle_table, WorkloadData};
+use crate::{oracle_pick, WorkloadData};
 
 /// One ExoCore design point: a core plus a subset of the four BSAs.
 #[derive(Debug, Clone)]
@@ -233,101 +229,6 @@ pub fn evaluate_point(
     }
 }
 
-/// Per-workload memo of trace-walk timings, shared across one core's 16
-/// BSA subsets. Keyed by everything the timing depends on that varies
-/// between subsets: the SIMD datapath flag and the (sorted) Oracle
-/// assignment.
-type TimingMemo = Vec<HashMap<(bool, Vec<(LoopId, BsaKind)>), Rc<ExoTiming>>>;
-
-/// [`evaluate_point`] through a timing memo: the trace walk
-/// ([`run_exocore_timing`]) runs once per distinct (SIMD flag, assignment)
-/// pair per workload, and each subset only re-prices the shared timing
-/// ([`price_exocore`]). Byte-identical to the direct path — pricing
-/// preserves float-operation order — and typically collapses a core's 16
-/// subsets to ~5 trace walks, since Oracle scheduling picks the same
-/// assignment for many subsets.
-#[must_use]
-pub fn evaluate_point_composed(
-    data: &[WorkloadData],
-    tables: &[crate::OracleTable],
-    point: &DesignPoint,
-    memo: &mut TimingMemo,
-) -> DesignResult {
-    assert_eq!(data.len(), tables.len(), "one oracle table per workload");
-    assert_eq!(data.len(), memo.len(), "one timing memo per workload");
-    let mut per_workload = Vec::with_capacity(data.len());
-    for ((w, table), cache) in data.iter().zip(tables).zip(memo.iter_mut()) {
-        let assignment = oracle_pick(table, w, &point.bsas);
-        for &kind in assignment.map.values() {
-            assert!(
-                point.bsas.contains(&kind),
-                "assignment to absent accelerator {kind}"
-            );
-        }
-        let mut pairs: Vec<(LoopId, BsaKind)> =
-            assignment.map.iter().map(|(&l, &k)| (l, k)).collect();
-        pairs.sort_unstable();
-        let timing = cache
-            .entry((point.core.has_simd, pairs))
-            .or_insert_with(|| {
-                Rc::new(run_exocore_timing(
-                    &w.trace,
-                    &w.ir,
-                    &point.core,
-                    &w.plans,
-                    &assignment,
-                ))
-            });
-        let run = price_exocore(timing, &point.core, &point.bsas);
-        per_workload.push(WorkloadMetrics::from_run(&run, &w.name));
-    }
-    DesignResult {
-        label: point.label(),
-        core: point.core.name.clone(),
-        bsas: point.bsas.iter().map(|b| b.code()).collect(),
-        area_mm2: point.area_mm2(),
-        per_workload,
-    }
-}
-
-/// Runs the full exploration: every design point over every workload.
-///
-/// Returns results in `all_design_points()` order. Oracle tables are
-/// measured once per (workload, core) and shared across that core's 16
-/// subsets; trace-walk timings are memoized per distinct (SIMD flag,
-/// assignment) pair, so each core costs ~5 trace walks instead of 16
-/// (byte-identical to [`explore_direct`]).
-#[must_use]
-pub fn explore(data: &[WorkloadData]) -> Vec<DesignResult> {
-    let mut results = Vec::with_capacity(64);
-    for core in all_cores() {
-        let tables: Vec<crate::OracleTable> = data.iter().map(|w| oracle_table(w, &core)).collect();
-        let mut memo: TimingMemo = vec![HashMap::new(); data.len()];
-        for bsas in all_bsa_subsets() {
-            let point = DesignPoint::new(core.clone(), bsas);
-            results.push(evaluate_point_composed(data, &tables, &point, &mut memo));
-        }
-    }
-    results
-}
-
-/// [`explore`] without the timing memo: every design point runs the full
-/// trace walk (16 runs per core). Kept as the reference path for the
-/// composed-equals-direct property test and for benchmarking the memo's
-/// speedup.
-#[must_use]
-pub fn explore_direct(data: &[WorkloadData]) -> Vec<DesignResult> {
-    let mut results = Vec::with_capacity(64);
-    for core in all_cores() {
-        let tables: Vec<crate::OracleTable> = data.iter().map(|w| oracle_table(w, &core)).collect();
-        for bsas in all_bsa_subsets() {
-            let point = DesignPoint::new(core.clone(), bsas);
-            results.push(evaluate_point(data, &tables, &point));
-        }
-    }
-    results
-}
-
 /// A point on the performance–energy plane (for frontier extraction,
 /// Fig. 3/10).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -400,35 +301,6 @@ mod tests {
     fn geomean_basics() {
         assert!((geomean([2.0, 8.0].into_iter()) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(std::iter::empty()), 1.0);
-    }
-
-    #[test]
-    fn composed_explore_is_byte_identical_to_direct() {
-        use prism_isa::{ProgramBuilder, Reg};
-        let (pa, pb, i) = (Reg::int(1), Reg::int(2), Reg::int(3));
-        let (fa, ft) = (Reg::fp(0), Reg::fp(1));
-        let mut b = ProgramBuilder::new("dp");
-        b.init_reg(pa, 0x10000);
-        b.init_reg(pb, 0x24000);
-        b.init_reg(i, 400);
-        let head = b.bind_new_label();
-        b.fld(fa, pa, 0);
-        b.fmul(ft, fa, fa);
-        b.fadd(ft, ft, fa);
-        b.fst(ft, pb, 0);
-        b.addi(pa, pa, 8);
-        b.addi(pb, pb, 8);
-        b.addi(i, i, -1);
-        b.bne_label(i, Reg::ZERO, head);
-        b.halt();
-        let data = vec![crate::WorkloadData::prepare(&b.build().unwrap()).unwrap()];
-
-        let composed = explore(&data);
-        let direct = explore_direct(&data);
-        assert_eq!(composed.len(), direct.len());
-        // Byte-identical, not just approximately equal: the memoized path
-        // must preserve float-operation order exactly.
-        assert_eq!(format!("{composed:?}"), format!("{direct:?}"));
     }
 
     #[test]

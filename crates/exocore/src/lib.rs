@@ -13,7 +13,9 @@
 //!   slowdown),
 //! * [`amdahl_schedule`] — the Amdahl-tree scheduler of §3.3 (static
 //!   estimates, no oracle information),
-//! * [`explore`] / [`DesignPoint`] — the 64-point design space of Fig. 12,
+//! * [`all_design_points`] / [`evaluate_point`] / [`DesignPoint`] — the
+//!   64-point design space of Fig. 12 and the unmemoized evaluation of one
+//!   point (sweeps run through `prism_pipeline::Session`),
 //! * [`pareto_frontier`] — frontier extraction for Fig. 3/10,
 //! * [`switching_timeline`] — the Fig. 14 dynamic-switching windows.
 //!
@@ -42,9 +44,8 @@ mod timeline;
 
 pub use data::WorkloadData;
 pub use dse::{
-    all_bsa_subsets, all_cores, all_design_points, evaluate_point, evaluate_point_composed,
-    explore, explore_direct, geomean, pareto_frontier, DesignPoint, DesignResult, FrontierPoint,
-    WorkloadMetrics,
+    all_bsa_subsets, all_cores, all_design_points, evaluate_point, geomean, pareto_frontier,
+    DesignPoint, DesignResult, FrontierPoint, WorkloadMetrics,
 };
 pub use schedule::{
     amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,

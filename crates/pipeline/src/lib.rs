@@ -76,8 +76,7 @@ pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
 pub use session::{
-    DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_COMPOSE_ENV, NO_TIMING_CACHE_ENV,
-    STREAM_ENV,
+    DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_TIMING_CACHE_ENV, STREAM_ENV,
 };
 pub use store::{
     fsync_enabled, store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, NO_FSYNC_ENV,

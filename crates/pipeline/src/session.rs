@@ -24,7 +24,7 @@ use prism_exocore::{
     OracleTable, WorkloadData, WorkloadMetrics,
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
-use prism_tdg::{price_exocore, run_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
+use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
 use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODES_PER_INST};
 use prism_workloads::{Suite, Workload};
 
@@ -80,15 +80,19 @@ pub struct SessionStats {
     pub trace_walks: u64,
     /// Dynamic instructions produced by the functional simulator.
     pub sim_insts: u64,
-    /// Wall-clock nanoseconds spent producing them.
+    /// Busy nanoseconds spent producing them, summed over worker threads
+    /// (like every `*_nanos` stage counter: with `--jobs N` the sum can
+    /// exceed the sweep's elapsed wall time).
     pub sim_nanos: u64,
-    /// Wall-clock nanoseconds spent in combined-TDG trace walks (µDG
-    /// timing model, [`run_exocore`] / [`run_exocore_timing`]).
+    /// Busy nanoseconds, summed over threads, spent in trace walks
+    /// ([`run_exocore_timing`]) — the only µDG timing work a sweep does;
+    /// memo hits and loaded timing artifacts add nothing.
     pub udg_nanos: u64,
-    /// Wall-clock nanoseconds spent in IR reconstruction + accelerator
-    /// analysis ([`WorkloadData::from_trace`]).
+    /// Busy nanoseconds, summed over threads, spent in IR reconstruction +
+    /// accelerator analysis ([`WorkloadData::from_trace`]).
     pub transform_nanos: u64,
-    /// Wall-clock nanoseconds spent measuring oracle tables (scheduling).
+    /// Busy nanoseconds, summed over threads, spent measuring oracle
+    /// tables (scheduling).
     pub schedule_nanos: u64,
     /// Largest single in-flight trace chunk, in bytes — the streaming
     /// architecture's memory high-water mark for trace storage.
@@ -144,8 +148,8 @@ impl SessionStats {
              trace walks    : {} performed, {} skipped \
              ({} shape-memo hits, {} timing artifacts loaded)\n\
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
-             stage wall     : sim {} ms, uDG {} ms, transforms {} ms, \
-             schedule {} ms\n\
+             stage busy     : sim {} ms, uDG {} ms, transforms {} ms, \
+             schedule {} ms (summed over threads)\n\
              peak chunk     : {} bytes\n\
              journal        : {} units resumed, {} records replayed\n\
              tmp-file GC    : {} bytes reclaimed\n",
@@ -294,12 +298,6 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
 pub const STREAM_ENV: &str = "PRISM_STREAM";
 
 /// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
-/// trace-walk timing memo and evaluate every design point with a full
-/// [`run_exocore`] — the reference behavior for debugging the composed
-/// path. Results are byte-identical either way.
-pub const NO_COMPOSE_ENV: &str = "PRISM_NO_COMPOSE";
-
-/// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
 /// persistent timing-artifact cache — trace-walk timings are then only
 /// memoized in-process and never loaded from or saved to the artifact
 /// store. Results are byte-identical either way.
@@ -317,7 +315,6 @@ pub struct Session {
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
     streaming: bool,
-    composition: bool,
     timing_cache: bool,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
@@ -392,8 +389,6 @@ impl Session {
             budget,
             guard: DivergenceGuard::from_env(),
             streaming: std::env::var(STREAM_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
-            composition: !std::env::var(NO_COMPOSE_ENV)
                 .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             timing_cache: !std::env::var(NO_TIMING_CACHE_ENV)
                 .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
@@ -484,17 +479,6 @@ impl Session {
     #[must_use]
     pub fn with_streaming(mut self, streaming: bool) -> Self {
         self.streaming = streaming;
-        self
-    }
-
-    /// Enables (or disables) the trace-walk timing memo: with composition
-    /// on, each distinct (workload, core variant, assignment) triple walks
-    /// the trace once ([`run_exocore_timing`]) and every design point
-    /// sharing it only re-prices the result ([`price_exocore`]).
-    /// Byte-identical to the direct path. Overrides `PRISM_NO_COMPOSE`.
-    #[must_use]
-    pub fn with_composition(mut self, composition: bool) -> Self {
-        self.composition = composition;
         self
     }
 
@@ -904,7 +888,7 @@ impl Session {
     /// instead of walking the trace. A corrupt or stale stored timing
     /// degrades to a recompute (the store validates on load, the decoder
     /// is strict). Counts against the session's memo and walk stats and
-    /// the µDG stage wall-time.
+    /// the µDG stage busy time.
     fn exo_timing(
         &self,
         workload: &PreparedWorkload,
@@ -996,8 +980,8 @@ impl Session {
             f.maybe_panic(Stage::Evaluate, &point.label());
         }
         // One fuel meter per design point: every combined-TDG run charges
-        // the µDG nodes it will place — also with composition on, where a
-        // memo hit skips the walk but the budget semantics must not change.
+        // the µDG nodes it would place — also when a memo hit skips the
+        // walk, so budget semantics never depend on the cache.
         let mut meter = self.budget.meter();
         let mut per_workload = Vec::with_capacity(data.len());
         for w in data {
@@ -1006,29 +990,14 @@ impl Session {
             meter
                 .charge((w.trace.len() as u64).saturating_mul(NODES_PER_INST))
                 .map_err(|e| PipelineError::budget(&w.name, &e))?;
-            let run = if self.composition {
-                for &kind in assignment.map.values() {
-                    assert!(
-                        point.bsas.contains(&kind),
-                        "assignment to absent accelerator {kind}"
-                    );
-                }
-                let timing = self.exo_timing(w, &point.core, &assignment);
-                price_exocore(&timing, &point.core, &point.bsas)
-            } else {
-                let started = std::time::Instant::now();
-                let run = run_exocore(
-                    &w.trace,
-                    &w.ir,
-                    &point.core,
-                    &w.plans,
-                    &assignment,
-                    &point.bsas,
+            for &kind in assignment.map.values() {
+                assert!(
+                    point.bsas.contains(&kind),
+                    "assignment to absent accelerator {kind}"
                 );
-                self.udg_nanos
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                run
-            };
+            }
+            let timing = self.exo_timing(w, &point.core, &assignment);
+            let run = price_exocore(&timing, &point.core, &point.bsas);
             per_workload.push(WorkloadMetrics::from_run(&run, &w.name));
         }
         Ok(DesignResult {
@@ -1139,36 +1108,34 @@ impl Session {
             let _ = catch_unwind(AssertUnwindSafe(|| self.oracle_table(&data[w], &cores[c])));
         });
 
-        // With composition on, prefill the trace-walk timing memo over the
-        // *distinct* (workload, core variant, assignment) triples of the
-        // missing points, so parallel point evaluation hits the memo
-        // instead of racing to redo identical walks. Errors are ignored
-        // here; they resurface (typed) when the point is evaluated.
-        if self.composition {
-            let mut seen = std::collections::HashSet::new();
-            let mut walks: Vec<(usize, CoreConfig, Assignment)> = Vec::new();
-            for &idx in missing {
-                let (c, s) = (idx / subsets.len(), idx % subsets.len());
-                if core_block[c].is_some() {
+        // Prefill the trace-walk timing memo over the *distinct*
+        // (workload, core variant, assignment) triples of the missing
+        // points, so parallel point evaluation hits the memo instead of
+        // racing to redo identical walks. Errors are ignored here; they
+        // resurface (typed) when the point is evaluated.
+        let mut seen = std::collections::HashSet::new();
+        let mut walks: Vec<(usize, CoreConfig, Assignment)> = Vec::new();
+        for &idx in missing {
+            let (c, s) = (idx / subsets.len(), idx % subsets.len());
+            if core_block[c].is_some() {
+                continue;
+            }
+            let point = DesignPoint::new(cores[c].clone(), subsets[s].clone());
+            for (wi, w) in data.iter().enumerate() {
+                let Ok(table) = self.oracle_table(w, &cores[c]) else {
                     continue;
-                }
-                let point = DesignPoint::new(cores[c].clone(), subsets[s].clone());
-                for (wi, w) in data.iter().enumerate() {
-                    let Ok(table) = self.oracle_table(w, &cores[c]) else {
-                        continue;
-                    };
-                    let assignment = oracle_pick(&table, &w.data, &point.bsas);
-                    if seen.insert(self.shape_key(w, &point.core, &assignment)) {
-                        walks.push((wi, point.core.clone(), assignment));
-                    }
+                };
+                let assignment = oracle_pick(&table, &w.data, &point.bsas);
+                if seen.insert(self.shape_key(w, &point.core, &assignment)) {
+                    walks.push((wi, point.core.clone(), assignment));
                 }
             }
-            parallel_map(&walks, self.jobs, |_, (wi, core, assignment)| {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    self.exo_timing(&data[*wi], core, assignment)
-                }));
-            });
         }
+        parallel_map(&walks, self.jobs, |_, (wi, core, assignment)| {
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                self.exo_timing(&data[*wi], core, assignment)
+            }));
+        });
 
         // Evaluate every missing point; tables now come from the memo.
         parallel_map(missing, self.jobs, |_, &idx| {
@@ -1209,13 +1176,6 @@ impl Session {
         }
         report.sort_units();
         report
-    }
-
-    /// [`Session::explore_grid`] over the paper's full 64-point space
-    /// (4 cores × 16 BSA subsets).
-    #[must_use]
-    pub fn explore(&self, data: &[PreparedWorkload]) -> SweepReport {
-        self.explore_grid(data, &all_cores(), &all_bsa_subsets())
     }
 
     /// The fault-isolated, artifact-backed design-space sweep: design
@@ -1457,32 +1417,10 @@ impl Session {
         out
     }
 
-    /// Like [`Session::evaluate_designs`], for callers that treat any
-    /// quarantine as fatal.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first quarantined failure when one exists.
-    pub fn explore_grid_cached(
-        &self,
-        workloads: &[&Workload],
-        cores: &[CoreConfig],
-        subsets: &[Vec<BsaKind>],
-    ) -> Result<Vec<DesignResult>, PipelineError> {
-        self.evaluate_designs(workloads, cores, subsets)
-            .into_strict()
-    }
-
     /// The full 64-point exploration over every registered workload,
-    /// backed by the artifact store, with failure isolation.
-    #[must_use]
-    pub fn full_design_space(&self) -> SweepReport {
-        let workloads: Vec<&Workload> = prism_workloads::ALL.iter().collect();
-        self.evaluate_designs(&workloads, &all_cores(), &all_bsa_subsets())
-    }
-
-    /// [`Session::full_design_space`] with a sweep journal; with `resume`,
-    /// a previous interrupted run's journal is replayed first.
+    /// backed by the artifact store, with failure isolation and a sweep
+    /// journal; with `resume`, a previous interrupted run's journal is
+    /// replayed first.
     #[must_use]
     pub fn full_design_space_resumable(&self, resume: bool) -> SweepReport {
         let workloads: Vec<&Workload> = prism_workloads::ALL.iter().collect();
@@ -1519,8 +1457,8 @@ impl Session {
              {} I/O retries, {} I/O errors, {} recomputes); memo: {} hits, \
              {} misses; walks: {} performed, {} skipped ({} shape-memo, \
              {} artifacts); sim: {} insts at {:.0} insts/sec, peak chunk {} bytes; \
-             stage wall: sim {} ms, uDG {} ms, transforms {} ms, schedule \
-             {} ms; jobs={}",
+             stage busy (summed over threads): sim {} ms, uDG {} ms, \
+             transforms {} ms, schedule {} ms; jobs={}",
             s.artifacts.hits,
             s.artifacts.misses,
             s.artifacts.discarded,

@@ -60,7 +60,8 @@ fn artifact_cache_roundtrip_hits_on_second_run() {
     // Cold run: every point is a miss, then gets stored.
     let cold = clean_session().with_store_dir(&dir);
     let first = cold
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("cold run");
     let s = cold.stats();
     assert_eq!(s.artifacts.hits, 0);
@@ -76,7 +77,8 @@ fn artifact_cache_roundtrip_hits_on_second_run() {
     // tracing happens at all (the workload memo stays empty).
     let warm = clean_session().with_store_dir(&dir);
     let second = warm
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("warm run");
     let s = warm.stats();
     assert_eq!(s.artifacts.misses, 0, "warm run must not miss");
@@ -94,7 +96,8 @@ fn tracer_config_change_invalidates_artifacts() {
     let workloads = micro_set();
 
     let a = clean_session().with_store_dir(&dir);
-    a.explore_grid_cached(&workloads, &cores, &subsets)
+    a.evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("first run");
 
     // Same store, different tracer: every key changes, so nothing hits.
@@ -103,7 +106,8 @@ fn tracer_config_change_invalidates_artifacts() {
         ..quick_tracer()
     };
     let b = clean_session().with_tracer(other).with_store_dir(&dir);
-    b.explore_grid_cached(&workloads, &cores, &subsets)
+    b.evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("second run");
     let s = b.stats();
     assert_eq!(
@@ -127,7 +131,8 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
 
     let a = clean_session().with_store_dir(&dir);
     let first = a
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("first run");
 
     // Truncate one *design* artifact and swap valid JSON of the wrong
@@ -151,7 +156,8 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
 
     let b = clean_session().with_store_dir(&dir);
     let second = b
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("recovery run");
     assert_eq!(first, second);
     let s = b.stats();
@@ -194,7 +200,8 @@ fn deleting_the_store_forces_a_clean_recompute() {
 
     let a = clean_session().with_store_dir(&dir);
     let first = a
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("first run");
 
     // The supported way to force a cold run (PRISM_REFRESH was removed):
@@ -202,7 +209,8 @@ fn deleting_the_store_forces_a_clean_recompute() {
     std::fs::remove_dir_all(&dir).expect("remove store");
     let b = clean_session().with_store_dir(&dir);
     let second = b
-        .explore_grid_cached(&workloads, &cores, &subsets)
+        .evaluate_designs(&workloads, &cores, &subsets)
+        .into_strict()
         .expect("cold run");
     assert_eq!(first, second);
     assert_eq!(b.stats().artifacts.hits, 0, "cold run cannot hit the store");

@@ -1,11 +1,14 @@
-//! Equivalence proof for the timing-reuse layer: shape-keyed timing
-//! memoization (in-process, cross-variant) and persistent timing
-//! artifacts (cross-process, via the content-addressed store) must be
-//! pure caches — every sweep they accelerate must be **byte-identical**
-//! to the cold composed run and to the `PRISM_NO_COMPOSE` direct run,
-//! and a corrupt timing artifact must degrade to recompute, never to an
-//! error or a changed result.
+//! Equivalence proof for the session's one evaluation path: oracle
+//! tables, the shape-keyed timing memo (in-process, cross-variant) and
+//! persistent timing artifacts (cross-process, via the content-addressed
+//! store) must be pure caches. Every sweep they accelerate — cold, warm,
+//! faulted, streamed, corrupt-store — must be **byte-identical** to the
+//! unmemoized model ([`reference`]), and a corrupt timing artifact must
+//! degrade to recompute, never to an error or a changed result.
 
+use std::sync::Arc;
+
+use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult, WorkloadData};
 use prism_pipeline::{FaultPlan, Session, SweepReport};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -22,7 +25,7 @@ fn quick_tracer() -> TracerConfig {
 /// A session insulated from ambient env knobs, writing artifacts under
 /// the given per-test store directory (shared across sessions of one
 /// test to model warm restarts; pass a fresh tag for a cold store).
-fn session_at(dir: &std::path::Path, composition: bool) -> Session {
+fn session_at(dir: &std::path::Path) -> Session {
     Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(2)
@@ -30,7 +33,6 @@ fn session_at(dir: &std::path::Path, composition: bool) -> Session {
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
         .with_streaming(false)
-        .with_composition(composition)
         .with_timing_cache(true)
         .with_store_cap(None)
         .with_store_dir(dir)
@@ -41,6 +43,38 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("prism-timing-equiv-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The sweep the session must reproduce, built from the model crates
+/// alone — no memo, keys, store or fault hooks: per core, one
+/// [`prism_exocore::oracle_table`] per workload, then a full
+/// [`prism_exocore::evaluate_point`] (one unshared trace walk per
+/// workload) per subset, sorted by label like a [`SweepReport`].
+fn reference(
+    workloads: &[&Workload],
+    cores: &[CoreConfig],
+    subsets: &[Vec<BsaKind>],
+) -> Vec<DesignResult> {
+    let data: Vec<WorkloadData> = workloads
+        .iter()
+        .map(|w| {
+            WorkloadData::prepare_with(&(w.build)(w.scaled_n()), &quick_tracer())
+                .expect("registry workloads trace")
+        })
+        .collect();
+    let mut results = Vec::with_capacity(cores.len() * subsets.len());
+    for core in cores {
+        let tables: Vec<_> = data
+            .iter()
+            .map(|w| prism_exocore::oracle_table(w, core))
+            .collect();
+        for bsas in subsets {
+            let point = DesignPoint::new(core.clone(), bsas.clone());
+            results.push(prism_exocore::evaluate_point(&data, &tables, &point));
+        }
+    }
+    results.sort_by(|a, b| a.label.cmp(&b.label));
+    results
 }
 
 fn registry() -> Vec<&'static Workload> {
@@ -65,8 +99,82 @@ fn small_subsets() -> Vec<Vec<BsaKind>> {
     ]
 }
 
-fn fingerprint(report: &SweepReport) -> String {
-    format!("{report:?}")
+/// The byte-exact form we compare: the Debug formatting covers every
+/// result field (cycles, energy floats, unit attributions), so not even
+/// a ULP may differ.
+fn fingerprint(results: &[DesignResult]) -> String {
+    format!("{results:?}")
+}
+
+/// A healthy sweep's results, failing the test on any quarantine.
+fn healthy(report: SweepReport) -> Vec<DesignResult> {
+    assert!(
+        report.quarantined.is_empty(),
+        "healthy sweep expected: {:?}",
+        report.quarantined
+    );
+    report.results
+}
+
+#[test]
+fn full_registry_sweep_matches_the_reference() {
+    let workloads = registry();
+    let (cores, subsets) = (all_cores(), all_bsa_subsets());
+    let swept = session_at(&fresh_dir("full")).evaluate_designs(&workloads, &cores, &subsets);
+    assert_eq!(
+        fingerprint(&healthy(swept)),
+        fingerprint(&reference(&workloads, &cores, &subsets))
+    );
+}
+
+#[test]
+fn faulted_sweep_survivors_match_the_reference() {
+    // Deterministic fault plan (as if via PRISM_FAULTS): trace truncation
+    // quarantines workloads, evaluate-stage panics quarantine points.
+    let plan = || {
+        Arc::new(
+            FaultPlan::parse("trace-truncate:0.05,stage-panic:evaluate:2@seed=7")
+                .expect("valid spec"),
+        )
+    };
+    let workloads = registry();
+    let cores = vec![CoreConfig::io2(), CoreConfig::ooo4()];
+    let subsets = small_subsets();
+    let report = session_at(&fresh_dir("faults"))
+        .with_faults(Some(plan()))
+        .evaluate_designs(&workloads, &cores, &subsets);
+
+    let (_, dropped) = session_at(&fresh_dir("faults-prepare"))
+        .with_faults(Some(plan()))
+        .prepare_quarantined(&workloads);
+    assert!(
+        !dropped.is_empty(),
+        "trace truncation must fire for this test to mean anything"
+    );
+    let kept: Vec<&Workload> = workloads
+        .iter()
+        .copied()
+        .filter(|w| dropped.iter().all(|(name, _)| name != w.name))
+        .collect();
+    let expected = reference(&kept, &cores, &subsets);
+
+    let points_quarantined = report
+        .quarantined
+        .iter()
+        .filter(|(unit, _)| !unit.starts_with("workload:"))
+        .count();
+    assert!(points_quarantined > 0, "evaluate panics must fire");
+    assert_eq!(
+        report.results.len() + points_quarantined,
+        cores.len() * subsets.len()
+    );
+    for result in &report.results {
+        let want = expected
+            .iter()
+            .find(|r| r.label == result.label)
+            .expect("every surviving label is in the reference");
+        assert_eq!(format!("{result:?}"), format!("{want:?}"));
+    }
 }
 
 #[test]
@@ -76,21 +184,19 @@ fn warm_store_sweep_is_byte_identical_and_walk_free() {
     let subsets = small_subsets();
 
     let warm_dir = fresh_dir("warm");
-    let cold = session_at(&warm_dir, true).evaluate_designs(&workloads, &cores, &subsets);
-    assert!(cold.quarantined.is_empty(), "healthy sweep expected");
+    let cold = healthy(session_at(&warm_dir).evaluate_designs(&workloads, &cores, &subsets));
+    assert_eq!(
+        fingerprint(&cold),
+        fingerprint(&reference(&workloads, &cores, &subsets))
+    );
 
     // A fresh session over the same store models a warm process restart:
     // byte-identical output, zero trace walks.
-    let warm_session = session_at(&warm_dir, true);
-    let warm = warm_session.evaluate_designs(&workloads, &cores, &subsets);
+    let warm_session = session_at(&warm_dir);
+    let warm = healthy(warm_session.evaluate_designs(&workloads, &cores, &subsets));
     let stats = warm_session.stats();
     assert_eq!(fingerprint(&cold), fingerprint(&warm));
     assert_eq!(stats.trace_walks, 0, "warm run must not walk: {stats:?}");
-
-    // And the cold direct (PRISM_NO_COMPOSE) run agrees byte-for-byte.
-    let direct =
-        session_at(&fresh_dir("warm-direct"), false).evaluate_designs(&workloads, &cores, &subsets);
-    assert_eq!(fingerprint(&cold), fingerprint(&direct));
 }
 
 #[test]
@@ -100,14 +206,14 @@ fn shape_sharing_core_reuses_walks_in_process() {
 
     // Walk count for IO2 alone, with the store disabled as a source
     // (cold dir) so every walk is really performed.
-    let solo_session = session_at(&fresh_dir("solo"), true);
+    let solo_session = session_at(&fresh_dir("solo"));
     let _ = solo_session.evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
     let solo_walks = solo_session.stats().trace_walks;
     assert!(solo_walks > 0, "cold run must walk");
 
     // IO2 plus its renamed twin in one session: the twin's timing comes
     // from the shape-keyed memo, so the walk count must not grow.
-    let pair_session = session_at(&fresh_dir("pair"), true);
+    let pair_session = session_at(&fresh_dir("pair"));
     let pair =
         pair_session.evaluate_designs(&workloads, &[CoreConfig::io2(), io2_twin()], &subsets);
     let stats = pair_session.stats();
@@ -117,21 +223,16 @@ fn shape_sharing_core_reuses_walks_in_process() {
     );
     assert!(stats.shape_memo_hits > 0, "memo must be hit: {stats:?}");
 
-    // The twin's results are byte-identical to evaluating it cold.
-    let twin_in_pair: Vec<String> = pair
-        .results
-        .iter()
+    // The twin's results are byte-identical to the reference model's.
+    let twin_in_pair: Vec<DesignResult> = healthy(pair)
+        .into_iter()
         .filter(|r| r.label.contains("IO2-twin"))
-        .map(|r| format!("{r:?}"))
         .collect();
-    let twin_cold = session_at(&fresh_dir("twin-cold"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
-    );
-    let twin_ref: Vec<String> = twin_cold.results.iter().map(|r| format!("{r:?}")).collect();
     assert!(!twin_in_pair.is_empty());
-    assert_eq!(twin_in_pair, twin_ref);
+    assert_eq!(
+        fingerprint(&twin_in_pair),
+        fingerprint(&reference(&workloads, &[io2_twin()], &subsets))
+    );
 }
 
 #[test]
@@ -141,26 +242,23 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
     let dir = fresh_dir("across");
 
     // Cold run settles IO2's timing artifacts into the store.
-    let _ = session_at(&dir, true).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
+    let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
 
     // A fresh session evaluates only the renamed twin: its design-point
     // results are not in the store (the name differs), but its timing
     // shape is — so it prices loaded summaries instead of walking.
-    let warm_session = session_at(&dir, true);
-    let warm = warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets);
+    let warm_session = session_at(&dir);
+    let warm = healthy(warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets));
     let stats = warm_session.stats();
     assert_eq!(stats.trace_walks, 0, "twin must not walk: {stats:?}");
     assert!(
         stats.timing_artifacts_loaded > 0,
         "timing artifacts must load: {stats:?}"
     );
-
-    let reference = session_at(&fresh_dir("across-ref"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
+    assert_eq!(
+        fingerprint(&warm),
+        fingerprint(&reference(&workloads, &[io2_twin()], &subsets))
     );
-    assert_eq!(fingerprint(&warm), fingerprint(&reference));
 }
 
 #[test]
@@ -169,7 +267,7 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
     let subsets = small_subsets();
     let dir = fresh_dir("corrupt");
 
-    let _ = session_at(&dir, true).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
+    let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
 
     // Corrupt every stored artifact in place (timing summaries included).
     let mut corrupted = 0;
@@ -184,60 +282,52 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
 
     // The warm twin run now finds only garbage: it must silently fall
     // back to walking and still produce byte-identical results.
-    let warm_session = session_at(&dir, true);
-    let warm = warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets);
+    let warm_session = session_at(&dir);
+    let warm = healthy(warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets));
     let stats = warm_session.stats();
-    assert!(warm.quarantined.is_empty(), "corruption must not error");
     assert!(stats.trace_walks > 0, "must recompute: {stats:?}");
     assert_eq!(stats.timing_artifacts_loaded, 0, "{stats:?}");
-
-    let reference = session_at(&fresh_dir("corrupt-ref"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
+    assert_eq!(
+        fingerprint(&warm),
+        fingerprint(&reference(&workloads, &[io2_twin()], &subsets))
     );
-    assert_eq!(fingerprint(&warm), fingerprint(&reference));
 }
 
 #[test]
 fn timing_cache_opt_out_is_byte_identical() {
-    // As if via PRISM_NO_TIMING_CACHE=1: the layer off entirely.
+    // As if via PRISM_NO_TIMING_CACHE=1: the persistent layer off.
     let workloads = registry();
     let subsets = small_subsets();
     let cores = vec![CoreConfig::io2(), io2_twin()];
 
-    let off_session = session_at(&fresh_dir("optout"), true).with_timing_cache(false);
-    let off = off_session.evaluate_designs(&workloads, &cores, &subsets);
+    let off_session = session_at(&fresh_dir("optout")).with_timing_cache(false);
+    let off = healthy(off_session.evaluate_designs(&workloads, &cores, &subsets));
     let stats = off_session.stats();
     assert_eq!(stats.timing_artifacts_loaded, 0, "{stats:?}");
-
-    let on =
-        session_at(&fresh_dir("optout-on"), true).evaluate_designs(&workloads, &cores, &subsets);
-    assert_eq!(fingerprint(&off), fingerprint(&on));
+    assert_eq!(
+        fingerprint(&off),
+        fingerprint(&reference(&workloads, &cores, &subsets))
+    );
 }
 
 #[test]
-fn warm_streamed_faulted_sweep_is_byte_identical_composed_vs_direct() {
+fn streamed_faulted_store_sweep_matches_the_reference() {
     // As if via PRISM_STREAM=1 + site-seeded PRISM_FAULTS: injected
     // store I/O failures and artifact corruption hit the timing cache
     // too, and must only ever degrade it to recompute.
-    let plan = || {
-        std::sync::Arc::new(
-            FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec"),
-        )
-    };
+    let plan = Arc::new(
+        FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec"),
+    );
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();
 
-    let composed = session_at(&fresh_dir("faults"), true)
+    let swept = session_at(&fresh_dir("faults-stream"))
         .with_streaming(true)
-        .with_faults(Some(plan()))
+        .with_faults(Some(plan))
         .evaluate_designs(&workloads, &cores, &subsets);
-    let direct = session_at(&fresh_dir("faults-direct"), false)
-        .with_streaming(true)
-        .with_faults(Some(plan()))
-        .evaluate_designs(&workloads, &cores, &subsets);
-    assert!(composed.quarantined.is_empty(), "these faults only degrade");
-    assert_eq!(fingerprint(&composed), fingerprint(&direct));
+    assert_eq!(
+        fingerprint(&healthy(swept)),
+        fingerprint(&reference(&workloads, &cores, &subsets))
+    );
 }

@@ -222,7 +222,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         };
         // 40 %: wide enough that best-of sampling plus calibration
         // absorbs shared-runner noise, far below the 2×+ a real
-        // composition/hot-loop regression would show.
+        // timing-memo/hot-loop regression would show.
         let regs = regressions(&baseline, &report, 0.40);
         if regs.is_empty() {
             eprintln!(

@@ -334,7 +334,6 @@ fn main() {
         "PRISM_WORKERS",
         "PRISM_CRASH",
         "PRISM_SCALE",
-        "PRISM_NO_COMPOSE",
         "PRISM_NO_TIMING_CACHE",
         "PRISM_STORE_CAP",
         "PRISM_DIVERGENCE",
