@@ -25,15 +25,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint};
-use prism_net::{
-    DeadLink, HostSpec, LinkEvent, NetFaultPlan, ShardLink, StdioLink, TcpLink, NET_TOKEN_ENV,
-};
+use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink, NET_TOKEN_ENV};
 use prism_pipeline::{
-    crash_point, sweep_key, ArtifactStore, ContentHash, PipelineError, Session, Stage,
+    crash_point, sweep_key, ArtifactStore, ContentHash, FaultPlan, PipelineError, Session, Stage,
     SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
@@ -114,12 +112,12 @@ pub struct GridConfig {
     /// Outstanding assignments per worker: 2 keeps the next unit's
     /// prepare phase overlapping the current unit's evaluate phase.
     pub window: usize,
-    /// Extra environment for workers (test hook, e.g. grid faults).
+    /// Extra environment for workers (test hook, e.g. worker faults).
     pub env: Vec<(String, String)>,
     /// Environment variables removed from workers (test hook).
     pub env_remove: Vec<String>,
-    /// Injected network fault plan applied to remote links.
-    pub net_faults: NetFaultPlan,
+    /// Fault plan whose link entries are applied to remote links.
+    pub net_faults: Option<Arc<FaultPlan>>,
     /// Replay this sweep's journal and skip units it records as settled
     /// (the `--resume` flag). A fresh run truncates any prior journal.
     pub resume: bool,
@@ -148,7 +146,7 @@ impl GridConfig {
             window: 2,
             env: Vec::new(),
             env_remove: Vec::new(),
-            net_faults: NetFaultPlan::from_env(),
+            net_faults: FaultPlan::from_env(),
             resume: false,
         }
     }

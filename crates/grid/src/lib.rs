@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod coord;
-pub mod fault;
 pub mod proto;
 pub mod worker;
 
@@ -47,7 +46,6 @@ pub use coord::{
     parse_grid_timeout, run_grid, GridConfig, GridError, GridOutcome, GridStats, HostStats,
     GRID_TIMEOUT_ENV,
 };
-pub use fault::{GridFaultKind, GridFaultPlan, GRID_FAULTS_ENV};
 pub use proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
     run_worker, run_worker_if_env, run_worker_io, serve_tcp, WorkerOptions, SHARD_ENV, WORKER_ENV,

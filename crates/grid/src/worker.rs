@@ -8,36 +8,36 @@
 //! serves TCP connections via [`serve_tcp`]: the transport differs, the
 //! protocol does not — [`run_worker_io`] is generic over the byte streams.
 //!
-//! Inside the worker, three threads overlap work:
+//! Inside the worker, three threads run:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
 //!   queue, and answers artifact fetch/push frames from its local store,
-//! - the **prewarm** thread first pulls chunk 0 of each workload's trace
-//!   stream (cheap, bounded), then prepares traces/IR and oracle tables
-//!   for *queued* units while the evaluator is busy with earlier ones, so
-//!   a unit's expensive prepare phase overlaps the previous unit's
-//!   evaluate phase,
 //! - the **evaluator** pops units in order and reports one
-//!   result-or-quarantine per unit.
+//!   result-or-quarantine per unit (the session memoizes preparation and
+//!   oracle tables, so only a shard's first unit per core pays for them),
+//! - the **heartbeat** thread emits liveness beacons every
+//!   [`HEARTBEAT_INTERVAL`] until the
+//!   evaluator finishes.
 //!
-//! A fourth **heartbeat** thread emits liveness beacons every
-//! [`HEARTBEAT_INTERVAL`](crate::proto::HEARTBEAT_INTERVAL).
+//! The `die`, `hang` and `quarantine` entries of a `PRISM_FAULTS` plan
+//! ([`prism_pipeline::FaultPlan`]) inject worker failures when a shard
+//! starts a given unit.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use prism_exocore::DesignPoint;
-use prism_pipeline::{ArtifactStore, ContentHash, PipelineError, Session, Stage};
+use prism_pipeline::{
+    ArtifactStore, ContentHash, FaultPlan, PipelineError, Session, Stage, WorkerFault,
+};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
-use crate::fault::{GridFaultKind, GridFaultPlan};
 use crate::proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 
 /// Set (to any value) in a worker process's environment.
@@ -65,13 +65,16 @@ pub struct WorkerOptions {
     /// Artifact store directory override. `None` uses the Hello's
     /// `artifact_dir` (the stdio case, where coordinator and worker share
     /// a filesystem); TCP daemons pass their own local store here and the
-    /// Hello's path — meaningless on another host — is ignored.
+    /// Hello's path — meaningless on another host — is ignored. Only a
+    /// worker with its own store names the artifacts each unit saved, so
+    /// the coordinator can pull them.
     pub store_dir: Option<PathBuf>,
     /// LRU byte cap on the worker's store (`prism worker --store-cap` /
     /// `PRISM_STORE_CAP`); `None` leaves growth unbounded.
     pub store_cap: Option<u64>,
-    /// Injected fault plan (`PRISM_GRID_FAULTS`).
-    pub faults: GridFaultPlan,
+    /// Injected fault plan (`PRISM_FAULTS`): the session reads its store
+    /// and stage kinds, the protocol loop its worker kinds.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 /// Looks a workload up in the main registry, then the microbenchmarks.
@@ -108,6 +111,9 @@ struct UnitQueue {
     pending: VecDeque<QueuedUnit>,
     /// Shutdown received (or input closed): drain and exit.
     closing: bool,
+    /// The evaluator drained the queue after `closing`: the heartbeat
+    /// stops and the worker says `Bye`.
+    finished: bool,
 }
 
 fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) {
@@ -131,7 +137,7 @@ pub fn run_worker() -> i32 {
         expected_shard: Some(shard),
         store_dir: None,
         store_cap: prism_pipeline::store_cap_from_env(),
-        faults: GridFaultPlan::from_env().unwrap_or_default(),
+        faults: FaultPlan::from_env(),
     };
     let stdin = std::io::stdin();
     run_worker_io(stdin.lock(), std::io::stdout(), &opts)
@@ -155,7 +161,7 @@ pub fn serve_tcp(
             expected_shard: Some(shard),
             store_dir: Some(store_dir.clone()),
             store_cap,
-            faults: GridFaultPlan::from_env().unwrap_or_default(),
+            faults: FaultPlan::from_env(),
         };
         let reader = match stream.try_clone() {
             Ok(clone) => std::io::BufReader::new(clone),
@@ -242,7 +248,8 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
             ..TracerConfig::default()
         })
         .with_store_cap(opts.store_cap)
-        .with_store_dir(&store_dir);
+        .with_store_dir(&store_dir)
+        .with_faults(opts.faults.clone());
     // A second handle on the same store for artifact fetch/push frames:
     // the reader thread serves those concurrently with evaluation, and
     // the store's durability is file-level, not handle-level.
@@ -275,86 +282,33 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
     let queue = Mutex::new(UnitQueue {
         pending: VecDeque::new(),
         closing: false,
+        finished: false,
     });
     let queue_cv = Condvar::new();
     let inflight = AtomicU64::new(0);
     // Set by an injected hang fault: the worker stalls *and* goes silent,
     // so the coordinator must catch it by heartbeat timeout.
     let hang = AtomicBool::new(false);
-    // Set by the evaluator once everything is drained; stops the
-    // heartbeat and prewarm threads so the scope can join.
-    let finished = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        // Heartbeat thread.
-        scope.spawn(|| {
-            while !finished.load(Ordering::Relaxed) {
-                if !hang.load(Ordering::Relaxed) {
-                    send(
-                        &out,
-                        &FromWorker::Heartbeat {
-                            shard,
-                            inflight: inflight.load(Ordering::Relaxed),
-                        },
-                    );
-                }
-                std::thread::sleep(HEARTBEAT_INTERVAL);
+        // Heartbeat thread: beats until the evaluator finishes, waking
+        // for it at once rather than sleeping out the interval.
+        scope.spawn(|| loop {
+            if !hang.load(Ordering::Relaxed) {
+                send(
+                    &out,
+                    &FromWorker::Heartbeat {
+                        shard,
+                        inflight: inflight.load(Ordering::Relaxed),
+                    },
+                );
             }
-        });
-
-        // Prewarm thread: prepare traces/IR and oracle tables for queued
-        // units while the evaluator works on earlier ones. Failures are
-        // ignored here — they resurface, typed, when the unit evaluates.
-        scope.spawn(|| {
-            let mut prepared = false;
-            let mut warmed: BTreeSet<String> = BTreeSet::new();
-            loop {
-                let upcoming: Vec<String> = {
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    while q.pending.is_empty() && !q.closing {
-                        q = queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                    if q.pending.is_empty() && q.closing {
-                        return;
-                    }
-                    q.pending
-                        .iter()
-                        .map(|u| u.core.clone())
-                        .filter(|c| !warmed.contains(c))
-                        .collect()
-                };
-                if upcoming.is_empty() {
-                    // Nothing new to warm; yield until the queue changes.
-                    std::thread::sleep(HEARTBEAT_INTERVAL);
-                    if finished.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    continue;
-                }
-                if !prepared {
-                    // First touch: pull only chunk 0 of each workload's
-                    // trace stream, overlapping the simulator's warm-up
-                    // with other shards' evaluation without materializing
-                    // any full trace. Full preparation happens (and is
-                    // memoized) under the per-core warms below.
-                    for w in &workloads {
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            let _ = session.prewarm_chunk0(w);
-                        }));
-                    }
-                    prepared = true;
-                }
-                for core_name in upcoming {
-                    if let Some(core) = parse_core(&core_name) {
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            let (data, _) = session.prepare_quarantined(&workloads);
-                            for w in &data {
-                                let _ = session.oracle_table(w, &core);
-                            }
-                        }));
-                    }
-                    warmed.insert(core_name);
-                }
+            let q = queue.lock().unwrap_or_else(|e| e.into_inner());
+            let (q, _) = queue_cv
+                .wait_timeout_while(q, HEARTBEAT_INTERVAL, |q| !q.finished)
+                .unwrap_or_else(|e| e.into_inner());
+            if q.finished {
+                return;
             }
         });
 
@@ -370,24 +324,26 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                             break Some(u);
                         }
                         if q.closing {
+                            q.finished = true;
+                            queue_cv.notify_all();
                             break None;
                         }
                         q = queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
                     }
                 };
-                let Some(unit) = unit else {
-                    finished.store(true, Ordering::Relaxed);
-                    queue_cv.notify_all();
-                    return;
-                };
-                match opts.faults.action(shard, started) {
-                    Some(GridFaultKind::Die) => {
+                let Some(unit) = unit else { return };
+                match opts
+                    .faults
+                    .as_ref()
+                    .and_then(|f| f.worker_fault(shard, started))
+                {
+                    Some(WorkerFault::Die) => {
                         eprintln!(
                             "[prism-grid] shard {shard}: injected death before unit {started}"
                         );
                         std::process::exit(101);
                     }
-                    Some(GridFaultKind::Hang) => {
+                    Some(WorkerFault::Hang) => {
                         eprintln!(
                             "[prism-grid] shard {shard}: injected hang before unit {started}"
                         );
@@ -396,7 +352,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                             std::thread::sleep(std::time::Duration::from_secs(3600));
                         }
                     }
-                    Some(GridFaultKind::Quarantine) => {
+                    Some(WorkerFault::Quarantine) => {
                         started += 1;
                         let label = unit_label(&unit);
                         send(
@@ -417,7 +373,14 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     None => {}
                 }
                 started += 1;
-                evaluate_unit(&session, &workloads, &unit, &mut reported_workloads, &out);
+                evaluate_unit(
+                    &session,
+                    &workloads,
+                    &unit,
+                    opts.store_dir.is_some(),
+                    &mut reported_workloads,
+                    &out,
+                );
                 inflight.fetch_sub(1, Ordering::Relaxed);
             }
         });
@@ -493,10 +456,13 @@ fn unit_label(unit: &QueuedUnit) -> String {
 
 /// Evaluates one unit and reports exactly one terminal message for it
 /// (plus at most one workload-level quarantine per workload per worker).
+/// With `name_artifacts`, each result lists the store artifacts the unit
+/// settled into.
 fn evaluate_unit<W: Write>(
     session: &Session,
     workloads: &[&Workload],
     unit: &QueuedUnit,
+    name_artifacts: bool,
     reported_workloads: &mut BTreeSet<String>,
     out: &Mutex<W>,
 ) {
@@ -525,9 +491,9 @@ fn evaluate_unit<W: Write>(
         std::slice::from_ref(&bsas),
     );
     // Name the store artifact this unit settled into, so a remote
-    // coordinator knows what to pull. Preparation is memoized, so
-    // recomputing the healthy workload keys here is cheap.
-    let artifacts = {
+    // coordinator knows what to pull. Stdio shards share the
+    // coordinator's store, so it never pulls from them.
+    let artifacts = if name_artifacts {
         let (data, _) = session.prepare_quarantined(workloads);
         let wkeys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
         let mut keys = vec![session.design_point_key(&wkeys, &core, &bsas)];
@@ -535,7 +501,9 @@ fn evaluate_unit<W: Write>(
         // the coordinator can pull them and reuse the walks on cores
         // that share a timing shape with this one.
         keys.extend(session.timing_shape_keys(&data, &core, &bsas));
-        keys.iter().map(ContentHash::hex).collect::<Vec<_>>()
+        keys.iter().map(ContentHash::hex).collect()
+    } else {
+        Vec::new()
     };
     let mut resolved = false;
     for result in report.results {
@@ -585,6 +553,40 @@ fn evaluate_unit<W: Write>(
                     "no healthy workloads to evaluate",
                 ),
             },
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shutdown_returns_without_waiting_out_a_heartbeat() {
+        let dir = std::env::temp_dir().join(format!("prism-worker-exit-{}", std::process::id()));
+        let hello = ToWorker::Hello {
+            proto: PROTO_VERSION,
+            shard: 0,
+            workloads: Vec::new(),
+            max_insts: 1_000,
+            artifact_dir: dir.display().to_string(),
+        };
+        let input = format!("{}\n{}\n", hello.encode(), ToWorker::Shutdown.encode());
+        let mut output = Vec::new();
+        let started = std::time::Instant::now();
+        let code = run_worker_io(input.as_bytes(), &mut output, &WorkerOptions::default());
+        let elapsed = started.elapsed();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(code, 0);
+        assert!(
+            elapsed < HEARTBEAT_INTERVAL,
+            "worker took {elapsed:?} to exit"
+        );
+        let output = String::from_utf8(output).unwrap();
+        let last = output.lines().last().expect("worker output");
+        assert!(
+            matches!(FromWorker::decode(last), Ok(FromWorker::Bye { .. })),
+            "{output}"
         );
     }
 }

@@ -21,12 +21,15 @@
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use prism_exocore::{all_bsa_subsets, DesignPoint};
 use prism_grid::{run_grid, run_worker_if_env, serve_tcp, GridConfig, GridOutcome};
-use prism_net::{parse_hosts, NetFaultPlan, NET_TOKEN_ENV};
-use prism_pipeline::{run_fsck, sweep_key, Session, SweepJournal, SweepReport};
+use prism_net::{parse_hosts, NET_TOKEN_ENV};
+use prism_pipeline::{
+    run_fsck, sweep_key, FaultPlan, Session, SweepJournal, SweepReport, FAULTS_ENV,
+};
 use prism_sim::TracerConfig;
 use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::Workload;
@@ -73,7 +76,7 @@ fn config(workers: usize, dir: &Path) -> GridConfig {
         window: 2,
         env: Vec::new(),
         env_remove: Vec::new(),
-        net_faults: NetFaultPlan::default(),
+        net_faults: None,
         resume: false,
     }
 }
@@ -145,7 +148,7 @@ fn scenario_worker_death() {
     let dir = scratch_dir("death");
     let mut cfg = config(2, &dir);
     // Shard 0 crashes when it starts its second unit.
-    cfg.env.push(("PRISM_GRID_FAULTS".into(), "die:0@1".into()));
+    cfg.env.push((FAULTS_ENV.into(), "die:0@1".into()));
     let outcome = run(&cfg);
     assert_eq!(
         labels_of(&outcome.report),
@@ -167,8 +170,7 @@ fn scenario_quarantine_retry() {
     let mut cfg = config(2, &dir);
     // Shard 0 quarantines its first unit without evaluating it; the
     // retry lands on shard 1 and succeeds.
-    cfg.env
-        .push(("PRISM_GRID_FAULTS".into(), "quarantine:0@0".into()));
+    cfg.env.push((FAULTS_ENV.into(), "quarantine:0@0".into()));
     let outcome = run(&cfg);
     assert_eq!(labels_of(&outcome.report), expected_labels());
     assert!(
@@ -193,8 +195,7 @@ fn scenario_hung_worker() {
     let mut cfg = config(2, &dir);
     cfg.heartbeat_timeout = Duration::from_secs(1);
     // Shard 1 goes silent (no heartbeats, no progress) on its first unit.
-    cfg.env
-        .push(("PRISM_GRID_FAULTS".into(), "hang:1@0".into()));
+    cfg.env.push((FAULTS_ENV.into(), "hang:1@0".into()));
     let outcome = run(&cfg);
     assert_eq!(
         labels_of(&outcome.report),
@@ -210,7 +211,7 @@ fn scenario_local_fallback() {
     let dir = scratch_dir("fallback");
     let mut cfg = config(1, &dir);
     // The only worker dies before completing anything.
-    cfg.env.push(("PRISM_GRID_FAULTS".into(), "die:0@0".into()));
+    cfg.env.push((FAULTS_ENV.into(), "die:0@0".into()));
     let outcome = run(&cfg);
     assert_eq!(
         labels_of(&outcome.report),
@@ -300,7 +301,9 @@ fn scenario_tcp_equivalence() {
     // Cut shard 1's connection after its 3rd inbound frame: in-flight
     // units get synthetic quarantines, the link reconnects, and the
     // re-evaluated units surface as recovered.
-    cfg.net_faults = NetFaultPlan::parse("disconnect:1@2").expect("fault spec");
+    cfg.net_faults = Some(Arc::new(
+        FaultPlan::parse("disconnect:1@2").expect("fault spec"),
+    ));
     let outcome = run(&cfg);
 
     assert_eq!(
@@ -353,26 +356,12 @@ fn main() {
     run_worker_if_env();
 
     // Coordinator/test mode: insulate the scenarios (and the workers
-    // they spawn, which inherit this environment) from ambient knobs
-    // like the CI fault-injection matrix.
-    for var in [
-        "PRISM_FAULTS",
-        "PRISM_GRID_FAULTS",
-        "PRISM_WORKERS",
-        "PRISM_JOBS",
-        "PRISM_MAX_NODES",
-        "PRISM_DIVERGENCE",
-        "PRISM_ARTIFACT_DIR",
-        "PRISM_REFRESH",
-        "PRISM_CRASH",
-        "PRISM_GRID_TIMEOUT_MS",
-        "PRISM_NO_FSYNC",
-        "PRISM_NET_FAULTS",
-        "PRISM_NET_TOKEN",
-        "PRISM_HOSTS",
-        "PRISM_STREAM",
-    ] {
-        std::env::remove_var(var);
+    // they spawn, which inherit this environment) from every ambient
+    // knob, like the CI fault-injection matrix.
+    for (var, _) in std::env::vars_os() {
+        if var.to_string_lossy().starts_with("PRISM_") {
+            std::env::remove_var(var);
+        }
     }
 
     let scenarios: [(&str, fn()); 7] = [

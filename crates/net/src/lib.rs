@@ -19,8 +19,9 @@
 //!   any grid-protocol frame crosses the wire.
 //! - [`HostSpec`] / [`parse_hosts`] — typed `host:port` list parsing for
 //!   `--hosts` / [`HOSTS_ENV`].
-//! - [`NetFaultPlan`] — deterministic network fault injection
-//!   ([`NET_FAULTS_ENV`]), in the style of `PRISM_GRID_FAULTS`.
+//! - Deterministic link chaos: [`TcpLink`] applies the `drop`, `delay`
+//!   and `disconnect` entries of a `PRISM_FAULTS` plan
+//!   ([`prism_pipeline::FaultPlan`]) to its inbound frames.
 //!
 //! Byte-framing contract: the grid protocol escapes all control
 //! characters inside JSON strings, so a frame never spans lines and a
@@ -28,12 +29,10 @@
 
 #![warn(missing_docs)]
 
-mod fault;
 mod handshake;
 mod host;
 mod link;
 
-pub use fault::{NetFaultKind, NetFaultPlan, NetFaultSpecError, NET_FAULTS_ENV};
 pub use handshake::{client_handshake, NET_HANDSHAKE_VERSION, NET_TOKEN_ENV};
 pub use host::{hosts_from_env, parse_hosts, HostSpec, HostSpecError, HOSTS_ENV};
 pub use link::{DeadLink, LinkEvent, ShardLink, StdioLink, TcpLink};

@@ -17,7 +17,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::fault::{NetFaultKind, NetFaultPlan, DELAY_FAULT};
+use prism_pipeline::{FaultPlan, LinkFault};
+
 use crate::handshake::client_handshake;
 
 /// An inbound event from one shard link, tagged with the link
@@ -198,16 +199,21 @@ pub const RECONNECT_ATTEMPTS: u32 = 4;
 /// First backoff step of a reconnect (doubles per attempt: 50/100/200/400 ms).
 pub const RECONNECT_BACKOFF_START: Duration = Duration::from_millis(50);
 
+/// How long a `delay` link fault holds a frame before delivering it —
+/// long enough to trip any realistic heartbeat timeout in tests.
+const DELAY_FAULT: Duration = Duration::from_millis(750);
+
 /// A remote worker daemon reached over TCP. Each (re)connect performs
 /// the shared-secret handshake before any protocol frame flows, bumps
 /// the link generation, and starts a fresh reader thread. The inbound
-/// frame counter that drives [`NetFaultPlan`] persists across
-/// reconnects, so an injected fault fires exactly once per plan entry.
+/// frame counter that drives the plan's link faults ([`LinkFault`])
+/// persists across reconnects, so an injected fault fires exactly once
+/// per plan entry.
 pub struct TcpLink {
     addr: String,
     shard: usize,
     token: String,
-    faults: NetFaultPlan,
+    faults: Option<Arc<FaultPlan>>,
     tx: mpsc::Sender<(usize, LinkEvent)>,
     stream: Option<TcpStream>,
     reader: Option<JoinHandle<()>>,
@@ -227,7 +233,7 @@ impl TcpLink {
         addr: &str,
         shard: usize,
         token: &str,
-        faults: NetFaultPlan,
+        faults: Option<Arc<FaultPlan>>,
         tx: mpsc::Sender<(usize, LinkEvent)>,
     ) -> io::Result<TcpLink> {
         let mut link = TcpLink {
@@ -257,7 +263,7 @@ impl TcpLink {
         let tx = self.tx.clone();
         let reader_stream = stream.try_clone()?;
         self.reader = Some(std::thread::spawn(move || {
-            read_loop(&reader_stream, shard, gen, &faults, &frames, &tx);
+            read_loop(&reader_stream, shard, gen, faults.as_deref(), &frames, &tx);
         }));
         self.stream = Some(stream);
         Ok(())
@@ -268,7 +274,7 @@ fn read_loop(
     stream: &TcpStream,
     shard: usize,
     gen: u64,
-    faults: &NetFaultPlan,
+    faults: Option<&FaultPlan>,
     frames: &AtomicU64,
     tx: &mpsc::Sender<(usize, LinkEvent)>,
 ) {
@@ -279,22 +285,22 @@ fn read_loop(
     for line in BufReader::new(clone).lines() {
         let Ok(line) = line else { break };
         let frame = frames.fetch_add(1, Ordering::SeqCst);
-        match faults.action(shard, frame) {
-            Some(NetFaultKind::Drop) => {
+        match faults.and_then(|f| f.link_fault(shard, frame)) {
+            Some(LinkFault::Drop) => {
                 eprintln!(
                     "[prism-net] fault: dropping frame {frame} of shard {shard}, cutting link"
                 );
                 let _ = stream.shutdown(Shutdown::Both);
                 break;
             }
-            Some(NetFaultKind::Delay) => {
+            Some(LinkFault::Delay) => {
                 eprintln!("[prism-net] fault: delaying frame {frame} of shard {shard}");
                 std::thread::sleep(DELAY_FAULT);
                 if tx.send((shard, LinkEvent::Line(gen, line))).is_err() {
                     break;
                 }
             }
-            Some(NetFaultKind::Disconnect) => {
+            Some(LinkFault::Disconnect) => {
                 let _ = tx.send((shard, LinkEvent::Line(gen, line)));
                 eprintln!("[prism-net] fault: disconnecting shard {shard} after frame {frame}");
                 let _ = stream.shutdown(Shutdown::Both);
@@ -466,6 +472,10 @@ mod tests {
         (addr, handle)
     }
 
+    fn plan(spec: &str) -> Option<Arc<FaultPlan>> {
+        Some(Arc::new(FaultPlan::parse(spec).unwrap()))
+    }
+
     fn next_line(rx: &mpsc::Receiver<(usize, LinkEvent)>) -> (usize, LinkEvent) {
         rx.recv_timeout(Duration::from_secs(5)).unwrap()
     }
@@ -474,7 +484,7 @@ mod tests {
     fn tcp_link_round_trips_lines() {
         let (addr, daemon) = echo_daemon("tok");
         let (tx, rx) = mpsc::channel();
-        let mut link = TcpLink::connect(&addr, 3, "tok", NetFaultPlan::default(), tx).unwrap();
+        let mut link = TcpLink::connect(&addr, 3, "tok", None, tx).unwrap();
         assert!(link.is_remote());
         assert_eq!(link.generation(), 1);
         assert_eq!(
@@ -493,7 +503,7 @@ mod tests {
     fn tcp_link_reconnect_bumps_generation() {
         let (addr, daemon) = echo_daemon("");
         let (tx, rx) = mpsc::channel();
-        let mut link = TcpLink::connect(&addr, 0, "", NetFaultPlan::default(), tx).unwrap();
+        let mut link = TcpLink::connect(&addr, 0, "", None, tx).unwrap();
         assert_eq!(
             next_line(&rx).1,
             LinkEvent::Line(1, "{\"type\":\"greeting\"}".into())
@@ -516,14 +526,7 @@ mod tests {
     fn disconnect_fault_cuts_after_the_nth_frame() {
         let (addr, _daemon) = echo_daemon("");
         let (tx, rx) = mpsc::channel();
-        let mut link = TcpLink::connect(
-            &addr,
-            0,
-            "",
-            NetFaultPlan::parse("disconnect:0@1").unwrap(),
-            tx,
-        )
-        .unwrap();
+        let mut link = TcpLink::connect(&addr, 0, "", plan("disconnect:0@1"), tx).unwrap();
         // Frame 0: greeting. Frame 1: first echo — delivered, then cut.
         assert_eq!(
             next_line(&rx).1,
@@ -542,8 +545,7 @@ mod tests {
     fn drop_fault_discards_the_frame() {
         let (addr, _daemon) = echo_daemon("");
         let (tx, rx) = mpsc::channel();
-        let mut link =
-            TcpLink::connect(&addr, 0, "", NetFaultPlan::parse("drop:0@0").unwrap(), tx).unwrap();
+        let mut link = TcpLink::connect(&addr, 0, "", plan("drop:0@0"), tx).unwrap();
         // Frame 0 (the greeting) is dropped and the link cut: the only
         // event ever seen is Eof.
         assert_eq!(next_line(&rx).1, LinkEvent::Eof(1));
@@ -554,7 +556,7 @@ mod tests {
     fn wrong_token_fails_the_connect() {
         let (addr, _daemon) = echo_daemon("right");
         let (tx, _rx) = mpsc::channel();
-        let err = match TcpLink::connect(&addr, 0, "wrong", NetFaultPlan::default(), tx) {
+        let err = match TcpLink::connect(&addr, 0, "wrong", None, tx) {
             Err(e) => e,
             Ok(_) => panic!("connect with a wrong token must fail"),
         };

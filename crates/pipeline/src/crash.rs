@@ -1,22 +1,18 @@
 //! Deterministic crash injection: named kill points that terminate the
-//! process at the n-th hit of a chosen site, driven by the `PRISM_CRASH`
-//! environment variable.
+//! process at the n-th hit of a chosen site, armed by the
+//! `crash:<site>@<n>` entries of `PRISM_FAULTS` ([`crate::fault`]).
 //!
-//! Unlike the fault plan ([`crate::fault`]), which injects *recoverable*
-//! failures (I/O errors, corruption, panics caught at stage boundaries),
-//! a crash point models SIGKILL / power loss: the process exits
-//! immediately with status [`CRASH_EXIT_CODE`], no destructors, no
-//! flushing beyond what already happened. The crash-consistency layer
-//! (durable store puts, the sweep journal, `--resume`) must make such a
-//! kill recoverable at *every* site — the property the kill-anywhere
-//! test asserts.
+//! Unlike the other fault kinds, which inject *recoverable* failures
+//! (I/O errors, corruption, panics caught at stage boundaries), a crash
+//! point models SIGKILL / power loss: the process exits immediately with
+//! status [`CRASH_EXIT_CODE`], no destructors, no flushing beyond what
+//! already happened. The crash-consistency layer (durable store puts,
+//! the sweep journal, `--resume`) must make such a kill recoverable at
+//! *every* site — the property the kill-anywhere test asserts.
 //!
-//! Grammar: `PRISM_CRASH=<site>@<n>` — exit on the `n`-th (1-based) hit
-//! of `site`. Sites are process-wide; hit counting is atomic, so the
-//! n-th hit is well-defined under thread parallelism even though *which*
-//! unit of work triggers it may vary. A malformed value panics (like
-//! every other `PRISM_` knob, a typo must not silently disable the
-//! crash). Known sites:
+//! Sites are process-wide; hit counting is atomic, so the n-th hit is
+//! well-defined under thread parallelism even though *which* unit of
+//! work triggers it may vary. Known sites:
 //!
 //! | site             | fires                                              |
 //! |------------------|----------------------------------------------------|
@@ -25,11 +21,9 @@
 //! | `unit-complete`  | after a unit's journal record is durable           |
 //! | `grid-frame`     | before the coordinator handles a unit frame        |
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Environment variable holding the crash spec (`<site>@<n>`).
-pub const CRASH_ENV: &str = "PRISM_CRASH";
+use crate::fault::FaultPlan;
 
 /// Exit status of an injected crash — mirrors a SIGKILL'd process
 /// (128 + 9) so drivers treat it exactly like a real kill.
@@ -53,83 +47,26 @@ pub const SITE_UNIT_COMPLETE: &str = "unit-complete";
 /// result/quarantine frame from a worker is handled.
 pub const SITE_GRID_FRAME: &str = "grid-frame";
 
-/// A parsed crash spec: kill the process at the `hit`-th hit of `site`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// The named kill point to arm.
-    pub site: String,
-    /// 1-based hit count at which the process exits.
-    pub hit: u64,
-}
+/// Every kill point a `crash:` entry may name.
+pub(crate) const CRASH_SITES: [&str; 4] = [
+    SITE_STORE_PUT,
+    SITE_JOURNAL_APPEND,
+    SITE_UNIT_COMPLETE,
+    SITE_GRID_FRAME,
+];
 
-impl CrashSpec {
-    /// Parses `<site>@<n>`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed spec.
-    pub fn parse(text: &str) -> Result<CrashSpec, String> {
-        let t = text.trim();
-        let (site, n) = t
-            .split_once('@')
-            .ok_or_else(|| format!("expected <site>@<n>, got `{t}`"))?;
-        let site = site.trim();
-        if site.is_empty() {
-            return Err(format!("empty site in `{t}`"));
-        }
-        let hit: u64 = n
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad hit count in `{t}`: {e}"))?;
-        if hit == 0 {
-            return Err(format!("hit count must be >= 1 in `{t}`"));
-        }
-        Ok(CrashSpec {
-            site: site.to_string(),
-            hit,
-        })
-    }
-
-    /// Reads the spec from [`CRASH_ENV`]; `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but malformed.
-    #[must_use]
-    pub fn from_env() -> Option<CrashSpec> {
-        let raw = std::env::var(CRASH_ENV).ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
-        Some(CrashSpec::parse(raw).unwrap_or_else(|e| panic!("bad {CRASH_ENV} value: {e}")))
-    }
-}
-
-struct Armed {
-    spec: CrashSpec,
-    hits: AtomicU64,
-}
-
-static ARMED: OnceLock<Option<Armed>> = OnceLock::new();
+static ARMED: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
 
 /// Records one hit of `site`, exiting the process with
-/// [`CRASH_EXIT_CODE`] when the armed spec's hit count is reached.
-/// A no-op (one relaxed branch) when `PRISM_CRASH` is not set.
+/// [`CRASH_EXIT_CODE`] when a `crash:<site>@<n>` entry's hit count is
+/// reached. The process-wide plan is parsed from `PRISM_FAULTS` on the
+/// first call; a no-op (one branch) when the variable is not set.
 pub fn crash_point(site: &str) {
-    let armed = ARMED.get_or_init(|| {
-        CrashSpec::from_env().map(|spec| Armed {
-            spec,
-            hits: AtomicU64::new(0),
-        })
-    });
-    let Some(armed) = armed.as_ref() else { return };
-    if armed.spec.site != site {
+    let Some(plan) = ARMED.get_or_init(FaultPlan::from_env) else {
         return;
-    }
-    let n = armed.hits.fetch_add(1, Ordering::SeqCst) + 1;
-    if n == armed.spec.hit {
-        eprintln!("[prism-crash] injected kill at site `{site}` (hit {n})");
+    };
+    if plan.crash_due(site) {
+        eprintln!("[prism-crash] injected kill at site `{site}`");
         std::process::exit(CRASH_EXIT_CODE);
     }
 }
@@ -140,33 +77,41 @@ mod tests {
 
     #[test]
     fn spec_parses_site_and_hit() {
-        assert_eq!(
-            CrashSpec::parse("store-put@3"),
-            Ok(CrashSpec {
-                site: "store-put".into(),
-                hit: 3
-            })
-        );
-        assert_eq!(
-            CrashSpec::parse("  grid-frame @ 1 "),
-            Ok(CrashSpec {
-                site: "grid-frame".into(),
-                hit: 1
-            })
-        );
-    }
-
-    #[test]
-    fn malformed_specs_are_typed_errors() {
-        for bad in ["", "store-put", "@3", "store-put@", "store-put@0", "x@-1"] {
-            assert!(CrashSpec::parse(bad).is_err(), "{bad:?}");
+        for (spec, site, hit) in [
+            ("crash:store-put@3", SITE_STORE_PUT, 3),
+            ("crash:  grid-frame @ 1 ", SITE_GRID_FRAME, 1),
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert!(!plan.crash_due(SITE_JOURNAL_APPEND), "{spec}");
+            for _ in 1..hit {
+                assert!(!plan.crash_due(site), "{spec}");
+            }
+            assert!(plan.crash_due(site), "{spec}: hit {hit} must fire");
+            assert!(!plan.crash_due(site), "{spec}: fires once");
         }
     }
 
     #[test]
+    fn malformed_specs_are_typed_errors() {
+        for bad in [
+            "crash",
+            "crash:",
+            "crash:store-put",
+            "crash:@3",
+            "crash:store-put@",
+            "crash:store-put@0",
+            "crash:x@-1",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        let err = FaultPlan::parse("crash:disk-full@1").unwrap_err();
+        assert!(err.reason.contains("unknown crash site"), "{err}");
+    }
+
+    #[test]
     fn unarmed_crash_point_is_a_no_op() {
-        // The test runner never sets PRISM_CRASH (the CI fault matrix only
-        // sets PRISM_FAULTS), so hitting a site must not exit.
+        // The test runner never sets a `crash:` entry (the CI fault matrix
+        // only sets store and stage kinds), so hitting a site must not exit.
         crash_point(SITE_STORE_PUT);
         crash_point(SITE_UNIT_COMPLETE);
     }

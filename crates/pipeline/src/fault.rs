@@ -1,25 +1,28 @@
-//! Deterministic fault injection for pipeline robustness testing.
+//! Deterministic fault injection: one plan, one grammar, every layer.
 //!
-//! A [`FaultPlan`] describes which faults to inject and how often, seeded
-//! so a failing run can be replayed exactly. Plans parse from the
+//! A [`FaultPlan`] describes which faults to inject and where, seeded so
+//! a failing run can be replayed exactly. Plans parse from the
 //! `PRISM_FAULTS` environment variable (or any string with the same
-//! grammar):
+//! grammar), comma-separated entries:
 //!
 //! ```text
-//! PRISM_FAULTS=store-io:0.05,artifact-corrupt:0.02,stage-panic:trace:1@seed=42
+//! PRISM_FAULTS=store-io:0.05,stage-panic:trace:1,die:0@1,crash:grid-frame@20,seed=42
 //! ```
 //!
-//! Comma-separated fault specs, then optional `@`-separated options
-//! (currently only `seed=N`). Specs:
+//! | entry | fires | read by |
+//! |---|---|---|
+//! | `store-io:P` | store reads/writes fail with probability `P` | `Session` / `ArtifactStore` |
+//! | `artifact-corrupt:P` | loaded artifact bytes are corrupted with probability `P` | `Session` / `ArtifactStore` |
+//! | `trace-truncate:P` | the tracer reports a truncated trace with probability `P` | `Session` |
+//! | `stage-panic:<stage>:<n>` | the stage's first `n` entries panic | `Session` |
+//! | `die`/`hang`/`quarantine:<shard>@<n>` | grid worker `<shard>` when it starts unit `n` (0-based) | grid worker |
+//! | `drop`/`delay`/`disconnect:<shard>@<n>` | the coordinator's link to `<shard>`, inbound frame `n` (0-based, across reconnects) | TCP link |
+//! | `crash:<site>@<n>` | exit 137 at the `n`-th hit (1-based) of a [`crate::crash`] site | [`crate::crash_point`] |
+//! | `seed=N` | seeds the probability rolls | — |
 //!
-//! * `store-io:P` — artifact-store reads/writes fail with probability `P`,
-//! * `artifact-corrupt:P` — loaded artifact bytes are corrupted with
-//!   probability `P` (exercises the validate-and-discard path),
-//! * `trace-truncate:P` — the tracer stage reports a truncated trace with
-//!   probability `P`,
-//! * `stage-panic:<stage>:<count>` — the named stage (`build`, `trace`,
-//!   `analyze`, `plan`, `evaluate`, `store`) panics on its first `count`
-//!   entries, then behaves normally.
+//! `<stage>` is one of `build`, `trace`, `analyze`, `plan`, `evaluate`,
+//! `store`. Each consumer reads only its own kinds, so a plan holding
+//! only worker, link or crash entries leaves a `Session` untouched.
 //!
 //! Probability rolls are a pure function of `(seed, site)` — the *site*
 //! string names the decision point (e.g. `load:3fa92c1b:try0`) — so
@@ -29,6 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::crash::CRASH_SITES;
 use crate::error::Stage;
 
 /// Environment variable holding the fault plan for [`FaultPlan::from_env`].
@@ -38,12 +42,12 @@ pub const FAULTS_ENV: &str = "PRISM_FAULTS";
 /// attributable to the plan rather than to a real bug.
 pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
-/// A malformed `PRISM_FAULTS` spec: names the offending spec fragment and
-/// why it was rejected. Returned (never panicked) by [`FaultPlan::parse`]
-/// so front-ends can surface the problem with context.
+/// A malformed `PRISM_FAULTS` spec: names the offending entry and why it
+/// was rejected. Returned (never panicked) by [`FaultPlan::parse`] so
+/// front-ends can surface the problem with context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpecError {
-    /// The spec fragment (or option) that failed to parse.
+    /// The entry that failed to parse.
     pub spec: String,
     /// Why it was rejected.
     pub reason: String,
@@ -66,23 +70,69 @@ impl std::fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
+/// What an injected fault does to a grid worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerFault {
+    /// Exit the worker process immediately (no result, no `Bye`).
+    Die,
+    /// Stop heartbeating and stall forever.
+    Hang,
+    /// Quarantine the unit without evaluating it.
+    Quarantine,
+}
+
+/// What an injected fault does to the coordinator's link to a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkFault {
+    /// Discard the frame, then cut the connection.
+    Drop,
+    /// Deliver the frame late.
+    Delay,
+    /// Deliver the frame, then cut the connection.
+    Disconnect,
+}
+
 /// A seeded, deterministic fault-injection plan.
 ///
-/// Shared across a session via `Arc` (panic counters are atomics, so the
-/// plan itself is not `Clone`).
+/// Shared via `Arc` (counted faults are atomics, so the plan itself is
+/// not `Clone`).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
     store_io: f64,
     artifact_corrupt: f64,
     trace_truncate: f64,
-    stage_panics: Vec<StagePanic>,
+    stage_panics: Vec<Countdown<Stage>>,
+    crashes: Vec<Countdown<&'static str>>,
+    worker: Vec<(WorkerFault, usize, u64)>,
+    link: Vec<(LinkFault, usize, u64)>,
 }
 
+/// A counted fault: `key` names where it fires, `remaining` counts its
+/// hits down to zero.
 #[derive(Debug)]
-struct StagePanic {
-    stage: Stage,
+struct Countdown<K> {
+    key: K,
     remaining: AtomicU64,
+}
+
+impl<K> Countdown<K> {
+    fn new(key: K, n: u64) -> Self {
+        Countdown {
+            key,
+            remaining: AtomicU64::new(n),
+        }
+    }
+
+    /// Counts one hit, returning how many remained before it (0 once
+    /// exhausted). `Relaxed` suffices: the counter publishes no other
+    /// data, and read-modify-writes of one atomic are totally ordered, so
+    /// exactly one hit sees each count.
+    fn tick(&self) -> u64 {
+        self.remaining
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .unwrap_or(0)
+    }
 }
 
 /// splitmix64: tiny, high-quality 64-bit mixer (public-domain algorithm).
@@ -103,11 +153,33 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Parses the `<target>@<n>` tail of a worker, link or crash entry.
+fn at_event<'a>(entry: &str, args: &'a str) -> Result<(&'a str, u64), FaultSpecError> {
+    let (target, n) = args
+        .split_once('@')
+        .ok_or_else(|| FaultSpecError::new(entry, "expected <kind>:<target>@<n>"))?;
+    let n = n
+        .trim()
+        .parse()
+        .map_err(|e| FaultSpecError::new(entry, format!("bad event count: {e}")))?;
+    Ok((target.trim(), n))
+}
+
+/// Parses the shard of a `<kind>:<shard>@<n>` entry.
+fn shard_event(entry: &str, args: &str) -> Result<(usize, u64), FaultSpecError> {
+    let (shard, n) = at_event(entry, args)?;
+    let shard = shard
+        .parse()
+        .map_err(|e| FaultSpecError::new(entry, format!("bad shard: {e}")))?;
+    Ok((shard, n))
+}
+
 impl FaultPlan {
-    /// Parses a plan from the [`FAULTS_ENV`] environment variable.
-    /// Returns `None` when the variable is unset or empty. A malformed
-    /// value is a hard error: silently ignoring a typoed fault plan would
-    /// make a chaos run look suspiciously healthy.
+    /// Parses a fresh plan from the [`FAULTS_ENV`] environment variable
+    /// (so counted faults restart per call). Returns `None` when the
+    /// variable is unset or empty. A malformed value is a hard error:
+    /// silently ignoring a typoed fault plan would make a chaos run look
+    /// suspiciously healthy.
     ///
     /// # Panics
     ///
@@ -128,90 +200,104 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`FaultSpecError`] naming the first malformed spec:
-    /// out-of-range or non-numeric probabilities, unknown fault kinds,
-    /// malformed options, and specs with no faults at all are rejected
-    /// rather than silently producing an empty plan.
+    /// Returns a typed [`FaultSpecError`] naming the first malformed
+    /// entry: out-of-range or non-numeric numbers, unknown kinds, stages
+    /// or crash sites, a stale `@seed` suffix, and plans with no faults
+    /// at all are rejected rather than silently producing an inert plan.
     pub fn parse(text: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::default();
-        let (specs, opts) = match text.split_once('@') {
-            Some((s, o)) => (s, Some(o)),
-            None => (text, None),
-        };
-        if let Some(opts) = opts {
-            for opt in opts.split('@').filter(|s| !s.trim().is_empty()) {
-                match opt.trim().split_once('=') {
-                    Some(("seed", v)) => {
-                        plan.seed = v.trim().parse::<u64>().map_err(|e| {
-                            FaultSpecError::new(opt.trim(), format!("bad seed: {e}"))
-                        })?;
-                    }
-                    _ => {
-                        return Err(FaultSpecError::new(
-                            opt.trim(),
-                            "unknown option (expected seed=N)",
-                        ))
-                    }
-                }
+        let mut faults = 0usize;
+        for entry in text.split(',').map(str::trim).filter(|e| !e.is_empty()) {
+            if entry.contains("@seed") {
+                return Err(FaultSpecError::new(
+                    entry,
+                    "stale `@seed` suffix: the seed is its own entry (`…,seed=N`)",
+                ));
             }
-        }
-        let mut parsed = 0usize;
-        for spec in specs.split(',').filter(|s| !s.trim().is_empty()) {
-            let spec = spec.trim();
-            parsed += 1;
-            let mut parts = spec.split(':');
-            let name = parts.next().unwrap_or_default();
-            match name {
+            if let Some(value) = entry.strip_prefix("seed") {
+                plan.seed = value
+                    .strip_prefix('=')
+                    .and_then(|v| v.trim().parse().ok())
+                    .ok_or_else(|| FaultSpecError::new(entry, "expected seed=N"))?;
+                continue;
+            }
+            faults += 1;
+            let (kind, args) = entry.split_once(':').unwrap_or((entry, ""));
+            match kind {
                 "store-io" | "artifact-corrupt" | "trace-truncate" => {
-                    let p = parts
-                        .next()
-                        .ok_or_else(|| FaultSpecError::new(spec, "missing probability"))?
+                    let p = args
                         .parse::<f64>()
-                        .map_err(|e| FaultSpecError::new(spec, format!("bad probability: {e}")))?;
+                        .map_err(|e| FaultSpecError::new(entry, format!("bad probability: {e}")))?;
                     if !(0.0..=1.0).contains(&p) {
                         return Err(FaultSpecError::new(
-                            spec,
+                            entry,
                             format!("probability {p} outside [0, 1]"),
                         ));
                     }
-                    match name {
+                    match kind {
                         "store-io" => plan.store_io = p,
                         "artifact-corrupt" => plan.artifact_corrupt = p,
                         _ => plan.trace_truncate = p,
                     }
                 }
                 "stage-panic" => {
-                    let stage = match parts.next() {
-                        Some("build") => Stage::Build,
-                        Some("trace") => Stage::Trace,
-                        Some("analyze") => Stage::Analyze,
-                        Some("plan") => Stage::Plan,
-                        Some("evaluate") => Stage::Evaluate,
-                        Some("store") => Stage::Store,
-                        other => {
-                            return Err(FaultSpecError::new(
-                                spec,
-                                format!("bad stage `{}`", other.unwrap_or("")),
-                            ))
-                        }
-                    };
-                    let count = parts
-                        .next()
-                        .ok_or_else(|| FaultSpecError::new(spec, "missing count"))?
-                        .parse::<u64>()
-                        .map_err(|e| FaultSpecError::new(spec, format!("bad count: {e}")))?;
-                    plan.stage_panics.push(StagePanic {
-                        stage,
-                        remaining: AtomicU64::new(count),
-                    });
+                    let (stage, count) = args
+                        .split_once(':')
+                        .ok_or_else(|| FaultSpecError::new(entry, "expected <stage>:<count>"))?;
+                    let stage = stage
+                        .parse::<Stage>()
+                        .map_err(|e| FaultSpecError::new(entry, e))?;
+                    let count = count
+                        .parse()
+                        .map_err(|e| FaultSpecError::new(entry, format!("bad count: {e}")))?;
+                    plan.stage_panics.push(Countdown::new(stage, count));
                 }
-                _ => return Err(FaultSpecError::new(spec, format!("unknown fault `{name}`"))),
-            }
-            if parts.next().is_some() {
-                return Err(FaultSpecError::new(spec, "trailing fields"));
+                "die" | "hang" | "quarantine" => {
+                    let (shard, n) = shard_event(entry, args)?;
+                    let fault = match kind {
+                        "die" => WorkerFault::Die,
+                        "hang" => WorkerFault::Hang,
+                        _ => WorkerFault::Quarantine,
+                    };
+                    plan.worker.push((fault, shard, n));
+                }
+                "drop" | "delay" | "disconnect" => {
+                    let (shard, n) = shard_event(entry, args)?;
+                    let fault = match kind {
+                        "drop" => LinkFault::Drop,
+                        "delay" => LinkFault::Delay,
+                        _ => LinkFault::Disconnect,
+                    };
+                    plan.link.push((fault, shard, n));
+                }
+                "crash" => {
+                    let (site, n) = at_event(entry, args)?;
+                    let site = CRASH_SITES
+                        .into_iter()
+                        .find(|s| *s == site)
+                        .ok_or_else(|| {
+                            FaultSpecError::new(
+                                entry,
+                                format!(
+                                    "unknown crash site `{site}` (expected one of {})",
+                                    CRASH_SITES.join(", ")
+                                ),
+                            )
+                        })?;
+                    if n == 0 {
+                        return Err(FaultSpecError::new(entry, "hit count must be >= 1"));
+                    }
+                    plan.crashes.push(Countdown::new(site, n));
+                }
+                _ => {
+                    return Err(FaultSpecError::new(
+                        entry,
+                        format!("unknown fault `{kind}`"),
+                    ))
+                }
             }
         }
-        if parsed == 0 {
+        if faults == 0 {
             return Err(FaultSpecError::new(
                 text.trim(),
                 "empty fault spec (name at least one fault, or unset the variable)",
@@ -254,10 +340,7 @@ impl FaultPlan {
     /// panic.
     #[must_use]
     pub fn with_stage_panic(mut self, stage: Stage, count: u64) -> Self {
-        self.stage_panics.push(StagePanic {
-            stage,
-            remaining: AtomicU64::new(count),
-        });
+        self.stage_panics.push(Countdown::new(stage, count));
         self
     }
 
@@ -293,19 +376,41 @@ impl FaultPlan {
     ///
     /// By design, while injected panics remain for `stage`.
     pub fn maybe_panic(&self, stage: Stage, site: &str) {
-        for sp in &self.stage_panics {
-            if sp.stage != stage {
-                continue;
-            }
-            // Count down atomically; fire while positive.
-            let prev = sp
-                .remaining
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .unwrap_or(0);
-            if prev > 0 {
+        for sp in self.stage_panics.iter().filter(|sp| sp.key == stage) {
+            if sp.tick() > 0 {
                 panic!("{INJECTED_PANIC_PREFIX} {stage} stage panic at {site}");
             }
         }
+    }
+
+    /// Counts one hit of crash `site`: true exactly at the `n`-th hit of
+    /// a `crash:<site>@<n>` entry (the process should then exit).
+    #[must_use]
+    pub(crate) fn crash_due(&self, site: &str) -> bool {
+        self.crashes
+            .iter()
+            .filter(|c| c.key == site)
+            .any(|c| c.tick() == 1)
+    }
+
+    /// The worker fault (if any) that fires when grid worker `shard`
+    /// starts its `started`-th unit (0-based).
+    #[must_use]
+    pub fn worker_fault(&self, shard: usize, started: u64) -> Option<WorkerFault> {
+        self.worker
+            .iter()
+            .find(|&&(_, s, n)| s == shard && n == started)
+            .map(|&(fault, _, _)| fault)
+    }
+
+    /// The link fault (if any) that fires on the coordinator's link to
+    /// `shard` at its `frame`-th inbound frame (0-based).
+    #[must_use]
+    pub fn link_fault(&self, shard: usize, frame: u64) -> Option<LinkFault> {
+        self.link
+            .iter()
+            .find(|&&(_, s, n)| s == shard && n == frame)
+            .map(|&(fault, _, _)| fault)
     }
 
     /// Deterministically mutates artifact text to simulate on-disk
@@ -330,25 +435,36 @@ mod tests {
 
     #[test]
     fn parses_the_documented_example() {
-        let plan =
-            FaultPlan::parse("store-io:0.05,artifact-corrupt:0.02,stage-panic:trace:1@seed=42")
-                .unwrap();
+        let plan = FaultPlan::parse(
+            "store-io:0.05,artifact-corrupt:0.02,stage-panic:trace:1,die:0@1,\
+             crash:grid-frame@20,seed=42",
+        )
+        .unwrap();
         assert_eq!(plan.seed, 42);
         assert!((plan.store_io - 0.05).abs() < 1e-12);
         assert!((plan.artifact_corrupt - 0.02).abs() < 1e-12);
         assert_eq!(plan.stage_panics.len(), 1);
-        assert_eq!(plan.stage_panics[0].stage, Stage::Trace);
+        assert_eq!(plan.stage_panics[0].key, Stage::Trace);
+        assert_eq!(plan.worker_fault(0, 1), Some(WorkerFault::Die));
+        assert_eq!(plan.crashes.len(), 1);
+        assert_eq!(FaultPlan::parse("store-io:0.5").unwrap().seed, 0);
     }
 
     #[test]
     fn rejects_malformed_specs() {
-        assert!(FaultPlan::parse("store-io").is_err());
-        assert!(FaultPlan::parse("store-io:2.0").is_err());
-        assert!(FaultPlan::parse("stage-panic:warp:1").is_err());
-        assert!(FaultPlan::parse("stage-panic:trace").is_err());
-        assert!(FaultPlan::parse("flux-capacitor:0.5").is_err());
-        assert!(FaultPlan::parse("store-io:0.1@velocity=88").is_err());
-        assert!(FaultPlan::parse("store-io:0.1:extra").is_err());
+        for bad in [
+            "store-io",
+            "store-io:2.0",
+            "stage-panic:warp:1",
+            "stage-panic:trace",
+            "flux-capacitor:0.5",
+            "store-io:0.1:extra",
+            // A stray `@` is no longer an option separator.
+            "store-io:0.5@",
+            "store-io:0.1@velocity=88",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     #[test]
@@ -382,31 +498,96 @@ mod tests {
 
     #[test]
     fn malformed_seed_options_are_typed_errors() {
-        // `@seed` without a value, `@seed=` with an empty one, and a
-        // non-numeric seed are all rejected with the option named.
+        // `seed` without a value, `seed=` with an empty one, and a
+        // non-numeric seed are all rejected with the entry named.
         for bad in [
-            "store-io:0.5@seed",
-            "store-io:0.5@seed=",
-            "store-io:0.5@seed=x",
+            "store-io:0.5,seed",
+            "store-io:0.5,seed=",
+            "store-io:0.5,seed=x",
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(err.spec.starts_with("seed"), "{bad}: {err:?}");
         }
-        // A trailing `@` with no options at all is tolerated (nothing to
-        // misread), and the seed default is 0.
-        let plan = FaultPlan::parse("store-io:0.5@").unwrap();
-        assert_eq!(plan.seed, 0);
+    }
+
+    #[test]
+    fn a_stale_seed_suffix_never_parses_silently() {
+        // The retired `@seed` suffix form must fail loudly, never parse
+        // into a plan with a different seed (or none). Spelled in halves,
+        // so the retired form appears nowhere else in the tree.
+        for stale in [
+            concat!("store-io:0.1,artifact-corrupt:0.1@", "seed=7"),
+            concat!("stage-panic:evaluate:2@", "seed=42"),
+            concat!("die:0@1@", "seed=3"),
+            concat!("@", "seed=5"),
+        ] {
+            let err = FaultPlan::parse(stale).expect_err(stale);
+            assert!(err.reason.contains("stale"), "{stale}: {err}");
+        }
     }
 
     #[test]
     fn empty_specs_are_rejected_not_silently_inert() {
         // A plan that configures nothing would make a chaos run look
         // healthy; parse refuses it (from_env treats unset/blank env as
-        // "no plan" before ever calling parse).
-        for empty in ["", "   ", ",", " , ,", "@seed=5"] {
+        // "no plan" before ever calling parse). A seed alone is no fault.
+        for empty in ["", "   ", ",", " , ,", "seed=5", " seed=5 , "] {
             let err = FaultPlan::parse(empty).expect_err(empty);
             assert!(err.reason.contains("empty fault spec"), "{empty}: {err}");
         }
+    }
+
+    #[test]
+    fn parses_multi_fault_specs() {
+        let plan = FaultPlan::parse("die:0@1, hang:2@0 ,quarantine:1@3").unwrap();
+        assert_eq!(plan.worker_fault(0, 1), Some(WorkerFault::Die));
+        assert_eq!(plan.worker_fault(2, 0), Some(WorkerFault::Hang));
+        assert_eq!(plan.worker_fault(1, 3), Some(WorkerFault::Quarantine));
+        assert_eq!(plan.worker_fault(0, 0), None);
+        assert_eq!(plan.worker_fault(3, 1), None);
+        // Worker entries are not link entries, and vice versa.
+        assert_eq!(plan.link_fault(0, 1), None);
+
+        let plan = FaultPlan::parse("drop:0@3, delay:1@2 ,disconnect:1@5").unwrap();
+        assert_eq!(plan.link_fault(0, 3), Some(LinkFault::Drop));
+        assert_eq!(plan.link_fault(1, 2), Some(LinkFault::Delay));
+        assert_eq!(plan.link_fault(1, 5), Some(LinkFault::Disconnect));
+        assert_eq!(plan.link_fault(0, 0), None);
+        assert_eq!(plan.link_fault(2, 3), None);
+        assert_eq!(plan.worker_fault(0, 3), None);
+    }
+
+    #[test]
+    fn malformed_specs_are_rejected() {
+        for bad in [
+            "die",
+            "die:0",
+            "die:x@1",
+            "die:0@x",
+            "explode:0@1",
+            "die:0@1,hang",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn malformed_specs_are_typed_errors() {
+        for bad in ["drop", "drop:0", "drop:x@1", "disconnect:0@-1"] {
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert_eq!(err.spec, bad);
+        }
+        let err = FaultPlan::parse("sever:0@1").unwrap_err();
+        assert_eq!(err.spec, "sever:0@1");
+        assert!(err.reason.contains("unknown fault `sever`"), "{err}");
+    }
+
+    #[test]
+    fn default_plan_is_empty() {
+        let plan = FaultPlan::default();
+        assert_eq!(plan.worker_fault(0, 0), None);
+        assert_eq!(plan.link_fault(0, 0), None);
+        assert!(!plan.crash_due(crate::crash::SITE_STORE_PUT));
     }
 
     #[test]

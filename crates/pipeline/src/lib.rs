@@ -31,7 +31,9 @@
 //! a result. Store I/O is retried with bounded backoff and degrades to
 //! recompute. A seeded [`FaultPlan`] (from the `PRISM_FAULTS` environment
 //! variable) injects store I/O errors, artifact corruption, trace
-//! truncation, and stage panics deterministically for chaos testing.
+//! truncation, and stage panics deterministically for chaos testing; the
+//! same plan carries the grid's worker and link faults and the kill
+//! points below.
 //!
 //! ## Crash consistency
 //!
@@ -39,9 +41,9 @@
 //! `PRISM_NO_FSYNC=1`), every sweep writes an append-only
 //! [`SweepJournal`] of settled units, and `--resume` replays it to skip
 //! completed work after a kill — producing byte-identical output. A
-//! deterministic kill harness ([`crash_point`] / `PRISM_CRASH=<site>@<n>`)
-//! proves the property at every kill site, and [`run_fsck`] checks and
-//! repairs a store offline.
+//! deterministic kill harness ([`crash_point`], armed by
+//! `PRISM_FAULTS=crash:<site>@<n>`) proves the property at every kill
+//! site, and [`run_fsck`] checks and repairs a store offline.
 
 #![warn(missing_docs)]
 
@@ -64,11 +66,13 @@ pub use codec::{
     encode_design_result, encode_exo_timing, encode_pipeline_error, encode_trace_chunk,
 };
 pub use crash::{
-    crash_point, CrashSpec, CRASH_ENV, CRASH_EXIT_CODE, SITE_GRID_FRAME, SITE_JOURNAL_APPEND,
-    SITE_STORE_PUT, SITE_UNIT_COMPLETE,
+    crash_point, CRASH_EXIT_CODE, SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT,
+    SITE_UNIT_COMPLETE,
 };
 pub use error::{ErrorKind, PipelineError, Stage};
-pub use fault::{FaultPlan, FaultSpecError, FAULTS_ENV, INJECTED_PANIC_PREFIX};
+pub use fault::{
+    FaultPlan, FaultSpecError, LinkFault, WorkerFault, FAULTS_ENV, INJECTED_PANIC_PREFIX,
+};
 pub use fsck::{run_fsck, FsckReport, QUARANTINE_SUBDIR};
 pub use hash::ContentHash;
 pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_SUBDIR};

@@ -294,7 +294,7 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
 
 /// Opt-in streaming mode: set (non-empty, non-`"0"`) to persist traces as
 /// length-prefixed chunk artifacts in the store, enabling per-chunk
-/// hashing, fault injection, prewarm, and chunk-level reuse across runs.
+/// hashing, fault injection, and chunk-level reuse across runs.
 pub const STREAM_ENV: &str = "PRISM_STREAM";
 
 /// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
@@ -302,6 +302,36 @@ pub const STREAM_ENV: &str = "PRISM_STREAM";
 /// memoized in-process and never loaded from or saved to the artifact
 /// store. Results are byte-identical either way.
 pub const NO_TIMING_CACHE_ENV: &str = "PRISM_NO_TIMING_CACHE";
+
+/// Every `PRISM_*` environment variable prism reads. [`Session::new`]
+/// rejects any other `PRISM_*` name.
+const KNOBS: [&str; 17] = [
+    "PRISM_ARTIFACT_DIR",
+    "PRISM_CHUNK",
+    "PRISM_DIVERGENCE",
+    "PRISM_FAULTS",
+    "PRISM_GRID_SHARD",
+    "PRISM_GRID_TIMEOUT_MS",
+    "PRISM_GRID_WORKER",
+    "PRISM_HOSTS",
+    "PRISM_JOBS",
+    "PRISM_MAX_NODES",
+    "PRISM_NET_TOKEN",
+    "PRISM_NO_FSYNC",
+    "PRISM_NO_TIMING_CACHE",
+    "PRISM_SCALE",
+    "PRISM_STORE_CAP",
+    "PRISM_STREAM",
+    "PRISM_WORKERS",
+];
+
+/// The `PRISM_*` names among `names` that are not in [`KNOBS`].
+fn unknown_knobs<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    names
+        .into_iter()
+        .filter(|name| name.starts_with("PRISM_") && !KNOBS.contains(name))
+        .collect()
+}
 
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
@@ -351,17 +381,22 @@ impl Session {
     ///
     /// Panics when `PRISM_MAX_NODES` is set but not a number (like the
     /// other env knobs, a typo must not silently disable the budget), and
-    /// when the removed `PRISM_REFRESH` variable is still set: artifacts
-    /// in the content-addressed store invalidate themselves when any
-    /// input changes, so there is nothing left to refresh.
+    /// when a `PRISM_*` variable prism does not read is set: a retired or
+    /// misspelt knob must not silently disable what it used to do.
     #[must_use]
     pub fn new() -> Self {
+        let env: Vec<String> = std::env::vars_os()
+            .filter_map(|(name, _)| name.into_string().ok())
+            .collect();
+        let unknown = unknown_knobs(env.iter().map(String::as_str));
         assert!(
-            std::env::var_os("PRISM_REFRESH").is_none(),
-            "PRISM_REFRESH was removed: the content-addressed artifact store \
-             (target/prism-artifacts, or $PRISM_ARTIFACT_DIR) keys every \
-             artifact by its inputs and invalidates automatically; delete \
-             the store directory if you really want a cold run"
+            unknown.is_empty(),
+            "unknown environment variable(s) {}: prism reads only {}. Every fault \
+             kind (store, stage, worker, link, crash) goes in PRISM_FAULTS; \
+             PRISM_REFRESH was removed (the content-addressed store invalidates \
+             itself; delete the store directory for a cold run)",
+            unknown.join(", "),
+            KNOBS.join(", ")
         );
         let faults = FaultPlan::from_env();
         let budget = match std::env::var("PRISM_MAX_NODES") {
@@ -685,47 +720,6 @@ impl Session {
             insts,
             stats,
         })
-    }
-
-    /// Produces (and, in streaming mode, persists) only the *first* chunk
-    /// of `workload`'s trace — enough for a grid worker to overlap
-    /// simulation with another shard's evaluation without materializing
-    /// the stream. A no-op when the workload is already memoized.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] when the program fails validation or
-    /// execution.
-    pub fn prewarm_chunk0(&self, workload: &Workload) -> Result<(), PipelineError> {
-        let n = workload.scaled_n();
-        let key = self.workload_key(workload.name, n);
-        if self
-            .workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-        {
-            return Ok(());
-        }
-        let program = (workload.build)(n);
-        let mut source = SimSource::new(&program, &self.tracer)
-            .map_err(|e| PipelineError::trace(workload.name, &e))?;
-        let started = std::time::Instant::now();
-        match source.next_chunk() {
-            Ok(Some(chunk)) => {
-                self.sim_insts
-                    .fetch_add(chunk.insts.len() as u64, Ordering::Relaxed);
-                self.sim_nanos
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if self.streaming {
-                    let ck = self.trace_chunk_key(&key, chunk.index);
-                    self.store.save(&ck, encode_trace_chunk(&chunk));
-                }
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(e) => Err(PipelineError::trace(workload.name, &e)),
-        }
     }
 
     /// Prepares a registered workload at its default size, multiplied by
@@ -1596,18 +1590,15 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_chunk0_is_cheap_and_idempotent() {
-        let session = clean_session();
-        let w = &prism_workloads::MICRO[0];
-        session.prewarm_chunk0(w).expect("prewarm");
-        let after_prewarm = session.stats().sim_insts;
-        assert!(after_prewarm > 0, "prewarm must simulate something");
-        let prepared = session.prepare(w).expect("prepare");
-        let after_prepare = session.stats().sim_insts;
-        assert!(after_prepare >= prepared.trace.len() as u64);
-        // Memoized now: prewarm is a no-op.
-        session.prewarm_chunk0(w).expect("prewarm");
-        assert_eq!(session.stats().sim_insts, after_prepare);
+    fn only_the_knobs_prism_reads_pass_the_env_check() {
+        assert!(unknown_knobs(KNOBS).is_empty());
+        let retired: Vec<String> = ["CRASH", "GRID_FAULTS", "NET_FAULTS", "REFRESH"]
+            .iter()
+            .map(|name| format!("PRISM_{name}"))
+            .collect();
+        let mut names = vec!["PATH", "PRISMATIC", "PRISM_FAULTS", "PRISM_STREAM"];
+        names.extend(retired.iter().map(String::as_str));
+        assert_eq!(unknown_knobs(names), retired);
     }
 
     #[test]

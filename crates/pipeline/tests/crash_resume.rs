@@ -9,8 +9,8 @@
 //!
 //! The companion kill harness (`tests/crash_resume_kill.rs` at the
 //! workspace root) proves the same property across real process kills at
-//! every `PRISM_CRASH` site; these tests cover the replay logic itself in
-//! the normal harness.
+//! every `crash:` site; these tests cover the replay logic itself in the
+//! normal harness.
 
 use std::sync::Arc;
 

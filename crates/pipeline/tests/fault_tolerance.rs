@@ -236,3 +236,21 @@ fn env_driven_fault_plan_still_completes_the_sweep() {
         );
     }
 }
+
+#[test]
+fn worker_link_and_crash_entries_leave_a_session_sweep_untouched() {
+    // One `PRISM_FAULTS` plan feeds every layer; the session reads only
+    // its store and stage kinds, so a plan holding nothing else sweeps
+    // exactly like no plan at all.
+    let clean = run_sweep(&clean_session("plane-ref"));
+    let plan = FaultPlan::parse(
+        "die:0@0,hang:1@0,quarantine:0@1,drop:0@0,delay:1@1,disconnect:0@2,\
+         crash:store-put@1,crash:grid-frame@1,seed=9",
+    )
+    .expect("valid plan");
+    let session = clean_session("plane").with_faults(Some(Arc::new(plan)));
+    let report = run_sweep(&session);
+    assert_eq!(report, clean);
+    let stats = session.stats().artifacts;
+    assert_eq!((stats.io_retries, stats.io_errors), (0, 0));
+}

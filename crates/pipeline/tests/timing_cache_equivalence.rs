@@ -133,7 +133,7 @@ fn faulted_sweep_survivors_match_the_reference() {
     // quarantines workloads, evaluate-stage panics quarantine points.
     let plan = || {
         Arc::new(
-            FaultPlan::parse("trace-truncate:0.05,stage-panic:evaluate:2@seed=7")
+            FaultPlan::parse("trace-truncate:0.05,stage-panic:evaluate:2,seed=7")
                 .expect("valid spec"),
         )
     };
@@ -316,7 +316,7 @@ fn streamed_faulted_store_sweep_matches_the_reference() {
     // store I/O failures and artifact corruption hit the timing cache
     // too, and must only ever degrade it to recompute.
     let plan = Arc::new(
-        FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec"),
+        FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10,seed=11").expect("valid spec"),
     );
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), io2_twin()];

@@ -2,18 +2,18 @@
 //! binary re-invokes *itself* as the crashing child — and as a grid
 //! worker — so it must own `main` and stdout).
 //!
-//! Property: for every `PRISM_CRASH` kill site, killing a sweep at that
+//! Property: for every crash kill site, killing a sweep at that
 //! site and re-running with `--resume` produces stdout byte-identical to
 //! an uninterrupted run, replays every unit the journal recorded as done
 //! (zero of them recomputed), and recomputes exactly the units whose
 //! artifacts never became durable.
 //!
 //! Topology: the parent (this test) spawns children via `current_exe()`
-//! with `PRISM_CRASH_KILL_CHILD=explore|grid`. The explore child runs a
+//! with `CRASH_KILL_CHILD=explore|grid`. The explore child runs a
 //! journaled in-process sweep; the grid child runs a 2-worker grid whose
 //! workers are further re-invocations of this binary. The parent injects
-//! `PRISM_CRASH=<site>@<n>`, expects exit code 137, inspects the journal
-//! and store it left behind, then resumes and diffs.
+//! `PRISM_FAULTS=crash:<site>@<n>`, expects exit code 137, inspects the
+//! journal and store it left behind, then resumes and diffs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -22,17 +22,19 @@ use std::time::Duration;
 use prism::grid::{run_grid, run_worker_if_env, GridConfig};
 use prism::pipeline::{
     journal_path, sweep_key, JournalReplay, Json, Session, SweepReport, CRASH_EXIT_CODE,
-    SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT, SITE_UNIT_COMPLETE,
+    FAULTS_ENV, SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT, SITE_UNIT_COMPLETE,
 };
 use prism::sim::TracerConfig;
 use prism::tdg::BsaKind;
 use prism::udg::{CoreConfig, ExecBudget};
 use prism::workloads::{Workload, MICRO};
 
-const CHILD_ENV: &str = "PRISM_CRASH_KILL_CHILD";
-const STORE_ENV: &str = "PRISM_TEST_STORE";
-const RESUME_ENV: &str = "PRISM_TEST_RESUME";
-const STATS_ENV: &str = "PRISM_TEST_STATS";
+// The test's own variables stay outside the `PRISM_` namespace, which
+// `Session::new` reserves for the knobs prism reads.
+const CHILD_ENV: &str = "CRASH_KILL_CHILD";
+const STORE_ENV: &str = "CRASH_KILL_STORE";
+const RESUME_ENV: &str = "CRASH_KILL_RESUME";
+const STATS_ENV: &str = "CRASH_KILL_STATS";
 const MAX_INSTS: u64 = 20_000;
 
 fn quick_tracer() -> TracerConfig {
@@ -130,8 +132,8 @@ fn child_grid() -> ! {
         env: Vec::new(),
         // Workers must not inherit the kill spec: the property under test
         // is a *coordinator* kill (worker deaths are grid_smoke's domain).
-        env_remove: vec!["PRISM_CRASH".into(), CHILD_ENV.into()],
-        net_faults: prism::net::NetFaultPlan::default(),
+        env_remove: vec![FAULTS_ENV.into(), CHILD_ENV.into()],
+        net_faults: None,
         resume,
     };
     match run_grid(&config) {
@@ -160,11 +162,11 @@ fn run_child(mode: &str, store: &Path, crash: Option<&str>, resume: bool) -> Chi
     let mut cmd = Command::new(exe);
     cmd.env(CHILD_ENV, mode)
         .env(STORE_ENV, store)
-        .env_remove("PRISM_CRASH")
+        .env_remove(FAULTS_ENV)
         .env_remove(RESUME_ENV)
         .env_remove(STATS_ENV);
     if let Some(spec) = crash {
-        cmd.env("PRISM_CRASH", spec);
+        cmd.env(FAULTS_ENV, format!("crash:{spec}"));
     }
     if resume {
         cmd.env(RESUME_ENV, "1");
@@ -324,31 +326,13 @@ fn main() {
     }
 
     // Parent mode: insulate the whole tree (children inherit this
-    // environment) from ambient knobs like the CI fault matrix.
-    for var in [
-        "PRISM_FAULTS",
-        "PRISM_GRID_FAULTS",
-        "PRISM_STREAM",
-        "PRISM_JOBS",
-        "PRISM_ARTIFACT_DIR",
-        "PRISM_WORKERS",
-        "PRISM_CRASH",
-        "PRISM_SCALE",
-        "PRISM_NO_TIMING_CACHE",
-        "PRISM_STORE_CAP",
-        "PRISM_DIVERGENCE",
-        "PRISM_MAX_NODES",
-        "PRISM_CHUNK",
-        "PRISM_GRID_TIMEOUT_MS",
-        "PRISM_NO_FSYNC",
-        "PRISM_REFRESH",
-        "PRISM_NET_FAULTS",
-        "PRISM_NET_TOKEN",
-        "PRISM_HOSTS",
-        STORE_ENV,
-        RESUME_ENV,
-        STATS_ENV,
-    ] {
+    // environment) from every ambient knob, like the CI fault matrix.
+    for (var, _) in std::env::vars_os() {
+        if var.to_string_lossy().starts_with("PRISM_") {
+            std::env::remove_var(var);
+        }
+    }
+    for var in [STORE_ENV, RESUME_ENV, STATS_ENV] {
         std::env::remove_var(var);
     }
 
