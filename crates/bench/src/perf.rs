@@ -304,7 +304,6 @@ fn explore_secs(workloads: &[&Workload]) -> f64 {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_streaming(false)
         .with_timing_cache(true)
         .with_store_cap(None);
     let start = Instant::now();
@@ -342,7 +341,6 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
             .with_divergence_guard(None)
-            .with_streaming(false)
             .with_timing_cache(true)
             .with_store_cap(None)
     };

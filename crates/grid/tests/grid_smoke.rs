@@ -15,9 +15,9 @@
 //!    evaluation,
 //! 6. a `--resume` over a fully-journaled sweep assigns zero units (and
 //!    spawns no workers at all),
-//! 7. the same sweep over two localhost TCP daemons — under streaming
-//!    evaluation and an injected mid-sweep disconnect — matches the
-//!    single-process report, with the cut surfacing as `recovered`.
+//! 7. the same sweep over two localhost TCP daemons — under an injected
+//!    mid-sweep disconnect — matches the single-process report, with the
+//!    cut surfacing as `recovered`.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -272,12 +272,11 @@ fn scenario_resume_assigns_nothing() {
 }
 
 /// Tentpole equivalence property: the sweep over two localhost TCP
-/// daemons — with streaming evaluation on and a mid-sweep disconnect
-/// injected — produces the same report as a single-process run, with the
-/// disconnect surfacing as `recovered`, and leaves every store clean.
+/// daemons — with a mid-sweep disconnect injected — produces the same
+/// report as a single-process run, with the disconnect surfacing as
+/// `recovered`, and leaves every store clean.
 fn scenario_tcp_equivalence() {
     let token = "smoke-secret";
-    std::env::set_var("PRISM_STREAM", "1");
     std::env::set_var(NET_TOKEN_ENV, token);
     let dir_single = scratch_dir("tcp-single");
     let dir_coord = scratch_dir("tcp-coord");
@@ -341,7 +340,6 @@ fn scenario_tcp_equivalence() {
         assert!(report.is_clean(), "{dir:?}: {report:?}");
     }
 
-    std::env::remove_var("PRISM_STREAM");
     std::env::remove_var(NET_TOKEN_ENV);
     let _ = std::fs::remove_dir_all(&dir_single);
     let _ = std::fs::remove_dir_all(&dir_coord);

@@ -1,15 +1,14 @@
-//! JSON encoding/decoding for cached [`DesignResult`] artifacts and
-//! (schema v2) length-prefixed [`TraceChunk`] artifacts.
+//! JSON encoding/decoding for the payloads the store and the wire carry:
+//! cached [`DesignResult`]s, trace-walk timing summaries ([`ExoTiming`])
+//! and pipeline errors. Traces themselves are never encoded: a trace is
+//! cheaper to re-simulate than to read back.
 //!
 //! Decoding is strict: any missing or mistyped field yields `None`, which
 //! the session treats as a cache miss (recompute and overwrite) rather than
-//! an error. Trace chunks additionally carry an explicit `len` prefix that
-//! must match the instruction array — a truncated or padded array decodes
-//! to `None` even if every element parses.
+//! an error.
 
 use prism_energy::{AccelEvents, CoreEvents, EnergyEvents};
 use prism_exocore::{DesignResult, WorkloadMetrics};
-use prism_sim::{BranchRecord, DynInst, MemLevel, MemRecord, TraceChunk, TraceStats};
 use prism_tdg::{ExecUnit, ExoTiming, TimelineSample};
 
 use crate::error::PipelineError;
@@ -113,152 +112,6 @@ pub fn decode_pipeline_error(json: &Json) -> Option<PipelineError> {
     })
 }
 
-/// Encodes one trace chunk as a length-prefixed JSON payload (schema v2).
-///
-/// Every `DynInst` field is an integer, so the round trip through the
-/// store's JSON envelope is lossless. `seq` values are implicit
-/// (`first_seq + position`), and the explicit `len` prefix lets the
-/// decoder reject truncated instruction arrays outright.
-#[must_use]
-pub fn encode_trace_chunk(c: &TraceChunk) -> Json {
-    Json::Obj(vec![
-        ("index".into(), Json::U64(c.index)),
-        ("first_seq".into(), Json::U64(c.first_seq)),
-        ("last".into(), Json::Bool(c.last)),
-        ("len".into(), Json::U64(c.insts.len() as u64)),
-        ("stats".into(), encode_trace_stats(&c.stats)),
-        (
-            "insts".into(),
-            Json::Arr(c.insts.iter().map(encode_dyn_inst).collect()),
-        ),
-    ])
-}
-
-fn encode_trace_stats(s: &TraceStats) -> Json {
-    Json::Obj(vec![
-        ("insts".into(), Json::U64(s.insts)),
-        ("loads".into(), Json::U64(s.loads)),
-        ("stores".into(), Json::U64(s.stores)),
-        ("cond_branches".into(), Json::U64(s.cond_branches)),
-        ("mispredicts".into(), Json::U64(s.mispredicts)),
-        ("l1_hits".into(), Json::U64(s.l1_hits)),
-        ("l2_hits".into(), Json::U64(s.l2_hits)),
-        ("dram_accesses".into(), Json::U64(s.dram_accesses)),
-    ])
-}
-
-/// One instruction is a positional array: `[sid, mem, branch]` where
-/// `mem` is `null` or `[addr, width, is_store, latency, level]` and
-/// `branch` is `null` or `[taken, target, mispredicted]`.
-fn encode_dyn_inst(d: &DynInst) -> Json {
-    let mem = match &d.mem {
-        None => Json::Null,
-        Some(m) => Json::Arr(vec![
-            Json::U64(m.addr),
-            Json::U64(u64::from(m.width)),
-            Json::U64(u64::from(m.is_store)),
-            Json::U64(u64::from(m.latency)),
-            Json::U64(match m.level {
-                MemLevel::L1 => 0,
-                MemLevel::L2 => 1,
-                MemLevel::Dram => 2,
-            }),
-        ]),
-    };
-    let branch = match &d.branch {
-        None => Json::Null,
-        Some(b) => Json::Arr(vec![
-            Json::U64(u64::from(b.taken)),
-            Json::U64(u64::from(b.target)),
-            Json::U64(u64::from(b.mispredicted)),
-        ]),
-    };
-    Json::Arr(vec![Json::U64(u64::from(d.sid)), mem, branch])
-}
-
-/// Decodes a trace chunk payload; `None` on any shape mismatch, including
-/// a `len` prefix that disagrees with the instruction array.
-#[must_use]
-pub fn decode_trace_chunk(json: &Json) -> Option<TraceChunk> {
-    let first_seq = json.get("first_seq")?.as_u64()?;
-    let len = json.get("len")?.as_u64()?;
-    let arr = json.get("insts")?.as_arr()?;
-    if arr.len() as u64 != len {
-        return None;
-    }
-    let insts = arr
-        .iter()
-        .enumerate()
-        .map(|(i, j)| decode_dyn_inst(j, first_seq + i as u64))
-        .collect::<Option<Vec<_>>>()?;
-    Some(TraceChunk {
-        index: json.get("index")?.as_u64()?,
-        first_seq,
-        insts,
-        stats: decode_trace_stats(json.get("stats")?)?,
-        last: json.get("last")?.as_bool()?,
-    })
-}
-
-fn decode_trace_stats(json: &Json) -> Option<TraceStats> {
-    Some(TraceStats {
-        insts: json.get("insts")?.as_u64()?,
-        loads: json.get("loads")?.as_u64()?,
-        stores: json.get("stores")?.as_u64()?,
-        cond_branches: json.get("cond_branches")?.as_u64()?,
-        mispredicts: json.get("mispredicts")?.as_u64()?,
-        l1_hits: json.get("l1_hits")?.as_u64()?,
-        l2_hits: json.get("l2_hits")?.as_u64()?,
-        dram_accesses: json.get("dram_accesses")?.as_u64()?,
-    })
-}
-
-fn decode_dyn_inst(json: &Json, seq: u64) -> Option<DynInst> {
-    let fields = json.as_arr()?;
-    let [sid, mem, branch] = fields else {
-        return None;
-    };
-    let mem = match mem {
-        Json::Null => None,
-        m => {
-            let [addr, width, is_store, latency, level] = m.as_arr()? else {
-                return None;
-            };
-            Some(MemRecord {
-                addr: addr.as_u64()?,
-                width: u8::try_from(width.as_u64()?).ok()?,
-                is_store: is_store.as_u64()? != 0,
-                latency: u32::try_from(latency.as_u64()?).ok()?,
-                level: match level.as_u64()? {
-                    0 => MemLevel::L1,
-                    1 => MemLevel::L2,
-                    2 => MemLevel::Dram,
-                    _ => return None,
-                },
-            })
-        }
-    };
-    let branch = match branch {
-        Json::Null => None,
-        b => {
-            let [taken, target, mispredicted] = b.as_arr()? else {
-                return None;
-            };
-            Some(BranchRecord {
-                taken: taken.as_u64()? != 0,
-                target: u32::try_from(target.as_u64()?).ok()?,
-                mispredicted: mispredicted.as_u64()? != 0,
-            })
-        }
-    };
-    Some(DynInst {
-        seq,
-        sid: u32::try_from(sid.as_u64()?).ok()?,
-        mem,
-        branch,
-    })
-}
-
 /// Encodes one trace-walk timing summary ([`ExoTiming`]) as a JSON
 /// payload — the persistent timing artifact the session stores under the
 /// µDG shape key.
@@ -266,8 +119,8 @@ fn decode_dyn_inst(json: &Json, seq: u64) -> Option<DynInst> {
 /// Every field is an integer (cycle/instruction counts, event counters,
 /// timeline samples), so the round trip through the store's JSON envelope
 /// is lossless. Event records are positional arrays in declaration order,
-/// and the timeline carries an explicit `len` prefix like trace chunks,
-/// so a truncated sample array decodes to `None` outright.
+/// and the timeline carries an explicit `len` prefix, so a truncated
+/// sample array decodes to `None` outright.
 #[must_use]
 pub fn encode_exo_timing(t: &ExoTiming) -> Json {
     Json::Obj(vec![
@@ -515,66 +368,6 @@ mod tests {
         assert_eq!(decode_design_result(&Json::Null), None);
     }
 
-    fn sample_chunk() -> TraceChunk {
-        TraceChunk {
-            index: 3,
-            first_seq: 192,
-            insts: vec![
-                DynInst {
-                    seq: 192,
-                    sid: 7,
-                    mem: None,
-                    branch: None,
-                },
-                DynInst {
-                    seq: 193,
-                    sid: 8,
-                    mem: Some(MemRecord {
-                        addr: 0x1008,
-                        width: 8,
-                        is_store: true,
-                        latency: 14,
-                        level: MemLevel::L2,
-                    }),
-                    branch: None,
-                },
-                DynInst {
-                    seq: 194,
-                    sid: 9,
-                    mem: None,
-                    branch: Some(BranchRecord {
-                        taken: true,
-                        target: 7,
-                        mispredicted: false,
-                    }),
-                },
-            ],
-            stats: TraceStats {
-                insts: 195,
-                loads: 40,
-                stores: 22,
-                cond_branches: 31,
-                mispredicts: 2,
-                l1_hits: 55,
-                l2_hits: 6,
-                dram_accesses: 1,
-            },
-            last: false,
-        }
-    }
-
-    #[test]
-    fn trace_chunk_roundtrip_is_exact() {
-        let c = sample_chunk();
-        let text = encode_trace_chunk(&c).to_string();
-        let back = decode_trace_chunk(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.index, c.index);
-        assert_eq!(back.first_seq, c.first_seq);
-        assert_eq!(back.last, c.last);
-        assert_eq!(back.stats, c.stats);
-        assert_eq!(back.insts, c.insts);
-    }
-
     #[test]
     fn pipeline_error_roundtrip_is_exact() {
         let e = PipelineError::store_io("stencil", "disk on fire\nline two");
@@ -695,21 +488,5 @@ mod tests {
             }
         }
         assert!(decode_exo_timing(&json).is_none());
-    }
-
-    #[test]
-    fn trace_chunk_length_prefix_rejects_truncation() {
-        let mut json = encode_trace_chunk(&sample_chunk());
-        if let Json::Obj(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "insts" {
-                    if let Json::Arr(items) = v {
-                        items.pop();
-                    }
-                }
-            }
-        }
-        assert_eq!(decode_trace_chunk(&json), None);
-        assert_eq!(decode_trace_chunk(&Json::Null), None);
     }
 }

@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use crate::journal::{JOURNAL_SUBDIR, JOURNAL_VERSION};
 use crate::json::Json;
-use crate::key::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-use crate::store::{payload_sum, ArtifactStore};
+use crate::store::{check_envelope, ArtifactStore};
 
 /// Subdirectory of the store where fsck moves corrupt artifacts.
 pub const QUARANTINE_SUBDIR: &str = "quarantine";
@@ -80,33 +79,11 @@ impl FsckReport {
 
 /// Validates one artifact file's text against its own file name.
 /// Unlike the store's load path, fsck has no expected key — the
-/// embedded key is checked for shape and against the file name instead.
+/// embedded key is checked against the file name instead.
 fn check_artifact(name: &str, text: &str) -> Result<(), String> {
-    let doc = Json::parse(text).map_err(|e| format!("unparseable: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema field")?;
-    if schema < u64::from(MIN_SCHEMA_VERSION) || schema > u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "schema {schema} outside supported range {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
-        ));
-    }
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("missing key field")?;
-    if key.len() != 64 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("malformed embedded key".into());
-    }
-    if name != format!("{}.json", &key[..16]) {
+    let (key, _) = check_envelope(text)?;
+    if name != format!("{}.json", key.short()) {
         return Err("file name does not match embedded key".into());
-    }
-    let payload = doc.get("payload").ok_or("missing payload field")?;
-    if let Some(sum) = doc.get("sum").and_then(Json::as_str) {
-        if payload_sum(&payload.to_string()) != sum {
-            return Err("payload checksum mismatch".into());
-        }
     }
     Ok(())
 }
@@ -300,10 +277,34 @@ mod tests {
         store.save(&k, Json::U64(1));
         let other = dir.join("0000000000000000.json");
         std::fs::copy(dir.join(format!("{}.json", k.short())), &other).unwrap();
+        // The envelopes older builds wrote: schema 1, and schema 2
+        // without a `sum`.
+        let path = |k: &ContentHash| dir.join(format!("{}.json", k.short()));
+        let (v1, unsummed) = (key("v1"), key("unsummed"));
+        store.save(&v1, Json::U64(2));
+        store.save(&unsummed, Json::U64(3));
+        let text = std::fs::read_to_string(path(&v1)).unwrap();
+        std::fs::write(path(&v1), text.replace("\"schema\":2", "\"schema\":1")).unwrap();
+        let text = std::fs::read_to_string(path(&unsummed)).unwrap();
+        let Ok(Json::Obj(mut fields)) = Json::parse(&text) else {
+            panic!("envelope is an object: {text}");
+        };
+        fields.retain(|(name, _)| name != "sum");
+        std::fs::write(path(&unsummed), Json::Obj(fields).to_string()).unwrap();
 
         let report = run_fsck(&dir).unwrap();
-        assert_eq!(report.corrupt.len(), 1);
-        assert!(report.corrupt[0].1.contains("file name"), "{report:?}");
+        assert_eq!(report.artifacts_ok, 1, "{report:?}");
+        assert_eq!(report.corrupt.len(), 3, "{report:?}");
+        let reason = |name: String| {
+            report
+                .corrupt
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or("", |(_, why)| why.as_str())
+        };
+        assert!(reason("0000000000000000.json".into()).contains("file name"));
+        assert!(reason(format!("{}.json", v1.short())).contains("schema 1"));
+        assert!(reason(format!("{}.json", unsummed.short())).contains("missing sum"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,9 +6,9 @@
 //! Any representational change (new field, changed default, new schema)
 //! must bump [`KEY_SCHEMA_VERSION`]; old artifacts then miss instead of
 //! being silently reused. The on-disk *file* envelope carries its own
-//! [`SCHEMA_VERSION`] — see the store — so the envelope can evolve (v2
-//! added chunked trace artifacts) without invalidating warm caches whose
-//! key derivation is unchanged.
+//! [`SCHEMA_VERSION`] — see the store — so the envelope can evolve without
+//! invalidating warm caches whose key derivation is unchanged. Traces have
+//! no key of their own: they are re-simulated, never stored.
 
 use std::fmt::Display;
 
@@ -23,13 +23,10 @@ use crate::hash::{ContentHash, Sha256};
 /// into every key; bumping it orphans all previously stored artifacts.
 pub const KEY_SCHEMA_VERSION: u32 = 1;
 
-/// The on-disk artifact *envelope* version. v1: single-document payloads.
-/// v2: adds length-prefixed chunked trace artifacts; v1 files remain
-/// readable (the envelope shape is unchanged for non-chunk payloads).
+/// The on-disk artifact *envelope* version, the only one the store reads:
+/// `{schema, key, sum, payload}` with a mandatory payload checksum. Files
+/// with schema 1 or without a `sum` are discarded and recomputed.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// The oldest envelope version the store still reads.
-pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// Incrementally builds a content hash from labeled fields.
 #[derive(Debug, Clone)]

@@ -62,8 +62,8 @@ pub mod store;
 pub mod sweep;
 
 pub use codec::{
-    decode_design_result, decode_exo_timing, decode_pipeline_error, decode_trace_chunk,
-    encode_design_result, encode_exo_timing, encode_pipeline_error, encode_trace_chunk,
+    decode_design_result, decode_exo_timing, decode_pipeline_error, encode_design_result,
+    encode_exo_timing, encode_pipeline_error,
 };
 pub use crash::{
     crash_point, CRASH_EXIT_CODE, SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT,
@@ -77,11 +77,9 @@ pub use fsck::{run_fsck, FsckReport, QUARANTINE_SUBDIR};
 pub use hash::ContentHash;
 pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_SUBDIR};
 pub use json::Json;
-pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
-pub use session::{
-    DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_TIMING_CACHE_ENV, STREAM_ENV,
-};
+pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_TIMING_CACHE_ENV};
 pub use store::{
     fsync_enabled, store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, NO_FSYNC_ENV,
     STORE_CAP_ENV,

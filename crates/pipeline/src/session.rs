@@ -29,8 +29,7 @@ use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODE
 use prism_workloads::{Suite, Workload};
 
 use crate::codec::{
-    decode_design_result, decode_exo_timing, decode_trace_chunk, encode_design_result,
-    encode_exo_timing, encode_trace_chunk,
+    decode_design_result, decode_exo_timing, encode_design_result, encode_exo_timing,
 };
 use crate::crash::{crash_point, SITE_UNIT_COMPLETE};
 use crate::error::{PipelineError, Stage};
@@ -94,9 +93,6 @@ pub struct SessionStats {
     /// Busy nanoseconds, summed over threads, spent measuring oracle
     /// tables (scheduling).
     pub schedule_nanos: u64,
-    /// Largest single in-flight trace chunk, in bytes — the streaming
-    /// architecture's memory high-water mark for trace storage.
-    pub peak_chunk_bytes: u64,
     /// Units settled from a sweep-journal replay instead of recomputed
     /// (completed *and* quarantined units both count).
     pub resumed: u64,
@@ -118,7 +114,6 @@ impl std::ops::AddAssign for SessionStats {
         self.udg_nanos += rhs.udg_nanos;
         self.transform_nanos += rhs.transform_nanos;
         self.schedule_nanos += rhs.schedule_nanos;
-        self.peak_chunk_bytes = self.peak_chunk_bytes.max(rhs.peak_chunk_bytes);
         self.resumed += rhs.resumed;
         self.replayed += rhs.replayed;
     }
@@ -150,7 +145,6 @@ impl SessionStats {
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage busy     : sim {} ms, uDG {} ms, transforms {} ms, \
              schedule {} ms (summed over threads)\n\
-             peak chunk     : {} bytes\n\
              journal        : {} units resumed, {} records replayed\n\
              tmp-file GC    : {} bytes reclaimed\n",
             a.hits,
@@ -172,7 +166,6 @@ impl SessionStats {
             self.udg_nanos / 1_000_000,
             self.transform_nanos / 1_000_000,
             self.schedule_nanos / 1_000_000,
-            self.peak_chunk_bytes,
             self.resumed,
             self.replayed,
             a.gc_reclaimed_bytes,
@@ -292,11 +285,6 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
-/// Opt-in streaming mode: set (non-empty, non-`"0"`) to persist traces as
-/// length-prefixed chunk artifacts in the store, enabling per-chunk
-/// hashing, fault injection, and chunk-level reuse across runs.
-pub const STREAM_ENV: &str = "PRISM_STREAM";
-
 /// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
 /// persistent timing-artifact cache — trace-walk timings are then only
 /// memoized in-process and never loaded from or saved to the artifact
@@ -305,9 +293,8 @@ pub const NO_TIMING_CACHE_ENV: &str = "PRISM_NO_TIMING_CACHE";
 
 /// Every `PRISM_*` environment variable prism reads. [`Session::new`]
 /// rejects any other `PRISM_*` name.
-const KNOBS: [&str; 17] = [
+const KNOBS: [&str; 15] = [
     "PRISM_ARTIFACT_DIR",
-    "PRISM_CHUNK",
     "PRISM_DIVERGENCE",
     "PRISM_FAULTS",
     "PRISM_GRID_SHARD",
@@ -321,7 +308,6 @@ const KNOBS: [&str; 17] = [
     "PRISM_NO_TIMING_CACHE",
     "PRISM_SCALE",
     "PRISM_STORE_CAP",
-    "PRISM_STREAM",
     "PRISM_WORKERS",
 ];
 
@@ -344,7 +330,6 @@ pub struct Session {
     faults: Option<Arc<FaultPlan>>,
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
-    streaming: bool,
     timing_cache: bool,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
@@ -394,7 +379,9 @@ impl Session {
             "unknown environment variable(s) {}: prism reads only {}. Every fault \
              kind (store, stage, worker, link, crash) goes in PRISM_FAULTS; \
              PRISM_REFRESH was removed (the content-addressed store invalidates \
-             itself; delete the store directory for a cold run)",
+             itself; delete the store directory for a cold run); PRISM_STREAM and \
+             PRISM_CHUNK were removed (traces are re-simulated, never stored, in \
+             fixed 64 Ki-instruction chunks)",
             unknown.join(", "),
             KNOBS.join(", ")
         );
@@ -423,8 +410,6 @@ impl Session {
             faults,
             budget,
             guard: DivergenceGuard::from_env(),
-            streaming: std::env::var(STREAM_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             timing_cache: !std::env::var(NO_TIMING_CACHE_ENV)
                 .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             workloads: Mutex::new(HashMap::new()),
@@ -506,14 +491,10 @@ impl Session {
         self
     }
 
-    /// Enables (or disables) streaming mode: traces are persisted as
-    /// length-prefixed chunk artifacts and reloaded chunk-by-chunk on
-    /// later runs. Overrides `PRISM_STREAM`. Both modes record the trace
-    /// through the same chunked simulator loop — only persistence
-    /// differs, so reports are identical either way.
+    /// A no-op, kept only so existing callers still build: traces are
+    /// always re-simulated and never stored, whatever the argument says.
     #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
+    pub fn with_streaming(self, _streaming: bool) -> Self {
         self
     }
 
@@ -548,18 +529,6 @@ impl Session {
         kb.field("name", name);
         kb.field("n", n);
         kb.tracer(&self.tracer);
-        kb.finish()
-    }
-
-    /// The content key of trace chunk `index` of a prepared workload.
-    /// The chunk size is part of the key, so runs with different
-    /// `PRISM_CHUNK` settings never mix chunk boundaries.
-    #[must_use]
-    pub fn trace_chunk_key(&self, workload_key: &ContentHash, index: u64) -> ContentHash {
-        let mut kb = KeyBuilder::new("trace-chunk");
-        kb.hash_field("workload", workload_key);
-        kb.field("chunk_insts", prism_sim::chunk_size_from_env());
-        kb.field("index", index);
         kb.finish()
     }
 
@@ -620,7 +589,7 @@ impl Session {
                 ));
             }
         }
-        let trace = self.record_trace(&key, &program, name)?;
+        let trace = self.record_trace(&program, name)?;
         let started = std::time::Instant::now();
         let data = Arc::new(WorkloadData::from_trace(trace));
         self.transform_nanos
@@ -634,23 +603,14 @@ impl Session {
 
     /// Records `program`'s trace chunk-by-chunk from the streaming
     /// simulator, applying per-chunk fault injection (`{name}:chunk{i}`
-    /// sites) and, in streaming mode, persisting each chunk to the store
-    /// (after first trying to replay a previously stored chunk sequence).
-    ///
-    /// Both modes run the same chunked loop — the materialized `Trace` is
-    /// assembled from the chunks either way, so downstream results do not
-    /// depend on the mode.
+    /// sites), and assembles the chunks into one in-memory `Trace`.
+    /// Traces are never stored: re-simulating one is cheaper than reading
+    /// it back (DESIGN.md §9).
     fn record_trace(
         &self,
-        workload_key: &ContentHash,
         program: &prism_isa::Program,
         name: &str,
     ) -> Result<Trace, PipelineError> {
-        if self.streaming {
-            if let Some(trace) = self.load_chunked_trace(workload_key, program) {
-                return Ok(trace);
-            }
-        }
         let mut source =
             SimSource::new(program, &self.tracer).map_err(|e| PipelineError::trace(name, &e))?;
         let started = std::time::Instant::now();
@@ -671,10 +631,6 @@ impl Session {
                     ));
                 }
             }
-            if self.streaming {
-                let ck = self.trace_chunk_key(workload_key, chunk.index);
-                self.store.save(&ck, encode_trace_chunk(&chunk));
-            }
             stats = chunk.stats;
             let last = chunk.last;
             insts.extend(chunk.insts);
@@ -686,36 +642,6 @@ impl Session {
         self.sim_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(Trace {
-            program: program.clone(),
-            insts,
-            stats,
-        })
-    }
-
-    /// Replays a previously persisted chunk sequence from the store, or
-    /// `None` when any chunk is missing, fails to decode, or breaks seq
-    /// contiguity (the caller then re-simulates from scratch).
-    fn load_chunked_trace(
-        &self,
-        workload_key: &ContentHash,
-        program: &prism_isa::Program,
-    ) -> Option<Trace> {
-        let mut insts = Vec::new();
-        let mut stats = prism_sim::TraceStats::default();
-        for index in 0.. {
-            let ck = self.trace_chunk_key(workload_key, index);
-            let chunk = decode_trace_chunk(&self.store.load(&ck)?)?;
-            if chunk.index != index || chunk.first_seq != insts.len() as u64 {
-                return None;
-            }
-            stats = chunk.stats;
-            let last = chunk.last;
-            insts.extend(chunk.insts);
-            if last {
-                break;
-            }
-        }
-        Some(Trace {
             program: program.clone(),
             insts,
             stats,
@@ -1437,7 +1363,6 @@ impl Session {
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
             transform_nanos: self.transform_nanos.load(Ordering::Relaxed),
             schedule_nanos: self.schedule_nanos.load(Ordering::Relaxed),
-            peak_chunk_bytes: prism_sim::peak_chunk_bytes(),
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }
@@ -1450,7 +1375,7 @@ impl Session {
             "[prism-pipeline] artifact cache: {} hits, {} misses ({} discarded, \
              {} I/O retries, {} I/O errors, {} recomputes); memo: {} hits, \
              {} misses; walks: {} performed, {} skipped ({} shape-memo, \
-             {} artifacts); sim: {} insts at {:.0} insts/sec, peak chunk {} bytes; \
+             {} artifacts); sim: {} insts at {:.0} insts/sec; \
              stage busy (summed over threads): sim {} ms, uDG {} ms, \
              transforms {} ms, schedule {} ms; jobs={}",
             s.artifacts.hits,
@@ -1467,7 +1392,6 @@ impl Session {
             s.timing_artifacts_loaded,
             s.sim_insts,
             s.insts_per_sec(),
-            s.peak_chunk_bytes,
             s.sim_nanos / 1_000_000,
             s.udg_nanos / 1_000_000,
             s.transform_nanos / 1_000_000,
@@ -1497,7 +1421,6 @@ mod tests {
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
             .with_divergence_guard(None)
-            .with_streaming(false)
     }
 
     #[test]
@@ -1592,32 +1515,20 @@ mod tests {
     #[test]
     fn only_the_knobs_prism_reads_pass_the_env_check() {
         assert!(unknown_knobs(KNOBS).is_empty());
-        let retired: Vec<String> = ["CRASH", "GRID_FAULTS", "NET_FAULTS", "REFRESH"]
-            .iter()
-            .map(|name| format!("PRISM_{name}"))
-            .collect();
-        let mut names = vec!["PATH", "PRISMATIC", "PRISM_FAULTS", "PRISM_STREAM"];
+        let retired: Vec<String> = [
+            "CHUNK",
+            "CRASH",
+            "GRID_FAULTS",
+            "NET_FAULTS",
+            "REFRESH",
+            "STREAM",
+        ]
+        .iter()
+        .map(|name| format!("PRISM_{name}"))
+        .collect();
+        let mut names = vec!["PATH", "PRISMATIC", "PRISM_FAULTS", "PRISM_SCALE"];
         names.extend(retired.iter().map(String::as_str));
         assert_eq!(unknown_knobs(names), retired);
-    }
-
-    #[test]
-    fn trace_chunk_keys_are_distinct_per_index() {
-        let session = clean_session();
-        let wk = session.workload_key("x", 100);
-        assert_ne!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&wk, 1)
-        );
-        assert_eq!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&wk, 0)
-        );
-        let other = session.workload_key("y", 100);
-        assert_ne!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&other, 0)
-        );
     }
 
     #[test]

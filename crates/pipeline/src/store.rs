@@ -19,7 +19,7 @@ use crate::fault::FaultPlan;
 use crate::hash::{ContentHash, Sha256};
 use crate::journal::sync_dir;
 use crate::json::Json;
-use crate::key::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::key::SCHEMA_VERSION;
 
 /// Transient-I/O retry attempts per store operation.
 const IO_ATTEMPTS: u32 = 3;
@@ -286,35 +286,12 @@ impl ArtifactStore {
         Err(last.expect("at least one attempt ran"))
     }
 
+    /// The payload of envelope `text` if [`check_envelope`] accepts it
+    /// and it embeds `key`.
     fn validate(text: &str, key: &ContentHash) -> Result<Json, String> {
-        let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema field")?;
-        // Read-compat window: v1 envelopes (pre-chunking) are identical in
-        // shape for every payload kind that existed then, so they stay
-        // readable. Anything outside the window is discarded.
-        if schema < u64::from(MIN_SCHEMA_VERSION) || schema > u64::from(SCHEMA_VERSION) {
-            return Err(format!(
-                "schema {schema} outside supported range {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
-            ));
-        }
-        let stored = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or("missing key field")?;
-        if stored != key.hex() {
+        let (embedded, payload) = check_envelope(text)?;
+        if embedded != *key {
             return Err("content key mismatch (hash prefix collision or stale file)".into());
-        }
-        let payload = doc.get("payload").cloned().ok_or("missing payload field")?;
-        // Integrity checksum: present since the durability rework. Files
-        // written without one (older builds) stay valid — the envelope
-        // shape didn't change, so warm caches survive.
-        if let Some(sum) = doc.get("sum").and_then(Json::as_str) {
-            if payload_sum(&payload.to_string()) != sum {
-                return Err("payload checksum mismatch (bit rot or torn write)".into());
-            }
         }
         Ok(payload)
     }
@@ -476,7 +453,7 @@ impl ArtifactStore {
     }
 
     /// Imports an envelope shipped from another store: full validation
-    /// (schema window, embedded key, payload checksum) and then the same
+    /// (schema, embedded key, payload checksum) and then the same
     /// fsync-around-rename put protocol as [`save`](Self::save), so a
     /// shipped artifact is exactly as durable as a locally computed one.
     ///
@@ -558,10 +535,40 @@ impl ArtifactStore {
 }
 
 /// SHA-256 hex of a serialized payload — the `sum` envelope field.
-pub(crate) fn payload_sum(payload_text: &str) -> String {
+fn payload_sum(payload_text: &str) -> String {
     let mut h = Sha256::new();
     h.update_str(payload_text);
     h.finish().hex()
+}
+
+/// Checks one artifact file's text against the only envelope the store
+/// writes, `{schema, key, sum, payload}`: schema [`SCHEMA_VERSION`], a
+/// full-length hex `key`, and a `sum` that matches the payload. Returns
+/// the embedded key and the payload. The store compares the key with the
+/// one it asked for, fsck with the file name.
+pub(crate) fn check_envelope(text: &str) -> Result<(ContentHash, Json), String> {
+    let doc = Json::parse(text).map_err(|e| format!("unparseable: {e}"))?;
+    let schema = doc
+        .get("schema")
+        .and_then(Json::as_u64)
+        .ok_or("missing schema field")?;
+    if schema != u64::from(SCHEMA_VERSION) {
+        return Err(format!("schema {schema} is not {SCHEMA_VERSION}"));
+    }
+    let key = doc
+        .get("key")
+        .and_then(Json::as_str)
+        .ok_or("missing key field")?;
+    let key = ContentHash::from_hex(key).ok_or("malformed embedded key")?;
+    let sum = doc
+        .get("sum")
+        .and_then(Json::as_str)
+        .ok_or("missing sum field")?;
+    let payload = doc.get("payload").ok_or("missing payload field")?;
+    if payload_sum(&payload.to_string()) != sum {
+        return Err("payload checksum mismatch (bit rot or torn write)".into());
+    }
+    Ok((key, payload.clone()))
 }
 
 /// Extracts the writing pid from a store tmp-file name
@@ -666,22 +673,31 @@ mod tests {
         std::fs::write(store.path_for(&k), doc.to_string()).unwrap();
         assert_eq!(store.load(&k), None);
         assert_eq!(store.stats().discarded, 1);
+        // The envelopes older builds wrote are discarded too.
+        for (i, old) in legacy_envelopes(&k).iter().enumerate() {
+            std::fs::write(store.path_for(&k), old).unwrap();
+            assert_eq!(store.load(&k), None, "{old}");
+            assert_eq!(store.stats().discarded, 2 + i as u64);
+        }
     }
 
-    #[test]
-    fn v1_envelope_stays_readable() {
-        let store = temp_store("v1compat");
-        let k = key("v1");
-        // Hand-write a v1 envelope (the pre-chunking file format).
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::U64(u64::from(MIN_SCHEMA_VERSION))),
+    /// The envelopes older builds wrote, both invalid now: schema 1 (with
+    /// a valid `sum`, so only the schema rejects it) and schema 2 without
+    /// a `sum`.
+    fn legacy_envelopes(k: &ContentHash) -> [String; 2] {
+        let payload = Json::U64(42);
+        let v1 = Json::Obj(vec![
+            ("schema".into(), Json::U64(1)),
             ("key".into(), Json::Str(k.hex())),
-            ("payload".into(), Json::U64(42)),
+            ("sum".into(), Json::Str(payload_sum(&payload.to_string()))),
+            ("payload".into(), payload.clone()),
         ]);
-        std::fs::create_dir_all(store.dir()).unwrap();
-        std::fs::write(store.path_for(&k), doc.to_string()).unwrap();
-        assert_eq!(store.load(&k), Some(Json::U64(42)));
-        assert_eq!(store.stats().discarded, 0);
+        let unsummed = Json::Obj(vec![
+            ("schema".into(), Json::U64(u64::from(SCHEMA_VERSION))),
+            ("key".into(), Json::Str(k.hex())),
+            ("payload".into(), payload),
+        ]);
+        [v1.to_string(), unsummed.to_string()]
     }
 
     #[test]
@@ -913,6 +929,10 @@ mod tests {
         // Torn/corrupt text never lands on disk.
         assert!(dst.import(&k, &doc[..doc.len() / 2]).is_err());
         assert!(dst.import(&k, &doc.replace('5', "6")).is_err());
+        // Nor do the envelopes older builds wrote.
+        for old in legacy_envelopes(&k) {
+            assert!(dst.import(&k, &old).is_err(), "{old}");
+        }
         assert!(!dst.contains(&k));
         // The intact envelope still imports fine afterwards.
         assert!(dst.import(&k, &doc).is_ok());

@@ -3,9 +3,9 @@
 //! Property under test: a sweep resumed from a journal produces a report
 //! *identical* to an uninterrupted run — results bit-for-bit, quarantines
 //! replayed verbatim — while recomputing only units the journal does not
-//! record. Composed with the streaming trace architecture and with
-//! site-seeded fault injection (the deterministic `PRISM_FAULTS` kinds),
-//! because crash recovery must hold under degraded stores too.
+//! record. Composed with site-seeded fault injection (the deterministic
+//! `PRISM_FAULTS` kinds), because crash recovery must hold under degraded
+//! stores too.
 //!
 //! The companion kill harness (`tests/crash_resume_kill.rs` at the
 //! workspace root) proves the same property across real process kills at
@@ -44,7 +44,6 @@ fn clean_session(tag: &str) -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_streaming(false)
 }
 
 fn micro_set() -> Vec<&'static Workload> {
@@ -169,26 +168,6 @@ fn quarantined_sweep_keeps_journal_and_replays_identical_errors() {
     let stats = healed.stats();
     assert_eq!(stats.resumed, 8, "{stats:?}");
     assert_eq!(stats.artifacts.recomputes, 0, "{stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resume_composes_with_streaming_traces() {
-    let reference = run_resumable(&clean_session("stream-ref").with_streaming(true), false);
-    assert!(
-        reference.quarantined.is_empty(),
-        "{:?}",
-        reference.quarantined
-    );
-
-    let dir = temp_dir("stream");
-    seed_partial_journal(&dir, &reference, 3);
-    let session = clean_session("stream-unused")
-        .with_store_dir(&dir)
-        .with_streaming(true);
-    let resumed = run_resumable(&session, true);
-    assert_eq!(resumed, reference);
-    assert_eq!(session.stats().resumed, 3, "{:?}", session.stats());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use prism_pipeline::{DivergenceGuard, ErrorKind, FaultPlan, Session, Stage, SweepReport};
-use prism_sim::TracerConfig;
+use prism_sim::{TracerConfig, DEFAULT_CHUNK_INSTS};
 use prism_tdg::BsaKind;
 use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::{Workload, MICRO};
@@ -253,4 +253,43 @@ fn worker_link_and_crash_entries_leave_a_session_sweep_untouched() {
     assert_eq!(report, clean);
     let stats = session.stats().artifacts;
     assert_eq!((stats.io_retries, stats.io_errors), (0, 0));
+}
+
+#[test]
+fn mid_trace_truncation_quarantines_only_its_workload() {
+    // Under the default tracer `mm` retires 202 413 insts, four chunks of
+    // DEFAULT_CHUNK_INSTS, so a truncation at chunk 1 cuts it mid-trace.
+    let mm = prism_workloads::by_name("mm").expect("registered");
+    let mut set = vec![mm];
+    set.extend(micro_set());
+    let tracer = TracerConfig::default();
+    let max_chunks = tracer.max_insts.div_ceil(DEFAULT_CHUNK_INSTS as u64);
+    let plan_for = |seed| FaultPlan::seeded(seed).with_trace_truncate(0.01);
+    // A seed whose roll hits `mm:chunk1` and no other site the set can
+    // reach: any workload's gate site or any of its chunk sites.
+    let seed = (0..10_000)
+        .find(|&seed| {
+            let plan = plan_for(seed);
+            let clear = |w: &Workload| {
+                !plan.truncate_trace(w.name)
+                    && (0..max_chunks)
+                        .all(|i| !plan.truncate_trace(&format!("{}:chunk{i}", w.name)))
+            };
+            plan.truncate_trace("mm:chunk1")
+                && !plan.truncate_trace("mm")
+                && !plan.truncate_trace("mm:chunk0")
+                && set[1..].iter().all(|w| clear(w))
+        })
+        .expect("some seed in 0..10000 truncates only mm, at chunk 1");
+
+    let session = clean_session("mid-trace")
+        .with_tracer(tracer)
+        .with_faults(Some(Arc::new(plan_for(seed))));
+    let (prepared, failed) = session.prepare_quarantined(&set);
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    let (name, err) = &failed[0];
+    assert_eq!(name, "mm");
+    assert_eq!(err.stage, Stage::Trace, "{err}");
+    assert!(err.message.contains("truncated at chunk 1"), "{err}");
+    assert_eq!(prepared.len(), set.len() - 1);
 }

@@ -32,7 +32,6 @@ fn session_at(dir: &std::path::Path) -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_streaming(false)
         .with_timing_cache(true)
         .with_store_cap(None)
         .with_store_dir(dir)
@@ -311,10 +310,10 @@ fn timing_cache_opt_out_is_byte_identical() {
 }
 
 #[test]
-fn streamed_faulted_store_sweep_matches_the_reference() {
-    // As if via PRISM_STREAM=1 + site-seeded PRISM_FAULTS: injected
-    // store I/O failures and artifact corruption hit the timing cache
-    // too, and must only ever degrade it to recompute.
+fn faulted_store_sweep_matches_the_reference() {
+    // As if via site-seeded PRISM_FAULTS: injected store I/O failures and
+    // artifact corruption hit the timing cache too, and must only ever
+    // degrade it to recompute.
     let plan = Arc::new(
         FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10,seed=11").expect("valid spec"),
     );
@@ -322,8 +321,7 @@ fn streamed_faulted_store_sweep_matches_the_reference() {
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();
 
-    let swept = session_at(&fresh_dir("faults-stream"))
-        .with_streaming(true)
+    let swept = session_at(&fresh_dir("faults-store"))
         .with_faults(Some(plan))
         .evaluate_designs(&workloads, &cores, &subsets);
     assert_eq!(

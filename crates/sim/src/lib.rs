@@ -51,9 +51,6 @@ pub use branch::{BranchPredictor, BranchPredictorConfig};
 pub use cache::{Cache, CacheConfig, MemLevel, MemoryHierarchy, DEFAULT_DRAM_LATENCY};
 pub use machine::{ControlEffect, ExecError, Machine, MemEffect, StepEffect};
 pub use memory::Memory;
-pub use source::{
-    chunk_size_from_env, peak_chunk_bytes, reset_peak_chunk_bytes, MaterializedSource, SimSource,
-    TraceChunk, TraceSource, CHUNK_ENV, DEFAULT_CHUNK_INSTS,
-};
+pub use source::{MaterializedSource, SimSource, TraceChunk, TraceSource, DEFAULT_CHUNK_INSTS};
 pub use trace::{BranchRecord, DynInst, MemRecord, RegDepTracker, Trace, TraceStats};
 pub use tracer::{trace, trace_with, TraceError, TracerConfig};

@@ -10,13 +10,12 @@
 //! lazily by [`SimSource`] (the simulator loop) or replayed from an
 //! existing trace by [`MaterializedSource`].
 //!
-//! Chunk size is controlled by the `PRISM_CHUNK` environment variable
-//! (default [`DEFAULT_CHUNK_INSTS`] = 64 Ki instructions). Consumers that
+//! Chunks hold [`DEFAULT_CHUNK_INSTS`] = 64 Ki instructions; tests pick
+//! other sizes with `with_chunk_size`. Chunks are never persisted: a
+//! trace is cheaper to re-simulate than to read back. Consumers that
 //! genuinely need random access (Ball-Larus path profiling in `prism-ir`,
 //! Trace-P region replay) use [`TraceSource::materialize`] to collect the
 //! stream into a [`Trace`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use prism_isa::Program;
 
@@ -25,44 +24,8 @@ use crate::{
     TraceStats, TracerConfig,
 };
 
-/// Environment variable selecting the chunk size in instructions.
-pub const CHUNK_ENV: &str = "PRISM_CHUNK";
-
-/// Default chunk size: 64 Ki retired instructions per chunk.
+/// Chunk size: 64 Ki retired instructions per chunk.
 pub const DEFAULT_CHUNK_INSTS: usize = 64 * 1024;
-
-/// High-water mark of chunk payload bytes produced by any source in this
-/// process (for the `--stats` `peak_chunk_bytes` counter).
-static PEAK_CHUNK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn note_chunk_bytes(insts: usize) {
-    let bytes = (insts * std::mem::size_of::<DynInst>()) as u64;
-    PEAK_CHUNK_BYTES.fetch_max(bytes, Ordering::Relaxed);
-}
-
-/// Largest single chunk (in bytes of `DynInst` payload) produced by any
-/// [`TraceSource`] in this process so far.
-#[must_use]
-pub fn peak_chunk_bytes() -> u64 {
-    PEAK_CHUNK_BYTES.load(Ordering::Relaxed)
-}
-
-/// Resets the [`peak_chunk_bytes`] high-water mark (for tests).
-pub fn reset_peak_chunk_bytes() {
-    PEAK_CHUNK_BYTES.store(0, Ordering::Relaxed);
-}
-
-/// Chunk size in instructions: `PRISM_CHUNK` or [`DEFAULT_CHUNK_INSTS`].
-///
-/// Values that fail to parse (or are zero) fall back to the default.
-#[must_use]
-pub fn chunk_size_from_env() -> usize {
-    std::env::var(CHUNK_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CHUNK_INSTS)
-}
 
 /// One bounded block of the retired instruction stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,8 +104,8 @@ pub struct SimSource<'p> {
 }
 
 impl<'p> SimSource<'p> {
-    /// Validates `program` and prepares a lazy source with the
-    /// environment-selected chunk size.
+    /// Validates `program` and prepares a lazy source with
+    /// [`DEFAULT_CHUNK_INSTS`]-instruction chunks.
     ///
     /// # Errors
     ///
@@ -152,7 +115,7 @@ impl<'p> SimSource<'p> {
         Ok(SimSource {
             program,
             config: *config,
-            chunk_size: chunk_size_from_env(),
+            chunk_size: DEFAULT_CHUNK_INSTS,
             machine: Machine::new(program),
             dcache: MemoryHierarchy::new(config.l1d, config.l2, config.dram_latency),
             predictor: BranchPredictor::new(config.branch),
@@ -163,8 +126,7 @@ impl<'p> SimSource<'p> {
         })
     }
 
-    /// Overrides the chunk size (tests and embedders; the CLI path uses
-    /// `PRISM_CHUNK`).
+    /// Overrides the chunk size (tests and embedders).
     #[must_use]
     pub fn with_chunk_size(mut self, insts: usize) -> Self {
         self.chunk_size = insts.max(1);
@@ -275,7 +237,6 @@ impl TraceSource for SimSource<'_> {
             return Ok(None);
         }
         self.next_index += 1;
-        note_chunk_bytes(insts.len());
         Ok(Some(TraceChunk {
             index,
             first_seq,
@@ -299,12 +260,12 @@ pub struct MaterializedSource<'t> {
 }
 
 impl<'t> MaterializedSource<'t> {
-    /// Wraps `trace` with the environment-selected chunk size.
+    /// Wraps `trace` with [`DEFAULT_CHUNK_INSTS`]-instruction chunks.
     #[must_use]
     pub fn new(trace: &'t Trace) -> Self {
         MaterializedSource {
             trace,
-            chunk_size: chunk_size_from_env(),
+            chunk_size: DEFAULT_CHUNK_INSTS,
             pos: 0,
             next_index: 0,
             stats: TraceStats::default(),
@@ -354,7 +315,6 @@ impl TraceSource for MaterializedSource<'_> {
         };
         self.pos = end;
         self.next_index += 1;
-        note_chunk_bytes(chunk.insts.len());
         Ok(Some(chunk))
     }
 }
@@ -467,20 +427,6 @@ mod tests {
         }
         assert!(flags.ends_with(&[true]));
         assert!(flags.iter().filter(|&&l| l).count() == 1);
-    }
-
-    #[test]
-    fn peak_chunk_bytes_tracks_high_water_mark() {
-        reset_peak_chunk_bytes();
-        let p = counting_loop(100);
-        let mut src = SimSource::new(&p, &TracerConfig::default())
-            .unwrap()
-            .with_chunk_size(64);
-        while src.next_chunk().unwrap().is_some() {}
-        assert_eq!(
-            peak_chunk_bytes(),
-            64 * std::mem::size_of::<DynInst>() as u64
-        );
     }
 
     #[test]

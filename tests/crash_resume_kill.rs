@@ -95,8 +95,7 @@ fn child_explore() -> ! {
         .with_store_dir(PathBuf::from(store))
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
-        .with_streaming(false);
+        .with_divergence_guard(None);
     let (cores, subsets) = small_grid();
     let report = session.evaluate_designs_resumable(&micro_set(), &cores, &subsets, resume);
     print_report(&report);
