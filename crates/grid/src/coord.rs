@@ -21,18 +21,26 @@
 //! quarantine entry behind; when the reassigned unit later succeeds,
 //! normalization promotes it to [`SweepReport::recovered`], so fleet
 //! trouble is visible in the merged report without changing its results.
+//!
+//! One event loop handles every inbound frame, through one handler, from
+//! the first `Assign` to the last link's `Eof`. Once every unit is
+//! settled or queued for local fallback, the loop sends `Shutdown` once
+//! and keeps handling frames until each live link has delivered its
+//! `Eof`: frames on one link arrive in order, so `Bye` counters and the
+//! replies to every `Fetch` land before it. Links still open after
+//! [`SHUTDOWN_GRACE`] are killed, and every link is then reaped.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint};
+use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult};
 use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink, NET_TOKEN_ENV};
 use prism_pipeline::{
-    crash_point, sweep_key, ArtifactStore, ContentHash, FaultPlan, PipelineError, Session, Stage,
-    SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
+    crash_point, sweep_key, ArtifactStore, ContentHash, FaultPlan, JournalReplay, PipelineError,
+    Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -40,47 +48,21 @@ use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
 use crate::proto::{FromWorker, ToWorker, PROTO_VERSION};
-use crate::worker::{SHARD_ENV, WORKER_ENV};
+use crate::worker::{find_workload, WORKER_ENV};
 use crate::WORKERS_ENV;
-
-/// Environment variable overriding the heartbeat timeout, in integer
-/// milliseconds (e.g. `PRISM_GRID_TIMEOUT_MS=2000`). Useful on loaded CI
-/// machines where a healthy worker can stall past the default 10 s.
-pub const GRID_TIMEOUT_ENV: &str = "PRISM_GRID_TIMEOUT_MS";
 
 /// How many times one remote link is redialed over a run before its
 /// shard slot is given up for dead. Each attempt is itself a bounded
 /// backoff dial sequence (see [`prism_net::RECONNECT_ATTEMPTS`]).
 const LINK_RECONNECTS: u32 = 3;
 
-/// Parses a heartbeat-timeout override (integer milliseconds, ≥ 1).
-///
-/// # Errors
-///
-/// Describes the malformed value; front-ends treat that as fatal
-/// misconfiguration rather than silently falling back to the default.
-pub fn parse_grid_timeout(raw: &str) -> Result<Duration, String> {
-    let ms: u64 = raw
-        .trim()
-        .parse()
-        .map_err(|_| format!("{GRID_TIMEOUT_ENV} must be integer milliseconds, got `{raw}`"))?;
-    if ms == 0 {
-        return Err(format!("{GRID_TIMEOUT_ENV} must be at least 1 ms"));
-    }
-    Ok(Duration::from_millis(ms))
-}
+/// How often the event loop wakes for heartbeat supervision when no
+/// frame arrives.
+const SUPERVISION_TICK: Duration = Duration::from_millis(100);
 
-/// The heartbeat timeout from `PRISM_GRID_TIMEOUT_MS`, defaulting to 10 s
-/// when unset or empty. Panics on a malformed value (matching the other
-/// `PRISM_*` knobs: fail loudly rather than run with a surprise default).
-fn grid_timeout_from_env() -> Duration {
-    match std::env::var(GRID_TIMEOUT_ENV) {
-        Ok(raw) if !raw.trim().is_empty() => {
-            parse_grid_timeout(&raw).unwrap_or_else(|e| panic!("{e}"))
-        }
-        _ => Duration::from_secs(10),
-    }
-}
+/// How long links get after `Shutdown` to deliver their `Eof` before the
+/// ones still open are killed.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// Configuration for one grid run.
 #[derive(Debug, Clone)]
@@ -142,7 +124,7 @@ impl GridConfig {
             max_insts: TracerConfig::default().max_insts,
             artifact_dir: ArtifactStore::default_dir(),
             worker_cmd: None,
-            heartbeat_timeout: grid_timeout_from_env(),
+            heartbeat_timeout: Duration::from_secs(10),
             window: 2,
             env: Vec::new(),
             env_remove: Vec::new(),
@@ -297,18 +279,15 @@ struct Unit {
     attempts: usize,
     failed_on: Vec<usize>,
     resolved: bool,
-    /// Shard this unit was journaled as assigned to (advisory): a
-    /// resumed coordinator prefers the recorded placement so a re-run
-    /// repeats the prior plan instead of re-planning from scratch.
-    planned: Option<usize>,
-    /// Shard the last `assigned` journal record names, to avoid
-    /// re-journaling an unchanged placement.
-    assign_logged: Option<usize>,
+    /// Queued for in-process evaluation: no eligible shard was left.
+    local: bool,
 }
 
 /// Coordinator-side view of one worker (local subprocess or remote link).
 struct WorkerState {
     link: Box<dyn ShardLink>,
+    /// Supervised and eligible for work until `Shutdown`; afterwards,
+    /// open until the link delivers its `Eof`.
     alive: bool,
     last_beat: Instant,
     inflight: Vec<usize>,
@@ -320,13 +299,39 @@ struct WorkerState {
     reconnects_left: u32,
 }
 
-/// The worker subprocess command for one local shard (the link layer
-/// pipes its stdin/stdout; stderr stays inherited).
-fn worker_command(cmd: &PathBuf, shard: usize, config: &GridConfig) -> Command {
+/// Push-side artifact warming for remote shards, which do not share the
+/// coordinator's store.
+struct Push {
+    session: Session,
+    workload_keys: Vec<ContentHash>,
+    /// Timing artifacts learned from settled units, grouped by core
+    /// index: cores that differ only in priced parameters share a timing
+    /// shape key, so a walk shipped back by one shard warms every later
+    /// assign of a shape-sharing core on any other shard.
+    learned_timing: HashMap<usize, Vec<ContentHash>>,
+    /// Per-shard sent-sets keep the push one-shot per (artifact, shard).
+    timing_sent: Vec<HashSet<ContentHash>>,
+}
+
+impl Push {
+    /// The design-point key `unit` settles into, assuming every workload
+    /// is healthy. A mismatch (some workload quarantined) just makes a
+    /// push useless — correctness never depends on shipped artifacts.
+    fn unit_key(&self, config: &GridConfig, unit: &Unit) -> ContentHash {
+        self.session.design_point_key(
+            &self.workload_keys,
+            &config.cores[unit.core_idx],
+            &config.subsets[unit.subset_idx],
+        )
+    }
+}
+
+/// The worker subprocess command for local shards (the link layer pipes
+/// its stdin/stdout; stderr stays inherited).
+fn worker_command(cmd: &PathBuf, config: &GridConfig) -> Command {
     let mut builder = Command::new(cmd);
     builder
         .env(WORKER_ENV, "1")
-        .env(SHARD_ENV, shard.to_string())
         .env("PRISM_ARTIFACT_DIR", &config.artifact_dir)
         // A worker must never recurse into coordinating its own fleet.
         .env_remove(WORKERS_ENV);
@@ -351,103 +356,617 @@ fn hello_line(config: &GridConfig, shard: usize) -> String {
     .encode()
 }
 
-/// Marks a shard dead, reassigns its unresolved in-flight units (leaving
-/// a synthetic quarantine entry each, so a later success surfaces as
-/// `recovered`), and — for remote links with attempts left — tries to
-/// reconnect and open a fresh session.
-#[allow(clippy::too_many_arguments)]
-fn mark_dead_and_reassign(
-    shard: usize,
-    reason: &str,
-    hello: &str,
-    workers: &mut [WorkerState],
-    units: &[Unit],
-    pending: &mut VecDeque<usize>,
-    shard_reports: &mut [SweepReport],
-    fetch_pending: &mut [usize],
-    stats: &mut GridStats,
-) {
-    let w = &mut workers[shard];
-    if !w.alive {
-        return;
-    }
-    eprintln!("[prism-grid] shard {shard}: {reason}");
-    w.alive = false;
-    w.link.kill();
-    stats.workers_died += 1;
-    // Outstanding artifact fetches died with the session.
-    fetch_pending[shard] = 0;
-    for uid in std::mem::take(&mut w.inflight) {
-        if units[uid].resolved {
-            continue;
+/// The state one grid run shares between its frame handler, dead-link
+/// recovery, dispatch and the local fallback.
+struct Coordinator<'a> {
+    config: &'a GridConfig,
+    store: ArtifactStore,
+    journal: Option<SweepJournal>,
+    units: Vec<Unit>,
+    workers: Vec<WorkerState>,
+    /// What the journal settled before any worker ran.
+    replay: SweepReport,
+    /// One report per shard, then the local fallback's.
+    shard_reports: Vec<SweepReport>,
+    /// Units waiting for a shard, in dispatch order.
+    pending: Vec<usize>,
+    push: Option<Push>,
+    /// When links still open after `Shutdown` are killed; `None` until
+    /// `Shutdown` goes out.
+    shutdown_deadline: Option<Instant>,
+    stats: GridStats,
+}
+
+impl Coordinator<'_> {
+    /// Spawns local workers and dials remote daemons (shards `0..workers`,
+    /// then one slot per host), opens every live session, and returns the
+    /// channel all links report on. A failed spawn or connect leaves a
+    /// dead placeholder so shard ids keep matching vector indices.
+    fn connect(&mut self) -> Result<mpsc::Receiver<(usize, LinkEvent)>, GridError> {
+        let config = self.config;
+        let (tx, rx) = mpsc::channel();
+        if config.workers > 0 {
+            let cmd = match &config.worker_cmd {
+                Some(cmd) => cmd.clone(),
+                None => std::env::current_exe()
+                    .map_err(|e| err(format!("cannot resolve current executable: {e}")))?,
+            };
+            for shard in 0..config.workers {
+                let link = StdioLink::spawn(worker_command(&cmd, config), shard, &tx);
+                self.add_shard(link, None, "spawn");
+            }
         }
-        stats.units_reassigned += 1;
-        if let Some(h) = w.host {
-            stats.hosts[h].recoveries += 1;
+        let token = std::env::var(NET_TOKEN_ENV).unwrap_or_default();
+        for (hidx, host) in config.hosts.iter().enumerate() {
+            let link = TcpLink::connect(
+                &host.addr(),
+                self.workers.len(),
+                &token,
+                config.net_faults.clone(),
+                tx.clone(),
+            );
+            self.add_shard(link, Some(hidx), &format!("connect to {host}"));
         }
-        let label = &units[uid].label;
-        shard_reports[shard].quarantined.push((
-            label.clone(),
-            PipelineError::new(
-                label,
-                Stage::Evaluate,
-                "worker died with unit in flight; reassigned",
-            ),
-        ));
-        pending.push_back(uid);
-    }
-    if w.link.is_remote() && w.reconnects_left > 0 {
-        w.reconnects_left -= 1;
-        match w.link.reconnect() {
-            Ok(gen) => {
-                w.gen = gen;
-                if w.link.send_line(hello).is_ok() {
-                    w.alive = true;
-                    w.last_beat = Instant::now();
-                    if let Some(h) = w.host {
-                        stats.hosts[h].reconnects += 1;
-                    }
-                    eprintln!(
-                        "[prism-grid] shard {shard}: reconnected ({})",
-                        w.link.describe()
-                    );
+        for (shard, worker) in self.workers.iter_mut().enumerate() {
+            if worker.alive {
+                if let Err(e) = worker.link.send_line(&hello_line(config, shard)) {
+                    eprintln!("[prism-grid] shard {shard}: hello failed: {e}");
                 }
             }
-            Err(e) => eprintln!("[prism-grid] shard {shard}: reconnect failed: {e}"),
+        }
+        self.shard_reports = (0..self.workers.len())
+            .map(|_| SweepReport::default())
+            .collect();
+        if !config.hosts.is_empty() {
+            let session = Session::new()
+                .with_tracer(tracer_for(config))
+                .with_store_dir(&config.artifact_dir);
+            let workload_keys = config
+                .workloads
+                .iter()
+                .filter_map(|name| find_workload(name))
+                .map(|w| session.workload_key(w.name, w.scaled_n()))
+                .collect();
+            self.push = Some(Push {
+                session,
+                workload_keys,
+                learned_timing: HashMap::new(),
+                timing_sent: vec![HashSet::new(); self.workers.len()],
+            });
+        }
+        Ok(rx)
+    }
+
+    fn add_shard<L: ShardLink + 'static>(
+        &mut self,
+        link: std::io::Result<L>,
+        host: Option<usize>,
+        what: &str,
+    ) {
+        let shard = self.workers.len();
+        let (link, alive) = match link {
+            Ok(link) => {
+                self.stats.workers_spawned += 1;
+                (Box::new(link) as Box<dyn ShardLink>, true)
+            }
+            Err(e) => {
+                eprintln!("[prism-grid] shard {shard}: {what} failed: {e}");
+                (Box::new(DeadLink::new(what)) as Box<dyn ShardLink>, false)
+            }
+        };
+        self.workers.push(WorkerState {
+            gen: link.generation(),
+            reconnects_left: if link.is_remote() { LINK_RECONNECTS } else { 0 },
+            link,
+            alive,
+            last_beat: Instant::now(),
+            inflight: Vec::new(),
+            host,
+        });
+    }
+
+    /// The event loop, from the first `Assign` to the last link's `Eof`.
+    /// Once every unit is settled or queued for local fallback it sends
+    /// `Shutdown` once and keeps handling frames until each live link has
+    /// delivered its `Eof` or [`SHUTDOWN_GRACE`] passes; links still open
+    /// then are killed, every link is reaped, and whatever their readers
+    /// forwarded meanwhile goes through the same handler.
+    fn run(&mut self, rx: &mpsc::Receiver<(usize, LinkEvent)>) {
+        loop {
+            let wait = match self.shutdown_deadline {
+                None => {
+                    self.dispatch();
+                    if self.units.iter().all(|u| u.resolved || u.local) {
+                        self.shutdown();
+                        continue;
+                    }
+                    SUPERVISION_TICK
+                }
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() || !self.workers.iter().any(|w| w.alive) {
+                        break;
+                    }
+                    left
+                }
+            };
+            match rx.recv_timeout(wait) {
+                Ok((shard, event)) => self.handle(shard, event),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Every link's reader is gone: mark all workers dead.
+                    for shard in 0..self.workers.len() {
+                        self.mark_dead(shard, "event channel disconnected");
+                    }
+                }
+            }
+            if self.shutdown_deadline.is_none() {
+                self.check_heartbeats();
+            }
+        }
+        for worker in &mut self.workers {
+            if worker.alive {
+                worker.link.kill();
+            }
+            worker.link.reap();
+        }
+        while let Ok((shard, event)) = rx.try_recv() {
+            self.handle(shard, event);
+        }
+    }
+
+    /// Fills every live worker's window with the least-loaded eligible
+    /// shard, routing retries away from shards they already failed on;
+    /// units with no eligible shard left queue for local evaluation.
+    fn dispatch(&mut self) {
+        for uid in std::mem::take(&mut self.pending) {
+            let unit = &self.units[uid];
+            if unit.resolved {
+                continue;
+            }
+            let pick = self
+                .workers
+                .iter()
+                .enumerate()
+                .filter(|&(shard, w)| {
+                    w.alive
+                        && w.inflight.len() < self.config.window
+                        && !unit.failed_on.contains(&shard)
+                })
+                .min_by_key(|(_, w)| w.inflight.len())
+                .map(|(shard, _)| shard);
+            let Some(shard) = pick else {
+                let possible = self
+                    .workers
+                    .iter()
+                    .enumerate()
+                    .any(|(shard, w)| w.alive && !unit.failed_on.contains(&shard));
+                if possible {
+                    self.pending.push(uid); // workers busy; wait
+                } else {
+                    self.units[uid].local = true;
+                }
+                continue;
+            };
+            self.warm(shard, uid);
+            let unit = &self.units[uid];
+            let msg = ToWorker::Assign {
+                id: uid as u64,
+                core: unit.core_name.clone(),
+                bsas: unit.bsa_codes.clone(),
+            }
+            .encode();
+            if self.workers[shard].link.send_line(&msg).is_ok() {
+                self.workers[shard].inflight.push(uid);
+            } else {
+                // Write failure: the worker is dying; its Eof event will
+                // handle the cleanup. Try again next round.
+                self.pending.push(uid);
+            }
+        }
+    }
+
+    /// Warms a remote shard's store before an assign: the artifact the
+    /// unit would settle into, if the coordinator already has it, and
+    /// any timing walks already learned for the unit's core, so the shard
+    /// prices instead of re-walking. Missing or stale docs just mean the
+    /// worker recomputes — never a correctness risk.
+    fn warm(&mut self, shard: usize, uid: usize) {
+        let (Some(push), Some(h)) = (&mut self.push, self.workers[shard].host) else {
+            return;
+        };
+        let unit = &self.units[uid];
+        let akey = push.unit_key(self.config, unit);
+        let mut docs = Vec::new();
+        if let Some(doc) = self.store.export(&akey) {
+            docs.push((akey, doc));
+        }
+        for tkey in push
+            .learned_timing
+            .get(&unit.core_idx)
+            .into_iter()
+            .flatten()
+        {
+            if push.timing_sent[shard].contains(tkey) {
+                continue;
+            }
+            if let Some(doc) = self.store.export(tkey) {
+                push.timing_sent[shard].insert(*tkey);
+                docs.push((*tkey, doc));
+            }
+        }
+        for (key, doc) in docs {
+            self.stats.hosts[h].bytes_shipped += doc.len() as u64;
+            let frame = ToWorker::Artifact {
+                key: key.hex(),
+                doc,
+            };
+            let _ = self.workers[shard].link.send_line(&frame.encode());
+        }
+    }
+
+    /// Sends `Shutdown` to every live link and starts the close deadline.
+    fn shutdown(&mut self) {
+        self.shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
+        for worker in self.workers.iter_mut().filter(|w| w.alive) {
+            let _ = worker.link.send_line(&ToWorker::Shutdown.encode());
+            worker.link.shutdown_input();
+        }
+    }
+
+    /// The one handler for every inbound link event, before and after
+    /// `Shutdown`.
+    fn handle(&mut self, shard: usize, event: LinkEvent) {
+        let (gen, line) = match event {
+            LinkEvent::Line(gen, line) => (gen, Some(line)),
+            LinkEvent::Eof(gen) => (gen, None),
+        };
+        if shard >= self.workers.len() || gen != self.workers[shard].gen {
+            return; // stale connection generation
+        }
+        let Some(line) = line else {
+            // After `Shutdown`, an Eof only closes its link.
+            if self.shutdown_deadline.is_some() {
+                self.workers[shard].alive = false;
+            } else {
+                self.mark_dead(shard, "link closed unexpectedly");
+            }
+            return;
+        };
+        self.workers[shard].last_beat = Instant::now();
+        let msg = match FromWorker::decode(&line) {
+            Ok(msg) => msg,
+            Err(e) => {
+                self.mark_dead(shard, &format!("garbled output: {e}"));
+                return;
+            }
+        };
+        let host = self.workers[shard].host;
+        match msg {
+            FromWorker::HelloAck { .. } | FromWorker::Heartbeat { .. } => {}
+            FromWorker::Bye {
+                walks,
+                walks_skipped,
+                shape_memo_hits,
+                timing_artifacts_loaded,
+            } => {
+                fold_walk_stats(
+                    &mut self.stats,
+                    host,
+                    walks,
+                    walks_skipped,
+                    shape_memo_hits,
+                    timing_artifacts_loaded,
+                );
+            }
+            FromWorker::UnitResult {
+                id,
+                result,
+                artifacts,
+            } => {
+                // Kill point: the unit's artifact is durable (the worker
+                // stored it before reporting) but nothing is journaled
+                // yet — a resume must recompute cheaply from the store,
+                // not lose the unit.
+                crash_point(SITE_GRID_FRAME);
+                let uid = id as usize;
+                self.workers[shard].inflight.retain(|&u| u != uid);
+                if uid < self.units.len() {
+                    self.settle(uid, host, Ok(&result));
+                    self.learn_timing(uid, &artifacts);
+                }
+                self.shard_reports[shard].results.push(result);
+                if self.workers[shard].link.is_remote() {
+                    self.fetch_missing(shard, artifacts);
+                }
+            }
+            FromWorker::UnitQuarantine { id, key, error } => {
+                crash_point(SITE_GRID_FRAME);
+                if let Some(uid) = id.map(|id| id as usize) {
+                    self.workers[shard].inflight.retain(|&u| u != uid);
+                    if uid < self.units.len() && !self.units[uid].resolved {
+                        let unit = &mut self.units[uid];
+                        unit.attempts += 1;
+                        unit.failed_on.push(shard);
+                        if unit.attempts <= self.config.shard_retries {
+                            self.stats.units_retried += 1;
+                            self.pending.push(uid);
+                        } else {
+                            self.settle(uid, host, Err(&error));
+                        }
+                    }
+                }
+                self.shard_reports[shard].quarantined.push((key, error));
+            }
+            FromWorker::Artifact { key, doc } => {
+                if let Some(h) = host {
+                    self.stats.hosts[h].bytes_shipped += doc.len() as u64;
+                }
+                // Empty doc = "worker doesn't have it"; nothing to do.
+                if !doc.is_empty() {
+                    match ContentHash::from_hex(&key) {
+                        Some(hash) => {
+                            if let Err(e) = self.store.import(&hash, &doc) {
+                                eprintln!(
+                                    "[prism-grid] shard {shard}: artifact import failed: {e}"
+                                );
+                            }
+                        }
+                        None => {
+                            eprintln!("[prism-grid] shard {shard}: artifact with bad key {key}");
+                        }
+                    }
+                }
+            }
+            FromWorker::Fatal { message } => {
+                self.mark_dead(shard, &format!("fatal: {message}"));
+            }
+        }
+    }
+
+    /// Settles `uid` with its final outcome, credits the remote `host`
+    /// that produced it, and journals it; a unit already settled is left
+    /// alone. Only a *permanent* quarantine comes here: a retry may still
+    /// succeed, and a later `done` must win on replay.
+    fn settle(
+        &mut self,
+        uid: usize,
+        host: Option<usize>,
+        outcome: Result<&DesignResult, &PipelineError>,
+    ) {
+        let unit = &mut self.units[uid];
+        if unit.resolved {
+            return;
+        }
+        unit.resolved = true;
+        if let Some(h) = host {
+            self.stats.hosts[h].units += 1;
+        }
+        if let Some(journal) = &self.journal {
+            let appended = match outcome {
+                Ok(result) => journal.append_done(&unit.label, result),
+                Err(error) => journal.append_quarantined(&unit.label, error),
+            };
+            if let Err(e) = appended {
+                eprintln!("[prism-grid] journal append failed: {e}");
+            }
+        }
+    }
+
+    /// Learns a settled unit's timing shape keys — every reported
+    /// artifact beyond the design-point result — so later assigns of
+    /// shape-sharing cores are warmed push-side.
+    fn learn_timing(&mut self, uid: usize, artifacts: &[String]) {
+        let Some(push) = &mut self.push else {
+            return;
+        };
+        let unit = &self.units[uid];
+        let akey = push.unit_key(self.config, unit);
+        let learned = push.learned_timing.entry(unit.core_idx).or_default();
+        for hash in artifacts.iter().filter_map(|k| ContentHash::from_hex(k)) {
+            if hash != akey && !learned.contains(&hash) {
+                learned.push(hash);
+            }
+        }
+    }
+
+    /// Pulls any result artifacts a remote store has that ours is missing
+    /// (pure cache warmth: resume and correctness never depend on the
+    /// shipment). The worker answers `Fetch` before it reads `Shutdown`,
+    /// so every reply lands before the link's `Eof`.
+    fn fetch_missing(&mut self, shard: usize, artifacts: Vec<String>) {
+        let missing: Vec<String> = artifacts
+            .into_iter()
+            .filter(|k| ContentHash::from_hex(k).is_some_and(|hash| !self.store.contains(&hash)))
+            .collect();
+        if !missing.is_empty() {
+            let fetch = ToWorker::Fetch { keys: missing }.encode();
+            let _ = self.workers[shard].link.send_line(&fetch);
+        }
+    }
+
+    /// Heartbeat supervision: a silent worker is dead, and its in-flight
+    /// units must not be lost.
+    fn check_heartbeats(&mut self) {
+        let timeout = self.config.heartbeat_timeout;
+        for shard in 0..self.workers.len() {
+            if self.workers[shard].alive && self.workers[shard].last_beat.elapsed() > timeout {
+                self.mark_dead(shard, &format!("no heartbeat for {timeout:?}"));
+            }
+        }
+    }
+
+    /// Marks a shard dead, reassigns its unresolved in-flight units
+    /// (leaving a synthetic quarantine entry each, so a later success
+    /// surfaces as `recovered`), and — before `Shutdown`, for remote links
+    /// with attempts left — tries to reconnect and open a fresh session.
+    fn mark_dead(&mut self, shard: usize, reason: &str) {
+        let w = &mut self.workers[shard];
+        if !w.alive {
+            return;
+        }
+        eprintln!("[prism-grid] shard {shard}: {reason}");
+        w.alive = false;
+        w.link.kill();
+        self.stats.workers_died += 1;
+        for uid in std::mem::take(&mut w.inflight) {
+            if self.units[uid].resolved {
+                continue;
+            }
+            self.stats.units_reassigned += 1;
+            if let Some(h) = w.host {
+                self.stats.hosts[h].recoveries += 1;
+            }
+            let label = &self.units[uid].label;
+            self.shard_reports[shard].quarantined.push((
+                label.clone(),
+                PipelineError::new(
+                    label,
+                    Stage::Evaluate,
+                    "worker died with unit in flight; reassigned",
+                ),
+            ));
+            self.pending.push(uid);
+        }
+        if self.shutdown_deadline.is_none() && w.link.is_remote() && w.reconnects_left > 0 {
+            w.reconnects_left -= 1;
+            match w.link.reconnect() {
+                Ok(gen) => {
+                    w.gen = gen;
+                    if w.link.send_line(&hello_line(self.config, shard)).is_ok() {
+                        w.alive = true;
+                        w.last_beat = Instant::now();
+                        if let Some(h) = w.host {
+                            self.stats.hosts[h].reconnects += 1;
+                        }
+                        eprintln!(
+                            "[prism-grid] shard {shard}: reconnected ({})",
+                            w.link.describe()
+                        );
+                    }
+                }
+                Err(e) => eprintln!("[prism-grid] shard {shard}: reconnect failed: {e}"),
+            }
+        }
+    }
+
+    /// Evaluates in-process every unit no worker could take (and no late
+    /// frame settled), journaling each outcome through [`Self::settle`].
+    fn run_local_fallback(&mut self) {
+        let local: Vec<usize> = (0..self.units.len())
+            .filter(|&uid| self.units[uid].local && !self.units[uid].resolved)
+            .collect();
+        if local.is_empty() {
+            return;
+        }
+        let config = self.config;
+        let mut report = SweepReport::default();
+        let session = Session::new()
+            .with_tracer(tracer_for(config))
+            .with_store_dir(&config.artifact_dir);
+        let mut workloads: Vec<&Workload> = Vec::new();
+        for name in &config.workloads {
+            match find_workload(name) {
+                Some(w) => workloads.push(w),
+                None => report.quarantined.push((
+                    format!("workload:{name}"),
+                    PipelineError::new(name, Stage::Build, "unknown workload"),
+                )),
+            }
+        }
+        for uid in local {
+            let unit = &self.units[uid];
+            let label = unit.label.clone();
+            let mut unit_report = session.evaluate_designs(
+                &workloads,
+                &[config.cores[unit.core_idx].clone()],
+                &[config.subsets[unit.subset_idx].clone()],
+            );
+            if unit_report.results.is_empty()
+                && !unit_report.quarantined.iter().any(|(k, _)| *k == label)
+            {
+                unit_report.quarantined.push((
+                    label.clone(),
+                    PipelineError::new(&label, Stage::Evaluate, "no healthy workloads to evaluate"),
+                ));
+            }
+            let outcome = match unit_report.results.iter().find(|r| r.label == label) {
+                Some(result) => Some(Ok(result)),
+                None => unit_report
+                    .quarantined
+                    .iter()
+                    .find(|(k, _)| *k == label)
+                    .map(|(_, e)| Err(e)),
+            };
+            if let Some(outcome) = outcome {
+                self.settle(uid, None, outcome);
+            }
+            report.merge(unit_report);
+            self.stats.local_fallback_units += 1;
+        }
+        let local_stats = session.stats();
+        fold_walk_stats(
+            &mut self.stats,
+            None,
+            local_stats.trace_walks,
+            local_stats.walks_skipped,
+            local_stats.shape_memo_hits,
+            local_stats.timing_artifacts_loaded,
+        );
+        self.shard_reports.push(report);
+    }
+
+    /// Merges the replayed and per-shard reports. A finished sweep with no
+    /// permanent quarantines has nothing left to resume; one *with*
+    /// quarantines keeps its journal so a `--resume` replays the
+    /// identical errors instead of re-running known-bad units.
+    fn finish(self) -> GridOutcome {
+        let mut merged = self.replay;
+        for report in self.shard_reports {
+            merged.merge(report);
+        }
+        merged.normalize();
+        if let Some(journal) = self.journal {
+            if merged.quarantined.is_empty() {
+                if let Err(e) = journal.remove() {
+                    eprintln!("[prism-grid] could not remove finished journal: {e}");
+                }
+            }
+        }
+        GridOutcome {
+            report: merged,
+            stats: self.stats,
         }
     }
 }
 
-/// Runs the sharded sweep: spawns local workers and connects remote
-/// daemons, streams assignments with a small per-worker window (so
-/// prepare overlaps evaluate), supervises by heartbeat, retries
-/// quarantined units on a different shard, reassigns the in-flight units
-/// of dead workers (reconnecting remote links), pulls missing result
-/// artifacts from remote stores, falls back to in-process evaluation
-/// when no eligible worker remains, and merges every shard's report.
+/// The tracer every shard runs with.
+fn tracer_for(config: &GridConfig) -> TracerConfig {
+    TracerConfig {
+        max_insts: config.max_insts,
+        ..TracerConfig::default()
+    }
+}
+
+/// Runs the sharded sweep: replays the sweep journal, spawns local
+/// workers and connects remote daemons, streams assignments with a small
+/// per-worker window (so prepare overlaps evaluate), supervises by
+/// heartbeat, retries quarantined units on a different shard, reassigns
+/// the in-flight units of dead workers (reconnecting remote links),
+/// pulls missing result artifacts from remote stores, falls back to
+/// in-process evaluation when no eligible worker remains, and merges
+/// every shard's report. A journal that settles every unit returns its
+/// replay without spawning or dialing anything.
 ///
 /// # Errors
 ///
 /// Returns a [`GridError`] only when the run cannot start (zero workers
 /// and zero hosts configured, no worker executable); anything that fails
 /// *during* the run quarantines units instead.
-#[allow(clippy::too_many_lines)]
 pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     if config.workers == 0 && config.hosts.is_empty() {
         return Err(err("at least one worker or host is required"));
     }
-    let worker_cmd = if config.workers == 0 {
-        None
-    } else {
-        match &config.worker_cmd {
-            Some(cmd) => Some(cmd.clone()),
-            None => Some(
-                std::env::current_exe()
-                    .map_err(|e| err(format!("cannot resolve current executable: {e}")))?,
-            ),
-        }
-    };
-    let token = std::env::var(NET_TOKEN_ENV).unwrap_or_default();
 
     // The unit space, in the same core-major order as `explore_grid`.
     let mut units: Vec<Unit> = Vec::with_capacity(config.cores.len() * config.subsets.len());
@@ -462,736 +981,94 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                 attempts: 0,
                 failed_on: Vec::new(),
                 resolved: false,
-                planned: None,
-                assign_logged: None,
+                local: false,
             });
         }
     }
-
-    let (tx, rx) = mpsc::channel();
-    let total_shards = config.workers + config.hosts.len();
-    let mut workers: Vec<WorkerState> = Vec::with_capacity(total_shards);
     let mut stats = GridStats {
         units_total: units.len(),
+        hosts: config
+            .hosts
+            .iter()
+            .map(|host| HostStats {
+                addr: host.to_string(),
+                ..HostStats::default()
+            })
+            .collect(),
         ..GridStats::default()
     };
 
     // Opportunistic repair: reclaim tmp files orphaned by killed runs
     // (never a live process's, never younger than the safety window).
     let store = ArtifactStore::new(&config.artifact_dir);
-    let (_, gc_bytes) = store.gc_tmp_files(GC_SAFETY_WINDOW);
-    stats.gc_reclaimed_bytes = gc_bytes;
+    stats.gc_reclaimed_bytes = store.gc_tmp_files(GC_SAFETY_WINDOW).1;
 
     // Sweep journal: derived from the exact same inputs a single-process
     // `Session` sweep uses, so `prism explore` and `prism grid` over the
     // same space share one journal file. Units the journal records as
     // settled are resolved up front and never assigned to a worker.
-    let tracer = TracerConfig {
-        max_insts: config.max_insts,
-        ..TracerConfig::default()
-    };
     let wl_sizes: Vec<(String, u32)> = config
         .workloads
         .iter()
-        .filter_map(|name| {
-            prism_workloads::by_name(name)
-                .or_else(|| prism_workloads::MICRO.iter().find(|m| m.name == name))
-                .map(|w| (w.name.to_string(), w.scaled_n()))
-        })
+        .filter_map(|name| find_workload(name))
+        .map(|w| (w.name.to_string(), w.scaled_n()))
         .collect();
-    let sweep = sweep_key(&wl_sizes, &tracer, &config.cores, &config.subsets);
-    let mut replay_report = SweepReport::default();
-    let journal = match SweepJournal::open(&config.artifact_dir, &sweep, config.resume) {
-        Ok((journal, replay)) => {
-            for unit in &mut units {
-                if let Some(&shard) = replay.assigned.get(&unit.label) {
-                    unit.planned = Some(shard as usize);
-                }
-                if let Some(result) = replay.done.get(&unit.label) {
-                    replay_report.results.push(result.clone());
-                } else if let Some(error) = replay.quarantined.get(&unit.label) {
-                    replay_report
-                        .quarantined
-                        .push((unit.label.clone(), error.clone()));
-                } else {
-                    continue;
-                }
-                unit.resolved = true;
-                stats.resumed += 1;
-            }
-            stats.replayed = replay.records as usize;
-            if replay.dropped > 0 {
-                eprintln!(
-                    "[prism-grid] journal: dropped {} torn/corrupt trailing record(s)",
-                    replay.dropped
-                );
-            }
-            Some(journal)
-        }
+    let sweep = sweep_key(
+        &wl_sizes,
+        &tracer_for(config),
+        &config.cores,
+        &config.subsets,
+    );
+    let (journal, replay) = match SweepJournal::open(&config.artifact_dir, &sweep, config.resume) {
+        Ok((journal, replay)) => (Some(journal), replay),
         Err(e) => {
             eprintln!("[prism-grid] journal unavailable ({e}); sweep will not be resumable");
-            None
+            (None, JournalReplay::default())
         }
     };
-
-    // Local shards first (0..workers), then one slot per remote host; a
-    // failed spawn or connect leaves a dead placeholder so shard ids keep
-    // matching vector indices.
-    for shard in 0..config.workers {
-        let cmd = worker_cmd.as_ref().expect("workers > 0 resolves a command");
-        match StdioLink::spawn(worker_command(cmd, shard, config), shard, &tx) {
-            Ok(link) => {
-                stats.workers_spawned += 1;
-                workers.push(WorkerState {
-                    link: Box::new(link),
-                    alive: true,
-                    last_beat: Instant::now(),
-                    inflight: Vec::new(),
-                    gen: 0,
-                    host: None,
-                    reconnects_left: 0,
-                });
-            }
-            Err(e) => {
-                eprintln!("[prism-grid] shard {shard}: spawn failed: {e}");
-                workers.push(WorkerState {
-                    link: Box::new(DeadLink::new(&format!("local shard {shard}"))),
-                    alive: false,
-                    last_beat: Instant::now(),
-                    inflight: Vec::new(),
-                    gen: 0,
-                    host: None,
-                    reconnects_left: 0,
-                });
-            }
+    let mut replay_report = SweepReport::default();
+    for unit in &mut units {
+        if let Some(result) = replay.done.get(&unit.label) {
+            replay_report.results.push(result.clone());
+        } else if let Some(error) = replay.quarantined.get(&unit.label) {
+            replay_report
+                .quarantined
+                .push((unit.label.clone(), error.clone()));
+        } else {
+            continue;
         }
+        unit.resolved = true;
+        stats.resumed += 1;
     }
-    for (hidx, host) in config.hosts.iter().enumerate() {
-        let shard = config.workers + hidx;
-        stats.hosts.push(HostStats {
-            addr: host.to_string(),
-            ..HostStats::default()
-        });
-        match TcpLink::connect(
-            &host.addr(),
-            shard,
-            &token,
-            config.net_faults.clone(),
-            tx.clone(),
-        ) {
-            Ok(link) => {
-                stats.workers_spawned += 1;
-                let gen = link.generation();
-                workers.push(WorkerState {
-                    link: Box::new(link),
-                    alive: true,
-                    last_beat: Instant::now(),
-                    inflight: Vec::new(),
-                    gen,
-                    host: Some(hidx),
-                    reconnects_left: LINK_RECONNECTS,
-                });
-            }
-            Err(e) => {
-                eprintln!("[prism-grid] shard {shard}: connect to {host} failed: {e}");
-                workers.push(WorkerState {
-                    link: Box::new(DeadLink::new(&format!("host {host}"))),
-                    alive: false,
-                    last_beat: Instant::now(),
-                    inflight: Vec::new(),
-                    gen: 0,
-                    host: Some(hidx),
-                    reconnects_left: 0,
-                });
-            }
-        }
-    }
-    drop(tx);
-    // Open every live session.
-    for (shard, worker) in workers.iter_mut().enumerate() {
-        if worker.alive {
-            let hello = hello_line(config, shard);
-            if let Err(e) = worker.link.send_line(&hello) {
-                eprintln!("[prism-grid] shard {shard}: hello failed: {e}");
-            }
-        }
-    }
-
-    // Push-side artifact warming for remote shards: the design-point key
-    // each unit will settle into, assuming every workload is healthy. A
-    // mismatch (some workload quarantined) just makes the push useless —
-    // correctness never depends on shipped artifacts.
-    let key_session = if config.hosts.is_empty() {
-        None
-    } else {
-        Some(
-            Session::new()
-                .with_tracer(tracer)
-                .with_store_dir(&config.artifact_dir),
-        )
-    };
-    let push_keys: Option<Vec<ContentHash>> = key_session.as_ref().map(|session| {
-        wl_sizes
-            .iter()
-            .map(|(name, n)| session.workload_key(name, *n))
-            .collect()
-    });
-    // Timing artifacts learned from settled units, grouped by core index:
-    // cores that differ only in priced parameters share a timing shape
-    // key, so a walk shipped back by one shard warms every later assign
-    // of a shape-sharing core on any other shard. Per-shard sent-sets
-    // keep the push one-shot per (artifact, shard).
-    let mut learned_timing: HashMap<usize, Vec<ContentHash>> = HashMap::new();
-    let mut timing_sent: Vec<HashSet<ContentHash>> =
-        (0..workers.len()).map(|_| HashSet::new()).collect();
-
-    let mut shard_reports: Vec<SweepReport> =
-        (0..workers.len()).map(|_| SweepReport::default()).collect();
-    let mut fetch_pending: Vec<usize> = vec![0; workers.len()];
-    let mut pending: VecDeque<usize> = (0..units.len()).collect();
-    let mut local_queue: Vec<usize> = Vec::new();
-    let mut resolved = units.iter().filter(|u| u.resolved).count();
-
-    while resolved + local_queue.len() < units.len() {
-        // Dispatch: fill every live worker's window, preferring the
-        // journaled placement on resume, routing retries away from
-        // shards they already failed on; units with no eligible shard
-        // left fall back to local evaluation.
-        let mut still_pending = VecDeque::new();
-        while let Some(uid) = pending.pop_front() {
-            if units[uid].resolved {
-                continue;
-            }
-            let eligible = |shard: usize, w: &WorkerState| {
-                w.alive
-                    && w.inflight.len() < config.window
-                    && !units[uid].failed_on.contains(&shard)
-            };
-            let pick = units[uid]
-                .planned
-                .filter(|&s| s < workers.len() && eligible(s, &workers[s]))
-                .or_else(|| {
-                    workers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(shard, w)| eligible(shard, w))
-                        .min_by_key(|(_, w)| w.inflight.len())
-                        .map(|(shard, _)| shard)
-                });
-            match pick {
-                Some(shard) => {
-                    // Warm a remote shard's store with the artifact this
-                    // unit would settle into, if we already have it.
-                    if let (Some(session), Some(wkeys), Some(h)) =
-                        (&key_session, &push_keys, workers[shard].host)
-                    {
-                        let akey = session.design_point_key(
-                            wkeys,
-                            &config.cores[units[uid].core_idx],
-                            &config.subsets[units[uid].subset_idx],
-                        );
-                        if let Some(doc) = store.export(&akey) {
-                            stats.hosts[h].bytes_shipped += doc.len() as u64;
-                            let push = ToWorker::Artifact {
-                                key: akey.hex(),
-                                doc,
-                            };
-                            let _ = workers[shard].link.send_line(&push.encode());
-                        }
-                        // Ship any timing walks already learned for this
-                        // unit's core, so the shard prices instead of
-                        // re-walking. Missing or stale docs just mean the
-                        // worker recomputes — never a correctness risk.
-                        if let Some(keys) = learned_timing.get(&units[uid].core_idx) {
-                            for tkey in keys {
-                                if timing_sent[shard].contains(tkey) {
-                                    continue;
-                                }
-                                if let Some(doc) = store.export(tkey) {
-                                    stats.hosts[h].bytes_shipped += doc.len() as u64;
-                                    let push = ToWorker::Artifact {
-                                        key: tkey.hex(),
-                                        doc,
-                                    };
-                                    let _ = workers[shard].link.send_line(&push.encode());
-                                    timing_sent[shard].insert(*tkey);
-                                }
-                            }
-                        }
-                    }
-                    let msg = ToWorker::Assign {
-                        id: uid as u64,
-                        core: units[uid].core_name.clone(),
-                        bsas: units[uid].bsa_codes.clone(),
-                    }
-                    .encode();
-                    if workers[shard].link.send_line(&msg).is_ok() {
-                        workers[shard].inflight.push(uid);
-                        if units[uid].assign_logged != Some(shard) {
-                            units[uid].assign_logged = Some(shard);
-                            if let Some(j) = &journal {
-                                if let Err(e) = j.append_assigned(&units[uid].label, shard as u64) {
-                                    eprintln!("[prism-grid] journal append failed: {e}");
-                                }
-                            }
-                        }
-                    } else {
-                        // Write failure: the worker is dying; its Eof event
-                        // will handle the cleanup. Try again next round.
-                        still_pending.push_back(uid);
-                    }
-                }
-                None => {
-                    let possible = workers
-                        .iter()
-                        .enumerate()
-                        .any(|(shard, w)| w.alive && !units[uid].failed_on.contains(&shard));
-                    if possible {
-                        still_pending.push_back(uid); // workers busy; wait
-                    } else {
-                        local_queue.push(uid);
-                    }
-                }
-            }
-        }
-        pending = still_pending;
-        if resolved + local_queue.len() >= units.len() {
-            break;
-        }
-
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((shard, LinkEvent::Line(gen, line))) => {
-                if shard >= workers.len() || gen != workers[shard].gen {
-                    continue; // stale connection generation
-                }
-                workers[shard].last_beat = Instant::now();
-                let msg = match FromWorker::decode(&line) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        let hello = hello_line(config, shard);
-                        mark_dead_and_reassign(
-                            shard,
-                            &format!("garbled output: {e}"),
-                            &hello,
-                            &mut workers,
-                            &units,
-                            &mut pending,
-                            &mut shard_reports,
-                            &mut fetch_pending,
-                            &mut stats,
-                        );
-                        continue;
-                    }
-                };
-                match msg {
-                    FromWorker::HelloAck { .. } | FromWorker::Heartbeat { .. } => {}
-                    FromWorker::Bye {
-                        walks,
-                        walks_skipped,
-                        shape_memo_hits,
-                        timing_artifacts_loaded,
-                    } => {
-                        fold_walk_stats(
-                            &mut stats,
-                            workers[shard].host,
-                            walks,
-                            walks_skipped,
-                            shape_memo_hits,
-                            timing_artifacts_loaded,
-                        );
-                    }
-                    FromWorker::UnitResult {
-                        id,
-                        result,
-                        artifacts,
-                    } => {
-                        // Kill point: the unit's artifact is durable (the
-                        // worker stored it before reporting) but nothing is
-                        // journaled yet — a resume must recompute cheaply
-                        // from the store, not lose the unit.
-                        crash_point(SITE_GRID_FRAME);
-                        let uid = id as usize;
-                        workers[shard].inflight.retain(|&u| u != uid);
-                        if uid < units.len() && !units[uid].resolved {
-                            units[uid].resolved = true;
-                            resolved += 1;
-                            if let Some(h) = workers[shard].host {
-                                stats.hosts[h].units += 1;
-                            }
-                            if let Some(j) = &journal {
-                                if let Err(e) = j.append_done(&units[uid].label, &result) {
-                                    eprintln!("[prism-grid] journal append failed: {e}");
-                                }
-                            }
-                        }
-                        shard_reports[shard].results.push(result);
-                        // Learn the unit's timing shape keys — every
-                        // reported artifact beyond the design-point
-                        // result — so later assigns of shape-sharing
-                        // cores are warmed push-side.
-                        if let (Some(session), Some(wkeys)) = (&key_session, &push_keys) {
-                            if uid < units.len() {
-                                let akey = session.design_point_key(
-                                    wkeys,
-                                    &config.cores[units[uid].core_idx],
-                                    &config.subsets[units[uid].subset_idx],
-                                );
-                                let learned =
-                                    learned_timing.entry(units[uid].core_idx).or_default();
-                                for k in &artifacts {
-                                    if let Some(hash) = ContentHash::from_hex(k) {
-                                        if hash != akey && !learned.contains(&hash) {
-                                            learned.push(hash);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Pull any result artifacts a remote store has
-                        // that ours is missing (pure cache warmth: resume
-                        // and correctness never depend on the shipment).
-                        if workers[shard].link.is_remote() {
-                            let missing: Vec<String> = artifacts
-                                .into_iter()
-                                .filter(|k| {
-                                    ContentHash::from_hex(k)
-                                        .is_some_and(|hash| !store.contains(&hash))
-                                })
-                                .collect();
-                            if !missing.is_empty() {
-                                let n = missing.len();
-                                let fetch = ToWorker::Fetch { keys: missing }.encode();
-                                if workers[shard].link.send_line(&fetch).is_ok() {
-                                    fetch_pending[shard] += n;
-                                }
-                            }
-                        }
-                    }
-                    FromWorker::UnitQuarantine { id, key, error } => {
-                        crash_point(SITE_GRID_FRAME);
-                        if let Some(uid) = id.map(|id| id as usize) {
-                            workers[shard].inflight.retain(|&u| u != uid);
-                            if uid < units.len() && !units[uid].resolved {
-                                units[uid].attempts += 1;
-                                units[uid].failed_on.push(shard);
-                                if units[uid].attempts <= config.shard_retries {
-                                    stats.units_retried += 1;
-                                    pending.push_back(uid);
-                                } else {
-                                    units[uid].resolved = true;
-                                    resolved += 1;
-                                    if let Some(h) = workers[shard].host {
-                                        stats.hosts[h].units += 1;
-                                    }
-                                    // Only a *permanent* quarantine is
-                                    // journaled: a retry may still succeed,
-                                    // and a later `done` must win on replay.
-                                    if let Some(j) = &journal {
-                                        if let Err(e) =
-                                            j.append_quarantined(&units[uid].label, &error)
-                                        {
-                                            eprintln!("[prism-grid] journal append failed: {e}");
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        shard_reports[shard].quarantined.push((key, error));
-                    }
-                    FromWorker::Artifact { key, doc } => {
-                        fetch_pending[shard] = fetch_pending[shard].saturating_sub(1);
-                        if let Some(h) = workers[shard].host {
-                            stats.hosts[h].bytes_shipped += doc.len() as u64;
-                        }
-                        // Empty doc = "worker doesn't have it"; nothing to do.
-                        if !doc.is_empty() {
-                            match ContentHash::from_hex(&key) {
-                                Some(hash) => {
-                                    if let Err(e) = store.import(&hash, &doc) {
-                                        eprintln!(
-                                            "[prism-grid] shard {shard}: artifact import failed: {e}"
-                                        );
-                                    }
-                                }
-                                None => eprintln!(
-                                    "[prism-grid] shard {shard}: artifact with bad key {key}"
-                                ),
-                            }
-                        }
-                    }
-                    FromWorker::Fatal { message } => {
-                        let hello = hello_line(config, shard);
-                        mark_dead_and_reassign(
-                            shard,
-                            &format!("fatal: {message}"),
-                            &hello,
-                            &mut workers,
-                            &units,
-                            &mut pending,
-                            &mut shard_reports,
-                            &mut fetch_pending,
-                            &mut stats,
-                        );
-                    }
-                }
-            }
-            Ok((shard, LinkEvent::Eof(gen))) => {
-                if shard < workers.len() && gen == workers[shard].gen && workers[shard].alive {
-                    let hello = hello_line(config, shard);
-                    mark_dead_and_reassign(
-                        shard,
-                        "link closed unexpectedly",
-                        &hello,
-                        &mut workers,
-                        &units,
-                        &mut pending,
-                        &mut shard_reports,
-                        &mut fetch_pending,
-                        &mut stats,
-                    );
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Every link's reader is gone: mark all workers dead.
-                for shard in 0..workers.len() {
-                    let hello = hello_line(config, shard);
-                    mark_dead_and_reassign(
-                        shard,
-                        "event channel disconnected",
-                        &hello,
-                        &mut workers,
-                        &units,
-                        &mut pending,
-                        &mut shard_reports,
-                        &mut fetch_pending,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-
-        // Heartbeat supervision: a silent worker is dead, and its
-        // in-flight units must not be lost.
-        for shard in 0..workers.len() {
-            if workers[shard].alive && workers[shard].last_beat.elapsed() > config.heartbeat_timeout
-            {
-                let hello = hello_line(config, shard);
-                mark_dead_and_reassign(
-                    shard,
-                    &format!("no heartbeat for {:?}", config.heartbeat_timeout),
-                    &hello,
-                    &mut workers,
-                    &units,
-                    &mut pending,
-                    &mut shard_reports,
-                    &mut fetch_pending,
-                    &mut stats,
-                );
-            }
-        }
-    }
-
-    // Grace drain: give outstanding artifact fetches a bounded window to
-    // land before the links close (late unit frames still count too).
-    let drain_deadline = Instant::now() + Duration::from_secs(2);
-    while fetch_pending.iter().sum::<usize>() > 0 && Instant::now() < drain_deadline {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok((shard, LinkEvent::Line(gen, line)))
-                if shard < workers.len() && gen == workers[shard].gen =>
-            {
-                if let Ok(msg) = FromWorker::decode(&line) {
-                    absorb_late_frame(
-                        shard,
-                        msg,
-                        &workers,
-                        &store,
-                        &mut shard_reports,
-                        &mut fetch_pending,
-                        &mut stats,
-                    );
-                }
-            }
-            Ok((shard, LinkEvent::Eof(gen))) => {
-                if shard < workers.len() && gen == workers[shard].gen {
-                    workers[shard].alive = false;
-                    fetch_pending[shard] = 0;
-                }
-            }
-            Ok(_) => {}
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    // Clean shutdown: ask politely, then reap (with a kill deadline).
-    for w in workers.iter_mut().filter(|w| w.alive) {
-        let _ = w.link.send_line(&ToWorker::Shutdown.encode());
-        w.link.shutdown_input();
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    for w in &mut workers {
-        w.link.reap(deadline);
-    }
-    // Late events (results that raced the shutdown) still count.
-    while let Ok((shard, event)) = rx.try_recv() {
-        if let LinkEvent::Line(gen, line) = event {
-            if shard < workers.len() && gen == workers[shard].gen {
-                if let Ok(msg) = FromWorker::decode(&line) {
-                    absorb_late_frame(
-                        shard,
-                        msg,
-                        &workers,
-                        &store,
-                        &mut shard_reports,
-                        &mut fetch_pending,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-    }
-
-    // Local fallback: evaluate in-process whatever no worker could take.
-    if !local_queue.is_empty() {
-        let mut local = SweepReport::default();
-        let session = Session::new()
-            .with_tracer(TracerConfig {
-                max_insts: config.max_insts,
-                ..TracerConfig::default()
-            })
-            .with_store_dir(&config.artifact_dir);
-        let mut workload_refs: Vec<&Workload> = Vec::new();
-        for name in &config.workloads {
-            match prism_workloads::by_name(name)
-                .or_else(|| prism_workloads::MICRO.iter().find(|m| m.name == name))
-            {
-                Some(w) => workload_refs.push(w),
-                None => local.quarantined.push((
-                    format!("workload:{name}"),
-                    PipelineError::new(name, Stage::Build, "unknown workload"),
-                )),
-            }
-        }
-        for uid in local_queue {
-            let unit = &units[uid];
-            let core = config.cores[unit.core_idx].clone();
-            let subset = config.subsets[unit.subset_idx].clone();
-            let report = session.evaluate_designs(&workload_refs, &[core], &[subset]);
-            if report.results.is_empty()
-                && !report.quarantined.iter().any(|(k, _)| *k == unit.label)
-            {
-                local.quarantined.push((
-                    unit.label.clone(),
-                    PipelineError::new(
-                        &unit.label,
-                        Stage::Evaluate,
-                        "no healthy workloads to evaluate",
-                    ),
-                ));
-            }
-            if let Some(j) = &journal {
-                let outcome = if let Some(r) = report.results.iter().find(|r| r.label == unit.label)
-                {
-                    j.append_done(&unit.label, r)
-                } else if let Some((_, e)) =
-                    report.quarantined.iter().find(|(k, _)| *k == unit.label)
-                {
-                    j.append_quarantined(&unit.label, e)
-                } else {
-                    Ok(())
-                };
-                if let Err(e) = outcome {
-                    eprintln!("[prism-grid] journal append failed: {e}");
-                }
-            }
-            local.merge(report);
-            stats.local_fallback_units += 1;
-        }
-        let local_stats = session.stats();
-        fold_walk_stats(
-            &mut stats,
-            None,
-            local_stats.trace_walks,
-            local_stats.walks_skipped,
-            local_stats.shape_memo_hits,
-            local_stats.timing_artifacts_loaded,
+    stats.replayed = replay.records as usize;
+    if replay.dropped > 0 {
+        eprintln!(
+            "[prism-grid] journal: dropped {} torn/corrupt trailing record(s)",
+            replay.dropped
         );
-        shard_reports.push(local);
     }
 
-    let mut merged = replay_report;
-    for report in shard_reports {
-        merged.merge(report);
-    }
-    merged.normalize();
-    // A finished sweep with no permanent quarantines has nothing left to
-    // resume; one *with* quarantines keeps its journal so a `--resume`
-    // replays the identical errors instead of re-running known-bad units.
-    if let Some(j) = journal {
-        if merged.quarantined.is_empty() {
-            if let Err(e) = j.remove() {
-                eprintln!("[prism-grid] could not remove finished journal: {e}");
-            }
-        }
-    }
-    Ok(GridOutcome {
-        report: merged,
+    let mut coord = Coordinator {
+        config,
+        store,
+        journal,
+        pending: (0..units.len())
+            .filter(|&uid| !units[uid].resolved)
+            .collect(),
+        units,
+        workers: Vec::new(),
+        replay: replay_report,
+        shard_reports: Vec::new(),
+        push: None,
+        shutdown_deadline: None,
         stats,
-    })
-}
-
-/// Absorbs a frame arriving after the main loop settled every unit:
-/// results and quarantines still count toward the merged report, and
-/// artifact replies still land in the store.
-fn absorb_late_frame(
-    shard: usize,
-    msg: FromWorker,
-    workers: &[WorkerState],
-    store: &ArtifactStore,
-    shard_reports: &mut [SweepReport],
-    fetch_pending: &mut [usize],
-    stats: &mut GridStats,
-) {
-    match msg {
-        FromWorker::UnitResult { result, .. } if shard < shard_reports.len() => {
-            shard_reports[shard].results.push(result);
-        }
-        FromWorker::UnitQuarantine { key, error, .. } if shard < shard_reports.len() => {
-            shard_reports[shard].quarantined.push((key, error));
-        }
-        FromWorker::Artifact { key, doc } => {
-            fetch_pending[shard] = fetch_pending[shard].saturating_sub(1);
-            if let Some(h) = workers[shard].host {
-                stats.hosts[h].bytes_shipped += doc.len() as u64;
-            }
-            if !doc.is_empty() {
-                if let Some(hash) = ContentHash::from_hex(&key) {
-                    if let Err(e) = store.import(&hash, &doc) {
-                        eprintln!("[prism-grid] shard {shard}: artifact import failed: {e}");
-                    }
-                }
-            }
-        }
-        // The usual arrival path for Bye counters: workers acknowledge
-        // the post-sweep Shutdown, so their frames land in this drain.
-        FromWorker::Bye {
-            walks,
-            walks_skipped,
-            shape_memo_hits,
-            timing_artifacts_loaded,
-        } => {
-            fold_walk_stats(
-                stats,
-                workers[shard].host,
-                walks,
-                walks_skipped,
-                shape_memo_hits,
-                timing_artifacts_loaded,
-            );
-        }
-        _ => {}
+    };
+    if !coord.pending.is_empty() {
+        let rx = coord.connect()?;
+        coord.run(&rx);
+        coord.run_local_fallback();
     }
+    Ok(coord.finish())
 }
 
 /// Adds one session's timing-reuse counters to the run totals and, for a
@@ -1219,24 +1096,6 @@ fn fold_walk_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_timeout_parses_integer_milliseconds() {
-        assert_eq!(parse_grid_timeout("2500"), Ok(Duration::from_millis(2500)));
-        assert_eq!(parse_grid_timeout(" 1 "), Ok(Duration::from_millis(1)));
-        assert_eq!(
-            parse_grid_timeout("60000"),
-            Ok(Duration::from_millis(60_000))
-        );
-    }
-
-    #[test]
-    fn grid_timeout_rejects_zero_and_garbage() {
-        for bad in ["0", "-5", "1.5", "10s", "", "fast"] {
-            let err = parse_grid_timeout(bad).unwrap_err();
-            assert!(err.contains(GRID_TIMEOUT_ENV), "{bad:?}: {err}");
-        }
-    }
 
     #[test]
     fn grid_stats_render_names_every_counter() {

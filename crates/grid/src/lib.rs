@@ -15,7 +15,10 @@
 //! worker's stdin/stdout (see [`proto`]): a versioned handshake, unit
 //! assignments with a small per-worker window (so a worker *prepares*
 //! the next unit while it *evaluates* the current one), heartbeats, one
-//! result-or-quarantine per unit, and a clean shutdown. Failure policy:
+//! result-or-quarantine per unit, and a clean shutdown: the coordinator
+//! sends `shutdown` once every unit is settled, then waits for each
+//! link's end of stream (its `bye` and any artifact replies arrive
+//! first) before reaping it. Failure policy:
 //!
 //! - a **quarantined unit** is retried once (configurable) on a
 //!   *different* shard; if the retry succeeds the unit counts as
@@ -42,13 +45,10 @@ pub mod coord;
 pub mod proto;
 pub mod worker;
 
-pub use coord::{
-    parse_grid_timeout, run_grid, GridConfig, GridError, GridOutcome, GridStats, HostStats,
-    GRID_TIMEOUT_ENV,
-};
+pub use coord::{run_grid, GridConfig, GridError, GridOutcome, GridStats, HostStats};
 pub use proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
-    run_worker, run_worker_if_env, run_worker_io, serve_tcp, WorkerOptions, SHARD_ENV, WORKER_ENV,
+    run_worker, run_worker_if_env, run_worker_io, serve_tcp, WorkerOptions, WORKER_ENV,
 };
 
 /// Environment variable selecting the grid worker count for front-ends

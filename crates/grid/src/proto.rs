@@ -48,7 +48,8 @@ pub enum ToWorker {
     Hello {
         /// Must equal [`PROTO_VERSION`].
         proto: u64,
-        /// This worker's shard id (also in `PRISM_GRID_SHARD`).
+        /// This worker's shard id: a stdio worker's only source for it,
+        /// and checked against the TCP handshake's shard by a daemon.
         shard: usize,
         /// Workload names (resolved against the registry worker-side).
         workloads: Vec<String>,

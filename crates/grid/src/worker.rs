@@ -11,7 +11,8 @@
 //! Inside the worker, three threads run:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
-//!   queue, and answers artifact fetch/push frames from its local store,
+//!   queue, and answers artifact fetch/push frames from its local store
+//!   inline, so every fetch reply precedes the worker's end of stream,
 //! - the **evaluator** pops units in order and reports one
 //!   result-or-quarantine per unit (the session memoizes preparation and
 //!   oracle tables, so only a shard's first unit per core pays for them),
@@ -42,9 +43,6 @@ use crate::proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 
 /// Set (to any value) in a worker process's environment.
 pub const WORKER_ENV: &str = "PRISM_GRID_WORKER";
-
-/// The worker's shard id (decimal).
-pub const SHARD_ENV: &str = "PRISM_GRID_SHARD";
 
 /// Runs the worker protocol and exits the process when `PRISM_GRID_WORKER`
 /// is set; returns immediately otherwise. Call this first in `main` of any
@@ -78,7 +76,7 @@ pub struct WorkerOptions {
 }
 
 /// Looks a workload up in the main registry, then the microbenchmarks.
-fn find_workload(name: &str) -> Option<&'static Workload> {
+pub(crate) fn find_workload(name: &str) -> Option<&'static Workload> {
     prism_workloads::by_name(name)
         .or_else(|| prism_workloads::MICRO.iter().find(|m| m.name == name))
 }
@@ -126,15 +124,11 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) {
 
 /// Runs the worker protocol over this process's stdin/stdout until
 /// shutdown, returning the process exit code. The shard id comes from
-/// `PRISM_GRID_SHARD` (default 0).
+/// the coordinator's Hello.
 #[must_use]
 pub fn run_worker() -> i32 {
-    let shard: usize = std::env::var(SHARD_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
     let opts = WorkerOptions {
-        expected_shard: Some(shard),
+        expected_shard: None,
         store_dir: None,
         store_cap: prism_pipeline::store_cap_from_env(),
         faults: FaultPlan::from_env(),

@@ -229,8 +229,9 @@ fn scenario_local_fallback() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite of the net layer: a resumed coordinator whose journal
-/// already settles every unit must assign (and spawn) nothing.
+/// A resumed coordinator whose journal already settles every unit must
+/// assign nothing and spawn no worker, even with a spawnable one (this
+/// binary) configured.
 fn scenario_resume_assigns_nothing() {
     let dir = scratch_dir("resume");
     let baseline = single_process_baseline(&dir);
@@ -256,9 +257,6 @@ fn scenario_resume_assigns_nothing() {
 
     let mut cfg = config(2, &dir);
     cfg.resume = true;
-    // Poison the worker path: if the resumed coordinator tried to spawn
-    // (or assign to) anything, the run would visibly degrade.
-    cfg.worker_cmd = Some("/nonexistent/prism-no-such-worker".into());
     let outcome = run(&cfg);
     assert_eq!(
         outcome.report, baseline,

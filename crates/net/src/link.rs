@@ -15,7 +15,7 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use prism_pipeline::{FaultPlan, LinkFault};
 
@@ -52,9 +52,10 @@ pub trait ShardLink: Send {
     /// observe EOF and drain while its own sends still flow.
     fn shutdown_input(&mut self);
 
-    /// Waits (until `deadline`) for the link's resources — subprocess,
-    /// reader thread — to wind down, forcing teardown at the deadline.
-    fn reap(&mut self, deadline: Instant);
+    /// Waits for the link's resources — subprocess, reader thread — to
+    /// wind down. Call it once the link delivered its [`LinkEvent::Eof`]
+    /// or after [`kill`](Self::kill); before either it may block.
+    fn reap(&mut self);
 
     /// Re-establishes a torn-down link, returning the new generation.
     ///
@@ -148,21 +149,9 @@ impl ShardLink for StdioLink {
         self.stdin = None;
     }
 
-    fn reap(&mut self, deadline: Instant) {
+    fn reap(&mut self) {
         self.stdin = None;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) | Err(_) => break,
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        let _ = self.child.kill();
-                        let _ = self.child.wait();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
+        let _ = self.child.wait();
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();
         }
@@ -338,19 +327,10 @@ impl ShardLink for TcpLink {
         }
     }
 
-    fn reap(&mut self, deadline: Instant) {
-        let Some(reader) = self.reader.take() else {
-            return;
-        };
-        while !reader.is_finished() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
+    fn reap(&mut self) {
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
-        if !reader.is_finished() {
-            if let Some(stream) = self.stream.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        let _ = reader.join();
     }
 
     fn reconnect(&mut self) -> io::Result<u64> {
@@ -417,7 +397,7 @@ impl ShardLink for DeadLink {
 
     fn shutdown_input(&mut self) {}
 
-    fn reap(&mut self, _deadline: Instant) {}
+    fn reap(&mut self) {}
 
     fn reconnect(&mut self) -> io::Result<u64> {
         Err(io::Error::new(io::ErrorKind::Unsupported, "dead link"))
@@ -495,7 +475,7 @@ mod tests {
         assert_eq!(next_line(&rx), (3, LinkEvent::Line(1, "hello".into())));
         link.send_line("quit").unwrap();
         assert_eq!(next_line(&rx), (3, LinkEvent::Eof(1)));
-        link.reap(Instant::now() + Duration::from_secs(2));
+        link.reap();
         daemon.join().unwrap();
     }
 
@@ -518,7 +498,7 @@ mod tests {
         );
         link.send_line("quit").unwrap();
         assert_eq!(next_line(&rx).1, LinkEvent::Eof(2));
-        link.reap(Instant::now() + Duration::from_secs(2));
+        link.reap();
         daemon.join().unwrap();
     }
 
@@ -572,6 +552,6 @@ mod tests {
         assert_eq!(link.generation(), 0);
         assert!(link.describe().contains("connect refused"));
         link.kill();
-        link.reap(Instant::now());
+        link.reap();
     }
 }

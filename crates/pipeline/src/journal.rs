@@ -13,18 +13,10 @@
 //! Format (one JSON document per line):
 //!
 //! ```text
-//! {"type":"journal","version":2,"sweep":"<64-hex sweep key>"}
-//! {"type":"assigned","unit":"<label>","shard":N,"sum":"<64-hex>"}
+//! {"type":"journal","version":3,"sweep":"<64-hex sweep key>"}
 //! {"type":"done","unit":"<label>","result":{...},"sum":"<64-hex>"}
 //! {"type":"quarantined","unit":"<label>","error":{...},"sum":"<64-hex>"}
 //! ```
-//!
-//! `assigned` records (v2) persist the grid coordinator's per-shard
-//! assignment plan: a resumed coordinator prefers each unit's journaled
-//! shard instead of re-planning from scratch, so placement — and with it
-//! per-shard store warmth — survives a kill. They are advisory: replay
-//! correctness never depends on them, and a `done`/`quarantined` record
-//! settles a unit regardless of what was assigned.
 //!
 //! `sum` is the SHA-256 of `"<type>\n<unit>\n<payload JSON>"`, making a
 //! torn or bit-flipped record detectable. The reader is
@@ -34,10 +26,10 @@
 //! dropped. Re-opening for resume truncates the torn tail before
 //! appending, so the file never accumulates garbage.
 //!
-//! Appends are flushed and fsynced (unless `PRISM_NO_FSYNC` is set)
-//! *after* the unit's result artifact is durable in the store, so a
-//! `done` record always refers to a result that can be reloaded — the
-//! invariant behind the "zero journaled-done units recomputed" property.
+//! Appends are flushed and fsynced *after* the unit's result artifact is
+//! durable in the store, so a `done` record always refers to a result
+//! that can be reloaded — the invariant behind the "zero journaled-done
+//! units recomputed" property.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -58,13 +50,13 @@ use crate::error::PipelineError;
 use crate::hash::{ContentHash, Sha256};
 use crate::json::Json;
 use crate::key::KeyBuilder;
-use crate::store::fsync_enabled;
 
 /// Journal format version, written into every header line. A reader
 /// treats any other version as stale (the journal is ignored and
-/// rewritten rather than misread). v2 added `assigned` records, which a
-/// v1 reader would misread as a torn tail — hence the bump.
-pub const JOURNAL_VERSION: u64 = 2;
+/// rewritten rather than misread). v3 dropped v2's advisory `assigned`
+/// records, which this reader would take for a torn tail — hence the
+/// bump: a v2 journal reads as stale instead.
+pub const JOURNAL_VERSION: u64 = 3;
 
 /// Subdirectory of the artifact store holding sweep journals.
 pub const JOURNAL_SUBDIR: &str = "journal";
@@ -146,7 +138,6 @@ fn encode_record(kind: &str, unit: &str, payload_field: &str, payload: Json) -> 
 enum Record {
     Done(String, DesignResult),
     Quarantined(String, PipelineError),
-    Assigned(String, u64),
 }
 
 fn decode_record(line: &str) -> Option<Record> {
@@ -174,13 +165,6 @@ fn decode_record(line: &str) -> Option<Record> {
                 unit.to_string(),
                 decode_pipeline_error(payload)?,
             ))
-        }
-        "assigned" => {
-            let payload = json.get("shard")?;
-            if record_sum("assigned", unit, &payload.to_string()) != sum {
-                return None;
-            }
-            Some(Record::Assigned(unit.to_string(), payload.as_u64()?))
         }
         _ => None,
     }
@@ -210,11 +194,6 @@ pub struct JournalReplay {
     pub done: BTreeMap<String, DesignResult>,
     /// Units that were permanently quarantined, with their errors.
     pub quarantined: BTreeMap<String, PipelineError>,
-    /// The coordinator's journaled assignment plan: unit label → shard
-    /// it was last dispatched to (last record wins). Advisory — used by
-    /// a resumed coordinator as a placement preference, never as truth
-    /// about unit state.
-    pub assigned: BTreeMap<String, u64>,
     /// Number of valid records replayed.
     pub records: u64,
     /// Torn / corrupt / trailing records that were not replayed.
@@ -276,9 +255,6 @@ impl JournalReplay {
                         replay.quarantined.insert(unit, error);
                     }
                 }
-                Some(Record::Assigned(unit, shard)) => {
-                    replay.assigned.insert(unit, shard);
-                }
                 None => {
                     // First unreadable record: everything from here on is
                     // the torn tail. Count it and stop.
@@ -301,7 +277,6 @@ impl JournalReplay {
 pub struct SweepJournal {
     path: PathBuf,
     file: Mutex<File>,
-    fsync: bool,
 }
 
 impl SweepJournal {
@@ -324,20 +299,16 @@ impl SweepJournal {
     ) -> io::Result<(SweepJournal, JournalReplay)> {
         std::fs::create_dir_all(store_dir.join(JOURNAL_SUBDIR))?;
         let path = journal_path(store_dir, sweep);
-        let fsync = fsync_enabled();
         if resume {
             let replay = JournalReplay::read(&path, sweep)?;
             if !replay.stale && replay.valid_bytes > 0 {
                 let file = OpenOptions::new().append(true).open(&path)?;
                 file.set_len(replay.valid_bytes)?;
-                if fsync {
-                    file.sync_all()?;
-                }
+                file.sync_all()?;
                 return Ok((
                     SweepJournal {
                         path,
                         file: Mutex::new(file),
-                        fsync,
                     },
                     replay,
                 ));
@@ -347,15 +318,12 @@ impl SweepJournal {
         file.write_all(header_line(sweep).as_bytes())?;
         file.write_all(b"\n")?;
         file.flush()?;
-        if fsync {
-            file.sync_all()?;
-            sync_dir(store_dir.join(JOURNAL_SUBDIR).as_path());
-        }
+        file.sync_all()?;
+        sync_dir(store_dir.join(JOURNAL_SUBDIR).as_path());
         Ok((
             SweepJournal {
                 path,
                 file: Mutex::new(file),
-                fsync,
             },
             JournalReplay::default(),
         ))
@@ -390,25 +358,13 @@ impl SweepJournal {
         ))
     }
 
-    /// Appends an `assigned` record: `unit` was dispatched to `shard`.
-    /// Advisory placement data — see [`JournalReplay::assigned`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors; the caller logs and continues.
-    pub fn append_assigned(&self, unit: &str, shard: u64) -> io::Result<()> {
-        self.append(encode_record("assigned", unit, "shard", Json::U64(shard)))
-    }
-
     fn append(&self, line: String) -> io::Result<()> {
         crash_point(SITE_JOURNAL_APPEND);
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         file.write_all(line.as_bytes())?;
         file.write_all(b"\n")?;
         file.flush()?;
-        if self.fsync {
-            file.sync_all()?;
-        }
+        file.sync_all()?;
         Ok(())
     }
 
@@ -520,49 +476,6 @@ mod tests {
         let replay = JournalReplay::read(&journal_path(&dir, &sw), &sw).unwrap();
         assert_eq!(replay.quarantined.len(), 0);
         assert_eq!(replay.done.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn assigned_records_replay_last_wins_and_are_advisory() {
-        let dir = scratch("assigned");
-        let sw = sweep("assigned");
-        let (j, _) = SweepJournal::open(&dir, &sw, false).unwrap();
-        j.append_assigned("u0", 0).unwrap();
-        j.append_assigned("u1", 1).unwrap();
-        // u0 reassigned after a worker death: the later record wins.
-        j.append_assigned("u0", 2).unwrap();
-        j.append_done("u0", &sample_result("u0")).unwrap();
-        drop(j);
-
-        let replay = JournalReplay::read(&journal_path(&dir, &sw), &sw).unwrap();
-        assert!(!replay.stale);
-        assert_eq!(replay.records, 4);
-        assert_eq!(replay.dropped, 0);
-        assert_eq!(replay.assigned["u0"], 2);
-        assert_eq!(replay.assigned["u1"], 1);
-        // Assignments never settle a unit: only u0's `done` counts.
-        assert_eq!(replay.done.len(), 1);
-        assert!(replay.quarantined.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_assigned_record_is_a_torn_tail() {
-        let dir = scratch("assigned-corrupt");
-        let sw = sweep("assigned-corrupt");
-        let (j, _) = SweepJournal::open(&dir, &sw, false).unwrap();
-        j.append_done("u0", &sample_result("u0")).unwrap();
-        j.append_assigned("u1", 1).unwrap();
-        drop(j);
-        let path = journal_path(&dir, &sw);
-        // Flip the shard digit: the record's sum no longer matches.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"shard\":1", "\"shard\":3")).unwrap();
-        let replay = JournalReplay::read(&path, &sw).unwrap();
-        assert_eq!(replay.records, 1);
-        assert_eq!(replay.dropped, 1);
-        assert!(replay.assigned.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -37,13 +37,12 @@
 //!
 //! ## Crash consistency
 //!
-//! Store puts are fsync-then-rename durable (opt out with
-//! `PRISM_NO_FSYNC=1`), every sweep writes an append-only
-//! [`SweepJournal`] of settled units, and `--resume` replays it to skip
-//! completed work after a kill — producing byte-identical output. A
-//! deterministic kill harness ([`crash_point`], armed by
-//! `PRISM_FAULTS=crash:<site>@<n>`) proves the property at every kill
-//! site, and [`run_fsck`] checks and repairs a store offline.
+//! Store puts are fsync-then-rename durable, every sweep writes an
+//! append-only [`SweepJournal`] of settled units, and `--resume`
+//! replays it to skip completed work after a kill — producing
+//! byte-identical output. A deterministic kill harness ([`crash_point`],
+//! armed by `PRISM_FAULTS=crash:<site>@<n>`) proves the property at
+//! every kill site, and [`run_fsck`] checks and repairs a store offline.
 
 #![warn(missing_docs)]
 
@@ -80,8 +79,5 @@ pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
 pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_TIMING_CACHE_ENV};
-pub use store::{
-    fsync_enabled, store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, NO_FSYNC_ENV,
-    STORE_CAP_ENV,
-};
+pub use store::{store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, STORE_CAP_ENV};
 pub use sweep::SweepReport;

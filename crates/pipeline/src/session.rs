@@ -293,18 +293,15 @@ pub const NO_TIMING_CACHE_ENV: &str = "PRISM_NO_TIMING_CACHE";
 
 /// Every `PRISM_*` environment variable prism reads. [`Session::new`]
 /// rejects any other `PRISM_*` name.
-const KNOBS: [&str; 15] = [
+const KNOBS: [&str; 12] = [
     "PRISM_ARTIFACT_DIR",
     "PRISM_DIVERGENCE",
     "PRISM_FAULTS",
-    "PRISM_GRID_SHARD",
-    "PRISM_GRID_TIMEOUT_MS",
     "PRISM_GRID_WORKER",
     "PRISM_HOSTS",
     "PRISM_JOBS",
     "PRISM_MAX_NODES",
     "PRISM_NET_TOKEN",
-    "PRISM_NO_FSYNC",
     "PRISM_NO_TIMING_CACHE",
     "PRISM_SCALE",
     "PRISM_STORE_CAP",
@@ -381,7 +378,11 @@ impl Session {
              PRISM_REFRESH was removed (the content-addressed store invalidates \
              itself; delete the store directory for a cold run); PRISM_STREAM and \
              PRISM_CHUNK were removed (traces are re-simulated, never stored, in \
-             fixed 64 Ki-instruction chunks)",
+             fixed 64 Ki-instruction chunks); PRISM_GRID_SHARD was removed (a \
+             worker takes its shard from the coordinator's hello); \
+             PRISM_GRID_TIMEOUT_MS was removed (the heartbeat timeout is 10 s); \
+             PRISM_NO_FSYNC was removed (store puts and journal appends always \
+             fsync)",
             unknown.join(", "),
             KNOBS.join(", ")
         );
@@ -1519,7 +1520,10 @@ mod tests {
             "CHUNK",
             "CRASH",
             "GRID_FAULTS",
+            "GRID_SHARD",
+            "GRID_TIMEOUT_MS",
             "NET_FAULTS",
+            "NO_FSYNC",
             "REFRESH",
             "STREAM",
         ]
@@ -1529,6 +1533,66 @@ mod tests {
         let mut names = vec!["PATH", "PRISMATIC", "PRISM_FAULTS", "PRISM_SCALE"];
         names.extend(retired.iter().map(String::as_str));
         assert_eq!(unknown_knobs(names), retired);
+    }
+
+    /// The `"PRISM_*"` string literals in the non-test code of
+    /// `crates/*/src` and `src/`, minus the `KNOBS` array itself.
+    fn prism_literals_in_sources() -> std::collections::BTreeSet<String> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut dirs = vec![root.join("src")];
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+            dirs.push(krate.expect("crate entry").path().join("src"));
+        }
+        let mut literals = std::collections::BTreeSet::new();
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).expect("source dir") {
+                let path = entry.expect("source entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                if path.extension().is_none_or(|ext| ext != "rs") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("source file");
+                let mut code = text
+                    .split("#[cfg(test)]")
+                    .next()
+                    .unwrap_or_default()
+                    .to_string();
+                if let Some(start) = code.find("const KNOBS") {
+                    let end = start + code[start..].find("];").expect("KNOBS array end");
+                    code.replace_range(start..end, "");
+                }
+                for (at, _) in code.match_indices("\"PRISM_") {
+                    let rest = &code[at + 1..];
+                    let len = rest
+                        .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                        .unwrap_or(rest.len());
+                    if len > "PRISM_".len() && rest[len..].starts_with('"') {
+                        literals.insert(rest[..len].to_string());
+                    }
+                }
+            }
+        }
+        literals
+    }
+
+    #[test]
+    fn knobs_match_the_prism_literals_in_the_sources() {
+        let literals = prism_literals_in_sources();
+        for literal in &literals {
+            assert!(
+                KNOBS.contains(&literal.as_str()),
+                "{literal} is read but missing from KNOBS"
+            );
+        }
+        for knob in KNOBS {
+            assert!(
+                literals.contains(knob),
+                "{knob} is in KNOBS but nothing outside the list names it"
+            );
+        }
     }
 
     #[test]

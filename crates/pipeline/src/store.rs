@@ -6,8 +6,7 @@
 //! Durability: puts are write-then-rename with the tmp file fsynced before
 //! the rename and the parent directory fsynced after it, so a crash (or
 //! power loss) can lose at most the artifact being written — never surface
-//! a torn or empty file under a final name. `PRISM_NO_FSYNC=1` opts out
-//! for speed in tests on throwaway stores.
+//! a torn or empty file under a final name.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,11 +22,6 @@ use crate::key::SCHEMA_VERSION;
 
 /// Transient-I/O retry attempts per store operation.
 const IO_ATTEMPTS: u32 = 3;
-
-/// Environment variable that disables fsync on store puts and journal
-/// appends (`PRISM_NO_FSYNC=1`). Durability is the default; the opt-out
-/// exists for test suites hammering throwaway tmpfs stores.
-pub const NO_FSYNC_ENV: &str = "PRISM_NO_FSYNC";
 
 /// Minimum age of an orphaned `*.tmp.*` file before opportunistic GC on
 /// session open removes it. A live writer holds its tmp file for
@@ -59,19 +53,6 @@ pub fn store_cap_from_env() -> Option<u64> {
         v.parse::<u64>()
             .unwrap_or_else(|e| panic!("bad {STORE_CAP_ENV} value `{v}`: {e}")),
     )
-}
-
-/// Whether durability fsyncs are enabled (they are unless
-/// [`NO_FSYNC_ENV`] is set to a non-empty value other than `0`).
-#[must_use]
-pub fn fsync_enabled() -> bool {
-    match std::env::var(NO_FSYNC_ENV) {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
 }
 
 /// Backoff before retry `n` (n = 1, 2): 1ms, then 4ms.
@@ -116,7 +97,6 @@ impl std::ops::AddAssign for StoreStats {
 pub struct ArtifactStore {
     dir: PathBuf,
     faults: Option<Arc<FaultPlan>>,
-    fsync: bool,
     cap_bytes: Option<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -128,14 +108,12 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Opens (and lazily creates) a store under `dir`. Durability fsyncs
-    /// follow [`fsync_enabled`]; override with [`with_fsync`](Self::with_fsync).
+    /// Opens (and lazily creates) a store under `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ArtifactStore {
             dir: dir.into(),
             faults: None,
-            fsync: fsync_enabled(),
             cap_bytes: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -145,13 +123,6 @@ impl ArtifactStore {
             recomputes: AtomicU64::new(0),
             gc_reclaimed: AtomicU64::new(0),
         }
-    }
-
-    /// Overrides the fsync policy for this store.
-    #[must_use]
-    pub fn with_fsync(mut self, fsync: bool) -> Self {
-        self.fsync = fsync;
-        self
     }
 
     /// Installs (or clears) the fault-injection plan for this store.
@@ -420,17 +391,13 @@ impl ArtifactStore {
             // fsync *before* the rename: once the final name exists, its
             // content must already be on stable storage — otherwise a
             // crash can surface an empty/torn file under the final name.
-            if self.fsync {
-                f.sync_all()?;
-            }
+            f.sync_all()?;
         }
         crash_point(SITE_STORE_PUT);
         std::fs::rename(&tmp, path)?;
         // And fsync the directory *after* the rename so the new entry
         // itself survives power loss.
-        if self.fsync {
-            sync_dir(&self.dir);
-        }
+        sync_dir(&self.dir);
         Ok(())
     }
 
@@ -783,14 +750,6 @@ mod tests {
         assert_eq!(store.load(&k), None);
         assert_eq!(store.stats().discarded, 1);
         assert!(!path.exists(), "corrupt artifact should be deleted");
-    }
-
-    #[test]
-    fn fsync_opt_out_still_roundtrips() {
-        let store = temp_store("nofsync").with_fsync(false);
-        let k = key("nofsync");
-        store.save(&k, Json::U64(11));
-        assert_eq!(store.load(&k), Some(Json::U64(11)));
     }
 
     #[test]
