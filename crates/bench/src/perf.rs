@@ -304,7 +304,6 @@ fn explore_secs(workloads: &[&Workload]) -> f64 {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_timing_cache(true)
         .with_store_cap(None);
     let start = Instant::now();
     let report = session.evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());
@@ -341,7 +340,6 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
             .with_divergence_guard(None)
-            .with_timing_cache(true)
             .with_store_cap(None)
     };
     let cold = session_at().evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());

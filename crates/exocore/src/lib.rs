@@ -10,7 +10,9 @@
 //! * [`WorkloadData`] — trace + IR + plans, prepared once per workload,
 //! * [`oracle_schedule`] / [`oracle_table`] / [`oracle_pick`] — the
 //!   paper's Oracle scheduler (measured energy-delay, ≤10% region
-//!   slowdown),
+//!   slowdown); [`oracle_table_with`] builds the table from any trace-walk
+//!   timing provider, so `prism_pipeline::Session` measures it with the
+//!   same memoized walks its design points use,
 //! * [`amdahl_schedule`] — the Amdahl-tree scheduler of §3.3 (static
 //!   estimates, no oracle information),
 //! * [`all_design_points`] / [`evaluate_point`] / [`DesignPoint`] — the
@@ -49,6 +51,6 @@ pub use dse::{
 };
 pub use schedule::{
     amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,
-    CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
+    oracle_table_with, CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
 };
 pub use timeline::{switching_timeline, WindowPoint};

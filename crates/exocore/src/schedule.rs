@@ -1,11 +1,11 @@
 //! BSA selection: the Oracle scheduler and the Amdahl-tree scheduler of
 //! the paper's §3.3 / §4.
 
+use std::sync::Arc;
+
 use prism_ir::LoopId;
-use prism_tdg::{run_exocore, Assignment, BsaKind};
-use prism_udg::{
-    try_simulate_trace, BudgetExceeded, CoreConfig, CoreRun, ExecBudget, FuelMeter, NODES_PER_INST,
-};
+use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoRunResult, ExoTiming};
+use prism_udg::{BudgetExceeded, CoreConfig, ExecBudget, FuelMeter, NODES_PER_INST};
 
 use crate::WorkloadData;
 
@@ -34,8 +34,9 @@ pub struct CandidateGain {
 /// candidate evaluated in isolation against the plain-core baseline.
 #[derive(Debug, Clone)]
 pub struct OracleTable {
-    /// Plain-core baseline run.
-    pub baseline: CoreRun,
+    /// Plain-core baseline: the empty-assignment walk, priced with no
+    /// BSAs present.
+    pub baseline: ExoRunResult,
     /// Measured candidates.
     pub candidates: Vec<CandidateGain>,
 }
@@ -56,18 +57,8 @@ fn charge_run(meter: &mut FuelMeter, trace_len: usize) -> Result<(), BudgetExcee
     meter.charge((trace_len as u64).saturating_mul(NODES_PER_INST))
 }
 
-/// [`oracle_table`] under an [`ExecBudget`].
-///
-/// The budget covers the whole table: the baseline run plus one
-/// combined-TDG run per (loop, BSA) candidate, each charged at
-/// [`NODES_PER_INST`] nodes per dynamic instruction. Workloads with many
-/// candidate loops cost proportionally more, which is exactly what a fuel
-/// cap should capture.
-///
-/// Every run here goes through the windowed µDG engine
-/// ([`try_simulate_trace`] / `run_exocore`), so auxiliary timing state is
-/// O(window), not O(trace) — the table walks the trace, it never copies
-/// it.
+/// [`oracle_table`] under an [`ExecBudget`]: [`oracle_table_with`] over
+/// unshared [`run_exocore_timing`] walks, the model-crate reference.
 ///
 /// # Errors
 ///
@@ -77,10 +68,29 @@ pub fn oracle_table_budgeted(
     core: &CoreConfig,
     budget: &ExecBudget,
 ) -> Result<OracleTable, BudgetExceeded> {
+    let walk = |a: &Assignment| run_exocore_timing(&data.trace, &data.ir, core, &data.plans, a);
+    oracle_table_with(data, core, budget, |a| Arc::new(walk(a)))
+}
+
+/// Builds the Oracle table from the walks `timing` provides on `core`,
+/// each priced with [`price_exocore`]: the baseline is the empty
+/// assignment with no BSAs, each candidate its one-loop assignment with
+/// that BSA. The budget covers the baseline plus every candidate, each
+/// charged [`NODES_PER_INST`] nodes per dynamic instruction before
+/// `timing` is asked, whether the provider walks or hits a memo.
+///
+/// # Errors
+///
+/// Returns [`BudgetExceeded`] as soon as the next run would not fit.
+pub fn oracle_table_with(
+    data: &WorkloadData,
+    core: &CoreConfig,
+    budget: &ExecBudget,
+    timing: impl Fn(&Assignment) -> Arc<ExoTiming>,
+) -> Result<OracleTable, BudgetExceeded> {
     let mut meter = budget.meter();
     charge_run(&mut meter, data.trace.len())?;
-    let baseline = try_simulate_trace(&data.trace, core, &ExecBudget::unlimited())
-        .expect("unlimited budget cannot trip");
+    let baseline = price_exocore(&timing(&Assignment::none()), core, &[]);
     let base_ed = baseline.cycles as f64 * baseline.energy.total();
     let mut candidates = Vec::new();
     for kind in BsaKind::ALL {
@@ -94,7 +104,7 @@ pub fn oracle_table_budgeted(
             let mut a = Assignment::none();
             a.set(lid, kind);
             charge_run(&mut meter, data.trace.len())?;
-            let run = run_exocore(&data.trace, &data.ir, core, &data.plans, &a, &[kind]);
+            let run = price_exocore(&timing(&a), core, &[kind]);
             let ed = run.cycles as f64 * run.energy.total();
             // Region share of baseline time, approximated by its dynamic-
             // instruction share.
@@ -236,6 +246,7 @@ pub fn amdahl_schedule(data: &WorkloadData, core: &CoreConfig, enabled: &[BsaKin
 mod tests {
     use super::*;
     use prism_isa::{Program, ProgramBuilder, Reg};
+    use prism_tdg::run_exocore;
 
     fn dp_kernel(n: i64) -> Program {
         let (pa, pb, i) = (Reg::int(1), Reg::int(2), Reg::int(3));

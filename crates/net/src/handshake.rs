@@ -222,6 +222,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_hello_is_rejected_not_fatal() {
+        let (client, server) = pair();
+        let t = std::thread::spawn(move || accept_handshake(&server, "s3cret"));
+        let mut w = client.try_clone().unwrap();
+        writeln!(w, "{}", "[".repeat(60_000)).unwrap();
+        let reply = read_handshake_line(&client).unwrap();
+        assert_eq!(
+            Json::parse(&reply)
+                .unwrap()
+                .get("type")
+                .and_then(Json::as_str),
+            Some("net-reject"),
+            "{reply}"
+        );
+        assert!(t.join().unwrap().is_err());
+    }
+
+    #[test]
     fn tokens_match_is_exact() {
         assert!(tokens_match("", ""));
         assert!(tokens_match("abc", "abc"));

@@ -554,6 +554,16 @@ mod tests {
         assert_eq!(replay.dropped, 1);
         assert!(replay.done.contains_key("u0"));
         assert!(!replay.done.contains_key("u1"));
+
+        // A line nested too deep to parse ends replay the same way.
+        let valid = usize::try_from(replay.valid_bytes).unwrap();
+        bytes.truncate(valid);
+        bytes.extend("[".repeat(60_000).bytes());
+        bytes.push(b'\n');
+        std::fs::write(&path, &bytes).unwrap();
+        let replay = JournalReplay::read(&path, &sw).unwrap();
+        assert_eq!((replay.records, replay.dropped), (1, 1));
+        assert!(replay.done.contains_key("u0"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

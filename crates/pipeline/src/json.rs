@@ -5,6 +5,11 @@
 //! and floats are written with Rust's shortest-round-trip formatting so a
 //! reloaded artifact is bit-identical to a recomputed one.
 
+/// Deepest array/object nesting [`Json::parse`] accepts: the parser
+/// recurses per level, so a deeper (hostile or corrupt) document is an
+/// error, not a stack overflow. Prism's deepest document is 5 levels.
+const MAX_DEPTH: usize = 32;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -140,7 +145,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing bytes at offset {}", p.pos));
@@ -215,14 +220,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested inside `depth` arrays or objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nested deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
@@ -317,7 +327,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -327,7 +337,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -340,7 +350,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -354,7 +364,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -414,5 +424,11 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // Nesting past the cap is an error, not a stack overflow; at the
+        // cap it still parses.
+        assert!(Json::parse(&"[".repeat(60_000)).is_err());
+        assert!(Json::parse(&format!("{}{}", "[".repeat(33), "]".repeat(33))).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
     }
 }

@@ -78,6 +78,6 @@ pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
-pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats, NO_TIMING_CACHE_ENV};
+pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats};
 pub use store::{store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, STORE_CAP_ENV};
 pub use sweep::SweepReport;

@@ -1,12 +1,15 @@
 //! The [`Session`]: the single entry point for the staged evaluation
 //! pipeline `workload → Trace → ProgramIr → AccelPlans → evaluation`.
 //!
-//! A session owns an in-memory memo (prepared workloads, oracle tables) and
-//! an on-disk [`ArtifactStore`] of design-point results, both keyed by
-//! content hashes of every input that affects the artifact. Stages
-//! invalidate independently: changing the tracer config re-traces, changing
-//! only a core config reuses every trace and recomputes only the affected
-//! oracle tables and design points.
+//! A session owns an in-memory memo (prepared workloads, oracle tables,
+//! trace-walk timings) and an on-disk [`ArtifactStore`] of design-point
+//! results and timing summaries, all keyed by content hashes of every
+//! input that affects the artifact. Stages invalidate independently:
+//! changing the tracer config re-traces, changing only a core config
+//! reuses every trace and recomputes only the affected oracle tables and
+//! design points. Oracle tables and design points take their trace walks
+//! from the same shape-keyed timing memo, so each distinct walk runs once
+//! per store.
 //!
 //! All fan-out runs through [`parallel_map`], so results are reduced in
 //! canonical (input-index) order and a `--jobs 1` run is bit-identical to a
@@ -17,10 +20,10 @@ use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, oracle_pick, oracle_table_budgeted, DesignPoint, DesignResult,
+    all_bsa_subsets, all_cores, oracle_pick, oracle_table_with, DesignPoint, DesignResult,
     OracleTable, WorkloadData, WorkloadMetrics,
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
@@ -59,12 +62,14 @@ impl Deref for PreparedWorkload {
     }
 }
 
-/// Aggregate cache counters for one session.
+/// Aggregate cache counters for one session. Oracle tables have no
+/// counter of their own: their walks are trace walks like any other, and
+/// pricing them is negligible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// On-disk artifact store counters.
     pub artifacts: StoreStats,
-    /// In-memory memo hits (prepared workloads + oracle tables).
+    /// In-memory memo hits (prepared workloads, oracle tables, timings).
     pub memo_hits: u64,
     /// In-memory memo misses.
     pub memo_misses: u64,
@@ -75,7 +80,8 @@ pub struct SessionStats {
     pub timing_artifacts_loaded: u64,
     /// Trace walks avoided (shape-memo hits + timing artifacts loaded).
     pub walks_skipped: u64,
-    /// Trace walks actually performed ([`run_exocore_timing`]).
+    /// Trace walks actually performed ([`run_exocore_timing`]), for
+    /// oracle tables and design points alike.
     pub trace_walks: u64,
     /// Dynamic instructions produced by the functional simulator.
     pub sim_insts: u64,
@@ -90,9 +96,6 @@ pub struct SessionStats {
     /// Busy nanoseconds, summed over threads, spent in IR reconstruction +
     /// accelerator analysis ([`WorkloadData::from_trace`]).
     pub transform_nanos: u64,
-    /// Busy nanoseconds, summed over threads, spent measuring oracle
-    /// tables (scheduling).
-    pub schedule_nanos: u64,
     /// Units settled from a sweep-journal replay instead of recomputed
     /// (completed *and* quarantined units both count).
     pub resumed: u64,
@@ -113,7 +116,6 @@ impl std::ops::AddAssign for SessionStats {
         self.sim_nanos += rhs.sim_nanos;
         self.udg_nanos += rhs.udg_nanos;
         self.transform_nanos += rhs.transform_nanos;
-        self.schedule_nanos += rhs.schedule_nanos;
         self.resumed += rhs.resumed;
         self.replayed += rhs.replayed;
     }
@@ -143,8 +145,8 @@ impl SessionStats {
              trace walks    : {} performed, {} skipped \
              ({} shape-memo hits, {} timing artifacts loaded)\n\
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
-             stage busy     : sim {} ms, uDG {} ms, transforms {} ms, \
-             schedule {} ms (summed over threads)\n\
+             stage busy     : sim {} ms, uDG {} ms, transforms {} ms \
+             (summed over threads)\n\
              journal        : {} units resumed, {} records replayed\n\
              tmp-file GC    : {} bytes reclaimed\n",
             a.hits,
@@ -165,7 +167,6 @@ impl SessionStats {
             self.sim_nanos / 1_000_000,
             self.udg_nanos / 1_000_000,
             self.transform_nanos / 1_000_000,
-            self.schedule_nanos / 1_000_000,
             self.resumed,
             self.replayed,
             a.gc_reclaimed_bytes,
@@ -285,15 +286,9 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
-/// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
-/// persistent timing-artifact cache — trace-walk timings are then only
-/// memoized in-process and never loaded from or saved to the artifact
-/// store. Results are byte-identical either way.
-pub const NO_TIMING_CACHE_ENV: &str = "PRISM_NO_TIMING_CACHE";
-
 /// Every `PRISM_*` environment variable prism reads. [`Session::new`]
 /// rejects any other `PRISM_*` name.
-const KNOBS: [&str; 12] = [
+const KNOBS: [&str; 11] = [
     "PRISM_ARTIFACT_DIR",
     "PRISM_DIVERGENCE",
     "PRISM_FAULTS",
@@ -302,7 +297,6 @@ const KNOBS: [&str; 12] = [
     "PRISM_JOBS",
     "PRISM_MAX_NODES",
     "PRISM_NET_TOKEN",
-    "PRISM_NO_TIMING_CACHE",
     "PRISM_SCALE",
     "PRISM_STORE_CAP",
     "PRISM_WORKERS",
@@ -316,6 +310,10 @@ fn unknown_knobs<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
         .collect()
 }
 
+/// One shape key's slot in the session's timing memo: filled once, by the
+/// first request, while concurrent requests for the same key wait.
+type TimingCell = Arc<OnceLock<Arc<ExoTiming>>>;
+
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
 #[derive(Debug)]
@@ -327,10 +325,9 @@ pub struct Session {
     faults: Option<Arc<FaultPlan>>,
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
-    timing_cache: bool,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
-    timings: Mutex<HashMap<ContentHash, Arc<ExoTiming>>>,
+    timings: Mutex<HashMap<ContentHash, TimingCell>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     shape_memo_hits: AtomicU64,
@@ -341,7 +338,6 @@ pub struct Session {
     sim_nanos: AtomicU64,
     udg_nanos: AtomicU64,
     transform_nanos: AtomicU64,
-    schedule_nanos: AtomicU64,
     resumed: AtomicU64,
     replayed: AtomicU64,
 }
@@ -382,7 +378,8 @@ impl Session {
              worker takes its shard from the coordinator's hello); \
              PRISM_GRID_TIMEOUT_MS was removed (the heartbeat timeout is 10 s); \
              PRISM_NO_FSYNC was removed (store puts and journal appends always \
-             fsync)",
+             fsync); PRISM_NO_TIMING_CACHE was removed (trace-walk timings are \
+             always stored)",
             unknown.join(", "),
             KNOBS.join(", ")
         );
@@ -411,8 +408,6 @@ impl Session {
             faults,
             budget,
             guard: DivergenceGuard::from_env(),
-            timing_cache: !std::env::var(NO_TIMING_CACHE_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             workloads: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
             timings: Mutex::new(HashMap::new()),
@@ -426,7 +421,6 @@ impl Session {
             sim_nanos: AtomicU64::new(0),
             udg_nanos: AtomicU64::new(0),
             transform_nanos: AtomicU64::new(0),
-            schedule_nanos: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
         }
@@ -496,17 +490,6 @@ impl Session {
     /// always re-simulated and never stored, whatever the argument says.
     #[must_use]
     pub fn with_streaming(self, _streaming: bool) -> Self {
-        self
-    }
-
-    /// Enables (or disables) the persistent timing-artifact cache: with it
-    /// on, each trace-walk timing summary is saved to the artifact store
-    /// keyed by its [µDG shape key](Session::shape_key) and loaded instead
-    /// of recomputed on warm runs. Byte-identical either way. Overrides
-    /// `PRISM_NO_TIMING_CACHE`.
-    #[must_use]
-    pub fn with_timing_cache(mut self, timing_cache: bool) -> Self {
-        self.timing_cache = timing_cache;
         self
     }
 
@@ -735,7 +718,10 @@ impl Session {
 
     /// The oracle table for `workload` on `core`'s base configuration,
     /// memoized per (workload key, core) and metered against the session's
-    /// execution budget.
+    /// execution budget. Its baseline and candidate walks come from the
+    /// session's shape-keyed timing memo, so they share its counters and
+    /// stored timing artifacts with every design point: a table whose
+    /// walks are all stored is rebuilt by pricing alone.
     ///
     /// # Errors
     ///
@@ -760,11 +746,10 @@ impl Session {
             return Ok(Arc::clone(table));
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        let table = oracle_table_budgeted(&workload.data, core, &self.budget)
-            .map_err(|e| PipelineError::budget(&workload.name, &e))?;
-        self.schedule_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let table = oracle_table_with(&workload.data, core, &self.budget, |assignment| {
+            self.exo_timing(workload, core, assignment)
+        })
+        .map_err(|e| PipelineError::budget(&workload.name, &e))?;
         let table = Arc::new(table);
         self.tables
             .lock()
@@ -804,12 +789,12 @@ impl Session {
 
     /// The trace-walk timing for (workload, core variant, assignment),
     /// memoized for the session's lifetime under the [µDG shape
-    /// key](Session::shape_key) and — unless the timing cache is off —
-    /// persisted to the artifact store, so a warm run loads the summary
-    /// instead of walking the trace. A corrupt or stale stored timing
-    /// degrades to a recompute (the store validates on load, the decoder
-    /// is strict). Counts against the session's memo and walk stats and
-    /// the µDG stage busy time.
+    /// key](Session::shape_key) and persisted to the artifact store, so a
+    /// warm run loads the summary instead of walking the trace. Concurrent
+    /// requests for one key wait for a single walk. A corrupt or stale
+    /// stored timing degrades to a recompute (the store validates on load,
+    /// the decoder is strict). Counts against the session's memo and walk
+    /// stats and the µDG stage busy time.
     fn exo_timing(
         &self,
         workload: &PreparedWorkload,
@@ -817,19 +802,17 @@ impl Session {
         assignment: &Assignment,
     ) -> Arc<ExoTiming> {
         let key = self.shape_key(workload, core, assignment);
-        if let Some(t) = self
-            .timings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        if self.timing_cache {
+        let cell = Arc::clone(
+            self.timings
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let mut filled = false;
+        let timing = cell.get_or_init(|| {
+            filled = true;
+            self.memo_misses.fetch_add(1, Ordering::Relaxed);
             if let Some(timing) = self
                 .store
                 .load(&key)
@@ -837,33 +820,28 @@ impl Session {
             {
                 self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
                 self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-                let timing = Arc::new(timing);
-                self.timings
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(key, Arc::clone(&timing));
-                return timing;
+                return Arc::new(timing);
             }
-        }
-        let started = std::time::Instant::now();
-        let timing = Arc::new(run_exocore_timing(
-            &workload.trace,
-            &workload.ir,
-            core,
-            &workload.plans,
-            assignment,
-        ));
-        self.udg_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.trace_walks.fetch_add(1, Ordering::Relaxed);
-        if self.timing_cache {
+            let started = std::time::Instant::now();
+            let timing = Arc::new(run_exocore_timing(
+                &workload.trace,
+                &workload.ir,
+                core,
+                &workload.plans,
+                assignment,
+            ));
+            self.udg_nanos
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.trace_walks.fetch_add(1, Ordering::Relaxed);
             self.store.save(&key, encode_exo_timing(&timing));
+            timing
+        });
+        if !filled {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
         }
-        self.timings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&timing));
-        timing
+        Arc::clone(timing)
     }
 
     /// The [µDG shape keys](Session::shape_key) of the trace-walk timings
@@ -982,10 +960,12 @@ impl Session {
 
     /// Evaluates the grid points named by `missing` (indices in core-major
     /// order) with failure isolation, returning `(index, outcome)` pairs in
-    /// input order. Applies the divergence guard, prefills oracle tables,
-    /// and quarantines per point. `on_unit` runs inside the evaluation
-    /// fan-out as each unit settles — the durability hook (store save +
-    /// journal append) for callers that persist incrementally.
+    /// input order. Applies the divergence guard, then fills the memo in
+    /// one fan-out over (core, workload) — the oracle table, then the walks
+    /// of that core's missing points — and evaluates and quarantines per
+    /// point. `on_unit` runs inside the evaluation fan-out as each unit
+    /// settles — the durability hook (store save + journal append) for
+    /// callers that persist incrementally.
     fn run_points(
         &self,
         data: &[PreparedWorkload],
@@ -1018,47 +998,30 @@ impl Session {
             }
         }
 
-        // Prefill the oracle-table memo over (core × workload); failures
-        // here resurface (typed) when the point is evaluated.
+        // Fill the memo over (core × workload): the oracle table, then the
+        // walks the core's missing points need, so parallel point
+        // evaluation only prices. Failures here resurface (typed) when the
+        // point is evaluated.
         let pairs: Vec<(usize, usize)> = core_ids
             .iter()
             .filter(|&&c| core_block[c].is_none())
             .flat_map(|&c| (0..data.len()).map(move |w| (c, w)))
             .collect();
         parallel_map(&pairs, self.jobs, |_, &(c, w)| {
-            let _ = catch_unwind(AssertUnwindSafe(|| self.oracle_table(&data[w], &cores[c])));
-        });
-
-        // Prefill the trace-walk timing memo over the *distinct*
-        // (workload, core variant, assignment) triples of the missing
-        // points, so parallel point evaluation hits the memo instead of
-        // racing to redo identical walks. Errors are ignored here; they
-        // resurface (typed) when the point is evaluated.
-        let mut seen = std::collections::HashSet::new();
-        let mut walks: Vec<(usize, CoreConfig, Assignment)> = Vec::new();
-        for &idx in missing {
-            let (c, s) = (idx / subsets.len(), idx % subsets.len());
-            if core_block[c].is_some() {
-                continue;
-            }
-            let point = DesignPoint::new(cores[c].clone(), subsets[s].clone());
-            for (wi, w) in data.iter().enumerate() {
-                let Ok(table) = self.oracle_table(w, &cores[c]) else {
-                    continue;
-                };
-                let assignment = oracle_pick(&table, &w.data, &point.bsas);
-                if seen.insert(self.shape_key(w, &point.core, &assignment)) {
-                    walks.push((wi, point.core.clone(), assignment));
-                }
-            }
-        }
-        parallel_map(&walks, self.jobs, |_, (wi, core, assignment)| {
             let _ = catch_unwind(AssertUnwindSafe(|| {
-                self.exo_timing(&data[*wi], core, assignment)
+                let table = self.oracle_table(&data[w], &cores[c])?;
+                for idx in missing.iter().filter(|&&i| i / subsets.len() == c) {
+                    let point =
+                        DesignPoint::new(cores[c].clone(), subsets[idx % subsets.len()].clone());
+                    let assignment = oracle_pick(&table, &data[w].data, &point.bsas);
+                    self.exo_timing(&data[w], &point.core, &assignment);
+                }
+                Ok::<_, PipelineError>(())
             }));
         });
 
-        // Evaluate every missing point; tables now come from the memo.
+        // Evaluate every missing point; tables and timings now come from
+        // the memo.
         parallel_map(missing, self.jobs, |_, &idx| {
             let (c, s) = (idx / subsets.len(), idx % subsets.len());
             let res = match &core_block[c] {
@@ -1363,7 +1326,6 @@ impl Session {
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
             transform_nanos: self.transform_nanos.load(Ordering::Relaxed),
-            schedule_nanos: self.schedule_nanos.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }
@@ -1378,7 +1340,7 @@ impl Session {
              {} misses; walks: {} performed, {} skipped ({} shape-memo, \
              {} artifacts); sim: {} insts at {:.0} insts/sec; \
              stage busy (summed over threads): sim {} ms, uDG {} ms, \
-             transforms {} ms, schedule {} ms; jobs={}",
+             transforms {} ms; jobs={}",
             s.artifacts.hits,
             s.artifacts.misses,
             s.artifacts.discarded,
@@ -1396,7 +1358,6 @@ impl Session {
             s.sim_nanos / 1_000_000,
             s.udg_nanos / 1_000_000,
             s.transform_nanos / 1_000_000,
-            s.schedule_nanos / 1_000_000,
             self.jobs,
         );
     }
@@ -1524,6 +1485,7 @@ mod tests {
             "GRID_TIMEOUT_MS",
             "NET_FAULTS",
             "NO_FSYNC",
+            "NO_TIMING_CACHE",
             "REFRESH",
             "STREAM",
         ]

@@ -624,6 +624,11 @@ mod tests {
         assert_eq!(store.load(&k), None);
         assert!(!path.exists(), "corrupt file should be deleted");
         assert_eq!(store.stats().discarded, 1);
+        // Nesting too deep to parse is corrupt too, not a stack overflow.
+        std::fs::write(&path, "[".repeat(60_000)).unwrap();
+        assert_eq!(store.load(&k), None);
+        assert!(!path.exists(), "deeply nested file should be deleted");
+        assert_eq!(store.stats().discarded, 2);
     }
 
     #[test]

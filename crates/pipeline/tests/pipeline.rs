@@ -24,7 +24,6 @@ fn clean_session() -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_timing_cache(true)
         .with_store_cap(None)
 }
 

@@ -32,7 +32,6 @@ fn session_at(dir: &std::path::Path) -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_timing_cache(true)
         .with_store_cap(None)
         .with_store_dir(dir)
 }
@@ -261,6 +260,38 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
 }
 
 #[test]
+fn oracle_tables_rebuild_from_stored_walks() {
+    let workloads = registry();
+    let core = CoreConfig::io2();
+    let dir = fresh_dir("oracle");
+    let cold = session_at(&dir).evaluate_designs(
+        &workloads,
+        std::slice::from_ref(&core),
+        &small_subsets(),
+    );
+    healthy(cold);
+
+    // A fresh session over the filled store prices every table from
+    // stored walks: the baseline's and each candidate's.
+    let session = session_at(&dir);
+    let mut runs = 0;
+    for w in &workloads {
+        let prepared = session.prepare(w).expect("registry workloads prepare");
+        let table = session
+            .oracle_table(&prepared, &core)
+            .expect("unlimited budget");
+        let want = prism_exocore::oracle_table(&prepared, &core);
+        // Debug covers the baseline and every candidate's lid, kind,
+        // cycles, energy, ed_gain and perf_ok, floats to the bit.
+        assert_eq!(format!("{table:?}"), format!("{want:?}"), "{}", w.name);
+        runs += 1 + table.candidates.len() as u64;
+    }
+    let stats = session.stats();
+    assert_eq!(stats.trace_walks, 0, "tables must not walk: {stats:?}");
+    assert_eq!(stats.timing_artifacts_loaded, runs, "{stats:?}");
+}
+
+#[test]
 fn corrupt_timing_artifacts_degrade_to_recompute() {
     let workloads = registry();
     let subsets = small_subsets();
@@ -289,23 +320,6 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
     assert_eq!(
         fingerprint(&warm),
         fingerprint(&reference(&workloads, &[io2_twin()], &subsets))
-    );
-}
-
-#[test]
-fn timing_cache_opt_out_is_byte_identical() {
-    // As if via PRISM_NO_TIMING_CACHE=1: the persistent layer off.
-    let workloads = registry();
-    let subsets = small_subsets();
-    let cores = vec![CoreConfig::io2(), io2_twin()];
-
-    let off_session = session_at(&fresh_dir("optout")).with_timing_cache(false);
-    let off = healthy(off_session.evaluate_designs(&workloads, &cores, &subsets));
-    let stats = off_session.stats();
-    assert_eq!(stats.timing_artifacts_loaded, 0, "{stats:?}");
-    assert_eq!(
-        fingerprint(&off),
-        fingerprint(&reference(&workloads, &cores, &subsets))
     );
 }
 

@@ -2,7 +2,7 @@
 //! through tracing, IR reconstruction, BSA planning, scheduling, and
 //! combined-TDG evaluation.
 
-use prism::exocore::{amdahl_schedule, oracle_schedule, WorkloadData};
+use prism::exocore::{all_cores, amdahl_schedule, oracle_schedule, WorkloadData};
 use prism::tdg::{run_exocore, Assignment, BsaKind, ExecUnit};
 use prism::udg::{simulate_trace, CoreConfig};
 
@@ -123,9 +123,11 @@ fn accelerated_runs_preserve_total_instruction_attribution() {
 
 #[test]
 fn empty_assignment_reproduces_plain_core_everywhere() {
+    // Bit for bit, cycles and energy alike: the Oracle's baseline is the
+    // empty-assignment walk, priced with no BSAs present.
     for name in ["fft", "458.sjeng"] {
         let data = prepared(name);
-        for core in [CoreConfig::io2(), CoreConfig::ooo4()] {
+        for core in all_cores() {
             let base = simulate_trace(&data.trace, &core);
             let run = run_exocore(
                 &data.trace,
@@ -135,7 +137,21 @@ fn empty_assignment_reproduces_plain_core_everywhere() {
                 &Assignment::none(),
                 &[],
             );
-            assert_eq!(base.cycles, run.cycles, "{name}/{}", core.name);
+            let at = format!("{name}/{}", core.name);
+            assert_eq!(base.cycles, run.cycles, "{at}");
+            assert_eq!(base.insts, run.insts, "{at}");
+            assert_eq!(
+                format!("{:?}", base.events),
+                format!("{:?}", run.events),
+                "{at}"
+            );
+            for (b, r) in [
+                (base.energy.core_dynamic, run.energy.core_dynamic),
+                (base.energy.accel_dynamic, run.energy.accel_dynamic),
+                (base.energy.leakage, run.energy.leakage),
+            ] {
+                assert_eq!(b.to_bits(), r.to_bits(), "{at}");
+            }
             assert_eq!(
                 run.unit_insts[ExecUnit::Gpp as usize],
                 data.trace.len() as u64
