@@ -3,12 +3,9 @@
 //! geomean over all workloads. Each curve is one accelerator family; each
 //! point on it is one core.
 
-use prism_bench::{by_label, full_design_space, results_or_exit, run_worker_if_env};
+use prism_bench::{by_label, full_design_space, results_or_exit};
 
 fn main() {
-    // Under the grid coordinator stdout is the wire protocol; re-enter as
-    // a worker before printing anything.
-    run_worker_if_env();
     let results = results_or_exit(full_design_space());
     let reference = by_label(&results, "IO2").clone();
 

@@ -3,7 +3,7 @@
 //! semi-regular (Mediabench, TPCH, SPECfp), and irregular (SPECint)
 //! workload groups.
 
-use prism_bench::{by_label, full_design_space, results_or_exit, run_worker_if_env};
+use prism_bench::{by_label, full_design_space, results_or_exit};
 use prism_exocore::{geomean, DesignResult};
 use prism_workloads::RegularityClass;
 
@@ -44,9 +44,6 @@ fn class_energy(r: &DesignResult, reference: &DesignResult, class: RegularityCla
 }
 
 fn main() {
-    // Under the grid coordinator stdout is the wire protocol; re-enter as
-    // a worker before printing anything.
-    run_worker_if_env();
     let results = results_or_exit(full_design_space());
     let reference = by_label(&results, "IO2").clone();
 

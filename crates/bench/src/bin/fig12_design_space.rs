@@ -3,12 +3,9 @@
 //! relative to the dual-issue in-order (IO2) design, sorted by speedup
 //! (as the paper's x-axis is).
 
-use prism_bench::{by_label, full_design_space, results_or_exit, run_worker_if_env};
+use prism_bench::{by_label, full_design_space, results_or_exit};
 
 fn main() {
-    // Under the grid coordinator stdout is the wire protocol; re-enter as
-    // a worker before printing anything.
-    run_worker_if_env();
     let results = results_or_exit(full_design_space());
     let reference = by_label(&results, "IO2").clone();
 

@@ -2,12 +2,9 @@
 //! time and energy of a full OOO2 ExoCore, broken down by the unit that
 //! ran each region, relative to the OOO2 core alone.
 
-use prism_bench::{by_label, full_design_space, results_or_exit, run_worker_if_env};
+use prism_bench::{by_label, full_design_space, results_or_exit};
 
 fn main() {
-    // Under the grid coordinator stdout is the wire protocol; re-enter as
-    // a worker before printing anything.
-    run_worker_if_env();
     let results = results_or_exit(full_design_space());
     let exo = by_label(&results, "OOO2-SDNT");
     let base = by_label(&results, "OOO2");

@@ -9,10 +9,11 @@ use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
 
 fn main() {
+    let session = session();
     println!("=== Fig. 14: ExoCore dynamic switching (full OOO2 ExoCore vs OOO2) ===\n");
     for name in ["djpeg-1", "464.h264ref"] {
         let w = prism_workloads::by_name(name).expect(name);
-        let data = run_or_exit(session().prepare(w));
+        let data = run_or_exit(session.prepare(w));
         let core = CoreConfig::ooo2();
         let assignment = oracle_schedule(&data, &core, &BsaKind::ALL);
         let window = (data.trace.len() as u64 / 40).max(200);

@@ -8,6 +8,7 @@ use prism_tdg::{run_exocore, BsaKind};
 use prism_udg::{simulate_trace, CoreConfig};
 
 fn main() {
+    let session = session();
     println!("=== Fig. 15: Oracle vs Amdahl-tree scheduler (Mediabench, OOO2 ExoCore) ===\n");
     println!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
@@ -23,7 +24,7 @@ fn main() {
     let mut energy_ratio = Vec::new(); // baseline energy / amdahl energy
 
     for w in prism_workloads::by_suite(prism_workloads::Suite::Mediabench) {
-        let data = run_or_exit(session().prepare(w));
+        let data = run_or_exit(session.prepare(w));
         let base = simulate_trace(&data.trace, &core);
         let oracle = oracle_schedule(&data, &core, &BsaKind::ALL);
         let amdahl = amdahl_schedule(&data, &core, &BsaKind::ALL);

@@ -2,12 +2,9 @@
 //! measurements. Exits non-zero if a claim's *shape* fails to hold (the
 //! substitutions in DESIGN.md mean absolute factors differ).
 
-use prism_bench::{by_label, full_design_space, results_or_exit, run_worker_if_env};
+use prism_bench::{by_label, full_design_space, results_or_exit};
 
 fn main() {
-    // Under the grid coordinator stdout is the wire protocol; re-enter as
-    // a worker before printing anything.
-    run_worker_if_env();
     let results = results_or_exit(full_design_space());
     let io2 = by_label(&results, "IO2").clone();
     let mut failures = 0;

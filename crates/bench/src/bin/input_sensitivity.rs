@@ -19,6 +19,7 @@ const WORKLOADS: &[&str] = &[
 ];
 
 fn main() {
+    let session = session();
     println!("=== Input sensitivity: ExoCore speedup across problem sizes ===\n");
     println!(
         "{:<12} {:>10} {:>10} {:>10}   chosen BSAs (small | default | large)",
@@ -31,7 +32,7 @@ fn main() {
         let mut speedups = Vec::new();
         let mut picks = Vec::new();
         for scale in [w.default_n / 3 + 16, w.default_n, w.default_n * 2] {
-            let data = run_or_exit(session().prepare_sized(w, scale));
+            let data = run_or_exit(session.prepare_sized(w, scale));
             let base = simulate_trace(&data.trace, &core);
             let a = oracle_schedule(&data, &core, &BsaKind::ALL);
             let run = run_exocore(&data.trace, &data.ir, &core, &data.plans, &a, &BsaKind::ALL);

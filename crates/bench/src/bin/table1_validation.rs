@@ -16,6 +16,8 @@ use prism_tdg::{run_exocore, Assignment, BsaKind};
 use prism_udg::{simulate_reference, simulate_trace, CoreConfig};
 
 fn main() {
+    // Resolve the configuration before printing anything.
+    session();
     println!("=== Table 1 / Fig. 5 reproduction: TDG model validation ===\n");
     core_cross_validation();
     accel_validation("C-Cores", BsaKind::NsDf, CoreConfig::io2(), C_CORES);

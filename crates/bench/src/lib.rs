@@ -7,10 +7,14 @@
 //! Every binary goes through the shared [`session`] — a
 //! [`prism_pipeline::Session`] that memoizes trace/IR/plan preparation,
 //! caches design-point results in a content-addressed artifact store, and
-//! fans work out over `--jobs N` (or `PRISM_JOBS`) worker threads. With
-//! `PRISM_WORKERS=N` (N > 1), full-space sweeps additionally shard across
-//! N worker *processes* via [`prism_grid`]. `--stats` on any figure
-//! binary prints the store/session counters to stderr.
+//! fans work out over `--jobs N` (or `PRISM_JOBS`) worker threads. The
+//! session is built from one [`prism_pipeline::Config`] (the environment
+//! plus `--jobs`, `--stats` and `--resume`); a malformed or unknown knob
+//! stops the binary with exit 2 before it does any work. `--stats` on a
+//! full-space figure binary prints the resolved config and the
+//! store/session counters to stderr. To shard a sweep across processes,
+//! run `prism grid` first: the figure binaries then read the store it
+//! filled.
 
 #![warn(missing_docs)]
 
@@ -20,47 +24,31 @@ pub mod published;
 use std::sync::OnceLock;
 
 use prism_exocore::DesignResult;
-pub use prism_grid::run_worker_if_env;
-use prism_grid::{run_grid, workers_from_env, GridConfig};
-use prism_pipeline::{
-    flag_from_args, jobs_from_args, PipelineError, PreparedWorkload, Session, SweepReport,
-};
+use prism_pipeline::{Config, PipelineError, PreparedWorkload, Session, SweepReport};
 
-/// The process-wide pipeline session shared by all bench binaries.
-/// Honors a `--jobs N` command-line flag, `PRISM_JOBS`, and
-/// `PRISM_ARTIFACT_DIR`.
-pub fn session() -> &'static Session {
-    static SESSION: OnceLock<Session> = OnceLock::new();
-    SESSION.get_or_init(|| {
-        let args: Vec<String> = std::env::args().collect();
-        match jobs_from_args(&args) {
-            Some(jobs) => Session::new().with_jobs(jobs),
-            None => Session::new(),
-        }
+/// This binary's configuration, resolved once from the environment and
+/// its `--jobs`, `--stats` and `--resume` flags. A [`ConfigError`]
+/// (unknown knob, malformed value) ends the process with `error: …` and
+/// exit 2.
+///
+/// [`ConfigError`]: prism_pipeline::ConfigError
+fn config() -> &'static Config {
+    static CONFIG: OnceLock<Config> = OnceLock::new();
+    CONFIG.get_or_init(|| {
+        let mut args: Vec<String> = std::env::args().skip(1).collect();
+        Config::from_args(&mut args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     })
 }
 
-/// Whether `--stats` was passed to this binary.
-#[must_use]
-pub fn stats_requested() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    flag_from_args(&args, "--stats")
-}
-
-/// Whether `--resume` was passed to this binary: replay the sweep
-/// journal of a killed run and skip every unit it records as settled.
-#[must_use]
-pub fn resume_requested() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    flag_from_args(&args, "--resume")
-}
-
-/// Prints the shared session's counters to stderr when `--stats` was
-/// passed. Figure binaries call this after their sweep.
-pub fn log_stats_if_requested() {
-    if stats_requested() {
-        eprint!("{}", session().stats().render());
-    }
+/// The process-wide pipeline session shared by all bench binaries, built
+/// from this binary's [`Config`]. Call it at the top of `main`, so a bad
+/// configuration stops the binary before it prints anything.
+pub fn session() -> &'static Session {
+    static SESSION: OnceLock<Session> = OnceLock::new();
+    SESSION.get_or_init(|| Session::from_config(config()))
 }
 
 /// Unwraps a pipeline result, exiting with a readable error (workload +
@@ -114,49 +102,27 @@ pub fn prepare_named(names: &[&str]) -> Result<Vec<PreparedWorkload>, PipelineEr
 /// loading already-evaluated points from the content-addressed artifact
 /// store (`target/prism-artifacts`, override with `PRISM_ARTIFACT_DIR`).
 /// Artifacts invalidate automatically when any input changes; a fully
-/// cached run does no tracing at all. Cache hit/miss counts are logged.
+/// cached run does no tracing at all. Cache hit/miss counts are logged,
+/// and `--stats` adds the resolved config and the session counters.
 ///
 /// Failures are isolated per unit: the report carries results for every
 /// healthy design point plus a quarantine list for the rest.
-///
-/// With `PRISM_WORKERS=N` (N > 1), the sweep is sharded across N worker
-/// processes by the [`prism_grid`] coordinator instead; the merged report
-/// is identical to the in-process one (both draw from the same
-/// content-addressed store).
 ///
 /// The sweep writes an append-only journal of settled units; `--resume`
 /// replays it after a kill and recomputes only what is missing, producing
 /// the same report as an uninterrupted run.
 #[must_use]
 pub fn full_design_space() -> SweepReport {
-    // Worker mode: under the grid coordinator this binary's stdout is the
-    // wire protocol, so re-enter as a worker before printing anything.
-    prism_grid::run_worker_if_env();
-
-    if let Some(workers) = workers_from_env() {
-        let mut config = GridConfig::full_space(workers);
-        config.resume = resume_requested();
-        match run_grid(&config) {
-            Ok(outcome) => {
-                eprintln!(
-                    "[grid] {} workers, {} units ({} retried, {} reassigned)",
-                    outcome.stats.workers_spawned,
-                    outcome.stats.units_total,
-                    outcome.stats.units_retried,
-                    outcome.stats.units_reassigned
-                );
-                if stats_requested() {
-                    eprint!("{}", outcome.stats.render());
-                }
-                return outcome.report;
-            }
-            Err(e) => eprintln!("[grid] {e}; falling back to in-process sweep"),
-        }
-    }
     let s = session();
-    let report = s.full_design_space_resumable(resume_requested());
+    let config = config();
+    if config.stats {
+        eprint!("{}", config.render());
+    }
+    let report = s.full_design_space_resumable(config.resume);
     s.log_stats();
-    log_stats_if_requested();
+    if config.stats {
+        eprint!("{}", s.stats().render());
+    }
     report
 }
 

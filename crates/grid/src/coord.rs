@@ -37,10 +37,10 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult};
-use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink, NET_TOKEN_ENV};
+use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink};
 use prism_pipeline::{
-    crash_point, sweep_key, ArtifactStore, ContentHash, FaultPlan, JournalReplay, PipelineError,
-    Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
+    crash_point, sweep_key, ArtifactStore, Config, ContentHash, FaultPlan, JournalReplay,
+    PipelineError, Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -49,7 +49,6 @@ use prism_workloads::Workload;
 
 use crate::proto::{FromWorker, ToWorker, PROTO_VERSION};
 use crate::worker::{find_workload, WORKER_ENV};
-use crate::WORKERS_ENV;
 
 /// How many times one remote link is redialed over a run before its
 /// shard slot is given up for dead. Each attempt is itself a bounded
@@ -108,9 +107,10 @@ pub struct GridConfig {
 impl GridConfig {
     /// The paper's full design space (every registered workload over
     /// 4 cores × 16 BSA subsets) on `workers` shards, with defaults
-    /// matching a single-process [`Session`] run.
+    /// matching a single-process [`Session`] run: the store directory and
+    /// the link fault plan come from `config`.
     #[must_use]
-    pub fn full_space(workers: usize) -> Self {
+    pub fn full_space(workers: usize, config: &Config) -> Self {
         GridConfig {
             workers,
             hosts: Vec::new(),
@@ -122,13 +122,13 @@ impl GridConfig {
             cores: all_cores(),
             subsets: all_bsa_subsets(),
             max_insts: TracerConfig::default().max_insts,
-            artifact_dir: ArtifactStore::default_dir(),
+            artifact_dir: config.artifact_dir.clone(),
             worker_cmd: None,
             heartbeat_timeout: Duration::from_secs(10),
             window: 2,
             env: Vec::new(),
             env_remove: Vec::new(),
-            net_faults: FaultPlan::from_env(),
+            net_faults: config.fault_plan(),
             resume: false,
         }
     }
@@ -332,9 +332,7 @@ fn worker_command(cmd: &PathBuf, config: &GridConfig) -> Command {
     let mut builder = Command::new(cmd);
     builder
         .env(WORKER_ENV, "1")
-        .env("PRISM_ARTIFACT_DIR", &config.artifact_dir)
-        // A worker must never recurse into coordinating its own fleet.
-        .env_remove(WORKERS_ENV);
+        .env("PRISM_ARTIFACT_DIR", &config.artifact_dir);
     for key in &config.env_remove {
         builder.env_remove(key);
     }
@@ -360,6 +358,9 @@ fn hello_line(config: &GridConfig, shard: usize) -> String {
 /// recovery, dispatch and the local fallback.
 struct Coordinator<'a> {
     config: &'a GridConfig,
+    /// The process environment's configuration: the net token, and the
+    /// push-side and local-fallback sessions.
+    env: Config,
     store: ArtifactStore,
     journal: Option<SweepJournal>,
     units: Vec<Unit>,
@@ -396,7 +397,7 @@ impl Coordinator<'_> {
                 self.add_shard(link, None, "spawn");
             }
         }
-        let token = std::env::var(NET_TOKEN_ENV).unwrap_or_default();
+        let token = self.env.net_token.clone();
         for (hidx, host) in config.hosts.iter().enumerate() {
             let link = TcpLink::connect(
                 &host.addr(),
@@ -418,7 +419,7 @@ impl Coordinator<'_> {
             .map(|_| SweepReport::default())
             .collect();
         if !config.hosts.is_empty() {
-            let session = Session::new()
+            let session = Session::from_config(&self.env)
                 .with_tracer(tracer_for(config))
                 .with_store_dir(&config.artifact_dir);
             let workload_keys = config
@@ -861,7 +862,7 @@ impl Coordinator<'_> {
         }
         let config = self.config;
         let mut report = SweepReport::default();
-        let session = Session::new()
+        let session = Session::from_config(&self.env)
             .with_tracer(tracer_for(config))
             .with_store_dir(&config.artifact_dir);
         let mut workloads: Vec<&Workload> = Vec::new();
@@ -961,12 +962,16 @@ fn tracer_for(config: &GridConfig) -> TracerConfig {
 /// # Errors
 ///
 /// Returns a [`GridError`] only when the run cannot start (zero workers
-/// and zero hosts configured, no worker executable); anything that fails
-/// *during* the run quarantines units instead.
+/// and zero hosts configured, an environment that does not parse, no
+/// worker executable); anything that fails *during* the run quarantines
+/// units instead.
 pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     if config.workers == 0 && config.hosts.is_empty() {
         return Err(err("at least one worker or host is required"));
     }
+    // The net token and the coordinator's own sessions come from the
+    // environment; a `GridConfig` describes only the sweep.
+    let env = Config::from_env().map_err(|e| err(e.to_string()))?;
 
     // The unit space, in the same core-major order as `explore_grid`.
     let mut units: Vec<Unit> = Vec::with_capacity(config.cores.len() * config.subsets.len());
@@ -1050,6 +1055,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
 
     let mut coord = Coordinator {
         config,
+        env,
         store,
         journal,
         pending: (0..units.len())

@@ -32,6 +32,12 @@
 //! runs and single-process runs warm the same cache and — on a healthy
 //! fleet — produce byte-identical merged reports.
 //!
+//! Any binary a coordinator re-invokes calls [`run_worker_if_env`] first
+//! in `main`. A worker, local or TCP daemon, takes its session settings,
+//! store cap and fault plan from a [`prism_pipeline::Config`]; the
+//! coordinator parses one from the environment for the net token and its
+//! own sessions.
+//!
 //! The same protocol also runs over TCP (see [`prism_net`]): remote
 //! daemons started with `prism worker --listen` occupy shard slots after
 //! the local ones ([`GridConfig::hosts`]), authenticate with a shared
@@ -50,15 +56,3 @@ pub use proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
     run_worker, run_worker_if_env, run_worker_io, serve_tcp, WorkerOptions, WORKER_ENV,
 };
-
-/// Environment variable selecting the grid worker count for front-ends
-/// ([`workers_from_env`]).
-pub const WORKERS_ENV: &str = "PRISM_WORKERS";
-
-/// The worker count requested via `PRISM_WORKERS`, when it asks for an
-/// actual fleet (a value of 0 or 1 means "stay single-process").
-#[must_use]
-pub fn workers_from_env() -> Option<usize> {
-    let n: usize = std::env::var(WORKERS_ENV).ok()?.trim().parse().ok()?;
-    (n > 1).then_some(n)
-}

@@ -112,7 +112,8 @@ pub enum FromWorker {
         result: DesignResult,
         /// Hex content-hash keys of the store artifacts backing this
         /// result, so a coordinator on another host can pull what its
-        /// own store is missing. Empty from pre-v2 or local workers.
+        /// own store is missing. Always present on the wire; empty from
+        /// local workers, which share the coordinator's store.
         artifacts: Vec<String>,
     },
     /// A unit (or a whole workload) was quarantined on this shard.
@@ -366,20 +367,15 @@ impl FromWorker {
             })()
             .ok_or_else(shape),
             "result" => (|| {
-                // `artifacts` is optional on decode for v1 tolerance;
-                // v2 encoders always write it.
-                let artifacts = match json.get("artifacts") {
-                    Some(arr) => arr
+                Some(FromWorker::UnitResult {
+                    id: json.get("id")?.as_u64()?,
+                    result: decode_design_result(json.get("result")?)?,
+                    artifacts: json
+                        .get("artifacts")?
                         .as_arr()?
                         .iter()
                         .map(|k| Some(k.as_str()?.to_string()))
                         .collect::<Option<_>>()?,
-                    None => Vec::new(),
-                };
-                Some(FromWorker::UnitResult {
-                    id: json.get("id")?.as_u64()?,
-                    result: decode_design_result(json.get("result")?)?,
-                    artifacts,
                 })
             })()
             .ok_or_else(shape),
@@ -402,23 +398,15 @@ impl FromWorker {
                 })
             })()
             .ok_or_else(shape),
-            // Counters default to zero so a bare `bye` (pre-counter
-            // workers) still decodes.
-            "bye" => Ok(FromWorker::Bye {
-                walks: json.get("walks").and_then(Json::as_u64).unwrap_or(0),
-                walks_skipped: json
-                    .get("walks_skipped")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                shape_memo_hits: json
-                    .get("shape_memo_hits")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                timing_artifacts_loaded: json
-                    .get("timing_artifacts_loaded")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-            }),
+            "bye" => (|| {
+                Some(FromWorker::Bye {
+                    walks: json.get("walks")?.as_u64()?,
+                    walks_skipped: json.get("walks_skipped")?.as_u64()?,
+                    shape_memo_hits: json.get("shape_memo_hits")?.as_u64()?,
+                    timing_artifacts_loaded: json.get("timing_artifacts_loaded")?.as_u64()?,
+                })
+            })()
+            .ok_or_else(shape),
             "fatal" => (|| {
                 Some(FromWorker::Fatal {
                     message: json.get("message")?.as_str()?.to_string(),
@@ -541,11 +529,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_result_without_artifacts_still_decodes() {
-        // A v1 `result` frame has no `artifacts` field; tolerate it so a
-        // coordinator can drain a worker mid-upgrade instead of treating
-        // the frame as garbled (and killing the shard).
-        let full = FromWorker::UnitResult {
+    fn result_and_bye_without_their_fields_are_typed_errors() {
+        // Every frame field is required: a `result` without `artifacts`
+        // or a `bye` without its counters is garbled, not a v1 frame (a
+        // v1 worker refuses a v2 hello before it sends anything).
+        let result = FromWorker::UnitResult {
             id: 3,
             result: DesignResult {
                 label: "IO2-".into(),
@@ -557,14 +545,23 @@ mod tests {
             artifacts: vec![],
         }
         .encode();
-        let stripped = full.replace(",\"artifacts\":[]", "");
-        assert_ne!(full, stripped, "artifacts field must be present in v2");
-        match FromWorker::decode(&stripped).unwrap() {
-            FromWorker::UnitResult { id, artifacts, .. } => {
-                assert_eq!(id, 3);
-                assert!(artifacts.is_empty());
-            }
-            other => panic!("wrong decode: {other:?}"),
+        assert!(FromWorker::decode(&result).is_ok(), "{result}");
+        let result_without_artifacts = result.replace(",\"artifacts\":[]", "");
+        assert_ne!(
+            result, result_without_artifacts,
+            "artifacts field must be present in v2"
+        );
+        let bye = FromWorker::Bye {
+            walks: 1,
+            walks_skipped: 2,
+            shape_memo_hits: 3,
+            timing_artifacts_loaded: 4,
+        }
+        .encode();
+        assert!(FromWorker::decode(&bye).is_ok(), "{bye}");
+        for bad in [result_without_artifacts.as_str(), "{\"type\":\"bye\"}"] {
+            assert!(FromWorker::decode(bad).is_err(), "{bad:?}");
+            assert!(ToWorker::decode(bad).is_err(), "{bad:?}");
         }
     }
 }

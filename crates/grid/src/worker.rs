@@ -28,11 +28,11 @@ use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use prism_exocore::DesignPoint;
 use prism_pipeline::{
-    ArtifactStore, ContentHash, FaultPlan, PipelineError, Session, Stage, WorkerFault,
+    ArtifactStore, Config, ContentHash, PipelineError, Session, Stage, WorkerFault,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -47,10 +47,19 @@ pub const WORKER_ENV: &str = "PRISM_GRID_WORKER";
 /// Runs the worker protocol and exits the process when `PRISM_GRID_WORKER`
 /// is set; returns immediately otherwise. Call this first in `main` of any
 /// binary that may serve as a grid worker — before anything is written to
-/// stdout, which carries the wire protocol in worker mode.
+/// stdout, which carries the wire protocol in worker mode. A worker whose
+/// environment does not parse ([`Config::from_env`]) prints the error to
+/// stderr and exits 2 without speaking the protocol.
 pub fn run_worker_if_env() {
     if std::env::var_os(WORKER_ENV).is_some() {
-        std::process::exit(run_worker());
+        let code = match Config::from_env() {
+            Ok(config) => run_worker(&config),
+            Err(e) => {
+                eprintln!("error: {e}");
+                2
+            }
+        };
+        std::process::exit(code);
     }
 }
 
@@ -67,12 +76,11 @@ pub struct WorkerOptions {
     /// worker with its own store names the artifacts each unit saved, so
     /// the coordinator can pull them.
     pub store_dir: Option<PathBuf>,
-    /// LRU byte cap on the worker's store (`prism worker --store-cap` /
-    /// `PRISM_STORE_CAP`); `None` leaves growth unbounded.
-    pub store_cap: Option<u64>,
-    /// Injected fault plan (`PRISM_FAULTS`): the session reads its store
-    /// and stage kinds, the protocol loop its worker kinds.
-    pub faults: Option<Arc<FaultPlan>>,
+    /// The worker's configuration: its session's jobs, budget, guard and
+    /// store cap, and the fault plan each session parses afresh — the
+    /// session reads its store and stage kinds, the protocol loop its
+    /// worker kinds.
+    pub config: Config,
 }
 
 /// Looks a workload up in the main registry, then the microbenchmarks.
@@ -123,39 +131,33 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) {
 }
 
 /// Runs the worker protocol over this process's stdin/stdout until
-/// shutdown, returning the process exit code. The shard id comes from
-/// the coordinator's Hello.
+/// shutdown, returning the process exit code. The shard id and the store
+/// directory come from the coordinator's Hello.
 #[must_use]
-pub fn run_worker() -> i32 {
+pub fn run_worker(config: &Config) -> i32 {
     let opts = WorkerOptions {
         expected_shard: None,
         store_dir: None,
-        store_cap: prism_pipeline::store_cap_from_env(),
-        faults: FaultPlan::from_env(),
+        config: config.clone(),
     };
     let stdin = std::io::stdin();
     run_worker_io(stdin.lock(), std::io::stdout(), &opts)
 }
 
 /// Serves grid worker sessions over TCP forever: each accepted (and
-/// token-authenticated) connection runs one full worker protocol session
-/// on its own thread, against this daemon's local artifact store. A
-/// coordinator that reconnects after a network fault simply starts a
-/// fresh session; the store's memoized artifacts make the re-run cheap.
-/// With `store_cap`, the daemon's store evicts least-recently-used
-/// artifacts after every put so per-host disk growth stays bounded.
-pub fn serve_tcp(
-    listener: std::net::TcpListener,
-    token: String,
-    store_dir: PathBuf,
-    store_cap: Option<u64>,
-) -> ! {
-    prism_net::serve(listener, token, move |stream, shard| {
+/// authenticated with `config.net_token`) connection runs one full worker
+/// protocol session on its own thread, against this daemon's store at
+/// `config.artifact_dir`. A coordinator that reconnects after a network
+/// fault simply starts a fresh session; the store's memoized artifacts
+/// make the re-run cheap. With `config.store_cap`, the daemon's store
+/// evicts least-recently-used artifacts after every put so per-host disk
+/// growth stays bounded.
+pub fn serve_tcp(listener: std::net::TcpListener, config: Config) -> ! {
+    prism_net::serve(listener, config.net_token.clone(), move |stream, shard| {
         let opts = WorkerOptions {
             expected_shard: Some(shard),
-            store_dir: Some(store_dir.clone()),
-            store_cap,
-            faults: FaultPlan::from_env(),
+            store_dir: Some(config.artifact_dir.clone()),
+            config: config.clone(),
         };
         let reader = match stream.try_clone() {
             Ok(clone) => std::io::BufReader::new(clone),
@@ -236,18 +238,20 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         .store_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from(&artifact_dir));
-    let session = Session::new()
+    // One plan for the session (store and stage kinds) and the protocol
+    // loop (worker kinds), fresh for every session.
+    let faults = opts.config.fault_plan();
+    let session = Session::from_config(&opts.config)
         .with_tracer(TracerConfig {
             max_insts,
             ..TracerConfig::default()
         })
-        .with_store_cap(opts.store_cap)
         .with_store_dir(&store_dir)
-        .with_faults(opts.faults.clone());
+        .with_faults(faults.clone());
     // A second handle on the same store for artifact fetch/push frames:
     // the reader thread serves those concurrently with evaluation, and
     // the store's durability is file-level, not handle-level.
-    let store = ArtifactStore::new(&store_dir).with_cap(opts.store_cap);
+    let store = ArtifactStore::new(&store_dir).with_cap(opts.config.store_cap);
 
     // Resolve the workload set; unknown names quarantine as whole-workload
     // units (same key shape the pipeline uses for preparation failures).
@@ -326,11 +330,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     }
                 };
                 let Some(unit) = unit else { return };
-                match opts
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.worker_fault(shard, started))
-                {
+                match faults.as_ref().and_then(|f| f.worker_fault(shard, started)) {
                     Some(WorkerFault::Die) => {
                         eprintln!(
                             "[prism-grid] shard {shard}: injected death before unit {started}"

@@ -28,7 +28,7 @@ use prism_exocore::{all_bsa_subsets, DesignPoint};
 use prism_grid::{run_grid, run_worker_if_env, serve_tcp, GridConfig, GridOutcome};
 use prism_net::{parse_hosts, NET_TOKEN_ENV};
 use prism_pipeline::{
-    run_fsck, sweep_key, FaultPlan, Session, SweepJournal, SweepReport, FAULTS_ENV,
+    run_fsck, sweep_key, Config, FaultPlan, Session, SweepJournal, SweepReport, FAULTS_ENV,
 };
 use prism_sim::TracerConfig;
 use prism_udg::{CoreConfig, ExecBudget};
@@ -288,8 +288,12 @@ fn scenario_tcp_equivalence() {
     for dir in &daemon_dirs {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         ports.push(listener.local_addr().expect("addr").port());
-        let dir = dir.clone();
-        std::thread::spawn(move || serve_tcp(listener, token.to_string(), dir, None));
+        let config = Config {
+            artifact_dir: dir.clone(),
+            net_token: token.to_string(),
+            ..Config::default()
+        };
+        std::thread::spawn(move || serve_tcp(listener, config));
     }
 
     let mut cfg = config(0, &dir_coord);

@@ -9,10 +9,10 @@
 //!                     or {"type":"net-reject","reason":"..."}
 //! ```
 //!
-//! The token comes from [`NET_TOKEN_ENV`] on both sides; both sides
-//! leaving it unset (empty token) is accepted — the token is a
-//! mis-wiring/mis-deploy guard for trusted lab networks, not a
-//! cryptographic channel. A reject closes the connection without ever
+//! The token comes from [`NET_TOKEN_ENV`] on both sides, resolved into
+//! [`prism_pipeline::Config::net_token`]; both sides leaving it unset
+//! (empty token) is accepted — the token is a mis-wiring/mis-deploy
+//! guard for trusted lab networks, not a cryptographic channel. A reject closes the connection without ever
 //! reaching the grid protocol, so an old or foreign peer cannot make a
 //! v2 worker mis-parse frames.
 

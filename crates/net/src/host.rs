@@ -1,12 +1,7 @@
-//! Typed `host:port` list parsing for `--hosts` / `PRISM_HOSTS`.
+//! Typed `host:port` list parsing for `prism grid --hosts`: a
+//! comma-separated list, e.g. `127.0.0.1:7761,box2:7761`.
 
 use std::fmt;
-
-/// Environment variable holding the remote worker host list — the
-/// fallback when `prism grid` is run without an explicit `--hosts` flag.
-/// Grammar: a comma-separated `host:port` list, e.g.
-/// `127.0.0.1:7761,box2:7761`.
-pub const HOSTS_ENV: &str = "PRISM_HOSTS";
 
 /// One remote worker endpoint (`host:port`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +26,7 @@ impl fmt::Display for HostSpec {
     }
 }
 
-/// Why a `--hosts` / [`HOSTS_ENV`] value failed to parse. Mirrors the
+/// Why a `--hosts` value failed to parse. Mirrors the
 /// typed-error style of the fault-spec parsers: each variant names the
 /// offending entry so the message is actionable without a stack trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,19 +116,6 @@ pub fn parse_hosts(text: &str) -> Result<Vec<HostSpec>, HostSpecError> {
         hosts.push(spec);
     }
     Ok(hosts)
-}
-
-/// Reads and parses [`HOSTS_ENV`]; an unset or blank variable is an
-/// empty host list (all-local grid), not an error.
-///
-/// # Errors
-///
-/// Returns the parse error when the variable is set but malformed.
-pub fn hosts_from_env() -> Result<Vec<HostSpec>, HostSpecError> {
-    match std::env::var(HOSTS_ENV) {
-        Ok(raw) if !raw.trim().is_empty() => parse_hosts(&raw),
-        _ => Ok(Vec::new()),
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! - A shared-secret handshake ([`NET_TOKEN_ENV`]) that runs *before*
 //!   any grid-protocol frame crosses the wire.
 //! - [`HostSpec`] / [`parse_hosts`] — typed `host:port` list parsing for
-//!   `--hosts` / [`HOSTS_ENV`].
+//!   `prism grid --hosts`.
 //! - Deterministic link chaos: [`TcpLink`] applies the `drop`, `delay`
 //!   and `disconnect` entries of a `PRISM_FAULTS` plan
 //!   ([`prism_pipeline::FaultPlan`]) to its inbound frames.
@@ -34,7 +34,7 @@ mod host;
 mod link;
 
 pub use handshake::{client_handshake, NET_HANDSHAKE_VERSION, NET_TOKEN_ENV};
-pub use host::{hosts_from_env, parse_hosts, HostSpec, HostSpecError, HOSTS_ENV};
+pub use host::{parse_hosts, HostSpec, HostSpecError};
 pub use link::{DeadLink, LinkEvent, ShardLink, StdioLink, TcpLink};
 
 use std::net::TcpListener;

@@ -23,6 +23,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::config::Config;
 use crate::fault::FaultPlan;
 
 /// Exit status of an injected crash — mirrors a SIGKILL'd process
@@ -59,10 +60,21 @@ static ARMED: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
 
 /// Records one hit of `site`, exiting the process with
 /// [`CRASH_EXIT_CODE`] when a `crash:<site>@<n>` entry's hit count is
-/// reached. The process-wide plan is parsed from `PRISM_FAULTS` on the
-/// first call; a no-op (one branch) when the variable is not set.
+/// reached. The process-wide plan is parsed from the environment's
+/// `PRISM_FAULTS` ([`Config::from_env`]) on the first call; a no-op (one
+/// branch) when the variable is not set.
+///
+/// # Panics
+///
+/// Panics with the [`ConfigError`](crate::ConfigError) text when the
+/// environment does not parse, like [`Session::new`](crate::Session::new).
 pub fn crash_point(site: &str) {
-    let Some(plan) = ARMED.get_or_init(FaultPlan::from_env) else {
+    let armed = ARMED.get_or_init(|| {
+        Config::from_env()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .fault_plan()
+    });
+    let Some(plan) = armed else {
         return;
     };
     if plan.crash_due(site) {

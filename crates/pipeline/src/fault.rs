@@ -30,12 +30,11 @@
 //! injects the same faults as a sequential one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::crash::CRASH_SITES;
 use crate::error::Stage;
 
-/// Environment variable holding the fault plan for [`FaultPlan::from_env`].
+/// Environment variable holding the fault plan ([`crate::Config::faults`]).
 pub const FAULTS_ENV: &str = "PRISM_FAULTS";
 
 /// Message prefix for every injected panic, so caught panics are
@@ -175,27 +174,6 @@ fn shard_event(entry: &str, args: &str) -> Result<(usize, u64), FaultSpecError> 
 }
 
 impl FaultPlan {
-    /// Parses a fresh plan from the [`FAULTS_ENV`] environment variable
-    /// (so counted faults restart per call). Returns `None` when the
-    /// variable is unset or empty. A malformed value is a hard error:
-    /// silently ignoring a typoed fault plan would make a chaos run look
-    /// suspiciously healthy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but does not parse.
-    #[must_use]
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let raw = std::env::var(FAULTS_ENV).ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&raw) {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(e) => panic!("bad {FAULTS_ENV} value `{raw}`: {e}"),
-        }
-    }
-
     /// Parses a plan from its textual form (the `PRISM_FAULTS` grammar).
     ///
     /// # Errors
@@ -529,8 +507,8 @@ mod tests {
     #[test]
     fn empty_specs_are_rejected_not_silently_inert() {
         // A plan that configures nothing would make a chaos run look
-        // healthy; parse refuses it (from_env treats unset/blank env as
-        // "no plan" before ever calling parse). A seed alone is no fault.
+        // healthy; parse refuses it (the config treats an unset or blank
+        // variable as "no plan" before ever calling parse). A seed alone is no fault.
         for empty in ["", "   ", ",", " , ,", "seed=5", " seed=5 , "] {
             let err = FaultPlan::parse(empty).expect_err(empty);
             assert!(err.reason.contains("empty fault spec"), "{empty}: {err}");

@@ -22,6 +22,15 @@
 //! whether run with `--jobs 1` or `--jobs N` (also settable via the
 //! `PRISM_JOBS` environment variable).
 //!
+//! ## Configuration
+//!
+//! Every `PRISM_*` knob and the global `--jobs`, `--stats` and `--resume`
+//! flags are parsed once into a typed [`Config`]
+//! ([`Config::from_env`], [`Config::from_args`]); an unknown knob or a
+//! malformed value is a [`ConfigError`] naming it. [`Session::from_config`]
+//! builds a session from it, and [`Session::new`] is `from_config` over
+//! the environment.
+//!
 //! ## Fault tolerance
 //!
 //! Sweeps isolate failures instead of aborting: a panicking model stage,
@@ -29,11 +38,11 @@
 //! affected (workload, design point) unit into
 //! [`SweepReport::quarantined`] while every healthy point still produces
 //! a result. Store I/O is retried with bounded backoff and degrades to
-//! recompute. A seeded [`FaultPlan`] (from the `PRISM_FAULTS` environment
-//! variable) injects store I/O errors, artifact corruption, trace
-//! truncation, and stage panics deterministically for chaos testing; the
-//! same plan carries the grid's worker and link faults and the kill
-//! points below.
+//! recompute. A seeded [`FaultPlan`] (the `PRISM_FAULTS` knob,
+//! [`Config::fault_plan`]) injects store I/O errors, artifact
+//! corruption, trace truncation, and stage panics deterministically for
+//! chaos testing; the same plan carries the grid's worker and link
+//! faults and the kill points below.
 //!
 //! ## Crash consistency
 //!
@@ -47,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod config;
 pub mod crash;
 pub mod error;
 pub mod fault;
@@ -64,6 +74,7 @@ pub use codec::{
     decode_design_result, decode_exo_timing, decode_pipeline_error, encode_design_result,
     encode_exo_timing, encode_pipeline_error,
 };
+pub use config::{Config, ConfigError};
 pub use crash::{
     crash_point, CRASH_EXIT_CODE, SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT,
     SITE_UNIT_COMPLETE,
@@ -77,7 +88,7 @@ pub use hash::ContentHash;
 pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_SUBDIR};
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
-pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
+pub use par::parallel_map;
 pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats};
-pub use store::{store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, STORE_CAP_ENV};
+pub use store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 pub use sweep::SweepReport;

@@ -10,41 +10,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolves the worker count: explicit override > `PRISM_JOBS` env var >
-/// available hardware parallelism.
-#[must_use]
-pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("PRISM_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-        .max(1)
-}
-
-/// Extracts a `--jobs N` (or `--jobs=N`) override from a command line.
-#[must_use]
-pub fn jobs_from_args<S: AsRef<str>>(args: &[S]) -> Option<usize> {
-    let mut it = args.iter().map(AsRef::as_ref);
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = arg.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-/// Whether a boolean flag (e.g. `--stats`) appears in a command line.
-#[must_use]
-pub fn flag_from_args<S: AsRef<str>>(args: &[S], flag: &str) -> bool {
-    args.iter().any(|a| a.as_ref() == flag)
-}
-
 /// Maps `f` over `items` on up to `jobs` worker threads, returning results
 /// in input order. `f` receives `(index, item)`.
 ///
@@ -116,21 +81,5 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(parallel_map(&empty, 4, |_, &x| x).is_empty());
         assert_eq!(parallel_map(&[7u32], 4, |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn boolean_flag_detection() {
-        assert!(flag_from_args(&["explore", "--stats"], "--stats"));
-        assert!(!flag_from_args(&["explore", "--statsy"], "--stats"));
-        assert!(!flag_from_args::<&str>(&[], "--stats"));
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        assert_eq!(jobs_from_args(&["--jobs", "4"]), Some(4));
-        assert_eq!(jobs_from_args(&["x", "--jobs=2", "y"]), Some(2));
-        assert_eq!(jobs_from_args(&["--jobs"]), None);
-        assert_eq!(jobs_from_args(&["--jobs", "zero?"]), None);
-        assert_eq!(jobs_from_args(&["-j", "4"]), None);
     }
 }

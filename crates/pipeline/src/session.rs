@@ -34,14 +34,15 @@ use prism_workloads::{Suite, Workload};
 use crate::codec::{
     decode_design_result, decode_exo_timing, encode_design_result, encode_exo_timing,
 };
+use crate::config::Config;
 use crate::crash::{crash_point, SITE_UNIT_COMPLETE};
 use crate::error::{PipelineError, Stage};
 use crate::fault::FaultPlan;
 use crate::hash::{ContentHash, Sha256};
 use crate::journal::{sweep_key, JournalReplay, SweepJournal};
 use crate::key::KeyBuilder;
-use crate::par::{parallel_map, resolve_jobs};
-use crate::store::{store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
+use crate::par::parallel_map;
+use crate::store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 use crate::sweep::SweepReport;
 
 /// A workload prepared by a [`Session`]: its content key plus the shared
@@ -196,28 +197,6 @@ impl DivergenceGuard {
         }
     }
 
-    /// Parses `PRISM_DIVERGENCE=tol[:sample]` (e.g. `0.25` or `0.25:4`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but does not parse.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("PRISM_DIVERGENCE").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
-        let (tol, sample) = match raw.split_once(':') {
-            Some((t, s)) => (t, s.parse::<u64>().ok()),
-            None => (raw, Some(1)),
-        };
-        let (Ok(tolerance), Some(sample)) = (tol.parse::<f64>(), sample) else {
-            panic!("bad PRISM_DIVERGENCE value `{raw}` (expected tol[:sample])");
-        };
-        Some(DivergenceGuard::new(tolerance, sample))
-    }
-
     /// Whether this (workload key, core) pair is in the checked sample.
     /// Stable: depends only on the pair, not on sweep order or thread
     /// interleaving.
@@ -286,30 +265,6 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
-/// Every `PRISM_*` environment variable prism reads. [`Session::new`]
-/// rejects any other `PRISM_*` name.
-const KNOBS: [&str; 11] = [
-    "PRISM_ARTIFACT_DIR",
-    "PRISM_DIVERGENCE",
-    "PRISM_FAULTS",
-    "PRISM_GRID_WORKER",
-    "PRISM_HOSTS",
-    "PRISM_JOBS",
-    "PRISM_MAX_NODES",
-    "PRISM_NET_TOKEN",
-    "PRISM_SCALE",
-    "PRISM_STORE_CAP",
-    "PRISM_WORKERS",
-];
-
-/// The `PRISM_*` names among `names` that are not in [`KNOBS`].
-fn unknown_knobs<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
-    names
-        .into_iter()
-        .filter(|name| name.starts_with("PRISM_") && !KNOBS.contains(name))
-        .collect()
-}
-
 /// One shape key's slot in the session's timing memo: filled once, by the
 /// first request, while concurrent requests for the same key wait.
 type TimingCell = Arc<OnceLock<Arc<ExoTiming>>>;
@@ -349,65 +304,45 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Creates a session from the environment: default tracer config,
-    /// `PRISM_JOBS` (else hardware parallelism) workers, artifacts under
-    /// `PRISM_ARTIFACT_DIR` (else `target/prism-artifacts`), fault
-    /// injection from `PRISM_FAULTS`, a node budget from `PRISM_MAX_NODES`,
-    /// and a divergence guard from `PRISM_DIVERGENCE=tol[:sample]`.
+    /// Creates a session from the environment ([`Config::from_env`]).
     ///
     /// # Panics
     ///
-    /// Panics when `PRISM_MAX_NODES` is set but not a number (like the
-    /// other env knobs, a typo must not silently disable the budget), and
-    /// when a `PRISM_*` variable prism does not read is set: a retired or
-    /// misspelt knob must not silently disable what it used to do.
+    /// Panics with the [`ConfigError`](crate::ConfigError) text when the
+    /// environment does not parse: a malformed value, or a `PRISM_*`
+    /// variable prism does not read (a retired or misspelt knob must not
+    /// silently stop doing what it used to do). Front ends resolve the
+    /// config themselves and exit 2 instead.
     #[must_use]
     pub fn new() -> Self {
-        let env: Vec<String> = std::env::vars_os()
-            .filter_map(|(name, _)| name.into_string().ok())
-            .collect();
-        let unknown = unknown_knobs(env.iter().map(String::as_str));
-        assert!(
-            unknown.is_empty(),
-            "unknown environment variable(s) {}: prism reads only {}. Every fault \
-             kind (store, stage, worker, link, crash) goes in PRISM_FAULTS; \
-             PRISM_REFRESH was removed (the content-addressed store invalidates \
-             itself; delete the store directory for a cold run); PRISM_STREAM and \
-             PRISM_CHUNK were removed (traces are re-simulated, never stored, in \
-             fixed 64 Ki-instruction chunks); PRISM_GRID_SHARD was removed (a \
-             worker takes its shard from the coordinator's hello); \
-             PRISM_GRID_TIMEOUT_MS was removed (the heartbeat timeout is 10 s); \
-             PRISM_NO_FSYNC was removed (store puts and journal appends always \
-             fsync); PRISM_NO_TIMING_CACHE was removed (trace-walk timings are \
-             always stored)",
-            unknown.join(", "),
-            KNOBS.join(", ")
-        );
-        let faults = FaultPlan::from_env();
-        let budget = match std::env::var("PRISM_MAX_NODES") {
-            Ok(v) => ExecBudget::new(
-                v.trim()
-                    .parse::<u64>()
-                    .unwrap_or_else(|e| panic!("bad PRISM_MAX_NODES value `{v}`: {e}")),
-            ),
-            Err(_) => ExecBudget::unlimited(),
-        };
-        let store_cap = store_cap_from_env();
-        let mut store = ArtifactStore::new(ArtifactStore::default_dir());
+        Session::from_config(&Config::from_env().unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    /// Creates a session from a resolved configuration: default tracer
+    /// config, `config.jobs` workers, artifacts under
+    /// `config.artifact_dir`, a fresh fault plan from `config.faults`, a
+    /// node budget from `config.max_nodes`, the store cap and the
+    /// divergence guard.
+    #[must_use]
+    pub fn from_config(config: &Config) -> Self {
+        let faults = config.fault_plan();
+        let mut store = ArtifactStore::new(&config.artifact_dir);
         store.set_faults(faults.clone());
-        store.set_cap(store_cap);
+        store.set_cap(config.store_cap);
         // Opportunistic repair: sweep out tmp files leaked by long-dead
         // writers. The safety window plus live-pid check make this safe
         // against concurrent sessions sharing the store.
         store.gc_tmp_files(GC_SAFETY_WINDOW);
         Session {
             tracer: TracerConfig::default(),
-            jobs: resolve_jobs(None),
+            jobs: config.jobs,
             store,
-            store_cap,
+            store_cap: config.store_cap,
             faults,
-            budget,
-            guard: DivergenceGuard::from_env(),
+            budget: config
+                .max_nodes
+                .map_or_else(ExecBudget::unlimited, ExecBudget::new),
+            guard: config.divergence,
             workloads: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
             timings: Mutex::new(HashMap::new()),
@@ -1472,89 +1407,6 @@ mod tests {
         assert!(g.selects(&key, "OOO2"));
         let sparse = DivergenceGuard::new(0.1, 1_000_000_007);
         assert!(!sparse.selects(&key, "OOO2") || !sparse.selects(&key, "OOO4"));
-    }
-
-    #[test]
-    fn only_the_knobs_prism_reads_pass_the_env_check() {
-        assert!(unknown_knobs(KNOBS).is_empty());
-        let retired: Vec<String> = [
-            "CHUNK",
-            "CRASH",
-            "GRID_FAULTS",
-            "GRID_SHARD",
-            "GRID_TIMEOUT_MS",
-            "NET_FAULTS",
-            "NO_FSYNC",
-            "NO_TIMING_CACHE",
-            "REFRESH",
-            "STREAM",
-        ]
-        .iter()
-        .map(|name| format!("PRISM_{name}"))
-        .collect();
-        let mut names = vec!["PATH", "PRISMATIC", "PRISM_FAULTS", "PRISM_SCALE"];
-        names.extend(retired.iter().map(String::as_str));
-        assert_eq!(unknown_knobs(names), retired);
-    }
-
-    /// The `"PRISM_*"` string literals in the non-test code of
-    /// `crates/*/src` and `src/`, minus the `KNOBS` array itself.
-    fn prism_literals_in_sources() -> std::collections::BTreeSet<String> {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut dirs = vec![root.join("src")];
-        for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
-            dirs.push(krate.expect("crate entry").path().join("src"));
-        }
-        let mut literals = std::collections::BTreeSet::new();
-        while let Some(dir) = dirs.pop() {
-            for entry in std::fs::read_dir(&dir).expect("source dir") {
-                let path = entry.expect("source entry").path();
-                if path.is_dir() {
-                    dirs.push(path);
-                    continue;
-                }
-                if path.extension().is_none_or(|ext| ext != "rs") {
-                    continue;
-                }
-                let text = std::fs::read_to_string(&path).expect("source file");
-                let mut code = text
-                    .split("#[cfg(test)]")
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-                if let Some(start) = code.find("const KNOBS") {
-                    let end = start + code[start..].find("];").expect("KNOBS array end");
-                    code.replace_range(start..end, "");
-                }
-                for (at, _) in code.match_indices("\"PRISM_") {
-                    let rest = &code[at + 1..];
-                    let len = rest
-                        .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
-                        .unwrap_or(rest.len());
-                    if len > "PRISM_".len() && rest[len..].starts_with('"') {
-                        literals.insert(rest[..len].to_string());
-                    }
-                }
-            }
-        }
-        literals
-    }
-
-    #[test]
-    fn knobs_match_the_prism_literals_in_the_sources() {
-        let literals = prism_literals_in_sources();
-        for literal in &literals {
-            assert!(
-                KNOBS.contains(&literal.as_str()),
-                "{literal} is read but missing from KNOBS"
-            );
-        }
-        for knob in KNOBS {
-            assert!(
-                literals.contains(knob),
-                "{knob} is in KNOBS but nothing outside the list names it"
-            );
-        }
     }
 
     #[test]

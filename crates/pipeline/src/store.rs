@@ -29,32 +29,6 @@ const IO_ATTEMPTS: u32 = 3;
 /// crash leftover. `fsck` uses a zero window instead — it runs offline.
 pub const GC_SAFETY_WINDOW: Duration = Duration::from_secs(15 * 60);
 
-/// Environment variable holding a byte cap on store growth
-/// (`PRISM_STORE_CAP=<bytes>`, also `prism worker --store-cap`). When
-/// set, the store evicts least-recently-used artifacts after every put
-/// until it fits — the knob long-running worker daemons use to bound
-/// per-host disk growth.
-pub const STORE_CAP_ENV: &str = "PRISM_STORE_CAP";
-
-/// Parses [`STORE_CAP_ENV`]; `None` when unset, empty, or `0` (uncapped).
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a number — like the other env
-/// knobs, a typo must not silently disable the cap.
-#[must_use]
-pub fn store_cap_from_env() -> Option<u64> {
-    let v = std::env::var(STORE_CAP_ENV).ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    Some(
-        v.parse::<u64>()
-            .unwrap_or_else(|e| panic!("bad {STORE_CAP_ENV} value `{v}`: {e}")),
-    )
-}
-
 /// Backoff before retry `n` (n = 1, 2): 1ms, then 4ms.
 fn backoff(attempt: u32) -> std::time::Duration {
     std::time::Duration::from_millis(1 << (2 * (attempt - 1)))
@@ -142,16 +116,6 @@ impl ArtifactStore {
     pub fn with_cap(mut self, cap_bytes: Option<u64>) -> Self {
         self.cap_bytes = cap_bytes;
         self
-    }
-
-    /// The default location: `$PRISM_ARTIFACT_DIR` if set, else
-    /// `target/prism-artifacts` next to the workspace.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        if let Some(dir) = std::env::var_os("PRISM_ARTIFACT_DIR") {
-            return PathBuf::from(dir);
-        }
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/prism-artifacts")
     }
 
     /// The store directory.

@@ -51,6 +51,6 @@ pub use branch::{BranchPredictor, BranchPredictorConfig};
 pub use cache::{Cache, CacheConfig, MemLevel, MemoryHierarchy, DEFAULT_DRAM_LATENCY};
 pub use machine::{ControlEffect, ExecError, Machine, MemEffect, StepEffect};
 pub use memory::Memory;
-pub use source::{MaterializedSource, SimSource, TraceChunk, TraceSource, DEFAULT_CHUNK_INSTS};
+pub use source::{SimSource, TraceChunk, TraceSource, DEFAULT_CHUNK_INSTS};
 pub use trace::{BranchRecord, DynInst, MemRecord, RegDepTracker, Trace, TraceStats};
 pub use tracer::{trace, trace_with, TraceError, TracerConfig};

@@ -7,8 +7,7 @@
 //! not need to materialize a whole trace before the µDG can start
 //! consuming it. A [`TraceSource`] yields [`TraceChunk`]s — bounded
 //! blocks of retired [`DynInst`]s plus running [`TraceStats`] — produced
-//! lazily by [`SimSource`] (the simulator loop) or replayed from an
-//! existing trace by [`MaterializedSource`].
+//! lazily by [`SimSource`] (the simulator loop).
 //!
 //! Chunks hold [`DEFAULT_CHUNK_INSTS`] = 64 Ki instructions; tests pick
 //! other sizes with `with_chunk_size`. Chunks are never persisted: a
@@ -54,8 +53,7 @@ pub trait TraceSource {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] if producing the chunk faults (lazy
-    /// simulation only; replay sources are infallible).
+    /// Returns [`TraceError`] if producing the chunk faults.
     fn next_chunk(&mut self) -> Result<Option<TraceChunk>, TraceError>;
 
     /// Collects the whole stream into a [`Trace`] — the random-access
@@ -247,105 +245,6 @@ impl TraceSource for SimSource<'_> {
     }
 }
 
-/// Replays an already-materialized [`Trace`] as a chunk stream — the
-/// adapter that lets every streaming consumer also accept random-access
-/// traces.
-#[derive(Debug)]
-pub struct MaterializedSource<'t> {
-    trace: &'t Trace,
-    chunk_size: usize,
-    pos: usize,
-    next_index: u64,
-    stats: TraceStats,
-}
-
-impl<'t> MaterializedSource<'t> {
-    /// Wraps `trace` with [`DEFAULT_CHUNK_INSTS`]-instruction chunks.
-    #[must_use]
-    pub fn new(trace: &'t Trace) -> Self {
-        MaterializedSource {
-            trace,
-            chunk_size: DEFAULT_CHUNK_INSTS,
-            pos: 0,
-            next_index: 0,
-            stats: TraceStats::default(),
-        }
-    }
-
-    /// Overrides the chunk size.
-    #[must_use]
-    pub fn with_chunk_size(mut self, insts: usize) -> Self {
-        self.chunk_size = insts.max(1);
-        self
-    }
-}
-
-impl TraceSource for MaterializedSource<'_> {
-    fn program(&self) -> &Program {
-        &self.trace.program
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, TraceError> {
-        if self.pos >= self.trace.insts.len() {
-            if self.next_index == 0 && self.trace.insts.is_empty() {
-                // An empty trace still yields one (empty, last) chunk so
-                // chunk-wise consumers observe its (default) stats.
-                self.next_index = 1;
-                return Ok(Some(TraceChunk {
-                    index: 0,
-                    first_seq: 0,
-                    insts: Vec::new(),
-                    stats: self.trace.stats,
-                    last: true,
-                }));
-            }
-            return Ok(None);
-        }
-        let end = (self.pos + self.chunk_size).min(self.trace.insts.len());
-        let slice = &self.trace.insts[self.pos..end];
-        for d in slice {
-            accumulate(&mut self.stats, d, &self.trace.program);
-        }
-        let chunk = TraceChunk {
-            index: self.next_index,
-            first_seq: slice[0].seq,
-            insts: slice.to_vec(),
-            stats: self.stats,
-            last: end == self.trace.insts.len(),
-        };
-        self.pos = end;
-        self.next_index += 1;
-        Ok(Some(chunk))
-    }
-}
-
-/// Folds one retired instruction into running statistics (the inverse of
-/// how the tracer accumulated them, so replayed chunks carry the same
-/// running stats as lazily-produced ones).
-fn accumulate(stats: &mut TraceStats, d: &DynInst, program: &Program) {
-    if let Some(m) = &d.mem {
-        if m.is_store {
-            stats.stores += 1;
-        } else {
-            stats.loads += 1;
-        }
-        match m.level {
-            crate::MemLevel::L1 => stats.l1_hits += 1,
-            crate::MemLevel::L2 => stats.l2_hits += 1,
-            crate::MemLevel::Dram => stats.dram_accesses += 1,
-        }
-    }
-    if let Some(b) = &d.branch {
-        if program.inst(d.sid).op.is_cond_branch() {
-            stats.cond_branches += 1;
-        }
-        if b.mispredicted {
-            stats.mispredicts += 1;
-        }
-    }
-    stats.insts += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,35 +283,6 @@ mod tests {
         assert_eq!(insts, whole.insts);
         assert_eq!(stats, whole.stats);
         assert_eq!(chunks, (whole.len() as u64).div_ceil(37));
-    }
-
-    #[test]
-    fn materialized_source_replays_identically() {
-        let p = counting_loop(64);
-        let whole = crate::trace(&p).unwrap();
-        let mut replay = MaterializedSource::new(&whole).with_chunk_size(50);
-        let mut sim = SimSource::new(&p, &TracerConfig::default())
-            .unwrap()
-            .with_chunk_size(50);
-        loop {
-            let (a, b) = (replay.next_chunk().unwrap(), sim.next_chunk().unwrap());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn materialize_adapter_roundtrips() {
-        let p = counting_loop(33);
-        let whole = crate::trace(&p).unwrap();
-        let back = MaterializedSource::new(&whole)
-            .with_chunk_size(7)
-            .materialize()
-            .unwrap();
-        assert_eq!(back.insts, whole.insts);
-        assert_eq!(back.stats, whole.stats);
     }
 
     #[test]

@@ -136,18 +136,26 @@ pub const SCALE_ENV: &str = "PRISM_SCALE";
 ///
 /// Panics when the variable is set but not a positive integer — like the
 /// other env knobs, a typo must not silently run at the default size.
+/// Front ends validate it at startup (`prism_pipeline::Config`), so a bad
+/// value stops them before this is ever reached.
 #[must_use]
 pub fn scale() -> u32 {
     match std::env::var(SCALE_ENV) {
-        Ok(v) => {
-            let k = v
-                .trim()
-                .parse::<u32>()
-                .unwrap_or_else(|e| panic!("bad {SCALE_ENV} value `{v}`: {e}"));
-            assert!(k >= 1, "bad {SCALE_ENV} value `{v}`: must be >= 1");
-            k
-        }
+        Ok(v) => parse_scale(&v).unwrap_or_else(|e| panic!("bad {SCALE_ENV} value `{v}`: {e}")),
         Err(_) => 1,
+    }
+}
+
+/// Parses a [`SCALE_ENV`] value: a positive integer.
+///
+/// # Errors
+///
+/// Returns why the value is not a positive integer.
+pub fn parse_scale(value: &str) -> Result<u32, String> {
+    match value.trim().parse::<u32>() {
+        Ok(0) => Err("must be >= 1".to_string()),
+        Ok(k) => Ok(k),
+        Err(e) => Err(e.to_string()),
     }
 }
 

@@ -10,11 +10,11 @@
 //! prism compare <workload>            4 cores × {bare, full ExoCore}
 //! prism explore [--stats] [--resume]  full 64-point design space (cached)
 //! prism grid [options]                the same sweep on worker processes
-//!     --workers N                     local worker fleet size (default
-//!                                     PRISM_WORKERS; else 2, or 0 with --hosts)
-//!     --hosts host:port,...           remote worker daemons (default PRISM_HOSTS)
+//!     --workers N                     local worker fleet size (default 2,
+//!                                     or 0 with --hosts)
+//!     --hosts host:port,...           remote worker daemons
 //!     --shard-retries K               cross-shard retries per unit (default 1)
-//!     --stats                         print grid + session counters
+//!     --stats                         print the config line + grid counters
 //!     --resume                        replay the sweep journal, skip settled units
 //! prism worker --listen <host:port>   serve grid workers over TCP (daemon);
 //!     [--store PATH]                  shared secret via PRISM_NET_TOKEN
@@ -34,14 +34,20 @@
 //!                                     or hardware parallelism)
 //! ```
 //!
-//! All preparation runs through the `prism-pipeline` session, so repeated
+//! `--stats` on `explore` and `grid` prints the resolved config as one
+//! `config` line on stderr, then the run's counters.
+//!
+//! Every `PRISM_*` knob and the global flags are resolved once, at the
+//! top of `main`, into a `prism_pipeline::Config`; an unknown knob or a
+//! malformed value prints `error: …` and exits 2 before any work. All
+//! preparation runs through the `prism-pipeline` session, so repeated
 //! invocations reuse the content-addressed artifact store; `prism grid`
 //! shares that store across its worker fleet and produces output
 //! byte-identical to `prism explore`.
 
 use prism::exocore::{amdahl_schedule, oracle_schedule, DesignResult};
-use prism::grid::{run_grid, workers_from_env, GridConfig};
-use prism::pipeline::{flag_from_args, jobs_from_args, PreparedWorkload, Session, SweepReport};
+use prism::grid::{run_grid, GridConfig};
+use prism::pipeline::{Config, PreparedWorkload, Session, SweepReport};
 use prism::tdg::{run_exocore, BsaKind, ExecUnit};
 use prism::udg::{simulate_trace, CoreConfig};
 
@@ -52,24 +58,22 @@ fn main() {
     prism::grid::run_worker_if_env();
 
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let session = match jobs_from_args(&args) {
-        Some(jobs) => Session::new().with_jobs(jobs),
-        None => Session::new(),
+    let config = match Config::from_args(&mut args) {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     };
-    strip_jobs_flag(&mut args);
-    let stats = flag_from_args(&args, "--stats");
-    args.retain(|a| a != "--stats");
-    let resume = flag_from_args(&args, "--resume");
-    args.retain(|a| a != "--resume");
     let code = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
-        Some("run") => cmd_run(&session, &args[1..]),
-        Some("compare") => cmd_compare(&session, &args[1..]),
-        Some("explore") => cmd_explore(&session, stats, resume),
-        Some("grid") => cmd_grid(&args[1..], stats, resume),
-        Some("worker") => cmd_worker(&args[1..]),
+        Some("run") => cmd_run(&Session::from_config(&config), &args[1..]),
+        Some("compare") => cmd_compare(&Session::from_config(&config), &args[1..]),
+        Some("explore") => cmd_explore(&config),
+        Some("grid") => cmd_grid(&config, &args[1..]),
+        Some("worker") => cmd_worker(config, &args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
+        Some("fsck") => cmd_fsck(&config, &args[1..]),
         _ => {
             eprintln!(
                 "usage: prism <list|run|compare|explore|grid|worker|bench|fsck> [args]   (see --help in the source header)"
@@ -78,15 +82,6 @@ fn main() {
         }
     };
     std::process::exit(code);
-}
-
-/// Removes `--jobs N` / `--jobs=N` (already consumed by the session).
-fn strip_jobs_flag(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        args.drain(i..(i + 2).min(args.len()));
-    } else if let Some(i) = args.iter().position(|a| a.starts_with("--jobs=")) {
-        args.remove(i);
-    }
 }
 
 /// The `explore`/`grid` result table (stdout; identical for both paths).
@@ -110,22 +105,26 @@ fn finish_sweep(report: &SweepReport) -> i32 {
     report.exit_code()
 }
 
-fn cmd_explore(session: &Session, stats: bool, resume: bool) -> i32 {
+fn cmd_explore(config: &Config) -> i32 {
+    if config.stats {
+        eprint!("{}", config.render());
+    }
     // The CLI sweep always journals, so a killed `prism explore` can be
     // finished with `prism explore --resume`.
-    let report = session.full_design_space_resumable(resume);
+    let session = Session::from_config(config);
+    let report = session.full_design_space_resumable(config.resume);
     let code = finish_sweep(&report);
     session.log_stats();
-    if stats {
+    if config.stats {
         eprint!("{}", session.stats().render());
     }
     code
 }
 
-fn cmd_fsck(args: &[String]) -> i32 {
-    use prism::pipeline::{run_fsck, ArtifactStore};
+fn cmd_fsck(config: &Config, args: &[String]) -> i32 {
+    use prism::pipeline::run_fsck;
 
-    let mut dir = ArtifactStore::default_dir();
+    let mut dir = config.artifact_dir.clone();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -239,8 +238,8 @@ fn cmd_bench(args: &[String]) -> i32 {
     0
 }
 
-fn cmd_grid(args: &[String], stats: bool, resume: bool) -> i32 {
-    use prism::net::{hosts_from_env, parse_hosts};
+fn cmd_grid(config: &Config, args: &[String]) -> i32 {
+    use prism::net::parse_hosts;
 
     let mut workers: Option<usize> = None;
     let mut shard_retries = 1usize;
@@ -288,27 +287,22 @@ fn cmd_grid(args: &[String], stats: bool, resume: bool) -> i32 {
                 return 2;
             }
         },
-        None => match hosts_from_env() {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error: {}: {e}", prism::net::HOSTS_ENV);
-                return 2;
-            }
-        },
+        None => Vec::new(),
     };
     // With remote hosts configured, an unstated worker count means "all
     // remote": spawning local shards must be asked for explicitly.
-    let workers = workers
-        .or_else(workers_from_env)
-        .unwrap_or(if hosts.is_empty() { 2 } else { 0 });
-    let mut config = GridConfig::full_space(workers);
-    config.hosts = hosts;
-    config.shard_retries = shard_retries;
-    config.resume = resume;
-    match run_grid(&config) {
+    let workers = workers.unwrap_or(if hosts.is_empty() { 2 } else { 0 });
+    let mut grid = GridConfig::full_space(workers, config);
+    grid.hosts = hosts;
+    grid.shard_retries = shard_retries;
+    grid.resume = config.resume;
+    if config.stats {
+        eprint!("{}", config.render());
+    }
+    match run_grid(&grid) {
         Ok(outcome) => {
             let code = finish_sweep(&outcome.report);
-            if stats {
+            if config.stats {
                 eprint!("{}", outcome.stats.render());
             }
             code
@@ -320,13 +314,10 @@ fn cmd_grid(args: &[String], stats: bool, resume: bool) -> i32 {
     }
 }
 
-fn cmd_worker(args: &[String]) -> i32 {
+fn cmd_worker(mut config: Config, args: &[String]) -> i32 {
     use prism::net::NET_TOKEN_ENV;
-    use prism::pipeline::ArtifactStore;
 
     let mut listen: Option<String> = None;
-    let mut store_dir = ArtifactStore::default_dir();
-    let mut store_cap = prism::pipeline::store_cap_from_env();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -338,14 +329,14 @@ fn cmd_worker(args: &[String]) -> i32 {
                 }
             },
             "--store" => match it.next() {
-                Some(v) => store_dir = v.into(),
+                Some(v) => config.artifact_dir = v.into(),
                 None => {
                     eprintln!("error: --store needs a path");
                     return 2;
                 }
             },
             "--store-cap" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => store_cap = (v > 0).then_some(v),
+                Some(Ok(v)) => config.store_cap = (v > 0).then_some(v),
                 _ => {
                     eprintln!("error: --store-cap needs a byte count (0 disables the cap)");
                     return 2;
@@ -376,14 +367,13 @@ fn cmd_worker(args: &[String]) -> i32 {
     // The listening line goes to stderr: stdout stays free in case the
     // daemon is ever composed into a pipeline.
     eprintln!("[prism-net] listening on {bound}");
-    let token = std::env::var(NET_TOKEN_ENV).unwrap_or_default();
-    if token.is_empty() {
+    if config.net_token.is_empty() {
         eprintln!("[prism-net] warning: {NET_TOKEN_ENV} unset — accepting unauthenticated peers");
     }
-    if let Some(cap) = store_cap {
+    if let Some(cap) = config.store_cap {
         eprintln!("[prism-net] store cap: {cap} bytes (LRU eviction)");
     }
-    prism::grid::serve_tcp(listener, token, store_dir, store_cap)
+    prism::grid::serve_tcp(listener, config)
 }
 
 fn cmd_list() -> i32 {
