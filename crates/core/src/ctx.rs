@@ -4,7 +4,7 @@
 use prism_energy::EnergyEvents;
 use prism_isa::{Inst, Program, StaticId};
 use prism_sim::{DynInst, RegDepTracker};
-use prism_udg::SeqTable;
+use prism_udg::{CoreModel, ModelDep, ModelInst, SeqTable};
 
 pub use crate::unit::ExecUnit;
 
@@ -151,26 +151,40 @@ impl<'t> ExecCtx<'t> {
     /// windowed completion times (unassigned producers contribute no edge)
     /// and memory dependences through the store tracker.
     #[must_use]
-    pub fn model_inst(&self, d: &DynInst) -> prism_udg::ModelInst {
-        let mut mi = prism_udg::ModelInst::default();
+    pub fn model_inst(&self, d: &DynInst) -> ModelInst {
+        let mut mi = ModelInst::default();
         self.model_inst_into(d, &mut mi);
         mi
+    }
+
+    /// The dependences of `d` into a caller-owned buffer (cleared first):
+    /// one data edge per source register whose last writer has a
+    /// completion time (unassigned producers contribute no edge), then,
+    /// for a load, the memory edge from the store tracker. This is the
+    /// dependence list of [`ExecCtx::model_inst`], and what the dataflow
+    /// engines wait on.
+    pub fn deps_into(&self, d: &DynInst, deps: &mut Vec<ModelDep>) {
+        deps.clear();
+        for r in self.program.inst(d.sid).sources() {
+            if let Some(t) = self.regs.writer_of(r).and_then(|s| self.p_time(s)) {
+                deps.push(ModelDep::data(t));
+            }
+        }
+        if let Some(m) = &d.mem {
+            if !m.is_store {
+                if let Some(ready) = self.mems.load_dependence(m.addr, m.width) {
+                    deps.push(ModelDep::memory(ready));
+                }
+            }
+        }
     }
 
     /// [`ExecCtx::model_inst`] into a caller-owned scratch buffer: every
     /// field is overwritten and the dependence vector is reused, so the
     /// plain-core hot loop allocates nothing per instruction.
-    pub fn model_inst_into(&self, d: &DynInst, mi: &mut prism_udg::ModelInst) {
-        use prism_udg::ModelDep;
+    pub fn model_inst_into(&self, d: &DynInst, mi: &mut ModelInst) {
+        self.deps_into(d, &mut mi.deps);
         let inst = self.program.inst(d.sid);
-        mi.deps.clear();
-        for r in inst.sources() {
-            if let Some(s) = self.regs.writer_of(r) {
-                if let Some(t) = self.p_time(s) {
-                    mi.deps.push(ModelDep::data(t));
-                }
-            }
-        }
         let mut latency = u64::from(inst.op.latency());
         let mut mem_level = None;
         let mut is_store = false;
@@ -181,9 +195,6 @@ impl<'t> ExecCtx<'t> {
                 latency = 1;
             } else {
                 latency = u64::from(m.latency);
-                if let Some(ready) = self.mems.load_dependence(m.addr, m.width) {
-                    mi.deps.push(ModelDep::memory(ready));
-                }
             }
         }
         mi.fu = inst.fu_class();
@@ -197,4 +208,159 @@ impl<'t> ExecCtx<'t> {
         mi.reads = inst.sources().count() as u8;
         mi.writes = u8::from(inst.dest().is_some());
     }
+}
+
+/// Buffers the region models reuse across the regions and groups of one
+/// walk, so their per-instruction and per-group paths allocate nothing
+/// once the buffers have grown to the largest group.
+#[derive(Debug, Default)]
+pub struct RegionScratch {
+    /// The dependence list of the next instruction to issue.
+    pub(crate) deps: Vec<ModelDep>,
+    /// A model instruction rebuilt in place by
+    /// [`ExecCtx::model_inst_into`] (replays, epilogues, per-lane issues).
+    pub(crate) mi: ModelInst,
+    /// The current region's iterations, as `region` index ranges.
+    pub(crate) iters: Vec<(usize, usize)>,
+    /// The current vector group's lanes.
+    pub(crate) group: LaneGroup,
+    /// DP-CGRA: the lane runs deferred until the CGRA instance completes.
+    pub(crate) deferred: Vec<(usize, usize)>,
+}
+
+/// Splits `region` into iterations at each execution of the loop header
+/// `header_start` (the first iteration starts at index 0 wherever it
+/// enters), into `iters`.
+pub(crate) fn split_iterations(
+    region: &[DynInst],
+    header_start: StaticId,
+    iters: &mut Vec<(usize, usize)>,
+) {
+    iters.clear();
+    let mut cur = 0usize;
+    for (i, d) in region.iter().enumerate() {
+        if d.sid == header_start && i != cur {
+            iters.push((cur, i));
+            cur = i;
+        }
+    }
+    iters.push((cur, region.len()));
+}
+
+/// Issues `mi` on `core` with `deps` as its dependence list and returns
+/// its completion; the list's buffer is handed back for reuse.
+pub(crate) fn issue(core: &mut CoreModel, deps: &mut Vec<ModelDep>, mut mi: ModelInst) -> u64 {
+    mi.deps = std::mem::take(deps);
+    let complete = core.issue(&mi).complete;
+    *deps = mi.deps;
+    complete
+}
+
+/// [`issue`] with one data dependence, on a value ready at `ready`.
+pub(crate) fn issue_after(
+    core: &mut CoreModel,
+    deps: &mut Vec<ModelDep>,
+    ready: u64,
+    mi: ModelInst,
+) -> u64 {
+    deps.clear();
+    deps.push(ModelDep::data(ready));
+    issue(core, deps, mi)
+}
+
+/// One vector group: the dynamic instructions `region[start..end]` of
+/// several consecutive iterations, executed once per static instruction.
+#[derive(Debug, Default)]
+pub(crate) struct LaneGroup {
+    /// Region index of the group's first instruction.
+    start: usize,
+    /// Every instruction's register producer seqs, flattened: those of
+    /// `region[start + k]` are `seqs[offs[k]..offs[k + 1]]`.
+    seqs: Vec<u64>,
+    offs: Vec<usize>,
+    /// `(sid, region index)` of every instruction, sorted: each static
+    /// instruction's lanes form one run, runs in sid order (≈ topological
+    /// body order), lanes in original order.
+    lanes: Vec<(StaticId, usize)>,
+}
+
+impl LaneGroup {
+    /// Loads `region[start..end]`: captures each instruction's producer
+    /// seqs in original order, retiring registers as it goes so in-group
+    /// dataflow resolves to in-group seqs, and sorts the lanes by sid.
+    pub(crate) fn load(
+        &mut self,
+        region: &[DynInst],
+        start: usize,
+        end: usize,
+        ctx: &mut ExecCtx<'_>,
+    ) {
+        self.start = start;
+        self.seqs.clear();
+        self.offs.clear();
+        self.offs.push(0);
+        self.lanes.clear();
+        for (i, d) in region.iter().enumerate().take(end).skip(start) {
+            let inst = ctx.static_inst(d);
+            self.seqs
+                .extend(inst.sources().filter_map(|r| ctx.regs.writer_of(r)));
+            self.offs.push(self.seqs.len());
+            ctx.regs.retire(inst, d.seq);
+            self.lanes.push((d.sid, i));
+        }
+        self.lanes.sort_unstable();
+    }
+
+    /// The lanes of each static instruction, one run per sid, in sid
+    /// order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[(StaticId, usize)]> {
+        self.lanes.chunk_by(|a, b| a.0 == b.0)
+    }
+
+    /// Every lane, sorted; [`LaneGroup::runs`] are consecutive slices of
+    /// it.
+    pub(crate) fn lanes(&self) -> &[(StaticId, usize)] {
+        &self.lanes
+    }
+
+    /// The register producer seqs captured for region index `li`.
+    pub(crate) fn producers(&self, li: usize) -> &[u64] {
+        let k = li - self.start;
+        &self.seqs[self.offs[k]..self.offs[k + 1]]
+    }
+
+    /// Adds the lanes' resolvable register dependences to `deps`, each
+    /// distinct edge once, in lane order: a producer without a completion
+    /// time contributes no edge.
+    pub(crate) fn merge_data_deps(
+        &self,
+        lanes: &[(StaticId, usize)],
+        ctx: &ExecCtx<'_>,
+        deps: &mut Vec<ModelDep>,
+    ) {
+        for &(_, li) in lanes {
+            for &s in self.producers(li) {
+                if let Some(t) = ctx.p_time(s) {
+                    let dep = ModelDep::data(t);
+                    if !deps.contains(&dep) {
+                        deps.push(dep);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The latest store→load dependence over the load lanes of `lanes`, if
+/// any lane has one.
+pub(crate) fn latest_load_dep(
+    region: &[DynInst],
+    lanes: &[(StaticId, usize)],
+    ctx: &ExecCtx<'_>,
+) -> Option<u64> {
+    lanes
+        .iter()
+        .filter_map(|&(_, li)| region[li].mem.filter(|m| !m.is_store))
+        .filter_map(|m| ctx.mems.load_dependence(m.addr, m.width))
+        .max()
 }

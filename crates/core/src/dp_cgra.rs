@@ -17,15 +17,16 @@
 //! small configuration cache is modeled: entering a loop whose
 //! configuration is not resident stalls the core while it loads.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use prism_ir::{Loop, LoopId, ProgramIr};
 use prism_isa::{FuClass, StaticId};
 use prism_sim::DynInst;
-use prism_udg::{CoreModel, ModelDep, ModelInst};
+use prism_udg::{CoreModel, FastSet, ModelDep, ModelInst};
 
+use crate::ctx::{issue, issue_after, latest_load_dep, split_iterations};
 use crate::simd::VECTOR_LENGTH;
-use crate::ExecCtx;
+use crate::{ExecCtx, RegionScratch};
 
 /// Number of functional units in the CGRA fabric (paper §3.1).
 pub const CGRA_FUS: u32 = 64;
@@ -43,7 +44,7 @@ pub struct CgraPlan {
     /// The target loop.
     pub loop_id: LoopId,
     /// Static instructions offloaded to the CGRA.
-    pub offloaded: HashSet<StaticId>,
+    pub offloaded: FastSet<StaticId>,
     /// Core→CGRA operand transfers needed per iteration (static count).
     pub sends: u32,
     /// CGRA→core result transfers needed per iteration.
@@ -152,7 +153,7 @@ fn analyze_loop(ir: &ProgramIr, l: &Loop, vectorizable: bool) -> Option<CgraPlan
             break;
         }
     }
-    let offloaded: HashSet<StaticId> = body
+    let offloaded: FastSet<StaticId> = body
         .iter()
         .copied()
         .filter(|sid| !on_core.contains(sid))
@@ -282,11 +283,11 @@ impl CgraState {
 pub fn execute_dp_cgra(
     region: &[DynInst],
     plan: &CgraPlan,
-    l: &Loop,
     ir: &ProgramIr,
     ctx: &mut ExecCtx<'_>,
     core: &mut CoreModel,
     state: &mut CgraState,
+    scratch: &mut RegionScratch,
 ) {
     // Configuration check: a miss stalls the core while config streams in.
     if state.touch(plan.loop_id) {
@@ -295,16 +296,15 @@ pub fn execute_dp_cgra(
         ctx.events.accel.cgra_config_words += plan.offloaded.len() as u64;
     }
 
-    let header_start = ir.cfg.blocks[l.header as usize].start;
-    let mut iters: Vec<(usize, usize)> = Vec::new();
-    let mut cur = 0usize;
-    for (i, d) in region.iter().enumerate() {
-        if d.sid == header_start && i != cur {
-            iters.push((cur, i));
-            cur = i;
-        }
-    }
-    iters.push((cur, region.len()));
+    let l = &ir.loops.loops[plan.loop_id as usize];
+    let RegionScratch {
+        deps,
+        mi,
+        iters,
+        group,
+        deferred,
+    } = scratch;
+    split_iterations(region, ir.cfg.blocks[l.header as usize].start, iters);
 
     let group_size = if plan.vectorized { plan.lanes } else { 1 };
     // Pipelining edges: initiation interval between computation instances
@@ -313,37 +313,14 @@ pub fn execute_dp_cgra(
     let mut last_start = 0u64;
     let mut last_complete = 0u64;
 
-    let mut idx = 0;
-    while idx < iters.len() {
-        let take = group_size.min(iters.len() - idx);
-        let group = &iters[idx..idx + take];
-        idx += take;
-        let (g_start, g_end) = (group[0].0, group[group.len() - 1].1);
+    for iterations in iters.chunks(group_size) {
+        let (g_start, g_end) = (iterations[0].0, iterations[iterations.len() - 1].1);
         let group_lo_seq = region[g_start].seq;
         let group_hi_seq = region[g_end - 1].seq;
 
-        // Producer seqs with in-order register retirement.
-        let mut dep_seqs: Vec<Vec<u64>> = Vec::with_capacity(g_end - g_start);
-        for d in &region[g_start..g_end] {
-            let inst = ctx.static_inst(d);
-            dep_seqs.push(ctx.regs.sources(inst));
-            ctx.regs.retire(inst, d.seq);
-        }
-        let resolve = |ctx: &ExecCtx<'_>, s: u64| -> Option<u64> {
-            match ctx.p_time(s) {
-                Some(t) => Some(t),
-                None if s >= group_lo_seq && s <= group_hi_seq => None,
-                None => None,
-            }
-        };
-
-        // Union by sid, lanes per sid.
-        let mut by_sid: BTreeMap<StaticId, Vec<usize>> = BTreeMap::new();
-        for (s, e) in group {
-            for (i, elem) in region.iter().enumerate().take(*e).skip(*s) {
-                by_sid.entry(elem.sid).or_default().push(i);
-            }
-        }
+        // Producer seqs with in-order register retirement; union by sid,
+        // lanes per sid.
+        group.load(region, g_start, g_end, ctx);
 
         // Pass 1: core-side ops (access slice) that do not consume CGRA
         // results execute on the pipeline; consumers of offloaded values
@@ -352,10 +329,9 @@ pub fn execute_dp_cgra(
         // actually produced here — not the core clock — so successive
         // groups pipeline.
         let mut cgra_input_ready = last_start; // II edge floor
-        let mut core_value: HashMap<u64, u64> = HashMap::new();
-        let consumes_offloaded = |lanes: &Vec<usize>, dep_seqs: &Vec<Vec<u64>>| -> bool {
-            lanes.iter().any(|&li| {
-                dep_seqs[li - g_start].iter().any(|&s| {
+        let consumes_offloaded = |lanes: &[(StaticId, usize)]| -> bool {
+            lanes.iter().any(|&(_, li)| {
+                group.producers(li).iter().any(|&s| {
                     s >= group_lo_seq
                         && s <= group_hi_seq
                         && plan
@@ -364,38 +340,26 @@ pub fn execute_dp_cgra(
                 })
             })
         };
-        let mut deferred: Vec<StaticId> = Vec::new();
-        for (&sid, lanes) in &by_sid {
+        deferred.clear();
+        let mut at = 0;
+        for lanes in group.runs() {
+            let run = (at, at + lanes.len());
+            at = run.1;
+            let sid = lanes[0].0;
             if plan.offloaded.contains(&sid) {
                 continue;
             }
-            if consumes_offloaded(lanes, &dep_seqs) {
-                deferred.push(sid);
+            if consumes_offloaded(lanes) {
+                deferred.push(run);
                 continue;
             }
             let inst = *ctx.program.inst(sid);
-            let mut deps: Vec<ModelDep> = Vec::new();
-            let mut load_dep: Option<u64> = None;
-            for &li in lanes {
-                for &s in &dep_seqs[li - g_start] {
-                    if let Some(t) = resolve(ctx, s) {
-                        let dep = ModelDep::data(t);
-                        if !deps.contains(&dep) {
-                            deps.push(dep);
-                        }
-                    }
-                }
-                if let Some(m) = &region[li].mem {
-                    if !m.is_store {
-                        if let Some(r) = ctx.mems.load_dependence(m.addr, m.width) {
-                            load_dep = Some(load_dep.map_or(r, |c: u64| c.max(r)));
-                        }
-                    }
-                }
-            }
-            if let Some(r) = load_dep {
+            deps.clear();
+            group.merge_data_deps(lanes, ctx, deps);
+            if let Some(r) = latest_load_dep(region, lanes, ctx) {
                 deps.push(ModelDep::memory(r));
             }
+            let lane_insts = || lanes.iter().map(|&(_, li)| &region[li]);
 
             // Vectorized memory ops collapse like SIMD; scalar otherwise.
             let collapse = plan.vectorized && inst.op.is_mem();
@@ -404,8 +368,8 @@ pub fn execute_dp_cgra(
                     let mut lat = 1u64;
                     let mut lvl = prism_sim::MemLevel::L1;
                     let mut st = false;
-                    for &li in lanes {
-                        let m = region[li].mem.expect("mem op");
+                    for d in lane_insts() {
+                        let m = d.mem.expect("mem op");
                         st = m.is_store;
                         if !m.is_store {
                             lat = lat.max(u64::from(m.latency));
@@ -417,16 +381,11 @@ pub fn execute_dp_cgra(
                     (u64::from(inst.op.latency()), None, false)
                 };
                 let mispredicted = inst.op.is_cond_branch()
-                    && lanes
-                        .iter()
-                        .any(|&li| region[li].branch.is_some_and(|b| b.mispredicted));
-                let branch_taken = lanes
-                    .iter()
-                    .any(|&li| region[li].branch.is_some_and(|b| b.taken));
+                    && lane_insts().any(|d| d.branch.is_some_and(|b| b.mispredicted));
+                let branch_taken = lane_insts().any(|d| d.branch.is_some_and(|b| b.taken));
                 let mi = ModelInst {
                     fu: inst.fu_class(),
                     latency,
-                    deps,
                     mem_level,
                     is_store,
                     is_cond_branch: inst.op.is_cond_branch(),
@@ -436,14 +395,13 @@ pub fn execute_dp_cgra(
                     writes: u8::from(inst.dest().is_some()),
                     ..ModelInst::default()
                 };
-                core.issue(&mi).complete
+                issue(core, deps, mi)
             } else {
                 let mut last = 0;
-                for &li in lanes {
-                    let d = &region[li];
-                    let mut mi = ctx.model_inst(d);
+                for d in lane_insts() {
+                    ctx.model_inst_into(d, mi);
                     mi.deps.clear();
-                    mi.deps.extend_from_slice(&deps);
+                    mi.deps.extend_from_slice(deps);
                     if let Some(m) = &d.mem {
                         if !m.is_store {
                             if let Some(r) = ctx.mems.load_dependence(m.addr, m.width) {
@@ -451,15 +409,13 @@ pub fn execute_dp_cgra(
                             }
                         }
                     }
-                    last = core.issue(&mi).complete;
+                    last = core.issue(mi).complete;
                 }
                 last
             };
 
-            for &li in lanes {
-                let d = &region[li];
+            for d in lane_insts() {
                 ctx.set_time(d.seq, complete);
-                core_value.insert(d.seq, complete);
                 cgra_input_ready = cgra_input_ready.max(complete);
                 if let Some(m) = &d.mem {
                     if m.is_store {
@@ -472,15 +428,14 @@ pub fn execute_dp_cgra(
         // Sends: one comm instruction per interface value, dependent on
         // the values produced by this group's access slice.
         for _ in 0..plan.sends {
-            let mi = ModelInst {
+            let send = ModelInst {
                 fu: FuClass::Alu,
                 latency: 1,
-                deps: vec![ModelDep::data(cgra_input_ready)],
                 reads: 1,
                 writes: 0,
                 ..ModelInst::default()
             };
-            let t = core.issue(&mi).complete;
+            let t = issue_after(core, deps, cgra_input_ready, send);
             cgra_input_ready = cgra_input_ready.max(t);
             ctx.events.accel.comm_sends += 1;
         }
@@ -492,12 +447,12 @@ pub fn execute_dp_cgra(
         let complete = (start + compute_latency).max(last_complete); // in-order completion
         last_start = start;
         last_complete = complete;
-        for (&sid, lanes) in &by_sid {
-            if !plan.offloaded.contains(&sid) {
+        for lanes in group.runs() {
+            if !plan.offloaded.contains(&lanes[0].0) {
                 continue;
             }
             ctx.events.accel.cgra_ops += lanes.len() as u64;
-            for &li in lanes {
+            for &(_, li) in lanes {
                 ctx.set_time(region[li].seq, complete);
             }
         }
@@ -505,64 +460,56 @@ pub fn execute_dp_cgra(
         // Recvs: results return to the core.
         let mut recv_done = complete;
         for _ in 0..plan.recvs {
-            let mi = ModelInst {
+            let recv = ModelInst {
                 fu: FuClass::Alu,
                 latency: 1,
-                deps: vec![ModelDep::data(complete)],
                 reads: 0,
                 writes: 1,
                 ..ModelInst::default()
             };
-            recv_done = recv_done.max(core.issue(&mi).complete);
+            recv_done = recv_done.max(issue_after(core, deps, complete, recv));
             ctx.events.accel.comm_recvs += 1;
         }
 
         // Pass 2b: deferred consumers of the CGRA's results (typically the
         // result stores), now that offloaded values have times.
-        for sid in deferred {
-            let lanes = &by_sid[&sid];
-            let inst = *ctx.program.inst(sid);
-            let mut deps: Vec<ModelDep> = vec![ModelDep::data(recv_done)];
-            for &li in lanes {
-                for &s in &dep_seqs[li - g_start] {
-                    if let Some(t) = resolve(ctx, s) {
-                        let dep = ModelDep::data(t);
-                        if !deps.contains(&dep) {
-                            deps.push(dep);
-                        }
-                    }
-                }
-            }
+        for &(a, b) in deferred.iter() {
+            let lanes = &group.lanes()[a..b];
+            let inst = *ctx.program.inst(lanes[0].0);
+            deps.clear();
+            deps.push(ModelDep::data(recv_done));
+            group.merge_data_deps(lanes, ctx, deps);
+            let lane_insts = || lanes.iter().map(|&(_, li)| &region[li]);
             let collapse = plan.vectorized && inst.op.is_mem();
             // One ModelInst reused across lanes: only the memory-dependent
             // fields change per lane, so the dep list is never cloned.
             let mut mi = ModelInst {
                 fu: inst.fu_class(),
-                deps,
+                deps: std::mem::take(deps),
                 reads: inst.sources().count() as u8,
                 writes: u8::from(inst.dest().is_some()),
                 ..ModelInst::default()
             };
-            let lane_mem = |mi: &mut ModelInst, m: Option<&prism_sim::MemRecord>| {
-                (mi.latency, mi.mem_level, mi.is_store) = match m {
+            let lane_mem = |mi: &mut ModelInst, d: &DynInst| {
+                (mi.latency, mi.mem_level, mi.is_store) = match &d.mem {
                     Some(m) if m.is_store => (1, Some(m.level), true),
                     Some(m) => (u64::from(m.latency), Some(m.level), false),
                     None => (u64::from(inst.op.latency()), None, false),
                 };
             };
             let complete = if collapse {
-                lane_mem(&mut mi, region[lanes[0]].mem.as_ref());
+                lane_mem(&mut mi, &region[lanes[0].1]);
                 core.issue(&mi).complete
             } else {
                 let mut last = 0;
-                for &li in lanes {
-                    lane_mem(&mut mi, region[li].mem.as_ref());
+                for d in lane_insts() {
+                    lane_mem(&mut mi, d);
                     last = core.issue(&mi).complete;
                 }
                 last
             };
-            for &li in lanes {
-                let d = &region[li];
+            *deps = mi.deps;
+            for d in lane_insts() {
                 ctx.set_time(d.seq, complete);
                 if let Some(m) = &d.mem {
                     if m.is_store {

@@ -34,7 +34,7 @@ pub mod simd;
 pub mod trace_p;
 mod unit;
 
-pub use ctx::{ExecCtx, TimelineSample};
+pub use ctx::{ExecCtx, RegionScratch, TimelineSample};
 pub use plan::{AccelPlans, Assignment};
 pub use runner::{price_exocore, run_exocore, run_exocore_timing, ExoRunResult, ExoTiming};
 pub use unit::{BsaKind, ExecUnit};

@@ -17,9 +17,9 @@ use std::collections::HashMap;
 
 use prism_ir::{Loop, LoopId, ProgramIr};
 use prism_sim::DynInst;
-use prism_udg::{CoreModel, ModelDep, ResourceTable};
+use prism_udg::{CoreModel, FastSet, ModelDep, ResourceTable};
 
-use crate::ExecCtx;
+use crate::{ExecCtx, RegionScratch};
 
 /// Static compound-instruction budget (paper §3.1: "256 static compound
 /// instructions").
@@ -52,7 +52,7 @@ pub struct NsDfPlan {
     pub live_xfer: u64,
     /// Spill/fill memory ops bypassed by the fabric's operand storage
     /// (paper §2.7): these skip the memory ports entirely.
-    pub spill_ops: std::collections::HashSet<prism_isa::StaticId>,
+    pub spill_ops: FastSet<prism_isa::StaticId>,
 }
 
 /// Runs the NS-DF analyzer over every loop (nests included).
@@ -155,6 +155,18 @@ impl DataflowEngine {
         }
     }
 
+    /// Returns the engine to the state [`DataflowEngine::new`]`(start)`
+    /// builds, reusing its resource tables: a walk keeps one engine and
+    /// resets it at each NS-DF or Trace-P region.
+    pub fn reset(&mut self, start: u64) {
+        self.cfus.reset();
+        self.mem_ports.reset();
+        self.bus.reset();
+        self.last_ctrl = start;
+        self.iter_ctrl = start;
+        self.start = start;
+    }
+
     /// Marks an iteration boundary: the latch decision that permits the
     /// next iteration has completion time `latch_complete`.
     pub fn begin_iteration(&mut self, latch_complete: u64) {
@@ -230,34 +242,37 @@ impl DataflowEngine {
     }
 }
 
-/// Executes one loop-nest region on the NS-DF unit.
+/// Executes one loop-nest region on the NS-DF unit, timing it on
+/// `engine` (reset here).
 ///
 /// Returns the region's completion cycle; the caller resumes the core at
 /// `end + LIVE_XFER`.
 pub fn execute_ns_df(
     region: &[DynInst],
     plan: &NsDfPlan,
-    l: &prism_ir::Loop,
     ir: &prism_ir::ProgramIr,
     ctx: &mut ExecCtx<'_>,
     core: &mut CoreModel,
+    engine: &mut DataflowEngine,
+    scratch: &mut RegionScratch,
 ) -> u64 {
     let start = core.now() + plan.live_xfer;
-    let mut engine = DataflowEngine::new(start);
+    engine.reset(start);
     let mut arith_ops = 0u64;
     let mut end = start;
 
     // PDG approximation: blocks that execute on (essentially) every visit
     // to the region's header are control-dependent only on the iteration
-    // decision; the rest wait for the most recent branch.
+    // decision; the rest wait for the most recent branch. Every region
+    // instruction lies in the nest, so the test reads the block's count.
+    let l = &ir.loops.loops[plan.loop_id as usize];
     let header_count = ir.cfg.blocks[l.header as usize].exec_count.max(1);
-    let always_exec: std::collections::HashSet<prism_ir::BlockId> = l
-        .blocks
-        .iter()
-        .copied()
-        .filter(|&b| ir.cfg.blocks[b as usize].exec_count * 1000 >= header_count * 999)
-        .collect();
+    let always_exec = |b: prism_ir::BlockId| {
+        debug_assert!(l.blocks.binary_search(&b).is_ok(), "block outside the nest");
+        ir.cfg.blocks[b as usize].exec_count * 1000 >= header_count * 999
+    };
     let header_start = ir.cfg.blocks[l.header as usize].start;
+    let deps = &mut scratch.deps;
 
     for d in region {
         let inst = *ctx.static_inst(d);
@@ -268,26 +283,14 @@ pub fn execute_ns_df(
             // writers, so the window can be trimmed between iterations.
             ctx.trim_times_bounded();
         }
-        let mut deps: Vec<ModelDep> = ctx
-            .producer_seqs(d.sid)
-            .into_iter()
-            .filter_map(|s| ctx.p_time(s).map(ModelDep::data))
-            .collect();
-        if let Some(m) = &d.mem {
-            if !m.is_store {
-                if let Some(r) = ctx.mems.load_dependence(m.addr, m.width) {
-                    deps.push(ModelDep::memory(r));
-                }
-            }
-        }
-        let block = ir.cfg.block_of[d.sid as usize];
-        let control = if always_exec.contains(&block) {
+        ctx.deps_into(d, deps);
+        let control = if always_exec(ir.cfg.block_of[d.sid as usize]) {
             ControlDep::IterationOnly
         } else {
             ControlDep::Full
         };
         let bypass = plan.spill_ops.contains(&d.sid);
-        let complete = engine.issue_with(d, &deps, control, bypass, ctx);
+        let complete = engine.issue_with(d, deps, control, bypass, ctx);
         ctx.retire(d, complete);
         if !inst.op.is_mem() && !inst.op.is_control() {
             arith_ops += 1;

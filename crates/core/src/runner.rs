@@ -7,7 +7,8 @@ use prism_sim::Trace;
 use prism_udg::{CoreConfig, CoreModel};
 
 use crate::dp_cgra::CgraState;
-use crate::{AccelPlans, Assignment, BsaKind, ExecCtx, ExecUnit, TimelineSample};
+use crate::ns_df::DataflowEngine;
+use crate::{AccelPlans, Assignment, BsaKind, ExecCtx, ExecUnit, RegionScratch, TimelineSample};
 
 /// Cycles charged when execution migrates between the core and an offload
 /// BSA (in addition to live-value transfer inside the BSA models).
@@ -181,6 +182,8 @@ pub fn run_exocore_timing(
     let mut core = CoreModel::new(core_cfg);
     let mut ctx = ExecCtx::new(&trace.program);
     let mut scratch = prism_udg::ModelInst::default();
+    let mut region_scratch = RegionScratch::default();
+    let mut engine = DataflowEngine::new(0);
     let mut cgra_state = CgraState::new();
     let mut trace_replays = 0u64;
     let mut last_accel_end = 0u64;
@@ -214,7 +217,6 @@ pub fn run_exocore_timing(
                 end_idx += 1;
             }
             let region = &trace.insts[start_idx..end_idx];
-            let l = &ir.loops.loops[lid as usize];
             let start_cycle = core.now();
             let accel_before = ctx.events.accel;
             let shared_core_before = ctx.events.core;
@@ -223,7 +225,14 @@ pub fn run_exocore_timing(
             let end_cycle = match kind {
                 BsaKind::Simd => {
                     let plan = &plans.simd[&lid];
-                    crate::simd::execute_simd(region, plan, l, ir, &mut ctx, &mut core);
+                    crate::simd::execute_simd(
+                        region,
+                        plan,
+                        ir,
+                        &mut ctx,
+                        &mut core,
+                        &mut region_scratch,
+                    );
                     core.now()
                 }
                 BsaKind::DpCgra => {
@@ -231,24 +240,39 @@ pub fn run_exocore_timing(
                     crate::dp_cgra::execute_dp_cgra(
                         region,
                         plan,
-                        l,
                         ir,
                         &mut ctx,
                         &mut core,
                         &mut cgra_state,
+                        &mut region_scratch,
                     );
                     core.now()
                 }
                 BsaKind::NsDf => {
                     core.stall_fetch_until(core.now() + SWITCH_PENALTY);
                     let plan = &plans.ns_df[&lid];
-                    crate::ns_df::execute_ns_df(region, plan, l, ir, &mut ctx, &mut core)
+                    crate::ns_df::execute_ns_df(
+                        region,
+                        plan,
+                        ir,
+                        &mut ctx,
+                        &mut core,
+                        &mut engine,
+                        &mut region_scratch,
+                    )
                 }
                 BsaKind::TraceP => {
                     core.stall_fetch_until(core.now() + SWITCH_PENALTY);
                     let plan = &plans.trace_p[&lid];
-                    let (end, replays) =
-                        crate::trace_p::execute_trace_p(region, plan, l, ir, &mut ctx, &mut core);
+                    let (end, replays) = crate::trace_p::execute_trace_p(
+                        region,
+                        plan,
+                        ir,
+                        &mut ctx,
+                        &mut core,
+                        &mut engine,
+                        &mut region_scratch,
+                    );
                     trace_replays += replays;
                     end
                 }

@@ -11,14 +11,15 @@
 //! scalarized (no scatter/gather hardware), and observed memory latency is
 //! re-mapped onto the vector access (max over lanes).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 use prism_ir::{AccessPattern, Loop, LoopId, ProgramIr};
 use prism_isa::{FuClass, StaticId};
 use prism_sim::{DynInst, MemLevel};
-use prism_udg::{CoreModel, ModelDep, ModelInst};
+use prism_udg::{CoreModel, FastSet, ModelDep, ModelInst};
 
-use crate::ExecCtx;
+use crate::ctx::{issue, issue_after, latest_load_dep, split_iterations, LaneGroup};
+use crate::{ExecCtx, RegionScratch};
 
 /// Hardware vector length in 64-bit lanes (256-bit SIMD, Table 4).
 pub const VECTOR_LENGTH: usize = 4;
@@ -31,9 +32,9 @@ pub struct SimdPlan {
     /// Vector length in lanes.
     pub vl: usize,
     /// Static memory ops with contiguous per-iteration access.
-    pub contiguous: HashSet<StaticId>,
+    pub contiguous: FastSet<StaticId>,
     /// Latch branch sids (kept, one per vector group).
-    pub latch_branches: HashSet<StaticId>,
+    pub latch_branches: FastSet<StaticId>,
     /// Number of reduction registers (adds a short horizontal-reduce tail).
     pub reductions: u32,
     /// Expected dynamic instructions per original iteration after
@@ -81,7 +82,7 @@ fn analyze_loop(ir: &ProgramIr, l: &Loop) -> Option<SimdPlan> {
     }
 
     // Classify memory ops and find latch branches.
-    let mut contiguous = HashSet::new();
+    let mut contiguous = FastSet::default();
     let mut scalarized = 0u32;
     let mut mem_ops = 0u32;
     for &b in &l.blocks {
@@ -98,7 +99,7 @@ fn analyze_loop(ir: &ProgramIr, l: &Loop) -> Option<SimdPlan> {
             }
         }
     }
-    let mut latch_branches = HashSet::new();
+    let mut latch_branches = FastSet::default();
     for &latch in &l.latches {
         let end = ir.cfg.blocks[latch as usize].end;
         if ir.program.inst(end).op.is_cond_branch() {
@@ -148,40 +149,43 @@ fn analyze_loop(ir: &ProgramIr, l: &Loop) -> Option<SimdPlan> {
 pub fn execute_simd(
     region: &[DynInst],
     plan: &SimdPlan,
-    l: &Loop,
     ir: &ProgramIr,
     ctx: &mut ExecCtx<'_>,
     core: &mut CoreModel,
+    scratch: &mut RegionScratch,
 ) {
-    let header_start = ir.cfg.blocks[l.header as usize].start;
-    // Split into iterations at header executions.
-    let mut iters: Vec<(usize, usize)> = Vec::new();
-    let mut cur = 0usize;
-    for (i, d) in region.iter().enumerate() {
-        if d.sid == header_start && i != cur {
-            iters.push((cur, i));
-            cur = i;
-        }
-    }
-    iters.push((cur, region.len()));
+    let l = &ir.loops.loops[plan.loop_id as usize];
+    let RegionScratch {
+        deps,
+        mi,
+        iters,
+        group,
+        ..
+    } = scratch;
+    split_iterations(region, ir.cfg.blocks[l.header as usize].start, iters);
 
     let mut idx = 0;
     while idx < iters.len() {
         let remaining = iters.len() - idx;
         if remaining >= plan.vl {
-            let group = &iters[idx..idx + plan.vl];
-            execute_group(region, group, plan, ctx, core);
+            execute_group(
+                region,
+                &iters[idx..idx + plan.vl],
+                plan,
+                ctx,
+                core,
+                group,
+                deps,
+            );
             // Between groups every future dependence resolves through a
             // current last writer, so the window can be trimmed.
             ctx.trim_times_bounded();
             idx += plan.vl;
         } else {
             // Scalar epilogue: fewer than VL iterations remain.
-            let (s, _) = iters[idx];
-            let e = iters.last().unwrap().1;
-            for d in &region[s..e] {
-                let mi = ctx.model_inst(d);
-                let t = core.issue(&mi);
+            for d in &region[iters[idx].0..] {
+                ctx.model_inst_into(d, mi);
+                let t = core.issue(mi);
                 ctx.retire(d, t.complete);
             }
             break;
@@ -191,87 +195,57 @@ pub fn execute_simd(
     // Horizontal reduction tail: log2(VL) shuffle+op pairs per reduction.
     for _ in 0..plan.reductions {
         for _ in 0..2 {
-            let mi = ModelInst {
-                fu: FuClass::Fp,
-                latency: 3,
-                deps: vec![ModelDep::data(core.now())],
-                reads: 2,
-                writes: 1,
-                ..ModelInst::default()
-            };
-            core.issue(&mi);
+            let now = core.now();
+            issue_after(
+                core,
+                deps,
+                now,
+                ModelInst {
+                    fu: FuClass::Fp,
+                    latency: 3,
+                    reads: 2,
+                    writes: 1,
+                    ..ModelInst::default()
+                },
+            );
             ctx.events.accel.vector_lane_ops += plan.vl as u64 / 2;
         }
     }
 }
 
+/// Whether two iterations took the same path (the same static
+/// instructions in the same order).
+fn same_path(a: &[DynInst], b: &[DynInst]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.sid == y.sid)
+}
+
 fn execute_group(
     region: &[DynInst],
-    group: &[(usize, usize)],
+    iterations: &[(usize, usize)],
     plan: &SimdPlan,
     ctx: &mut ExecCtx<'_>,
     core: &mut CoreModel,
+    group: &mut LaneGroup,
+    deps: &mut Vec<ModelDep>,
 ) {
-    let (g_start, g_end) = (group[0].0, group[group.len() - 1].1);
-    let group_seq_range = (region[g_start].seq, region[g_end - 1].seq);
-
-    // Pre-pass in original order: producer seqs per dyn inst, retiring
-    // registers as we go so in-group dataflow resolves to in-group seqs.
-    let mut dep_seqs: Vec<Vec<u64>> = Vec::with_capacity(g_end - g_start);
-    for d in &region[g_start..g_end] {
-        let inst = ctx.static_inst(d);
-        dep_seqs.push(ctx.regs.sources(inst));
-        ctx.regs.retire(inst, d.seq);
-    }
-
     // Union of static instructions touched by the group's lanes, with the
     // lanes (dyn insts) per sid, in program (≈ topological body) order.
-    let mut by_sid: BTreeMap<StaticId, Vec<usize>> = BTreeMap::new();
-    let mut paths: HashSet<Vec<StaticId>> = HashSet::new();
-    for (s, e) in group {
-        let mut path = Vec::new();
-        for (i, elem) in region.iter().enumerate().take(*e).skip(*s) {
-            by_sid.entry(elem.sid).or_default().push(i);
-            path.push(elem.sid);
-        }
-        paths.insert(path);
-    }
+    let (g_start, g_end) = (iterations[0].0, iterations[iterations.len() - 1].1);
+    group.load(region, g_start, g_end, ctx);
 
-    // Map a producer seq to an edge, applying the elision rule: in-group
-    // forward references are the cross-lane dependences that vectorization
-    // removes, so unset in-group producers contribute no edge.
-    let resolve = |ctx: &ExecCtx<'_>, seq: u64| -> Option<ModelDep> {
-        match ctx.p_time(seq) {
-            Some(t) => Some(ModelDep::data(t)),
-            None if seq >= group_seq_range.0 && seq <= group_seq_range.1 => None,
-            None => None,
-        }
-    };
-
-    for (&sid, lanes) in &by_sid {
+    for lanes in group.runs() {
+        let sid = lanes[0].0;
         let inst = *ctx.program.inst(sid);
         let lane_count = lanes.len();
+        let lane_insts = || lanes.iter().map(|&(_, li)| &region[li]);
 
-        // Merge (and dedup) the lanes' resolvable dependences.
-        let mut deps: Vec<ModelDep> = Vec::new();
-        let mut load_dep: Option<u64> = None;
-        for &li in lanes {
-            for &s in &dep_seqs[li - g_start] {
-                if let Some(dep) = resolve(ctx, s) {
-                    if !deps.contains(&dep) {
-                        deps.push(dep);
-                    }
-                }
-            }
-            if let Some(m) = &region[li].mem {
-                if !m.is_store {
-                    if let Some(r) = ctx.mems.load_dependence(m.addr, m.width) {
-                        load_dep = Some(load_dep.map_or(r, |c: u64| c.max(r)));
-                    }
-                }
-            }
-        }
-        if let Some(r) = load_dep {
+        // Merge (and dedup) the lanes' resolvable dependences, applying the
+        // elision rule: in-group forward references are the cross-lane
+        // dependences that vectorization removes, so unset in-group
+        // producers contribute no edge.
+        deps.clear();
+        group.merge_data_deps(lanes, ctx, deps);
+        if let Some(r) = latest_load_dep(region, lanes, ctx) {
             deps.push(ModelDep::memory(r));
         }
 
@@ -281,25 +255,19 @@ fn execute_group(
             let mi = ModelInst {
                 fu: FuClass::Alu,
                 latency: 1,
-                deps,
                 reads: 2,
                 writes: 1,
                 ..ModelInst::default()
             };
-            complete = core.issue(&mi).complete;
+            complete = issue(core, deps, mi);
             ctx.events.accel.mask_ops += 1;
         } else if inst.op.is_cond_branch() {
             // Latch branch: kept once per group.
-            let mispredicted = lanes
-                .iter()
-                .any(|&li| region[li].branch.is_some_and(|b| b.mispredicted));
-            let taken = lanes
-                .iter()
-                .any(|&li| region[li].branch.is_some_and(|b| b.taken));
+            let mispredicted = lane_insts().any(|d| d.branch.is_some_and(|b| b.mispredicted));
+            let taken = lane_insts().any(|d| d.branch.is_some_and(|b| b.taken));
             let mi = ModelInst {
                 fu: FuClass::Alu,
                 latency: 1,
-                deps,
                 is_cond_branch: true,
                 mispredicted,
                 branch_taken: taken,
@@ -307,43 +275,43 @@ fn execute_group(
                 writes: 0,
                 ..ModelInst::default()
             };
-            complete = core.issue(&mi).complete;
+            complete = issue(core, deps, mi);
         } else if inst.op.is_mem() && !plan.contiguous.contains(&sid) {
             // Scalarized access: one op per lane plus a shuffle. One
             // ModelInst is reused across lanes so the dep list is never
             // cloned; only the memory-dependent fields change per lane.
             let mut mi = ModelInst {
                 fu: FuClass::Mem,
-                deps,
+                deps: std::mem::take(deps),
                 reads: 2,
                 ..ModelInst::default()
             };
             let mut last = 0;
-            for &li in lanes {
-                let m = region[li].mem.expect("memory op");
+            for d in lane_insts() {
+                let m = d.mem.expect("memory op");
                 mi.latency = if m.is_store { 1 } else { u64::from(m.latency) };
                 mi.mem_level = Some(m.level);
                 mi.is_store = m.is_store;
                 mi.writes = u8::from(!m.is_store);
                 last = core.issue(&mi).complete;
             }
+            *deps = mi.deps;
             let shuffle = ModelInst {
                 fu: FuClass::Fp,
                 latency: 1,
-                deps: vec![ModelDep::data(last)],
                 reads: 1,
                 writes: 1,
                 ..ModelInst::default()
             };
-            complete = core.issue(&shuffle).complete;
+            complete = issue_after(core, deps, last, shuffle);
             ctx.events.accel.mask_ops += 1;
         } else if inst.op.is_mem() {
             // One wide access: latency/level of the worst lane.
             let mut latency = 1u64;
             let mut level = MemLevel::L1;
             let mut is_store = false;
-            for &li in lanes {
-                let m = region[li].mem.expect("memory op");
+            for d in lane_insts() {
+                let m = d.mem.expect("memory op");
                 is_store = m.is_store;
                 if !m.is_store {
                     latency = latency.max(u64::from(m.latency));
@@ -353,32 +321,29 @@ fn execute_group(
             let mi = ModelInst {
                 fu: FuClass::Mem,
                 latency,
-                deps,
                 mem_level: Some(level),
                 is_store,
                 reads: 2,
                 writes: u8::from(!is_store),
                 ..ModelInst::default()
             };
-            complete = core.issue(&mi).complete;
+            complete = issue(core, deps, mi);
         } else {
             // Vector ALU/FP op (or a group-wide induction update).
             let mi = ModelInst {
                 fu: inst.fu_class(),
                 latency: u64::from(inst.op.latency()),
-                deps,
                 vector: lane_count > 1,
                 reads: inst.sources().count() as u8,
                 writes: u8::from(inst.dest().is_some()),
                 ..ModelInst::default()
             };
-            complete = core.issue(&mi).complete;
+            complete = issue(core, deps, mi);
             ctx.events.accel.vector_lane_ops += lane_count as u64;
         }
 
         // All lanes' values become available at the vector op's completion.
-        for &li in lanes {
-            let d = &region[li];
+        for d in lane_insts() {
             ctx.set_time(d.seq, complete);
             if let Some(m) = &d.mem {
                 if m.is_store {
@@ -388,17 +353,27 @@ fn execute_group(
         }
     }
 
-    // Mask/blend ops for path divergence within the group.
-    for _ in 1..paths.len() {
+    // Mask/blend ops for path divergence within the group: one per
+    // distinct path beyond the first.
+    let paths = iterations
+        .iter()
+        .enumerate()
+        .filter(|&(k, &(s, e))| {
+            !iterations[..k]
+                .iter()
+                .any(|&(ps, pe)| same_path(&region[ps..pe], &region[s..e]))
+        })
+        .count();
+    for _ in 1..paths {
+        let now = core.now();
         let mi = ModelInst {
             fu: FuClass::Fp,
             latency: 1,
-            deps: vec![ModelDep::data(core.now())],
             reads: 2,
             writes: 1,
             ..ModelInst::default()
         };
-        core.issue(&mi);
+        issue_after(core, deps, now, mi);
         ctx.events.accel.mask_ops += 1;
     }
 }

@@ -16,10 +16,11 @@ use std::collections::HashMap;
 use prism_ir::{Loop, LoopId, ProgramIr};
 use prism_isa::StaticId;
 use prism_sim::DynInst;
-use prism_udg::{CoreModel, ModelDep};
+use prism_udg::CoreModel;
 
+use crate::ctx::split_iterations;
 use crate::ns_df::{DataflowEngine, LIVE_XFER};
-use crate::ExecCtx;
+use crate::{ExecCtx, RegionScratch};
 
 /// Minimum loop-back probability (paper §3.2: 80%).
 pub const MIN_LOOP_BACK_PROB: f64 = 0.8;
@@ -105,36 +106,33 @@ fn analyze_loop(ir: &ProgramIr, l: &Loop) -> Option<TracePPlan> {
     })
 }
 
-/// Executes one loop-invocation region on the Trace-P unit.
+/// Executes one loop-invocation region on the Trace-P unit, timing its
+/// on-trace iterations on `engine` (reset here).
 ///
 /// Returns `(end_cycle, replays)`; the caller resumes the core at
 /// `end + LIVE_XFER`.
 pub fn execute_trace_p(
     region: &[DynInst],
     plan: &TracePPlan,
-    l: &Loop,
     ir: &ProgramIr,
     ctx: &mut ExecCtx<'_>,
     core: &mut CoreModel,
+    engine: &mut DataflowEngine,
+    scratch: &mut RegionScratch,
 ) -> (u64, u64) {
-    let header_start = ir.cfg.blocks[l.header as usize].start;
-    let mut iters: Vec<(usize, usize)> = Vec::new();
-    let mut cur = 0usize;
-    for (i, d) in region.iter().enumerate() {
-        if d.sid == header_start && i != cur {
-            iters.push((cur, i));
-            cur = i;
-        }
-    }
-    iters.push((cur, region.len()));
+    let l = &ir.loops.loops[plan.loop_id as usize];
+    let RegionScratch {
+        deps, mi, iters, ..
+    } = scratch;
+    split_iterations(region, ir.cfg.blocks[l.header as usize].start, iters);
 
     let start = core.now() + LIVE_XFER;
-    let mut engine = DataflowEngine::new(start);
+    engine.reset(start);
     let mut end = start;
     let mut replays = 0u64;
     let mut arith_ops = 0u64;
 
-    for (s, e) in iters {
+    for &(s, e) in iters.iter() {
         let iter_insts = &region[s..e];
         // Dependences resolve per instruction against current last
         // writers, so the window can be trimmed between iterations.
@@ -142,33 +140,18 @@ pub fn execute_trace_p(
         let on_trace = iter_insts
             .iter()
             .map(|d| d.sid)
-            .eq(plan.hot_path_sids.iter().copied())
-            || iter_insts.len() == plan.hot_path_sids.len()
-                && iter_insts
-                    .iter()
-                    .zip(&plan.hot_path_sids)
-                    .all(|(d, &sid)| d.sid == sid);
+            .eq(plan.hot_path_sids.iter().copied());
 
         if on_trace {
             // Speculative dataflow over the hot trace.
             for d in iter_insts {
                 let inst = *ctx.static_inst(d);
-                let mut deps: Vec<ModelDep> = ctx
-                    .producer_seqs(d.sid)
-                    .into_iter()
-                    .filter_map(|q| ctx.p_time(q).map(ModelDep::data))
-                    .collect();
-                if let Some(m) = &d.mem {
-                    if !m.is_store {
-                        if let Some(r) = ctx.mems.load_dependence(m.addr, m.width) {
-                            deps.push(ModelDep::memory(r));
-                        }
-                    } else {
-                        // Iteration-versioned store buffer.
-                        ctx.events.accel.store_buffer_accesses += 1;
-                    }
+                ctx.deps_into(d, deps);
+                if d.mem.is_some_and(|m| m.is_store) {
+                    // Iteration-versioned store buffer.
+                    ctx.events.accel.store_buffer_accesses += 1;
                 }
-                let complete = engine.issue(d, &deps, crate::ns_df::ControlDep::None, ctx);
+                let complete = engine.issue(d, deps, crate::ns_df::ControlDep::None, ctx);
                 ctx.retire(d, complete);
                 if !inst.op.is_mem() && !inst.op.is_control() {
                     arith_ops += 1;
@@ -182,8 +165,8 @@ pub fn execute_trace_p(
             ctx.events.accel.trace_replays += 1;
             core.stall_fetch_until(end + REPLAY_PENALTY);
             for d in iter_insts {
-                let mi = ctx.model_inst(d);
-                let t = core.issue(&mi);
+                ctx.model_inst_into(d, mi);
+                let t = core.issue(mi);
                 ctx.retire(d, t.complete);
                 end = end.max(t.complete);
             }

@@ -84,6 +84,9 @@ pub struct SessionStats {
     /// Trace walks actually performed ([`run_exocore_timing`]), for
     /// oracle tables and design points alike.
     pub trace_walks: u64,
+    /// Dynamic instructions those walks covered (the sum of each walked
+    /// trace's length); with `udg_nanos`, the walks' throughput.
+    pub walk_insts: u64,
     /// Dynamic instructions produced by the functional simulator.
     pub sim_insts: u64,
     /// Busy nanoseconds spent producing them, summed over worker threads
@@ -113,6 +116,7 @@ impl std::ops::AddAssign for SessionStats {
         self.timing_artifacts_loaded += rhs.timing_artifacts_loaded;
         self.walks_skipped += rhs.walks_skipped;
         self.trace_walks += rhs.trace_walks;
+        self.walk_insts += rhs.walk_insts;
         self.sim_insts += rhs.sim_insts;
         self.sim_nanos += rhs.sim_nanos;
         self.udg_nanos += rhs.udg_nanos;
@@ -127,10 +131,14 @@ impl SessionStats {
     /// was simulated).
     #[must_use]
     pub fn insts_per_sec(&self) -> f64 {
-        if self.sim_nanos == 0 {
-            return 0.0;
-        }
-        self.sim_insts as f64 / (self.sim_nanos as f64 / 1e9)
+        per_sec(self.sim_insts, self.sim_nanos)
+    }
+
+    /// Trace-walk throughput in walked instructions per busy second (0
+    /// when nothing was walked).
+    #[must_use]
+    pub fn walk_insts_per_sec(&self) -> f64 {
+        per_sec(self.walk_insts, self.udg_nanos)
     }
 
     /// Renders the counters as a human-readable block (for `--stats`).
@@ -146,6 +154,7 @@ impl SessionStats {
              trace walks    : {} performed, {} skipped \
              ({} shape-memo hits, {} timing artifacts loaded)\n\
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
+             walk throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage busy     : sim {} ms, uDG {} ms, transforms {} ms \
              (summed over threads)\n\
              journal        : {} units resumed, {} records replayed\n\
@@ -165,6 +174,9 @@ impl SessionStats {
             self.sim_insts,
             self.sim_nanos / 1_000_000,
             self.insts_per_sec(),
+            self.walk_insts,
+            self.udg_nanos / 1_000_000,
+            self.walk_insts_per_sec(),
             self.sim_nanos / 1_000_000,
             self.udg_nanos / 1_000_000,
             self.transform_nanos / 1_000_000,
@@ -173,6 +185,14 @@ impl SessionStats {
             a.gc_reclaimed_bytes,
         )
     }
+}
+
+/// `count` per second of `nanos` (0 when `nanos` is 0).
+fn per_sec(count: u64, nanos: u64) -> f64 {
+    if nanos == 0 {
+        return 0.0;
+    }
+    count as f64 / (nanos as f64 / 1e9)
 }
 
 /// Opt-in runtime guard: cross-checks the µDG timing model against the
@@ -289,6 +309,7 @@ pub struct Session {
     timing_artifacts_loaded: AtomicU64,
     walks_skipped: AtomicU64,
     trace_walks: AtomicU64,
+    walk_insts: AtomicU64,
     sim_insts: AtomicU64,
     sim_nanos: AtomicU64,
     udg_nanos: AtomicU64,
@@ -352,6 +373,7 @@ impl Session {
             timing_artifacts_loaded: AtomicU64::new(0),
             walks_skipped: AtomicU64::new(0),
             trace_walks: AtomicU64::new(0),
+            walk_insts: AtomicU64::new(0),
             sim_insts: AtomicU64::new(0),
             sim_nanos: AtomicU64::new(0),
             udg_nanos: AtomicU64::new(0),
@@ -768,6 +790,8 @@ impl Session {
             self.udg_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             self.trace_walks.fetch_add(1, Ordering::Relaxed);
+            self.walk_insts
+                .fetch_add(workload.trace.len() as u64, Ordering::Relaxed);
             self.store.save(&key, encode_exo_timing(&timing));
             timing
         });
@@ -1257,6 +1281,7 @@ impl Session {
             timing_artifacts_loaded: self.timing_artifacts_loaded.load(Ordering::Relaxed),
             walks_skipped: self.walks_skipped.load(Ordering::Relaxed),
             trace_walks: self.trace_walks.load(Ordering::Relaxed),
+            walk_insts: self.walk_insts.load(Ordering::Relaxed),
             sim_insts: self.sim_insts.load(Ordering::Relaxed),
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
@@ -1274,7 +1299,7 @@ impl Session {
              {} I/O retries, {} I/O errors, {} recomputes); memo: {} hits, \
              {} misses; walks: {} performed, {} skipped ({} shape-memo, \
              {} artifacts); sim: {} insts at {:.0} insts/sec; \
-             stage busy (summed over threads): sim {} ms, uDG {} ms, \
+             walk throughput: {} insts in {} ms ({:.0} insts/sec); stage busy (summed over threads): sim {} ms, uDG {} ms, \
              transforms {} ms; jobs={}",
             s.artifacts.hits,
             s.artifacts.misses,
@@ -1290,6 +1315,9 @@ impl Session {
             s.timing_artifacts_loaded,
             s.sim_insts,
             s.insts_per_sec(),
+            s.walk_insts,
+            s.udg_nanos / 1_000_000,
+            s.walk_insts_per_sec(),
             s.sim_nanos / 1_000_000,
             s.udg_nanos / 1_000_000,
             s.transform_nanos / 1_000_000,

@@ -24,6 +24,11 @@ pub struct ResourceTable {
     units: u32,
     base: u64,
     ring: Vec<u16>,
+    /// Every nonzero slot of `ring` lies in `lo..hi` (empty when
+    /// `lo >= hi`), so clearing the ring touches only the cycles granted
+    /// since the last clear.
+    lo: usize,
+    hi: usize,
 }
 
 /// Cycle window tracked per resource; requests older than this relative to
@@ -43,7 +48,17 @@ impl ResourceTable {
             units,
             base: 0,
             ring: vec![0; WINDOW],
+            lo: WINDOW,
+            hi: 0,
         }
+    }
+
+    /// Returns the table to the state [`ResourceTable::new`] builds (no
+    /// cycle held, window at cycle 0) without reallocating it, zeroing
+    /// only the slots granted since the last clear.
+    pub fn reset(&mut self) {
+        self.clear();
+        self.base = 0;
     }
 
     /// Number of identical units.
@@ -72,6 +87,8 @@ impl ResourceTable {
             let slot = ((cycle - self.base) as usize) % WINDOW;
             if u32::from(self.ring[slot]) < self.units {
                 self.ring[slot] += 1;
+                self.lo = self.lo.min(slot);
+                self.hi = self.hi.max(slot + 1);
                 return cycle;
             }
             cycle += 1;
@@ -82,7 +99,7 @@ impl ResourceTable {
         debug_assert!(new_base >= self.base);
         let shift = (new_base - self.base) as usize;
         if shift >= WINDOW {
-            self.ring.iter_mut().for_each(|c| *c = 0);
+            self.clear();
         } else {
             // Clear the cycles that fall out of the window; the ring is a
             // plain rotation so clear the first `shift` logical slots.
@@ -92,6 +109,15 @@ impl ResourceTable {
             }
         }
         self.base = new_base;
+    }
+
+    /// Zeroes every slot (only `lo..hi` can be nonzero).
+    fn clear(&mut self) {
+        if self.lo < self.hi {
+            self.ring[self.lo..self.hi].fill(0);
+        }
+        self.lo = WINDOW;
+        self.hi = 0;
     }
 }
 
@@ -138,6 +164,46 @@ mod tests {
         let d = r.acquire(10);
         assert_eq!((a, b, c), (10, 12, 10));
         assert_eq!(d, 11);
+    }
+
+    /// A deterministic grant-request stream: mostly nearby cycles, with
+    /// occasional jumps far enough to slide (or clear) the window.
+    fn requests(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed;
+        let mut at = 0u64;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let r = x >> 33;
+                at += match r % 64 {
+                    0 => WINDOW as u64 * 3,
+                    1 => WINDOW as u64 / 2 + 17,
+                    _ => r % 5,
+                };
+                at.saturating_sub(r % 7)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_table_behaves_like_a_new_one() {
+        for units in [1, 2, 4] {
+            let mut used = ResourceTable::new(units);
+            for seed in 1..6u64 {
+                for at in requests(seed, 3_000) {
+                    used.acquire(at);
+                }
+                used.reset();
+                assert_eq!(used.base, 0);
+                assert!(used.ring.iter().all(|&c| c == 0), "ring not cleared");
+                let mut fresh = ResourceTable::new(units);
+                for at in requests(seed + 100, 3_000) {
+                    assert_eq!(used.acquire(at), fresh.acquire(at));
+                }
+                assert_eq!(used.ring, fresh.ring);
+                assert_eq!(used.base, fresh.base);
+            }
+        }
     }
 
     #[test]
