@@ -3,7 +3,8 @@
 //! geomean over all workloads. Each curve is one accelerator family; each
 //! point on it is one core.
 
-use prism_bench::{by_label, full_design_space, results_or_exit};
+use prism_bench::{full_design_space, results_or_exit};
+use prism_exocore::by_label;
 
 fn main() {
     let results = results_or_exit(full_design_space());

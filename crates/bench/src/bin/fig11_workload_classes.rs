@@ -3,8 +3,8 @@
 //! semi-regular (Mediabench, TPCH, SPECfp), and irregular (SPECint)
 //! workload groups.
 
-use prism_bench::{by_label, full_design_space, results_or_exit};
-use prism_exocore::{geomean, DesignResult};
+use prism_bench::{full_design_space, results_or_exit};
+use prism_exocore::{by_label, geomean, DesignResult};
 use prism_workloads::RegularityClass;
 
 fn class_of(workload: &str) -> RegularityClass {

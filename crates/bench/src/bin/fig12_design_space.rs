@@ -3,7 +3,8 @@
 //! relative to the dual-issue in-order (IO2) design, sorted by speedup
 //! (as the paper's x-axis is).
 
-use prism_bench::{by_label, full_design_space, results_or_exit};
+use prism_bench::{full_design_space, results_or_exit};
+use prism_exocore::by_label;
 
 fn main() {
     let results = results_or_exit(full_design_space());

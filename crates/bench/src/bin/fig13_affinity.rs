@@ -2,7 +2,8 @@
 //! time and energy of a full OOO2 ExoCore, broken down by the unit that
 //! ran each region, relative to the OOO2 core alone.
 
-use prism_bench::{by_label, full_design_space, results_or_exit};
+use prism_bench::{full_design_space, results_or_exit};
+use prism_exocore::by_label;
 
 fn main() {
     let results = results_or_exit(full_design_space());

@@ -74,15 +74,13 @@ fn core_cross_validation() {
         let u1 = simulate_trace(trace, &narrow);
         let r8 = simulate_reference(trace, &wide);
         let u8_ = simulate_trace(trace, &wide);
-        for (r, u) in [(r1.ipc(), u1.ipc()), (r8.ipc(), u8_.ipc())] {
-            let e = (u - r).abs() / r.max(1e-9);
-            errs.push(e);
-            lo = lo.min(u.min(r));
-            hi = hi.max(u.max(r));
+        let (e1, e8) = (r1.ipc_error(u1.ipc()), r8.ipc_error(u8_.ipc()));
+        errs.extend([e1, e8]);
+        for ipc in [r1.ipc(), u1.ipc(), r8.ipc(), u8_.ipc()] {
+            lo = lo.min(ipc);
+            hi = hi.max(ipc);
         }
-        let err = ((u1.ipc() - r1.ipc()).abs() / r1.ipc()
-            + (u8_.ipc() - r8.ipc()).abs() / r8.ipc())
-            / 2.0;
+        let err = (e1 + e8) / 2.0;
         println!(
             "{:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.1}%",
             name,

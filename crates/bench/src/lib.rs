@@ -142,19 +142,6 @@ pub fn results_or_exit(report: SweepReport) -> Vec<DesignResult> {
     report.results
 }
 
-/// Finds a design result by its Fig. 12 label.
-///
-/// # Panics
-///
-/// Panics if the label is unknown.
-#[must_use]
-pub fn by_label<'a>(results: &'a [DesignResult], label: &str) -> &'a DesignResult {
-    results
-        .iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("no design point labeled {label}"))
-}
-
 /// Formats a ratio column.
 #[must_use]
 pub fn fmt2(x: f64) -> String {

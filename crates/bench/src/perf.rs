@@ -303,7 +303,6 @@ fn explore_secs(workloads: &[&Workload]) -> f64 {
         .with_jobs(1)
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
         .with_store_cap(None);
     let start = Instant::now();
     let report = session.evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());
@@ -339,7 +338,6 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
             .with_jobs(1)
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
-            .with_divergence_guard(None)
             .with_store_cap(None)
     };
     let cold = session_at().evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());

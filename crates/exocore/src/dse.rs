@@ -177,6 +177,19 @@ impl DesignResult {
     }
 }
 
+/// Finds a design result by its Fig. 12 label.
+///
+/// # Panics
+///
+/// Panics if the label is unknown.
+#[must_use]
+pub fn by_label<'a>(results: &'a [DesignResult], label: &str) -> &'a DesignResult {
+    results
+        .iter()
+        .find(|r| r.label == label)
+        .unwrap_or_else(|| panic!("no design point labeled {label}"))
+}
+
 /// Geometric mean of an iterator of positive values (1.0 if empty).
 #[must_use]
 pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {

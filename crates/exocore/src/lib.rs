@@ -19,7 +19,9 @@
 //!   64-point design space of Fig. 12 and the unmemoized evaluation of one
 //!   point (sweeps run through `prism_pipeline::Session`),
 //! * [`pareto_frontier`] — frontier extraction for Fig. 3/10,
-//! * [`switching_timeline`] — the Fig. 14 dynamic-switching windows.
+//! * [`switching_timeline`] — the Fig. 14 dynamic-switching windows,
+//! * [`headline_claims`] — the paper's six headline claims as ten checks
+//!   over a swept design space ([`by_label`] finds one of its points).
 //!
 //! # Examples
 //!
@@ -39,15 +41,17 @@
 
 #![warn(missing_docs)]
 
+mod claims;
 mod data;
 mod dse;
 mod schedule;
 mod timeline;
 
+pub use claims::{headline_claims, ClaimCheck};
 pub use data::WorkloadData;
 pub use dse::{
-    all_bsa_subsets, all_cores, all_design_points, evaluate_point, geomean, pareto_frontier,
-    DesignPoint, DesignResult, FrontierPoint, WorkloadMetrics,
+    all_bsa_subsets, all_cores, all_design_points, by_label, evaluate_point, geomean,
+    pareto_frontier, DesignPoint, DesignResult, FrontierPoint, WorkloadMetrics,
 };
 pub use schedule::{
     amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,

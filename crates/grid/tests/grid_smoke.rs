@@ -112,8 +112,7 @@ fn single_process_baseline(dir: &Path) -> SweepReport {
         })
         .with_store_dir(dir)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None);
+        .with_budget(ExecBudget::unlimited());
     session.evaluate_designs(&workload_refs(), &cores, &subsets)
 }
 

@@ -378,15 +378,20 @@ mod tests {
 
     #[test]
     fn pipeline_error_rejects_unknown_stage() {
-        let mut json = encode_pipeline_error(&PipelineError::store_io("x", "y"));
-        if let Json::Obj(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "stage" {
-                    *v = Json::Str("warp".into());
+        // `diverged` is the kind of the retired runtime divergence guard:
+        // a record an older build wrote decodes to `None`, like any name
+        // this build does not know.
+        for (field, value) in [("stage", "warp"), ("kind", "warp"), ("kind", "diverged")] {
+            let mut json = encode_pipeline_error(&PipelineError::store_io("x", "y"));
+            if let Json::Obj(fields) = &mut json {
+                for (k, v) in fields.iter_mut() {
+                    if k == field {
+                        *v = Json::Str(value.into());
+                    }
                 }
             }
+            assert_eq!(decode_pipeline_error(&json), None, "{field}={value}");
         }
-        assert_eq!(decode_pipeline_error(&json), None);
         assert_eq!(decode_pipeline_error(&Json::Null), None);
     }
 

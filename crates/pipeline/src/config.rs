@@ -16,14 +16,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::fault::{FaultPlan, FaultSpecError};
-use crate::session::DivergenceGuard;
 
 /// Every `PRISM_*` environment variable prism reads. Any other `PRISM_*`
 /// name is a [`ConfigError`]: a retired or misspelt knob must not
 /// silently stop doing what it used to do.
-const KNOBS: [&str; 9] = [
+const KNOBS: [&str; 8] = [
     "PRISM_ARTIFACT_DIR",
-    "PRISM_DIVERGENCE",
     "PRISM_FAULTS",
     "PRISM_GRID_WORKER",
     "PRISM_JOBS",
@@ -43,7 +41,10 @@ const RETIRED: &str = "Every fault kind (store, stage, worker, link, crash) goes
      10 s); PRISM_NO_FSYNC was removed (store puts and journal appends always fsync); \
      PRISM_NO_TIMING_CACHE was removed (trace-walk timings are always stored); \
      PRISM_WORKERS was removed (use `prism grid --workers N`; figure binaries read the \
-     store it fills); PRISM_HOSTS was removed (use `prism grid --hosts`)";
+     store it fills); PRISM_HOSTS was removed (use `prism grid --hosts`); \
+     PRISM_DIVERGENCE was removed (the µDG is held to the reference simulator by the \
+     tests in tests/model_validation.rs, and the headline claims by \
+     full_registry_sweep_matches_the_reference)";
 
 /// A configuration that cannot be used: an unknown `PRISM_*` variable, a
 /// malformed value, or a flag without its value.
@@ -102,8 +103,6 @@ pub struct Config {
     /// `PRISM_MAX_NODES`: the µDG node budget of every evaluation unit;
     /// `None` is unlimited.
     pub max_nodes: Option<u64>,
-    /// `PRISM_DIVERGENCE=tol[:sample]`: the µDG-vs-reference guard.
-    pub divergence: Option<DivergenceGuard>,
     /// `PRISM_STORE_CAP`: the store's LRU byte cap; `None` when unset,
     /// blank or 0.
     pub store_cap: Option<u64>,
@@ -138,22 +137,6 @@ fn parse_jobs(value: &str) -> Result<usize, std::num::ParseIntError> {
     value.trim().parse::<usize>().map(|jobs| jobs.max(1))
 }
 
-/// Parses `tol[:sample]` (e.g. `0.25` or `0.25:4`); blank is no guard.
-fn parse_divergence(value: &str) -> Result<Option<DivergenceGuard>, &'static str> {
-    let raw = value.trim();
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    let (tol, sample) = match raw.split_once(':') {
-        Some((t, s)) => (t, s.parse::<u64>().ok()),
-        None => (raw, Some(1)),
-    };
-    match (tol.parse::<f64>(), sample) {
-        (Ok(tolerance), Some(sample)) => Ok(Some(DivergenceGuard::new(tolerance, sample))),
-        _ => Err("expected tol[:sample]"),
-    }
-}
-
 /// Validates a `PRISM_FAULTS` plan, keeping its trimmed text; blank is no
 /// plan.
 fn parse_faults(value: &str) -> Result<Option<String>, FaultSpecError> {
@@ -183,8 +166,8 @@ fn knob<T, E: fmt::Display>(
 impl Config {
     /// Parses `(name, value)` pairs: names without the `PRISM_` prefix are
     /// ignored, and the last value of a repeated name wins. Blank
-    /// `PRISM_FAULTS`, `PRISM_DIVERGENCE` and `PRISM_STORE_CAP` values, and
-    /// a cap of 0, mean "off".
+    /// `PRISM_FAULTS` and `PRISM_STORE_CAP` values, and a cap of 0, mean
+    /// "off".
     ///
     /// # Errors
     ///
@@ -215,7 +198,6 @@ impl Config {
             }),
             faults: knob(&vars, "PRISM_FAULTS", parse_faults)?.flatten(),
             max_nodes: knob(&vars, "PRISM_MAX_NODES", |v| v.trim().parse::<u64>())?,
-            divergence: knob(&vars, "PRISM_DIVERGENCE", parse_divergence)?.flatten(),
             store_cap: knob(&vars, "PRISM_STORE_CAP", |v| match v.trim() {
                 "" => Ok(0),
                 cap => cap.parse::<u64>(),
@@ -309,16 +291,12 @@ impl Config {
     pub fn render(&self) -> String {
         let or_dash = |value: Option<String>| value.unwrap_or_else(|| "-".to_string());
         format!(
-            "config         : jobs={} artifact_dir={} faults={} max_nodes={} divergence={} \
-             store_cap={} scale={} net_token={}\n",
+            "config         : jobs={} artifact_dir={} faults={} max_nodes={} store_cap={} \
+             scale={} net_token={}\n",
             self.jobs,
             self.artifact_dir.display(),
             or_dash(self.faults.clone()),
             or_dash(self.max_nodes.map(|n| n.to_string())),
-            or_dash(
-                self.divergence
-                    .map(|g| format!("{}:{}", g.tolerance, g.sample))
-            ),
             or_dash(self.store_cap.map(|c| c.to_string())),
             self.scale,
             if self.net_token.is_empty() {
@@ -363,7 +341,6 @@ mod tests {
         assert_eq!(config.faults, None);
         assert_eq!(config.fault_plan().map(|_| ()), None);
         assert_eq!(config.max_nodes, None);
-        assert_eq!(config.divergence, None);
         assert_eq!(config.store_cap, None);
         assert_eq!(config.scale, 1);
         assert_eq!(config.net_token, "");
@@ -375,7 +352,6 @@ mod tests {
     fn good_values_are_resolved() {
         let config = vars(&[
             ("PRISM_ARTIFACT_DIR", "/tmp/store"),
-            ("PRISM_DIVERGENCE", "0.25:4"),
             ("PRISM_FAULTS", " die:0@1,seed=7 "),
             ("PRISM_GRID_WORKER", "1"),
             ("PRISM_JOBS", "3"),
@@ -386,7 +362,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(config.artifact_dir, PathBuf::from("/tmp/store"));
-        assert_eq!(config.divergence, Some(DivergenceGuard::new(0.25, 4)));
         assert_eq!(config.faults.as_deref(), Some("die:0@1,seed=7"));
         assert!(config.fault_plan().is_some());
         assert_eq!(config.jobs, 3);
@@ -394,10 +369,6 @@ mod tests {
         assert_eq!(config.net_token, "s3cret");
         assert_eq!(config.scale, 16);
         assert_eq!(config.store_cap, Some(4096));
-        assert_eq!(
-            vars(&[("PRISM_DIVERGENCE", "0.1")]).unwrap().divergence,
-            Some(DivergenceGuard::new(0.1, 1))
-        );
         assert_eq!(vars(&[("PRISM_JOBS", "0")]).unwrap().jobs, 1);
         assert_eq!(
             vars(&[("PRISM_JOBS", "2"), ("PRISM_JOBS", "5")])
@@ -415,7 +386,6 @@ mod tests {
             ("PRISM_STORE_CAP", ""),
             ("PRISM_FAULTS", ""),
             ("PRISM_FAULTS", "  "),
-            ("PRISM_DIVERGENCE", ""),
         ] {
             assert_eq!(
                 vars(&[(name, value)]).unwrap(),
@@ -430,7 +400,6 @@ mod tests {
         for name in [
             "PRISM_JOBS",
             "PRISM_MAX_NODES",
-            "PRISM_DIVERGENCE",
             "PRISM_FAULTS",
             "PRISM_STORE_CAP",
             "PRISM_SCALE",
@@ -439,7 +408,6 @@ mod tests {
         }
         assert_rejects("PRISM_JOBS", "");
         assert_rejects("PRISM_MAX_NODES", "-1");
-        assert_rejects("PRISM_DIVERGENCE", "0.25:x");
         assert_rejects("PRISM_FAULTS", "die:0@1@seed");
         assert_rejects("PRISM_SCALE", "0");
         assert_rejects("PRISM_ARTIFACT_DIR", "");
@@ -493,7 +461,6 @@ mod tests {
     fn render_names_every_valued_knob_but_hides_the_token() {
         let pairs = [
             ("PRISM_ARTIFACT_DIR", "/tmp/store"),
-            ("PRISM_DIVERGENCE", "0.25:4"),
             ("PRISM_FAULTS", "die:0@1"),
             ("PRISM_JOBS", "3"),
             ("PRISM_MAX_NODES", "5000"),
@@ -522,13 +489,7 @@ mod tests {
         }
         assert!(!line.contains("s3cret"), "{line}");
         let defaults = Config::default().render();
-        for key in [
-            "faults=-",
-            "max_nodes=-",
-            "divergence=-",
-            "store_cap=-",
-            "scale=1",
-        ] {
+        for key in ["faults=-", "max_nodes=-", "store_cap=-", "scale=1"] {
             assert!(defaults.contains(key), "{key} in {defaults}");
         }
         assert!(defaults.contains("net_token=unset"), "{defaults}");
@@ -540,6 +501,7 @@ mod tests {
         let retired: Vec<String> = [
             "CHUNK",
             "CRASH",
+            "DIVERGENCE",
             "GRID_FAULTS",
             "GRID_SHARD",
             "GRID_TIMEOUT_MS",
@@ -565,6 +527,7 @@ mod tests {
             "{message}"
         );
         assert!(message.contains("use `prism grid --hosts`"), "{message}");
+        assert!(message.contains("tests/model_validation.rs"), "{message}");
         assert!(!message.contains('\n'), "one line: {message}");
     }
 

@@ -61,9 +61,6 @@ pub enum ErrorKind {
     StoreIo,
     /// The evaluation ran past its execution budget.
     BudgetExceeded,
-    /// The µDG result diverged from the reference simulator beyond
-    /// tolerance.
-    Diverged,
 }
 
 impl std::fmt::Display for ErrorKind {
@@ -73,7 +70,6 @@ impl std::fmt::Display for ErrorKind {
             ErrorKind::StagePanicked => "panicked",
             ErrorKind::StoreIo => "store-io",
             ErrorKind::BudgetExceeded => "budget-exceeded",
-            ErrorKind::Diverged => "diverged",
         })
     }
 }
@@ -88,7 +84,6 @@ impl std::str::FromStr for ErrorKind {
             "panicked" => Ok(ErrorKind::StagePanicked),
             "store-io" => Ok(ErrorKind::StoreIo),
             "budget-exceeded" => Ok(ErrorKind::BudgetExceeded),
-            "diverged" => Ok(ErrorKind::Diverged),
             other => Err(format!("unknown error kind `{other}`")),
         }
     }
@@ -154,15 +149,6 @@ impl PipelineError {
         }
     }
 
-    /// A µDG result that diverged from the reference simulator.
-    #[must_use]
-    pub fn diverged(workload: impl Into<String>, message: impl Into<String>) -> Self {
-        PipelineError {
-            kind: ErrorKind::Diverged,
-            ..PipelineError::new(workload, Stage::Evaluate, message)
-        }
-    }
-
     /// Whether this error came from a caught panic.
     #[must_use]
     pub fn is_panic(&self) -> bool {
@@ -213,7 +199,6 @@ mod tests {
             ErrorKind::StagePanicked,
             ErrorKind::StoreIo,
             ErrorKind::BudgetExceeded,
-            ErrorKind::Diverged,
         ] {
             assert_eq!(kind.to_string().parse::<ErrorKind>(), Ok(kind));
         }
@@ -230,9 +215,6 @@ mod tests {
         let io = PipelineError::store_io("fft", "disk on fire");
         assert_eq!(io.kind, ErrorKind::StoreIo);
         assert_eq!(io.stage, Stage::Store);
-
-        let d = PipelineError::diverged("fft", "ipc off by 12%");
-        assert_eq!(d.kind, ErrorKind::Diverged);
 
         let b = PipelineError::budget(
             "fft",

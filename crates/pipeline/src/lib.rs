@@ -33,11 +33,10 @@
 //!
 //! ## Fault tolerance
 //!
-//! Sweeps isolate failures instead of aborting: a panicking model stage,
-//! a budget-blown evaluation, or a diverging timing model quarantines the
-//! affected (workload, design point) unit into
-//! [`SweepReport::quarantined`] while every healthy point still produces
-//! a result. Store I/O is retried with bounded backoff and degrades to
+//! Sweeps isolate failures instead of aborting: a panicking model stage
+//! or a budget-blown evaluation quarantines the affected (workload,
+//! design point) unit into [`SweepReport::quarantined`] while every
+//! healthy point still produces a result. Store I/O is retried with bounded backoff and degrades to
 //! recompute. A seeded [`FaultPlan`] (the `PRISM_FAULTS` knob,
 //! [`Config::fault_plan`]) injects store I/O errors, artifact
 //! corruption, trace truncation, and stage panics deterministically for
@@ -89,6 +88,6 @@ pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::parallel_map;
-pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats};
+pub use session::{PreparedWorkload, Session, SessionStats};
 pub use store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 pub use sweep::SweepReport;

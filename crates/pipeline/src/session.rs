@@ -28,7 +28,7 @@ use prism_exocore::{
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
-use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODES_PER_INST};
+use prism_udg::{CoreConfig, ExecBudget, NODES_PER_INST};
 use prism_workloads::{Suite, Workload};
 
 use crate::codec::{
@@ -195,65 +195,6 @@ fn per_sec(count: u64, nanos: u64) -> f64 {
     count as f64 / (nanos as f64 / 1e9)
 }
 
-/// Opt-in runtime guard: cross-checks the µDG timing model against the
-/// cycle-stepped reference simulator on a sampled subset of
-/// (workload, core) pairs, quarantining points whose relative IPC error
-/// exceeds the tolerance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DivergenceGuard {
-    /// Maximum tolerated relative IPC error (e.g. `0.25` = 25%).
-    pub tolerance: f64,
-    /// Check one in `sample` (workload, core) pairs; `1` checks them all.
-    pub sample: u64,
-}
-
-impl DivergenceGuard {
-    /// A guard with the given tolerance checking one in `sample` pairs.
-    #[must_use]
-    pub fn new(tolerance: f64, sample: u64) -> Self {
-        DivergenceGuard {
-            tolerance,
-            sample: sample.max(1),
-        }
-    }
-
-    /// Whether this (workload key, core) pair is in the checked sample.
-    /// Stable: depends only on the pair, not on sweep order or thread
-    /// interleaving.
-    #[must_use]
-    pub fn selects(&self, workload_key: &ContentHash, core_name: &str) -> bool {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in workload_key.hex().bytes().chain(core_name.bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h.is_multiple_of(self.sample)
-    }
-
-    /// Runs both simulators on `(data, core)` and compares IPC.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the divergence when the relative IPC error
-    /// exceeds the tolerance.
-    pub fn check(&self, data: &WorkloadData, core: &CoreConfig) -> Result<(), String> {
-        let udg = simulate_trace(&data.trace, core);
-        let reference = simulate_reference(&data.trace, core);
-        let rel = (udg.ipc() - reference.ipc()).abs() / reference.ipc().max(f64::EPSILON);
-        if rel > self.tolerance {
-            return Err(format!(
-                "uDG IPC {:.4} vs reference IPC {:.4} on {}: relative error {:.4} > tolerance {:.4}",
-                udg.ipc(),
-                reference.ipc(),
-                core.name,
-                rel,
-                self.tolerance
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Renders a caught panic payload as text (the common `&str` / `String`
 /// payloads; anything else becomes a placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -299,7 +240,6 @@ pub struct Session {
     store_cap: Option<u64>,
     faults: Option<Arc<FaultPlan>>,
     budget: ExecBudget,
-    guard: Option<DivergenceGuard>,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
     timings: Mutex<HashMap<ContentHash, TimingCell>>,
@@ -342,8 +282,7 @@ impl Session {
     /// Creates a session from a resolved configuration: default tracer
     /// config, `config.jobs` workers, artifacts under
     /// `config.artifact_dir`, a fresh fault plan from `config.faults`, a
-    /// node budget from `config.max_nodes`, the store cap and the
-    /// divergence guard.
+    /// node budget from `config.max_nodes` and the store cap.
     #[must_use]
     pub fn from_config(config: &Config) -> Self {
         let faults = config.fault_plan();
@@ -363,7 +302,6 @@ impl Session {
             budget: config
                 .max_nodes
                 .map_or_else(ExecBudget::unlimited, ExecBudget::new),
-            guard: config.divergence,
             workloads: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
             timings: Mutex::new(HashMap::new()),
@@ -435,11 +373,12 @@ impl Session {
         self
     }
 
-    /// Installs (or clears) the µDG-vs-reference divergence guard.
-    /// Overrides `PRISM_DIVERGENCE`.
+    /// A no-op, kept only so existing callers still build: the runtime
+    /// µDG-vs-reference guard is gone, and only `None` fits the argument.
+    /// `tests/model_validation.rs` holds the µDG to the reference
+    /// simulator instead.
     #[must_use]
-    pub fn with_divergence_guard(mut self, guard: Option<DivergenceGuard>) -> Self {
-        self.guard = guard;
+    pub fn with_divergence_guard(self, _guard: Option<std::convert::Infallible>) -> Self {
         self
     }
 
@@ -662,15 +601,6 @@ impl Session {
     /// Returns the first failure in registry order.
     pub fn prepare_suite(&self, suite: Suite) -> Result<Vec<PreparedWorkload>, PipelineError> {
         self.prepare_batch(&prism_workloads::by_suite(suite).collect::<Vec<_>>())
-    }
-
-    /// Prepares the microbenchmark set.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in registry order.
-    pub fn prepare_micro(&self) -> Result<Vec<PreparedWorkload>, PipelineError> {
-        self.prepare_batch(&prism_workloads::MICRO.iter().collect::<Vec<_>>())
     }
 
     /// The oracle table for `workload` on `core`'s base configuration,
@@ -919,12 +849,12 @@ impl Session {
 
     /// Evaluates the grid points named by `missing` (indices in core-major
     /// order) with failure isolation, returning `(index, outcome)` pairs in
-    /// input order. Applies the divergence guard, then fills the memo in
-    /// one fan-out over (core, workload) — the oracle table, then the walks
-    /// of that core's missing points — and evaluates and quarantines per
-    /// point. `on_unit` runs inside the evaluation fan-out as each unit
-    /// settles — the durability hook (store save + journal append) for
-    /// callers that persist incrementally.
+    /// input order. Fills the memo in one fan-out over (core, workload) —
+    /// the oracle table, then the walks of that core's missing points —
+    /// and evaluates and quarantines per point. `on_unit` runs inside the
+    /// evaluation fan-out as each unit settles — the durability hook
+    /// (store save + journal append) for callers that persist
+    /// incrementally.
     fn run_points(
         &self,
         data: &[PreparedWorkload],
@@ -937,33 +867,12 @@ impl Session {
         let mut core_ids: Vec<usize> = missing.iter().map(|&i| i / subsets.len()).collect();
         core_ids.dedup();
 
-        // Divergence guard: cross-check sampled (workload, core) pairs
-        // against the reference simulator; a diverging pair quarantines
-        // every point of that core.
-        let mut core_block: Vec<Option<PipelineError>> = vec![None; cores.len()];
-        if let Some(g) = self.guard {
-            let pairs: Vec<(usize, usize)> = core_ids
-                .iter()
-                .flat_map(|&c| (0..data.len()).map(move |w| (c, w)))
-                .filter(|&(c, w)| g.selects(&data[w].key, &cores[c].name))
-                .collect();
-            let bad = parallel_map(&pairs, self.jobs, |_, &(c, w)| {
-                g.check(&data[w], &cores[c])
-                    .err()
-                    .map(|m| (c, PipelineError::diverged(&data[w].name, m)))
-            });
-            for (c, e) in bad.into_iter().flatten() {
-                core_block[c].get_or_insert(e);
-            }
-        }
-
         // Fill the memo over (core × workload): the oracle table, then the
         // walks the core's missing points need, so parallel point
         // evaluation only prices. Failures here resurface (typed) when the
         // point is evaluated.
         let pairs: Vec<(usize, usize)> = core_ids
             .iter()
-            .filter(|&&c| core_block[c].is_none())
             .flat_map(|&c| (0..data.len()).map(move |w| (c, w)))
             .collect();
         parallel_map(&pairs, self.jobs, |_, &(c, w)| {
@@ -983,10 +892,7 @@ impl Session {
         // the memo.
         parallel_map(missing, self.jobs, |_, &idx| {
             let (c, s) = (idx / subsets.len(), idx % subsets.len());
-            let res = match &core_block[c] {
-                Some(e) => Err(e.clone()),
-                None => self.evaluate_point_guarded(data, &cores[c], &subsets[s]),
-            };
+            let res = self.evaluate_point_guarded(data, &cores[c], &subsets[s]);
             on_unit(idx, &res);
             (idx, res)
         })
@@ -994,12 +900,12 @@ impl Session {
 
     /// Evaluates every (core × BSA-subset) design point over `data`,
     /// in canonical core-major order, isolating failures: points whose
-    /// evaluation panics, blows the execution budget, or diverges from the
-    /// reference simulator land in [`SweepReport::quarantined`] while every
-    /// healthy point still produces a result. Oracle tables are measured
-    /// once per (workload, base core) and shared across that core's
-    /// subsets. Work is distributed over [`Session::jobs`] threads; the
-    /// report (sorted by unit key) is independent of the job count.
+    /// evaluation panics or blows the execution budget land in
+    /// [`SweepReport::quarantined`] while every healthy point still
+    /// produces a result. Oracle tables are measured once per (workload,
+    /// base core) and shared across that core's subsets. Work is
+    /// distributed over [`Session::jobs`] threads; the report (sorted by
+    /// unit key) is independent of the job count.
     #[must_use]
     pub fn explore_grid(
         &self,
@@ -1025,9 +931,9 @@ impl Session {
     /// points already on disk are loaded instead of recomputed, workloads
     /// are prepared (with quarantine) only if at least one point is
     /// missing, and every failure — workload preparation, stage panic,
-    /// budget, store I/O, divergence — quarantines the smallest unit it
-    /// affects instead of aborting the sweep. A fully cached run does no
-    /// tracing at all.
+    /// budget, store I/O — quarantines the smallest unit it affects
+    /// instead of aborting the sweep. A fully cached run does no tracing
+    /// at all.
     ///
     /// When workloads are quarantined, the surviving points are keyed (and
     /// cached) over the healthy workload subset, so their artifacts are
@@ -1345,7 +1251,6 @@ mod tests {
             .with_jobs(1)
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
-            .with_divergence_guard(None)
     }
 
     #[test]
@@ -1414,27 +1319,6 @@ mod tests {
             .expect_err("10-node budget cannot measure a table");
         assert_eq!(err.kind, crate::error::ErrorKind::BudgetExceeded);
         assert_eq!(err.workload, w.name);
-    }
-
-    #[test]
-    fn divergence_guard_env_parsing() {
-        assert_eq!(
-            DivergenceGuard::new(0.25, 0),
-            DivergenceGuard {
-                tolerance: 0.25,
-                sample: 1
-            }
-        );
-        // selects() is stable and sample=1 selects everything.
-        let g = DivergenceGuard::new(0.1, 1);
-        let key = {
-            let mut kb = KeyBuilder::new("t");
-            kb.field("x", 1u32);
-            kb.finish()
-        };
-        assert!(g.selects(&key, "OOO2"));
-        let sparse = DivergenceGuard::new(0.1, 1_000_000_007);
-        assert!(!sparse.selects(&key, "OOO2") || !sparse.selects(&key, "OOO4"));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 
 use std::sync::Arc;
 
+use prism_pipeline::hash::Sha256;
 use prism_pipeline::{
-    journal_path, sweep_key, FaultPlan, JournalReplay, Session, SweepJournal, SweepReport,
+    encode_pipeline_error, journal_path, sweep_key, FaultPlan, JournalReplay, Json, PipelineError,
+    Session, Stage, SweepJournal, SweepReport,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -43,7 +45,6 @@ fn clean_session(tag: &str) -> Session {
         .with_store_dir(temp_dir(tag))
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
 }
 
 fn micro_set() -> Vec<&'static Workload> {
@@ -125,6 +126,66 @@ fn partial_journal_resumes_to_identical_report() {
     assert!(
         !journal_path(&dir, &test_sweep_key()).exists(),
         "clean finish must remove the journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_diverged_quarantine_is_dropped_and_recomputed() {
+    // Builds with the runtime divergence guard journaled its quarantines
+    // under error kind `diverged`, which this build no longer decodes.
+    // Such a record ends the replay as a dropped record: it is never
+    // replayed, nothing panics, and `--resume` recomputes its unit.
+    let reference = run_resumable(&clean_session("legacy-ref"), false);
+    assert!(
+        reference.quarantined.is_empty(),
+        "{:?}",
+        reference.quarantined
+    );
+    let total = reference.results.len();
+    let dir = temp_dir("legacy");
+    seed_partial_journal(&dir, &reference, 2);
+
+    // Append the record as an older build wrote it, checksum included.
+    let unit = reference.results[2].label.as_str();
+    let mut error = encode_pipeline_error(&PipelineError::new(
+        "micro-fetch",
+        Stage::Evaluate,
+        "uDG IPC 1.0787 vs reference IPC 1.6314 on OOO2: relative error 0.3388 > tolerance 0.2500",
+    ));
+    if let Json::Obj(fields) = &mut error {
+        for (name, value) in fields.iter_mut() {
+            if name == "kind" {
+                *value = Json::Str("diverged".into());
+            }
+        }
+    }
+    let mut sum = Sha256::new();
+    sum.update_str(&format!("quarantined\n{unit}\n{error}"));
+    let line = format!(
+        "{{\"type\":\"quarantined\",\"unit\":{},\"error\":{error},\"sum\":\"{}\"}}\n",
+        Json::Str(unit.into()),
+        sum.finish().hex()
+    );
+    let sweep = test_sweep_key();
+    let path = journal_path(&dir, &sweep);
+    let journal = std::fs::read_to_string(&path).unwrap() + &line;
+    std::fs::write(&path, journal).unwrap();
+
+    let replay = JournalReplay::read(&path, &sweep).unwrap();
+    assert_eq!((replay.records, replay.dropped), (2, 1));
+    assert!(replay.quarantined.is_empty(), "{:?}", replay.quarantined);
+    assert!(!replay.done.contains_key(unit));
+
+    let session = clean_session("legacy-unused").with_store_dir(&dir);
+    let resumed = run_resumable(&session, true);
+    assert_eq!(resumed, reference, "the dropped unit is recomputed");
+    let stats = session.stats();
+    assert_eq!(stats.resumed, 2, "{stats:?}");
+    assert_eq!(
+        stats.artifacts.recomputes - stats.trace_walks,
+        (total - 2) as u64,
+        "every unit but the two replayed ones is recomputed: {stats:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,10 @@
 //! Fault-injection integration tests: sweeps under injected stage panics,
-//! corrupt artifacts, failing store I/O, execution budgets, and the
-//! µDG-vs-reference divergence guard must isolate failures per unit and
-//! keep every healthy point.
+//! corrupt artifacts, failing store I/O and execution budgets must isolate
+//! failures per unit and keep every healthy point.
 
 use std::sync::Arc;
 
-use prism_pipeline::{DivergenceGuard, ErrorKind, FaultPlan, Session, Stage, SweepReport};
+use prism_pipeline::{ErrorKind, FaultPlan, Session, Stage, SweepReport};
 use prism_sim::{TracerConfig, DEFAULT_CHUNK_INSTS};
 use prism_tdg::BsaKind;
 use prism_udg::{CoreConfig, ExecBudget};
@@ -33,7 +32,6 @@ fn clean_session(tag: &str) -> Session {
         .with_store_dir(temp_dir(tag))
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
 }
 
 fn micro_set() -> Vec<&'static Workload> {
@@ -153,58 +151,6 @@ fn tiny_budget_quarantines_every_point_as_budget_exceeded() {
         assert_eq!(err.kind, ErrorKind::BudgetExceeded, "{err}");
         assert!(err.message.contains("budget"), "{err}");
     }
-}
-
-#[test]
-fn divergence_guard_flags_only_beyond_tolerance() {
-    // Measure the actual µDG-vs-reference divergence of the sweep's
-    // (workload, core) pairs, then set the tolerance on either side of it.
-    let probe = clean_session("guard-probe");
-    let data = probe.prepare_batch(&micro_set()).expect("prepare");
-    let (cores, subsets) = small_grid();
-    let mut max_rel = 0.0f64;
-    for w in &data {
-        for core in &cores {
-            // tolerance 0 errs whenever rel > 0 and reports the error.
-            if let Err(msg) = DivergenceGuard::new(0.0, 1).check(w, core) {
-                let rel: f64 = msg
-                    .split("relative error ")
-                    .nth(1)
-                    .and_then(|s| s.split(' ').next())
-                    .and_then(|s| s.parse().ok())
-                    .expect("divergence message carries the relative error");
-                max_rel = max_rel.max(rel);
-            }
-        }
-    }
-    assert!(
-        max_rel > 0.0,
-        "µDG and reference agree exactly; guard test needs a skew"
-    );
-
-    // Tolerance above the worst divergence: nothing quarantined.
-    let lenient = clean_session("guard-lenient")
-        .with_divergence_guard(Some(DivergenceGuard::new(max_rel * 2.0, 1)));
-    let ok = lenient.evaluate_designs(&micro_set(), &cores, &subsets);
-    assert!(ok.quarantined.is_empty(), "{:?}", ok.quarantined);
-
-    // Tolerance below it: the offending core's points are quarantined as
-    // Diverged, the rest still evaluate.
-    let strict = clean_session("guard-strict")
-        .with_divergence_guard(Some(DivergenceGuard::new(max_rel / 2.0, 1)));
-    let flagged = strict.evaluate_designs(&micro_set(), &cores, &subsets);
-    assert!(!flagged.quarantined.is_empty());
-    for (_, err) in &flagged.quarantined {
-        assert_eq!(err.kind, ErrorKind::Diverged, "{err}");
-        assert!(err.message.contains("tolerance"), "{err}");
-    }
-    // Quarantine granularity is per core: whole multiples of the subset
-    // count, never the entire sweep unless every core diverges.
-    assert_eq!(flagged.quarantined.len() % subsets.len(), 0);
-    assert_eq!(
-        flagged.results.len() + flagged.quarantined.len(),
-        cores.len() * subsets.len()
-    );
 }
 
 #[test]

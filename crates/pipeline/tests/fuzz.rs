@@ -146,8 +146,7 @@ fn random_programs_survive_full_pipeline_evaluation() {
         })
         .with_jobs(1)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None);
+        .with_budget(ExecBudget::unlimited());
     let cores = [CoreConfig::ooo2()];
     let subsets = [vec![], BsaKind::ALL.to_vec()];
     for seed in 0..8 {

@@ -15,7 +15,7 @@ fn quick_tracer() -> TracerConfig {
 }
 
 /// A session insulated from ambient env knobs (`PRISM_FAULTS`,
-/// `PRISM_MAX_NODES`, `PRISM_DIVERGENCE`), so these determinism and cache
+/// `PRISM_MAX_NODES`, `PRISM_STORE_CAP`), so these determinism and cache
 /// tests hold even under the CI fault-injection matrix.
 fn clean_session() -> Session {
     Session::new()
@@ -23,7 +23,6 @@ fn clean_session() -> Session {
         .with_jobs(1)
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
         .with_store_cap(None)
 }
 

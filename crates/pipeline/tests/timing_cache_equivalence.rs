@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult, WorkloadData};
+use prism_exocore::{
+    all_bsa_subsets, all_cores, headline_claims, DesignPoint, DesignResult, WorkloadData,
+};
 use prism_pipeline::{FaultPlan, Session, SweepReport};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -31,7 +33,6 @@ fn session_at(dir: &std::path::Path) -> Session {
         .with_jobs(2)
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
         .with_store_cap(None)
         .with_store_dir(dir)
 }
@@ -123,12 +124,16 @@ fn healthy(report: SweepReport) -> Vec<DesignResult> {
 /// not: a change to the model's numbers must update it on purpose.
 const REFERENCE_SHA256: &str = "ed0df2769531e830c804fa71f8659c0e9562c17c4ca3db4c0ebce1b1f8519498";
 
+/// The reference sweep must also satisfy the paper's headline claims
+/// ([`headline_claims`]) on these quick traces; the `headline_claims`
+/// binary checks them on full-length ones.
 #[test]
 fn full_registry_sweep_matches_the_reference() {
     let workloads = registry();
     let (cores, subsets) = (all_cores(), all_bsa_subsets());
     let swept = session_at(&fresh_dir("full")).evaluate_designs(&workloads, &cores, &subsets);
-    let want = fingerprint(&reference(&workloads, &cores, &subsets));
+    let reference = reference(&workloads, &cores, &subsets);
+    let want = fingerprint(&reference);
     let mut sha = prism_pipeline::hash::Sha256::new();
     sha.update_str(&want);
     assert_eq!(
@@ -137,6 +142,11 @@ fn full_registry_sweep_matches_the_reference() {
         "the reference model's output moved"
     );
     assert_eq!(fingerprint(&healthy(swept)), want);
+    let claims = headline_claims(&reference);
+    assert_eq!(claims.len(), 10);
+    for claim in claims {
+        assert!(claim.holds, "{claim}");
+    }
 }
 
 #[test]

@@ -35,6 +35,15 @@ impl ReferenceRun {
             self.insts as f64 / self.cycles as f64
         }
     }
+
+    /// The relative error of a model's IPC against this run's,
+    /// `|model − reference| / reference`: the metric of the paper's
+    /// Table 1 validation. A reference IPC below 1e-9 counts as 1e-9, so
+    /// the error of an empty run stays finite.
+    #[must_use]
+    pub fn ipc_error(&self, model_ipc: f64) -> f64 {
+        (model_ipc - self.ipc()).abs() / self.ipc().max(1e-9)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,7 +404,7 @@ mod tests {
         ] {
             let r = simulate_reference(&t, &cfg);
             let u = simulate_trace(&t, &cfg);
-            let err = (r.ipc() - u.ipc()).abs() / r.ipc();
+            let err = r.ipc_error(u.ipc());
             assert!(
                 err < 0.35,
                 "{}: reference ipc {:.3} vs µDG ipc {:.3} (err {:.0}%)",

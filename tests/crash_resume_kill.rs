@@ -94,8 +94,7 @@ fn child_explore() -> ! {
         .with_jobs(2)
         .with_store_dir(PathBuf::from(store))
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None);
+        .with_budget(ExecBudget::unlimited());
     let (cores, subsets) = small_grid();
     let report = session.evaluate_designs_resumable(&micro_set(), &cores, &subsets, resume);
     print_report(&report);

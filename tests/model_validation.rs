@@ -6,43 +6,82 @@ use prism::exocore::WorkloadData;
 use prism::tdg::{run_exocore, Assignment, BsaKind};
 use prism::udg::{simulate_reference, simulate_trace, CoreConfig};
 
-fn traced(name: &str) -> prism::sim::Trace {
-    let w = prism::workloads::by_name(name).unwrap_or_else(|| panic!("{name}"));
-    prism::sim::trace(&(w.build)(w.default_n / 3 + 16)).expect(name)
+/// Every workload the µDG is validated on, traced at a third of its
+/// default size: the vertical microbenchmarks, then the registry.
+fn validation_traces() -> Vec<(&'static str, prism::sim::Trace)> {
+    prism::workloads::MICRO
+        .iter()
+        .chain(prism::workloads::ALL)
+        .map(|w| {
+            let trace = prism::sim::trace(&(w.build)(w.default_n / 3 + 16)).expect(w.name);
+            (w.name, trace)
+        })
+        .collect()
+}
+
+/// Holds the µDG's relative IPC error against the reference simulator
+/// ([`ReferenceRun::ipc_error`](prism::udg::ReferenceRun::ipc_error)) on
+/// each core, over every validation trace, to the core's `(mean, worst)`
+/// bound. The bounds sit just above what the two models measure, so a
+/// change to either that widens their gap fails here.
+fn assert_udg_matches_reference(bounds: &[(CoreConfig, f64, f64)]) {
+    let traces = validation_traces();
+    assert_eq!(traces.len(), 57);
+    for (core, mean_bound, worst_bound) in bounds {
+        let mut sum = 0.0;
+        let (mut worst, mut worst_name) = (0.0f64, "");
+        for (name, trace) in &traces {
+            let r = simulate_reference(trace, core);
+            assert_eq!(r.insts, trace.len() as u64, "{name}: reference lost insts");
+            let err = r.ipc_error(simulate_trace(trace, core).ipc());
+            sum += err;
+            if err > worst {
+                (worst, worst_name) = (err, name);
+            }
+        }
+        let mean = sum / traces.len() as f64;
+        assert!(
+            mean <= *mean_bound,
+            "{}: mean µDG IPC error {:.2}% exceeds {:.2}%",
+            core.name,
+            mean * 100.0,
+            mean_bound * 100.0
+        );
+        assert!(
+            worst <= *worst_bound,
+            "{}: µDG IPC error {:.2}% on {worst_name} exceeds {:.2}%",
+            core.name,
+            worst * 100.0,
+            worst_bound * 100.0
+        );
+    }
+}
+
+// The paper's Table 1 puts the µDG within 2–3 % of a cycle-level
+// simulator. Here it is held to this reproduction's reference simulator
+// on 57 workloads and six cores, in two tests so the harness runs them
+// side by side. Measured (mean / worst): OOO1 1.44 / 5.38 %, OOO8
+// 2.82 / 14.25 %, IO2 3.90 / 32.60 % (micro-fp), OOO2 1.74 / 11.52 %,
+// OOO4 1.21 / 8.58 %, OOO6 1.49 / 8.73 %. IO2's worst case comes from the
+// reference's in-order in-flight cap, an open question about which model
+// is right (EXPERIMENTS.md, "µDG vs reference on every workload").
+
+#[test]
+fn udg_matches_reference_on_ooo1_ooo8_and_io2() {
+    assert_udg_matches_reference(&[
+        (CoreConfig::ooo(1), 0.020, 0.065),
+        (CoreConfig::ooo(8), 0.035, 0.150),
+        (CoreConfig::io2(), 0.045, 0.335),
+    ]);
 }
 
 #[test]
-fn udg_matches_reference_within_15_percent_across_suites() {
-    // One representative per suite; both 1-wide and 8-wide extremes.
-    let names = [
-        "stencil",
-        "spmv",
-        "cjpeg-1",
-        "453.povray",
-        "tpch1",
-        "456.hmmer",
-    ];
-    let mut worst: f64 = 0.0;
-    for name in names {
-        let t = traced(name);
-        for cfg in [CoreConfig::ooo(1), CoreConfig::ooo(8)] {
-            let r = simulate_reference(&t, &cfg);
-            let u = simulate_trace(&t, &cfg);
-            assert_eq!(r.insts, t.len() as u64, "{name}: reference lost insts");
-            let err = (r.ipc() - u.ipc()).abs() / r.ipc().max(1e-9);
-            worst = worst.max(err);
-            assert!(
-                err < 0.15,
-                "{name}/{}: µDG {:.3} vs reference {:.3} IPC ({:.0}% error)",
-                cfg.name,
-                u.ipc(),
-                r.ipc(),
-                err * 100.0
-            );
-        }
-    }
-    // Keep the bar honest: the typical error should be well under the cap.
-    assert!(worst < 0.15);
+fn udg_matches_reference_on_ooo2_ooo4_and_ooo6() {
+    assert_udg_matches_reference(&[
+        (CoreConfig::ooo2(), 0.025, 0.125),
+        (CoreConfig::ooo4(), 0.020, 0.095),
+        (CoreConfig::ooo6(), 0.020, 0.095),
+    ]);
 }
 
 #[test]

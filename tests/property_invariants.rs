@@ -150,7 +150,7 @@ fn udg_and_reference_stay_close_on_random_programs() {
         let u = prism::udg::simulate_trace(&trace, &cfg);
         let r = prism::udg::simulate_reference(&trace, &cfg);
         assert_eq!(r.insts, trace.stats.insts, "case {case}");
-        let err = (u.ipc() - r.ipc()).abs() / r.ipc().max(1e-9);
+        let err = r.ipc_error(u.ipc());
         assert!(
             err < 0.30,
             "case {case}: models diverge: µDG {:.3} vs reference {:.3}",
