@@ -9,13 +9,14 @@
 //! content-addressed artifact store, whose write-then-rename protocol
 //! with per-process temp names makes concurrent writers safe. Remote
 //! workers (`prism worker --listen`, reached via
-//! [`GridConfig::hosts`]) have their *own* store; the v2 protocol ships
-//! result artifacts back by content hash, and anything not shipped is
-//! simply recomputed from the journal on resume. Because every unit is
-//! keyed identically in every process, a grid run and a single-process
-//! run produce byte-identical merged reports (after
-//! [`SweepReport::normalize`]) on a healthy fleet — wherever the shards
-//! ran.
+//! [`GridConfig::hosts`]) have their *own* store; each remote `result`
+//! names the design-point key its shard stored it under, and the
+//! coordinator stores the result under that key before it journals the
+//! unit, so its store ends up holding every result wherever it was
+//! computed. Because every unit is keyed identically in every process, a
+//! grid run and a single-process run produce byte-identical merged
+//! reports (after [`SweepReport::normalize`]) on a healthy fleet —
+//! wherever the shards ran.
 //!
 //! A worker that dies or disconnects mid-unit leaves a synthetic
 //! quarantine entry behind; when the reassigned unit later succeeds,
@@ -26,11 +27,10 @@
 //! the first `Assign` to the last link's `Eof`. Once every unit is
 //! settled or queued for local fallback, the loop sends `Shutdown` once
 //! and keeps handling frames until each live link has delivered its
-//! `Eof`: frames on one link arrive in order, so `Bye` counters and the
-//! replies to every `Fetch` land before it. Links still open after
-//! [`SHUTDOWN_GRACE`] are killed, and every link is then reaped.
+//! `Eof`: frames on one link arrive in order, so its `Bye` counters land
+//! before it. Links still open after [`SHUTDOWN_GRACE`] are killed, and
+//! every link is then reaped.
 
-use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{mpsc, Arc};
@@ -39,8 +39,9 @@ use std::time::{Duration, Instant};
 use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult};
 use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink};
 use prism_pipeline::{
-    crash_point, sweep_key, ArtifactStore, Config, ContentHash, FaultPlan, JournalReplay,
-    PipelineError, Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
+    crash_point, encode_design_result, sweep_key, ArtifactStore, Config, ContentHash, FaultPlan,
+    JournalReplay, PipelineError, Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW,
+    SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -145,7 +146,8 @@ pub struct HostStats {
     pub recoveries: usize,
     /// Successful link reconnects.
     pub reconnects: usize,
-    /// Artifact bytes shipped over this link (both directions).
+    /// Bytes of design results the coordinator pushed to this host ahead
+    /// of its assigns (results coming back are not counted).
     pub bytes_shipped: u64,
     /// Trace walks this host performed (from its `Bye` counters).
     pub walks: u64,
@@ -299,33 +301,6 @@ struct WorkerState {
     reconnects_left: u32,
 }
 
-/// Push-side artifact warming for remote shards, which do not share the
-/// coordinator's store.
-struct Push {
-    session: Session,
-    workload_keys: Vec<ContentHash>,
-    /// Timing artifacts learned from settled units, grouped by core
-    /// index: cores that differ only in priced parameters share a timing
-    /// shape key, so a walk shipped back by one shard warms every later
-    /// assign of a shape-sharing core on any other shard.
-    learned_timing: HashMap<usize, Vec<ContentHash>>,
-    /// Per-shard sent-sets keep the push one-shot per (artifact, shard).
-    timing_sent: Vec<HashSet<ContentHash>>,
-}
-
-impl Push {
-    /// The design-point key `unit` settles into, assuming every workload
-    /// is healthy. A mismatch (some workload quarantined) just makes a
-    /// push useless — correctness never depends on shipped artifacts.
-    fn unit_key(&self, config: &GridConfig, unit: &Unit) -> ContentHash {
-        self.session.design_point_key(
-            &self.workload_keys,
-            &config.cores[unit.core_idx],
-            &config.subsets[unit.subset_idx],
-        )
-    }
-}
-
 /// The worker subprocess command for local shards (the link layer pipes
 /// its stdin/stdout; stderr stays inherited).
 fn worker_command(cmd: &PathBuf, config: &GridConfig) -> Command {
@@ -359,7 +334,7 @@ fn hello_line(config: &GridConfig, shard: usize) -> String {
 struct Coordinator<'a> {
     config: &'a GridConfig,
     /// The process environment's configuration: the net token, and the
-    /// push-side and local-fallback sessions.
+    /// push-key and local-fallback sessions.
     env: Config,
     store: ArtifactStore,
     journal: Option<SweepJournal>,
@@ -371,7 +346,9 @@ struct Coordinator<'a> {
     shard_reports: Vec<SweepReport>,
     /// Units waiting for a shard, in dispatch order.
     pending: Vec<usize>,
-    push: Option<Push>,
+    /// With remote hosts, each unit's design-point key assuming every
+    /// workload is healthy: what [`Self::warm`] pushes. Empty otherwise.
+    push_keys: Vec<ContentHash>,
     /// When links still open after `Shutdown` are killed; `None` until
     /// `Shutdown` goes out.
     shutdown_deadline: Option<Instant>,
@@ -422,18 +399,23 @@ impl Coordinator<'_> {
             let session = Session::from_config(&self.env)
                 .with_tracer(tracer_for(config))
                 .with_store_dir(&config.artifact_dir);
-            let workload_keys = config
+            let workload_keys: Vec<ContentHash> = config
                 .workloads
                 .iter()
                 .filter_map(|name| find_workload(name))
                 .map(|w| session.workload_key(w.name, w.scaled_n()))
                 .collect();
-            self.push = Some(Push {
-                session,
-                workload_keys,
-                learned_timing: HashMap::new(),
-                timing_sent: vec![HashSet::new(); self.workers.len()],
-            });
+            self.push_keys = self
+                .units
+                .iter()
+                .map(|unit| {
+                    session.design_point_key(
+                        &workload_keys,
+                        &config.cores[unit.core_idx],
+                        &config.subsets[unit.subset_idx],
+                    )
+                })
+                .collect();
         }
         Ok(rx)
     }
@@ -567,36 +549,16 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Warms a remote shard's store before an assign: the artifact the
-    /// unit would settle into, if the coordinator already has it, and
-    /// any timing walks already learned for the unit's core, so the shard
-    /// prices instead of re-walking. Missing or stale docs just mean the
-    /// worker recomputes — never a correctness risk.
+    /// Warms a remote shard's store before an assign: if the coordinator
+    /// already holds the design result the unit would settle into, it
+    /// pushes it, and the shard loads it instead of evaluating. A miss
+    /// (some workload quarantined) just means the shard evaluates —
+    /// never a correctness risk.
     fn warm(&mut self, shard: usize, uid: usize) {
-        let (Some(push), Some(h)) = (&mut self.push, self.workers[shard].host) else {
+        let (Some(h), Some(key)) = (self.workers[shard].host, self.push_keys.get(uid)) else {
             return;
         };
-        let unit = &self.units[uid];
-        let akey = push.unit_key(self.config, unit);
-        let mut docs = Vec::new();
-        if let Some(doc) = self.store.export(&akey) {
-            docs.push((akey, doc));
-        }
-        for tkey in push
-            .learned_timing
-            .get(&unit.core_idx)
-            .into_iter()
-            .flatten()
-        {
-            if push.timing_sent[shard].contains(tkey) {
-                continue;
-            }
-            if let Some(doc) = self.store.export(tkey) {
-                push.timing_sent[shard].insert(*tkey);
-                docs.push((*tkey, doc));
-            }
-        }
-        for (key, doc) in docs {
+        if let Some(doc) = self.store.export(key) {
             self.stats.hosts[h].bytes_shipped += doc.len() as u64;
             let frame = ToWorker::Artifact {
                 key: key.hex(),
@@ -665,21 +627,20 @@ impl Coordinator<'_> {
                 result,
                 artifacts,
             } => {
-                // Kill point: the unit's artifact is durable (the worker
-                // stored it before reporting) but nothing is journaled
-                // yet — a resume must recompute cheaply from the store,
-                // not lose the unit.
+                // Kill point: the unit's artifact is durable in the
+                // worker's store (it stored it before reporting) but
+                // nothing is journaled yet — a resume must recompute
+                // cheaply from that store, not lose the unit.
                 crash_point(SITE_GRID_FRAME);
                 let uid = id as usize;
                 self.workers[shard].inflight.retain(|&u| u != uid);
+                if self.workers[shard].link.is_remote() {
+                    self.store_remote_result(shard, &result, &artifacts);
+                }
                 if uid < self.units.len() {
                     self.settle(uid, host, Ok(&result));
-                    self.learn_timing(uid, &artifacts);
                 }
                 self.shard_reports[shard].results.push(result);
-                if self.workers[shard].link.is_remote() {
-                    self.fetch_missing(shard, artifacts);
-                }
             }
             FromWorker::UnitQuarantine { id, key, error } => {
                 crash_point(SITE_GRID_FRAME);
@@ -698,26 +659,6 @@ impl Coordinator<'_> {
                     }
                 }
                 self.shard_reports[shard].quarantined.push((key, error));
-            }
-            FromWorker::Artifact { key, doc } => {
-                if let Some(h) = host {
-                    self.stats.hosts[h].bytes_shipped += doc.len() as u64;
-                }
-                // Empty doc = "worker doesn't have it"; nothing to do.
-                if !doc.is_empty() {
-                    match ContentHash::from_hex(&key) {
-                        Some(hash) => {
-                            if let Err(e) = self.store.import(&hash, &doc) {
-                                eprintln!(
-                                    "[prism-grid] shard {shard}: artifact import failed: {e}"
-                                );
-                            }
-                        }
-                        None => {
-                            eprintln!("[prism-grid] shard {shard}: artifact with bad key {key}");
-                        }
-                    }
-                }
             }
             FromWorker::Fatal { message } => {
                 self.mark_dead(shard, &format!("fatal: {message}"));
@@ -754,35 +695,19 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Learns a settled unit's timing shape keys — every reported
-    /// artifact beyond the design-point result — so later assigns of
-    /// shape-sharing cores are warmed push-side.
-    fn learn_timing(&mut self, uid: usize, artifacts: &[String]) {
-        let Some(push) = &mut self.push else {
-            return;
-        };
-        let unit = &self.units[uid];
-        let akey = push.unit_key(self.config, unit);
-        let learned = push.learned_timing.entry(unit.core_idx).or_default();
-        for hash in artifacts.iter().filter_map(|k| ContentHash::from_hex(k)) {
-            if hash != akey && !learned.contains(&hash) {
-                learned.push(hash);
-            }
-        }
-    }
-
-    /// Pulls any result artifacts a remote store has that ours is missing
-    /// (pure cache warmth: resume and correctness never depend on the
-    /// shipment). The worker answers `Fetch` before it reads `Shutdown`,
-    /// so every reply lands before the link's `Eof`.
-    fn fetch_missing(&mut self, shard: usize, artifacts: Vec<String>) {
-        let missing: Vec<String> = artifacts
-            .into_iter()
-            .filter(|k| ContentHash::from_hex(k).is_some_and(|hash| !self.store.contains(&hash)))
-            .collect();
-        if !missing.is_empty() {
-            let fetch = ToWorker::Fetch { keys: missing }.encode();
-            let _ = self.workers[shard].link.send_line(&fetch);
+    /// Stores a remote shard's result under the design-point key the
+    /// shard named, unless the store already holds that key. Called
+    /// before the unit is journaled, so a journaled remote result is in
+    /// this store as a local one is; `encode_design_result` gives the
+    /// bytes the shard stored.
+    fn store_remote_result(&self, shard: usize, result: &DesignResult, artifacts: &[String]) {
+        match artifacts.first().and_then(|key| ContentHash::from_hex(key)) {
+            Some(key) if self.store.contains(&key) => {}
+            Some(key) => self.store.save(&key, encode_design_result(result)),
+            None => eprintln!(
+                "[prism-grid] shard {shard}: result {} names no design-point key",
+                result.label
+            ),
         }
     }
 
@@ -954,7 +879,7 @@ fn tracer_for(config: &GridConfig) -> TracerConfig {
 /// per-worker window (so prepare overlaps evaluate), supervises by
 /// heartbeat, retries quarantined units on a different shard, reassigns
 /// the in-flight units of dead workers (reconnecting remote links),
-/// pulls missing result artifacts from remote stores, falls back to
+/// stores each remote result under the key its shard names, falls back to
 /// in-process evaluation when no eligible worker remains, and merges
 /// every shard's report. A journal that settles every unit returns its
 /// replay without spawning or dialing anything.
@@ -1065,7 +990,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         workers: Vec::new(),
         replay: replay_report,
         shard_reports: Vec::new(),
-        push: None,
+        push_keys: Vec::new(),
         shutdown_deadline: None,
         stats,
     };

@@ -17,8 +17,8 @@
 //! the next unit while it *evaluates* the current one), heartbeats, one
 //! result-or-quarantine per unit, and a clean shutdown: the coordinator
 //! sends `shutdown` once every unit is settled, then waits for each
-//! link's end of stream (its `bye` and any artifact replies arrive
-//! first) before reaping it. Failure policy:
+//! link's end of stream (its `bye` arrives first) before reaping it.
+//! Failure policy:
 //!
 //! - a **quarantined unit** is retried once (configurable) on a
 //!   *different* shard; if the retry succeeds the unit counts as
@@ -41,9 +41,10 @@
 //! The same protocol also runs over TCP (see [`prism_net`]): remote
 //! daemons started with `prism worker --listen` occupy shard slots after
 //! the local ones ([`GridConfig::hosts`]), authenticate with a shared
-//! secret, ship result artifacts back by content hash, and reconnect
-//! with bounded backoff when the link drops — in-flight units are
-//! reassigned exactly like a local worker death.
+//! secret, name the design-point key of each result (which the
+//! coordinator stores it under), and reconnect with bounded backoff when
+//! the link drops — in-flight units are reassigned exactly like a local
+//! worker death.
 
 #![warn(missing_docs)]
 

@@ -14,13 +14,15 @@
 //! [`FromWorker::Fatal`] on a version mismatch) and then heartbeats every
 //! [`HEARTBEAT_INTERVAL`] until shutdown.
 //!
-//! v2 added artifact shipping for remote shards that do not share the
-//! coordinator's store: [`FromWorker::UnitResult`] names the artifacts
-//! backing the unit, the coordinator pulls missing ones with
-//! [`ToWorker::Fetch`], and both directions ship validated envelopes in
-//! `Artifact` frames keyed by hex `ContentHash`. Shipping is pure cache
-//! warmth: the journal embeds full results, so resume and correctness
-//! never depend on a shipped artifact arriving.
+//! A remote shard does not share the coordinator's store, so its result
+//! crosses the wire once: [`FromWorker::UnitResult`] carries the
+//! [`DesignResult`] and names the design-point key the shard stored it
+//! under, and the coordinator stores it under that key before it journals
+//! the unit. The only other artifact traffic is [`ToWorker::Artifact`], a
+//! design result the coordinator already holds, pushed ahead of an
+//! `Assign` so the shard loads it instead of evaluating. That push is pure
+//! cache warmth: the journal embeds full results, so resume and
+//! correctness never depend on it arriving.
 
 use std::time::Duration;
 
@@ -34,8 +36,11 @@ use prism_pipeline::{
 /// [`ToWorker::Hello`]; a worker built from different sources refuses the
 /// handshake instead of silently misinterpreting messages. v2 added the
 /// artifact push/pull frames (`fetch`/`artifact`) and the `artifacts`
-/// list on `result` — a v1 worker refuses a v2 Hello outright.
-pub const PROTO_VERSION: u64 = 2;
+/// list on `result`. v3 dropped `fetch` and the worker's `artifact`
+/// reply: `artifacts` names only the design-point key, and `artifact`
+/// frames go from coordinator to worker only. A worker of another
+/// version refuses the Hello outright.
+pub const PROTO_VERSION: u64 = 3;
 
 /// How often a healthy worker emits [`FromWorker::Heartbeat`].
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
@@ -67,20 +72,12 @@ pub enum ToWorker {
         /// BSA subset as Fig. 12 code letters (e.g. `"SDN"`, `""`).
         bsas: String,
     },
-    /// Pull request: ship back each named artifact (hex `ContentHash`)
-    /// from the worker's store. The worker answers one
-    /// [`FromWorker::Artifact`] per key — with an empty `doc` for keys it
-    /// cannot export — so the coordinator can account for every request.
-    Fetch {
-        /// Hex content-hash keys to ship.
-        keys: Vec<String>,
-    },
     /// Push: a validated store envelope for `key`, seeding the worker's
-    /// cache with an artifact the coordinator already has.
+    /// cache with a design result the coordinator already has.
     Artifact {
         /// Hex content-hash key.
         key: String,
-        /// The raw envelope text (empty = unavailable).
+        /// The raw envelope text.
         doc: String,
     },
     /// Clean shutdown: finish in-flight units, say `Bye`, exit 0.
@@ -110,10 +107,10 @@ pub enum FromWorker {
         id: u64,
         /// The evaluated design point.
         result: DesignResult,
-        /// Hex content-hash keys of the store artifacts backing this
-        /// result, so a coordinator on another host can pull what its
-        /// own store is missing. Always present on the wire; empty from
-        /// local workers, which share the coordinator's store.
+        /// From a worker with its own store: exactly the hex
+        /// design-point key it stored `result` under, which the
+        /// coordinator stores it under too. Always present on the wire;
+        /// empty from local workers, which share the coordinator's store.
         artifacts: Vec<String>,
     },
     /// A unit (or a whole workload) was quarantined on this shard.
@@ -125,14 +122,6 @@ pub enum FromWorker {
         key: String,
         /// The typed failure.
         error: PipelineError,
-    },
-    /// Answer to [`ToWorker::Fetch`]: one shipped store envelope.
-    Artifact {
-        /// Hex content-hash key.
-        key: String,
-        /// The raw envelope text (empty = the worker could not export
-        /// this key; the coordinator just stops waiting for it).
-        doc: String,
     },
     /// Clean shutdown acknowledgement (last message), carrying the
     /// session's timing-reuse counters so the coordinator can surface
@@ -192,13 +181,6 @@ impl ToWorker {
                     ("bsas".into(), Json::Str(bsas.clone())),
                 ],
             ),
-            ToWorker::Fetch { keys } => obj(
-                "fetch",
-                vec![(
-                    "keys".into(),
-                    Json::Arr(keys.iter().map(|k| Json::Str(k.clone())).collect()),
-                )],
-            ),
             ToWorker::Artifact { key, doc } => obj(
                 "artifact",
                 vec![
@@ -241,17 +223,6 @@ impl ToWorker {
                     id: json.get("id")?.as_u64()?,
                     core: json.get("core")?.as_str()?.to_string(),
                     bsas: json.get("bsas")?.as_str()?.to_string(),
-                })
-            })()
-            .ok_or_else(shape),
-            "fetch" => (|| {
-                Some(ToWorker::Fetch {
-                    keys: json
-                        .get("keys")?
-                        .as_arr()?
-                        .iter()
-                        .map(|k| Some(k.as_str()?.to_string()))
-                        .collect::<Option<_>>()?,
                 })
             })()
             .ok_or_else(shape),
@@ -308,13 +279,6 @@ impl FromWorker {
                     ("id".into(), id.map_or(Json::Null, Json::U64)),
                     ("key".into(), Json::Str(key.clone())),
                     ("error".into(), encode_pipeline_error(error)),
-                ],
-            ),
-            FromWorker::Artifact { key, doc } => obj(
-                "artifact",
-                vec![
-                    ("key".into(), Json::Str(key.clone())),
-                    ("doc".into(), Json::Str(doc.clone())),
                 ],
             ),
             FromWorker::Bye {
@@ -391,13 +355,6 @@ impl FromWorker {
                 })
             })()
             .ok_or_else(shape),
-            "artifact" => (|| {
-                Some(FromWorker::Artifact {
-                    key: json.get("key")?.as_str()?.to_string(),
-                    doc: json.get("doc")?.as_str()?.to_string(),
-                })
-            })()
-            .ok_or_else(shape),
             "bye" => (|| {
                 Some(FromWorker::Bye {
                     walks: json.get("walks")?.as_u64()?,
@@ -424,9 +381,9 @@ mod tests {
     use prism_exocore::WorkloadMetrics;
     use prism_pipeline::Stage;
 
-    #[test]
-    fn coordinator_messages_roundtrip() {
-        let msgs = [
+    /// One frame of every [`ToWorker`] variant.
+    fn coordinator_messages() -> Vec<ToWorker> {
+        vec![
             ToWorker::Hello {
                 proto: PROTO_VERSION,
                 shard: 3,
@@ -439,24 +396,17 @@ mod tests {
                 core: "OOO2".into(),
                 bsas: "SDN".into(),
             },
-            ToWorker::Fetch {
-                keys: vec!["ab".repeat(32), "cd".repeat(32)],
-            },
             ToWorker::Artifact {
                 key: "ef".repeat(32),
                 doc: "{\"schema\":2,\"payload\":\"with \\\"quotes\\\" and \\n newline\"}".into(),
             },
             ToWorker::Shutdown,
-        ];
-        for m in msgs {
-            let line = m.encode();
-            assert!(!line.contains('\n'), "framing broken: {line}");
-            assert_eq!(ToWorker::decode(&line).unwrap(), m);
-        }
+        ]
     }
 
-    #[test]
-    fn worker_messages_roundtrip() {
+    /// One frame of every [`FromWorker`] variant (two quarantines: unit
+    /// and workload level).
+    fn worker_messages() -> Vec<FromWorker> {
         let result = DesignResult {
             label: "OOO2-SDN".into(),
             core: "OOO2".into(),
@@ -471,8 +421,11 @@ mod tests {
                 unit_energy: [0.1, 0.2, 0.3, 0.4, 0.5],
             }],
         };
-        let msgs = [
-            FromWorker::HelloAck { shard: 1, proto: 2 },
+        vec![
+            FromWorker::HelloAck {
+                shard: 1,
+                proto: PROTO_VERSION,
+            },
             FromWorker::Heartbeat {
                 shard: 1,
                 inflight: 2,
@@ -481,10 +434,6 @@ mod tests {
                 id: 5,
                 result,
                 artifacts: vec!["12".repeat(32)],
-            },
-            FromWorker::Artifact {
-                key: "34".repeat(32),
-                doc: String::new(),
             },
             FromWorker::UnitQuarantine {
                 id: Some(6),
@@ -505,8 +454,21 @@ mod tests {
             FromWorker::Fatal {
                 message: "version mismatch".into(),
             },
-        ];
-        for m in msgs {
+        ]
+    }
+
+    #[test]
+    fn coordinator_messages_roundtrip() {
+        for m in coordinator_messages() {
+            let line = m.encode();
+            assert!(!line.contains('\n'), "framing broken: {line}");
+            assert_eq!(ToWorker::decode(&line).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn worker_messages_roundtrip() {
+        for m in worker_messages() {
             let line = m.encode();
             assert!(!line.contains('\n'), "framing broken: {line}");
             assert_eq!(FromWorker::decode(&line).unwrap(), m);
@@ -520,7 +482,8 @@ mod tests {
             "{",
             "{\"type\":\"warp\"}",
             "{\"type\":\"assign\"}",
-            "{\"type\":\"fetch\"}",
+            // v2's pull request and its reply are gone in v3.
+            "{\"type\":\"fetch\",\"keys\":[]}",
             "{\"type\":\"artifact\",\"key\":7}",
         ] {
             assert!(FromWorker::decode(bad).is_err(), "{bad:?}");
@@ -531,8 +494,9 @@ mod tests {
     #[test]
     fn result_and_bye_without_their_fields_are_typed_errors() {
         // Every frame field is required: a `result` without `artifacts`
-        // or a `bye` without its counters is garbled, not a v1 frame (a
-        // v1 worker refuses a v2 hello before it sends anything).
+        // or a `bye` without its counters is garbled, not an older frame
+        // (a worker of another version refuses the hello before it sends
+        // anything).
         let result = FromWorker::UnitResult {
             id: 3,
             result: DesignResult {
@@ -549,7 +513,7 @@ mod tests {
         let result_without_artifacts = result.replace(",\"artifacts\":[]", "");
         assert_ne!(
             result, result_without_artifacts,
-            "artifacts field must be present in v2"
+            "artifacts field must be present in v3"
         );
         let bye = FromWorker::Bye {
             walks: 1,
@@ -563,5 +527,68 @@ mod tests {
             assert!(FromWorker::decode(bad).is_err(), "{bad:?}");
             assert!(ToWorker::decode(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// SplitMix64, as in `crates/pipeline/tests/fuzz.rs`: small, seedable,
+    /// no dependencies.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn mutated_frames_are_typed_errors_never_panics() {
+        // Bytes that steer the parser: structure, digits, escapes, literals.
+        const STEER: &[u8] = b"{}[]\",:\\-.0123456789eEtfnul ";
+        let frames: Vec<String> = coordinator_messages()
+            .iter()
+            .map(ToWorker::encode)
+            .chain(worker_messages().iter().map(FromWorker::encode))
+            .collect();
+        let mut gen = Gen(0x5EED_F4A3);
+        for i in 0..20_000 {
+            let mut bytes = frames[i % frames.len()].clone().into_bytes();
+            // One to four edits: overwrite, delete or insert one byte.
+            for _ in 0..=gen.below(4) {
+                let at = gen.below(bytes.len() + 1);
+                let byte = if gen.next().is_multiple_of(2) {
+                    STEER[gen.below(STEER.len())]
+                } else {
+                    gen.next() as u8
+                };
+                match gen.below(3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let decoded = std::panic::catch_unwind(|| {
+                let _ = ToWorker::decode(&line);
+                let _ = FromWorker::decode(&line);
+            });
+            assert!(decoded.is_ok(), "a decoder panicked on {line:?}");
+        }
+        // Past `Json::parse`'s 32-level cap: refused, not a stack overflow.
+        let deep = format!(
+            "{{\"type\":\"result\",\"id\":1,\"result\":{}{}}}",
+            "[".repeat(60),
+            "]".repeat(60)
+        );
+        assert!(ToWorker::decode(&deep).is_err());
+        assert!(FromWorker::decode(&deep).is_err());
     }
 }

@@ -11,8 +11,8 @@
 //! Inside the worker, three threads run:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
-//!   queue, and answers artifact fetch/push frames from its local store
-//!   inline, so every fetch reply precedes the worker's end of stream,
+//!   queue, and imports artifacts the coordinator pushes into its local
+//!   store inline, so each lands before the assignment that follows it,
 //! - the **evaluator** pops units in order and reports one
 //!   result-or-quarantine per unit (the session memoizes preparation and
 //!   oracle tables, so only a shard's first unit per core pays for them),
@@ -73,8 +73,8 @@ pub struct WorkerOptions {
     /// `artifact_dir` (the stdio case, where coordinator and worker share
     /// a filesystem); TCP daemons pass their own local store here and the
     /// Hello's path — meaningless on another host — is ignored. Only a
-    /// worker with its own store names the artifacts each unit saved, so
-    /// the coordinator can pull them.
+    /// worker with its own store names the design-point key each result
+    /// is stored under, so the coordinator can store it there too.
     pub store_dir: Option<PathBuf>,
     /// The worker's configuration: its session's jobs, budget, guard and
     /// store cap, and the fault plan each session parses afresh — the
@@ -248,9 +248,9 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         })
         .with_store_dir(&store_dir)
         .with_faults(faults.clone());
-    // A second handle on the same store for artifact fetch/push frames:
-    // the reader thread serves those concurrently with evaluation, and
-    // the store's durability is file-level, not handle-level.
+    // A second handle on the same store for pushed artifacts: the reader
+    // thread imports them concurrently with evaluation, and the store's
+    // durability is file-level, not handle-level.
     let store = ArtifactStore::new(&store_dir).with_cap(opts.config.store_cap);
 
     // Resolve the workload set; unknown names quarantine as whole-workload
@@ -380,9 +380,9 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         });
 
         // Reader (this thread): feed the queue until shutdown, EOF, or an
-        // I/O error (either way the coordinator is gone). Artifact frames
-        // are served inline — store export/import is cheap I/O and must
-        // not queue behind a long evaluation.
+        // I/O error (either way the coordinator is gone). Pushed artifacts
+        // are imported inline — a store import is cheap I/O and must not
+        // queue behind a long evaluation.
         'reader: while let Some(Ok(line)) = lines.next() {
             match ToWorker::decode(&line) {
                 Ok(ToWorker::Assign { id, core, bsas }) => {
@@ -390,16 +390,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
                     q.pending.push_back(QueuedUnit { id, core, bsas });
                     queue_cv.notify_all();
-                }
-                Ok(ToWorker::Fetch { keys }) => {
-                    for key in keys {
-                        // Empty doc = "don't have it" so the coordinator
-                        // can account for every requested key.
-                        let doc = ContentHash::from_hex(&key)
-                            .and_then(|k| store.export(&k))
-                            .unwrap_or_default();
-                        send(&out, &FromWorker::Artifact { key, doc });
-                    }
                 }
                 Ok(ToWorker::Artifact { key, doc }) => match ContentHash::from_hex(&key) {
                     Some(k) => {
@@ -450,13 +440,13 @@ fn unit_label(unit: &QueuedUnit) -> String {
 
 /// Evaluates one unit and reports exactly one terminal message for it
 /// (plus at most one workload-level quarantine per workload per worker).
-/// With `name_artifacts`, each result lists the store artifacts the unit
-/// settled into.
+/// With `name_key`, each result names the design-point key it is stored
+/// under.
 fn evaluate_unit<W: Write>(
     session: &Session,
     workloads: &[&Workload],
     unit: &QueuedUnit,
-    name_artifacts: bool,
+    name_key: bool,
     reported_workloads: &mut BTreeSet<String>,
     out: &Mutex<W>,
 ) {
@@ -484,18 +474,21 @@ fn evaluate_unit<W: Write>(
         std::slice::from_ref(&core),
         std::slice::from_ref(&bsas),
     );
-    // Name the store artifact this unit settled into, so a remote
-    // coordinator knows what to pull. Stdio shards share the
-    // coordinator's store, so it never pulls from them.
-    let artifacts = if name_artifacts {
-        let (data, _) = session.prepare_quarantined(workloads);
-        let wkeys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
-        let mut keys = vec![session.design_point_key(&wkeys, &core, &bsas)];
-        // Timing artifacts settled by this unit's walks ride along, so
-        // the coordinator can pull them and reuse the walks on cores
-        // that share a timing shape with this one.
-        keys.extend(session.timing_shape_keys(&data, &core, &bsas));
-        keys.iter().map(ContentHash::hex).collect()
+    // The result is keyed over the workloads this report did not
+    // quarantine, so a remote coordinator can store it under the key this
+    // store holds it under. Stdio shards share the coordinator's store.
+    let artifacts = if name_key {
+        let healthy: Vec<ContentHash> = workloads
+            .iter()
+            .filter(|w| {
+                !report
+                    .quarantined
+                    .iter()
+                    .any(|(key, _)| key.strip_prefix("workload:") == Some(w.name))
+            })
+            .map(|w| session.workload_key(w.name, w.scaled_n()))
+            .collect();
+        vec![session.design_point_key(&healthy, &core, &bsas).hex()]
     } else {
         Vec::new()
     };
@@ -582,5 +575,72 @@ mod tests {
             matches!(FromWorker::decode(last), Ok(FromWorker::Bye { .. })),
             "{output}"
         );
+    }
+
+    /// A TCP-mode worker (its own store) names the key its store holds the
+    /// result under — also when a workload's preparation fails once and
+    /// then succeeds, so the result covers fewer workloads than the sweep.
+    #[test]
+    fn a_tcp_worker_names_a_key_its_store_holds() {
+        let workloads: Vec<String> = prism_workloads::MICRO
+            .iter()
+            .take(3)
+            .map(|w| w.name.to_string())
+            .collect();
+        for (tag, faults, covered) in [
+            ("healthy", None, 3),
+            ("faulted", Some("stage-panic:trace:1"), 2),
+        ] {
+            let dir =
+                std::env::temp_dir().join(format!("prism-worker-key-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let hello = ToWorker::Hello {
+                proto: PROTO_VERSION,
+                shard: 0,
+                workloads: workloads.clone(),
+                max_insts: 5_000,
+                artifact_dir: String::new(),
+            };
+            let assign = ToWorker::Assign {
+                id: 0,
+                core: "OOO2".into(),
+                bsas: "SD".into(),
+            };
+            let input = format!(
+                "{}\n{}\n{}\n",
+                hello.encode(),
+                assign.encode(),
+                ToWorker::Shutdown.encode()
+            );
+            let opts = WorkerOptions {
+                expected_shard: None,
+                store_dir: Some(dir.clone()),
+                config: Config {
+                    jobs: 1,
+                    faults: faults.map(String::from),
+                    ..Config::default()
+                },
+            };
+            let mut output = Vec::new();
+            assert_eq!(run_worker_io(input.as_bytes(), &mut output, &opts), 0);
+            let output = String::from_utf8(output).unwrap();
+            let (result, artifacts) = output
+                .lines()
+                .find_map(|line| match FromWorker::decode(line) {
+                    Ok(FromWorker::UnitResult {
+                        result, artifacts, ..
+                    }) => Some((result, artifacts)),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{tag}: no result frame in {output}"));
+            assert_eq!(result.per_workload.len(), covered, "{tag}: {output}");
+            assert_eq!(artifacts.len(), 1, "{tag}: {artifacts:?}");
+            let key = ContentHash::from_hex(&artifacts[0]).expect("hex key");
+            let stored = ArtifactStore::new(&dir)
+                .load(&key)
+                .and_then(|payload| prism_pipeline::decode_design_result(&payload));
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(stored, Some(result), "{tag}: named key not in the store");
+        }
     }
 }

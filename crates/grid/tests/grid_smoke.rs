@@ -17,7 +17,9 @@
 //!    spawns no workers at all),
 //! 7. the same sweep over two localhost TCP daemons — under an injected
 //!    mid-sweep disconnect — matches the single-process report, with the
-//!    cut surfacing as `recovered`.
+//!    cut surfacing as `recovered`, and leaves one result per unit in the
+//!    coordinator's store; a warm coordinator then spares two fresh
+//!    daemons every walk.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -268,25 +270,16 @@ fn scenario_resume_assigns_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tentpole equivalence property: the sweep over two localhost TCP
-/// daemons — with a mid-sweep disconnect injected — produces the same
-/// report as a single-process run, with the disconnect surfacing as
-/// `recovered`, and leaves every store clean.
-fn scenario_tcp_equivalence() {
-    let token = "smoke-secret";
-    std::env::set_var(NET_TOKEN_ENV, token);
-    let dir_single = scratch_dir("tcp-single");
-    let dir_coord = scratch_dir("tcp-coord");
-    let daemon_dirs = [scratch_dir("tcp-daemon0"), scratch_dir("tcp-daemon1")];
-    let baseline = single_process_baseline(&dir_single);
-    assert!(baseline.quarantined.is_empty());
-
-    // Two in-process daemons on ephemeral ports, each with its own
-    // artifact store (their listener threads outlive the scenario).
-    let mut ports = Vec::new();
-    for dir in &daemon_dirs {
+/// Starts one in-process daemon per store on an ephemeral port (their
+/// listener threads outlive the scenario) and returns the `--hosts` list.
+fn start_daemons(token: &str, stores: &[PathBuf]) -> String {
+    let mut hosts = Vec::new();
+    for dir in stores {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        ports.push(listener.local_addr().expect("addr").port());
+        hosts.push(format!(
+            "127.0.0.1:{}",
+            listener.local_addr().expect("addr").port()
+        ));
         let config = Config {
             artifact_dir: dir.clone(),
             net_token: token.to_string(),
@@ -294,10 +287,31 @@ fn scenario_tcp_equivalence() {
         };
         std::thread::spawn(move || serve_tcp(listener, config));
     }
+    hosts.join(",")
+}
+
+/// Tentpole equivalence property: the sweep over two localhost TCP
+/// daemons — with a mid-sweep disconnect injected — produces the same
+/// report as a single-process run, with the disconnect surfacing as
+/// `recovered`, stores each result once in the coordinator's store, and
+/// leaves every store clean. A coordinator whose store already holds
+/// every result pushes them, and two fresh daemons walk nothing.
+fn scenario_tcp_equivalence() {
+    let token = "smoke-secret";
+    std::env::set_var(NET_TOKEN_ENV, token);
+    let dir_single = scratch_dir("tcp-single");
+    let dir_coord = scratch_dir("tcp-coord");
+    let daemon_dirs = [
+        scratch_dir("tcp-daemon0"),
+        scratch_dir("tcp-daemon1"),
+        scratch_dir("tcp-daemon2"),
+        scratch_dir("tcp-daemon3"),
+    ];
+    let baseline = single_process_baseline(&dir_single);
+    assert!(baseline.quarantined.is_empty());
 
     let mut cfg = config(0, &dir_coord);
-    cfg.hosts =
-        parse_hosts(&format!("127.0.0.1:{},127.0.0.1:{}", ports[0], ports[1])).expect("host specs");
+    cfg.hosts = parse_hosts(&start_daemons(token, &daemon_dirs[..2])).expect("host specs");
     // Cut shard 1's connection after its 3rd inbound frame: in-flight
     // units get synthetic quarantines, the link reconnects, and the
     // re-evaluated units surface as recovered.
@@ -325,18 +339,32 @@ fn scenario_tcp_equivalence() {
         "shard 1 must have reconnected: {:?}",
         outcome.stats.hosts
     );
-    assert!(
-        outcome
-            .stats
-            .hosts
-            .iter()
-            .map(|h| h.bytes_shipped)
-            .sum::<u64>()
-            > 0,
-        "remote results must ship artifacts back: {:?}",
-        outcome.stats.hosts
+    // Each remote result is stored under the key its daemon named, once,
+    // and nothing else crosses into the coordinator's store.
+    let coord_fsck = run_fsck(&dir_coord).expect("fsck");
+    assert_eq!(
+        coord_fsck.artifacts_checked,
+        expected_labels().len() as u64,
+        "{coord_fsck:?}"
     );
-    for dir in [&dir_coord, &daemon_dirs[0], &daemon_dirs[1]] {
+
+    // The single-process baseline filled `dir_single`: as a coordinator
+    // store, it pushes every result, so two fresh daemons walk nothing.
+    let mut warm = config(0, &dir_single);
+    warm.hosts = parse_hosts(&start_daemons(token, &daemon_dirs[2..])).expect("host specs");
+    let warm = run(&warm);
+    assert_eq!(warm.report, baseline, "warm coordinator must match");
+    assert_eq!(warm.stats.walks, 0, "{:?}", warm.stats);
+    assert!(
+        warm.stats.hosts.iter().all(|h| h.bytes_shipped > 0),
+        "every host must receive pushed results: {:?}",
+        warm.stats.hosts
+    );
+
+    for dir in [&dir_coord, &dir_single]
+        .into_iter()
+        .chain(daemon_dirs.iter())
+    {
         let report = run_fsck(dir).expect("fsck");
         assert!(report.is_clean(), "{dir:?}: {report:?}");
     }

@@ -733,30 +733,6 @@ impl Session {
         Arc::clone(timing)
     }
 
-    /// The [µDG shape keys](Session::shape_key) of the trace-walk timings
-    /// one design point needs — one per workload whose oracle table is
-    /// measurable (errors are skipped; they surface when the point is
-    /// evaluated). Grid workers report these alongside the design-result
-    /// key so coordinators can pull timing artifacts over the wire, and
-    /// coordinators push them ahead of assignments — the multi-host
-    /// fabric becomes a distributed timing cache.
-    #[must_use]
-    pub fn timing_shape_keys(
-        &self,
-        data: &[PreparedWorkload],
-        core: &CoreConfig,
-        bsas: &[BsaKind],
-    ) -> Vec<ContentHash> {
-        let point = DesignPoint::new(core.clone(), bsas.to_vec());
-        data.iter()
-            .filter_map(|w| {
-                let table = self.oracle_table(w, core).ok()?;
-                let assignment = oracle_pick(&table, &w.data, &point.bsas);
-                Some(self.shape_key(w, &point.core, &assignment))
-            })
-            .collect()
-    }
-
     fn evaluate_point(
         &self,
         data: &[PreparedWorkload],

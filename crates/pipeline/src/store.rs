@@ -366,7 +366,8 @@ impl ArtifactStore {
     }
 
     /// Whether an artifact file exists under `key` (no validation — a
-    /// cheap membership probe for deciding what to ship across hosts).
+    /// cheap membership probe before storing a result another host
+    /// computed).
     #[must_use]
     pub fn contains(&self, key: &ContentHash) -> bool {
         self.path_for(key).exists()
