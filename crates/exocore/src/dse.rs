@@ -76,6 +76,28 @@ pub fn all_cores() -> Vec<CoreConfig> {
     ]
 }
 
+/// The Table-4 core named `name`, in any case (`"OOO2"`, `"ooo2"`).
+#[must_use]
+pub fn core_by_name(name: &str) -> Option<CoreConfig> {
+    all_cores()
+        .into_iter()
+        .find(|c| c.name.eq_ignore_ascii_case(name))
+}
+
+/// The BSA subset spelled in Fig. 12 codes, in any case (`"SDN"`, `""`);
+/// `None` on any other letter.
+#[must_use]
+pub fn bsas_by_codes(codes: &str) -> Option<Vec<BsaKind>> {
+    codes
+        .chars()
+        .map(|c| {
+            BsaKind::ALL
+                .into_iter()
+                .find(|b| b.code() == c.to_ascii_uppercase())
+        })
+        .collect()
+}
+
 /// All 16 subsets of the four BSAs, in mask order.
 #[must_use]
 pub fn all_bsa_subsets() -> Vec<Vec<BsaKind>> {

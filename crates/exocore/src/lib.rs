@@ -50,8 +50,9 @@ mod timeline;
 pub use claims::{headline_claims, ClaimCheck};
 pub use data::WorkloadData;
 pub use dse::{
-    all_bsa_subsets, all_cores, all_design_points, by_label, evaluate_point, geomean,
-    pareto_frontier, DesignPoint, DesignResult, FrontierPoint, WorkloadMetrics,
+    all_bsa_subsets, all_cores, all_design_points, bsas_by_codes, by_label, core_by_name,
+    evaluate_point, geomean, pareto_frontier, DesignPoint, DesignResult, FrontierPoint,
+    WorkloadMetrics,
 };
 pub use schedule::{
     amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,

@@ -4,6 +4,14 @@
 //! different shard, reassigns the in-flight units of dead workers, and
 //! merges every shard's [`SweepReport`] into one.
 //!
+//! Before it spawns or dials anything, the coordinator settles every unit
+//! the sweep journal records and every unit whose design result its own
+//! store holds under the full workload set, through the same
+//! [`Session::cached_designs`] call as `prism explore`'s fast path. Only
+//! the rest is assigned, so a warm grid starts no worker at all. The
+//! coordinator's one [`Session`] over [`GridConfig::artifact_dir`] serves
+//! that store pass and the local fallback.
+//!
 //! Local workers are re-invocations of the current executable with
 //! `PRISM_GRID_WORKER=1` (see [`crate::worker`]); they share one
 //! content-addressed artifact store, whose write-then-rename protocol
@@ -40,8 +48,7 @@ use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult};
 use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink};
 use prism_pipeline::{
     crash_point, encode_design_result, sweep_key, ArtifactStore, Config, ContentHash, FaultPlan,
-    JournalReplay, PipelineError, Session, Stage, SweepJournal, SweepReport, GC_SAFETY_WINDOW,
-    SITE_GRID_FRAME,
+    JournalReplay, PipelineError, Session, Stage, SweepJournal, SweepReport, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -49,7 +56,7 @@ use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
 use crate::proto::{FromWorker, ToWorker, PROTO_VERSION};
-use crate::worker::{find_workload, WORKER_ENV};
+use crate::worker::{evaluate_unit, WORKER_ENV};
 
 /// How many times one remote link is redialed over a run before its
 /// shard slot is given up for dead. Each attempt is itself a bounded
@@ -75,7 +82,8 @@ pub struct GridConfig {
     /// How many times a quarantined unit is retried on a *different*
     /// shard before its quarantine becomes permanent.
     pub shard_retries: usize,
-    /// Workload names, resolved against the registry in each worker.
+    /// Workload names, resolved against the registry by the coordinator
+    /// and by each worker.
     pub workloads: Vec<String>,
     /// Cores of the design grid (must be registry cores — IO2, OOO2,
     /// OOO4, OOO6 — since assignments name them over the wire).
@@ -146,9 +154,6 @@ pub struct HostStats {
     pub recoveries: usize,
     /// Successful link reconnects.
     pub reconnects: usize,
-    /// Bytes of design results the coordinator pushed to this host ahead
-    /// of its assigns (results coming back are not counted).
-    pub bytes_shipped: u64,
     /// Trace walks this host performed (from its `Bye` counters).
     pub walks: u64,
     /// Walks this host skipped via the timing-reuse layer.
@@ -168,6 +173,9 @@ pub struct GridStats {
     pub workers_died: usize,
     /// Design-point units in the sweep.
     pub units_total: usize,
+    /// Units settled from the coordinator's store before any worker ran
+    /// (not journaled, like any cache hit).
+    pub cached: usize,
     /// Quarantined units retried on a different shard.
     pub units_retried: usize,
     /// In-flight units of dead workers that were reassigned.
@@ -202,13 +210,14 @@ impl GridStats {
         let mut text = format!(
             "-- grid stats --\n\
              workers : {} spawned, {} died\n\
-             units   : {} total, {} retried, {} reassigned, {} local\n\
+             units   : {} total, {} cached, {} retried, {} reassigned, {} local\n\
              journal : {} units resumed, {} records replayed\n\
              gc      : {} bytes reclaimed\n\
              walks   : {} performed, {} skipped ({} shape-memo hits, {} timing artifacts loaded)\n",
             self.workers_spawned,
             self.workers_died,
             self.units_total,
+            self.cached,
             self.units_retried,
             self.units_reassigned,
             self.local_fallback_units,
@@ -222,13 +231,12 @@ impl GridStats {
         );
         for host in &self.hosts {
             text.push_str(&format!(
-                "host {} : {} units, {} recovered, {} reconnects, {} bytes shipped, \
+                "host {} : {} units, {} recovered, {} reconnects, \
                  {} walks, {} skipped ({} shape-memo, {} artifacts)\n",
                 host.addr,
                 host.units,
                 host.recoveries,
                 host.reconnects,
-                host.bytes_shipped,
                 host.walks,
                 host.walks_skipped,
                 host.shape_memo_hits,
@@ -333,22 +341,25 @@ fn hello_line(config: &GridConfig, shard: usize) -> String {
 /// recovery, dispatch and the local fallback.
 struct Coordinator<'a> {
     config: &'a GridConfig,
-    /// The process environment's configuration: the net token, and the
-    /// push-key and local-fallback sessions.
-    env: Config,
+    /// The shared secret remote links authenticate with.
+    net_token: String,
+    /// The coordinator's session over [`GridConfig::artifact_dir`]: the
+    /// store pass before any spawn, and the local fallback.
+    session: Session,
+    /// [`GridConfig::workloads`] resolved against the registry.
+    workloads: Vec<&'static Workload>,
+    /// Where remote results land.
     store: ArtifactStore,
     journal: Option<SweepJournal>,
     units: Vec<Unit>,
     workers: Vec<WorkerState>,
-    /// What the journal settled before any worker ran.
-    replay: SweepReport,
+    /// What the coordinator settled before any worker ran: the journal's
+    /// units, the store's units and unknown workloads.
+    settled: SweepReport,
     /// One report per shard, then the local fallback's.
     shard_reports: Vec<SweepReport>,
     /// Units waiting for a shard, in dispatch order.
     pending: Vec<usize>,
-    /// With remote hosts, each unit's design-point key assuming every
-    /// workload is healthy: what [`Self::warm`] pushes. Empty otherwise.
-    push_keys: Vec<ContentHash>,
     /// When links still open after `Shutdown` are killed; `None` until
     /// `Shutdown` goes out.
     shutdown_deadline: Option<Instant>,
@@ -374,12 +385,11 @@ impl Coordinator<'_> {
                 self.add_shard(link, None, "spawn");
             }
         }
-        let token = self.env.net_token.clone();
         for (hidx, host) in config.hosts.iter().enumerate() {
             let link = TcpLink::connect(
                 &host.addr(),
                 self.workers.len(),
-                &token,
+                &self.net_token,
                 config.net_faults.clone(),
                 tx.clone(),
             );
@@ -395,28 +405,6 @@ impl Coordinator<'_> {
         self.shard_reports = (0..self.workers.len())
             .map(|_| SweepReport::default())
             .collect();
-        if !config.hosts.is_empty() {
-            let session = Session::from_config(&self.env)
-                .with_tracer(tracer_for(config))
-                .with_store_dir(&config.artifact_dir);
-            let workload_keys: Vec<ContentHash> = config
-                .workloads
-                .iter()
-                .filter_map(|name| find_workload(name))
-                .map(|w| session.workload_key(w.name, w.scaled_n()))
-                .collect();
-            self.push_keys = self
-                .units
-                .iter()
-                .map(|unit| {
-                    session.design_point_key(
-                        &workload_keys,
-                        &config.cores[unit.core_idx],
-                        &config.subsets[unit.subset_idx],
-                    )
-                })
-                .collect();
-        }
         Ok(rx)
     }
 
@@ -531,8 +519,6 @@ impl Coordinator<'_> {
                 }
                 continue;
             };
-            self.warm(shard, uid);
-            let unit = &self.units[uid];
             let msg = ToWorker::Assign {
                 id: uid as u64,
                 core: unit.core_name.clone(),
@@ -546,25 +532,6 @@ impl Coordinator<'_> {
                 // handle the cleanup. Try again next round.
                 self.pending.push(uid);
             }
-        }
-    }
-
-    /// Warms a remote shard's store before an assign: if the coordinator
-    /// already holds the design result the unit would settle into, it
-    /// pushes it, and the shard loads it instead of evaluating. A miss
-    /// (some workload quarantined) just means the shard evaluates —
-    /// never a correctness risk.
-    fn warm(&mut self, shard: usize, uid: usize) {
-        let (Some(h), Some(key)) = (self.workers[shard].host, self.push_keys.get(uid)) else {
-            return;
-        };
-        if let Some(doc) = self.store.export(key) {
-            self.stats.hosts[h].bytes_shipped += doc.len() as u64;
-            let frame = ToWorker::Artifact {
-                key: key.hex(),
-                doc,
-            };
-            let _ = self.workers[shard].link.send_line(&frame.encode());
         }
     }
 
@@ -785,43 +752,22 @@ impl Coordinator<'_> {
         if local.is_empty() {
             return;
         }
-        let config = self.config;
         let mut report = SweepReport::default();
-        let session = Session::from_config(&self.env)
-            .with_tracer(tracer_for(config))
-            .with_store_dir(&config.artifact_dir);
-        let mut workloads: Vec<&Workload> = Vec::new();
-        for name in &config.workloads {
-            match find_workload(name) {
-                Some(w) => workloads.push(w),
-                None => report.quarantined.push((
-                    format!("workload:{name}"),
-                    PipelineError::new(name, Stage::Build, "unknown workload"),
-                )),
-            }
-        }
         for uid in local {
             let unit = &self.units[uid];
-            let label = unit.label.clone();
-            let mut unit_report = session.evaluate_designs(
-                &workloads,
-                &[config.cores[unit.core_idx].clone()],
-                &[config.subsets[unit.subset_idx].clone()],
+            let unit_report = evaluate_unit(
+                &self.session,
+                &self.workloads,
+                &self.config.cores[unit.core_idx],
+                &self.config.subsets[unit.subset_idx],
             );
-            if unit_report.results.is_empty()
-                && !unit_report.quarantined.iter().any(|(k, _)| *k == label)
-            {
-                unit_report.quarantined.push((
-                    label.clone(),
-                    PipelineError::new(&label, Stage::Evaluate, "no healthy workloads to evaluate"),
-                ));
-            }
-            let outcome = match unit_report.results.iter().find(|r| r.label == label) {
+            let label = &unit.label;
+            let outcome = match unit_report.results.first() {
                 Some(result) => Some(Ok(result)),
                 None => unit_report
                     .quarantined
                     .iter()
-                    .find(|(k, _)| *k == label)
+                    .find(|(k, _)| k == label)
                     .map(|(_, e)| Err(e)),
             };
             if let Some(outcome) = outcome {
@@ -830,7 +776,7 @@ impl Coordinator<'_> {
             report.merge(unit_report);
             self.stats.local_fallback_units += 1;
         }
-        let local_stats = session.stats();
+        let local_stats = self.session.stats();
         fold_walk_stats(
             &mut self.stats,
             None,
@@ -842,12 +788,12 @@ impl Coordinator<'_> {
         self.shard_reports.push(report);
     }
 
-    /// Merges the replayed and per-shard reports. A finished sweep with no
+    /// Merges the settled and per-shard reports. A finished sweep with no
     /// permanent quarantines has nothing left to resume; one *with*
     /// quarantines keeps its journal so a `--resume` replays the
     /// identical errors instead of re-running known-bad units.
     fn finish(self) -> GridOutcome {
-        let mut merged = self.replay;
+        let mut merged = self.settled;
         for report in self.shard_reports {
             merged.merge(report);
         }
@@ -874,15 +820,16 @@ fn tracer_for(config: &GridConfig) -> TracerConfig {
     }
 }
 
-/// Runs the sharded sweep: replays the sweep journal, spawns local
-/// workers and connects remote daemons, streams assignments with a small
+/// Runs the sharded sweep: replays the sweep journal, settles the units
+/// the coordinator's store already holds, spawns local workers and
+/// connects remote daemons for the rest, streams assignments with a small
 /// per-worker window (so prepare overlaps evaluate), supervises by
 /// heartbeat, retries quarantined units on a different shard, reassigns
 /// the in-flight units of dead workers (reconnecting remote links),
 /// stores each remote result under the key its shard names, falls back to
 /// in-process evaluation when no eligible worker remains, and merges
-/// every shard's report. A journal that settles every unit returns its
-/// replay without spawning or dialing anything.
+/// every shard's report. When the journal and the store settle every
+/// unit, nothing is spawned or dialed.
 ///
 /// # Errors
 ///
@@ -894,9 +841,30 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     if config.workers == 0 && config.hosts.is_empty() {
         return Err(err("at least one worker or host is required"));
     }
-    // The net token and the coordinator's own sessions come from the
+    // The net token and the coordinator's session settings come from the
     // environment; a `GridConfig` describes only the sweep.
     let env = Config::from_env().map_err(|e| err(e.to_string()))?;
+    // Opening the session reclaims tmp files orphaned by killed runs
+    // (never a live process's, never younger than the safety window).
+    let session = Session::from_config(&Config {
+        artifact_dir: config.artifact_dir.clone(),
+        ..env.clone()
+    })
+    .with_tracer(tracer_for(config));
+
+    // The workload set, resolved once: an unknown name is one
+    // whole-workload quarantine, however many workers report it too.
+    let mut settled = SweepReport::default();
+    let mut workloads: Vec<&'static Workload> = Vec::with_capacity(config.workloads.len());
+    for name in &config.workloads {
+        match prism_workloads::by_name(name) {
+            Some(w) => workloads.push(w),
+            None => settled.quarantined.push((
+                format!("workload:{name}"),
+                PipelineError::new(name, Stage::Build, "unknown workload"),
+            )),
+        }
+    }
 
     // The unit space, in the same core-major order as `explore_grid`.
     let mut units: Vec<Unit> = Vec::with_capacity(config.cores.len() * config.subsets.len());
@@ -917,6 +885,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     }
     let mut stats = GridStats {
         units_total: units.len(),
+        gc_reclaimed_bytes: session.stats().artifacts.gc_reclaimed_bytes,
         hosts: config
             .hosts
             .iter()
@@ -928,19 +897,12 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         ..GridStats::default()
     };
 
-    // Opportunistic repair: reclaim tmp files orphaned by killed runs
-    // (never a live process's, never younger than the safety window).
-    let store = ArtifactStore::new(&config.artifact_dir);
-    stats.gc_reclaimed_bytes = store.gc_tmp_files(GC_SAFETY_WINDOW).1;
-
     // Sweep journal: derived from the exact same inputs a single-process
     // `Session` sweep uses, so `prism explore` and `prism grid` over the
     // same space share one journal file. Units the journal records as
     // settled are resolved up front and never assigned to a worker.
-    let wl_sizes: Vec<(String, u32)> = config
-        .workloads
+    let wl_sizes: Vec<(String, u32)> = workloads
         .iter()
-        .filter_map(|name| find_workload(name))
         .map(|w| (w.name.to_string(), w.scaled_n()))
         .collect();
     let sweep = sweep_key(
@@ -956,12 +918,11 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
             (None, JournalReplay::default())
         }
     };
-    let mut replay_report = SweepReport::default();
     for unit in &mut units {
         if let Some(result) = replay.done.get(&unit.label) {
-            replay_report.results.push(result.clone());
+            settled.results.push(result.clone());
         } else if let Some(error) = replay.quarantined.get(&unit.label) {
-            replay_report
+            settled
                 .quarantined
                 .push((unit.label.clone(), error.clone()));
         } else {
@@ -978,19 +939,32 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         );
     }
 
+    // Explore's fast path: the units the store holds under the full
+    // workload set are settled here and never assigned.
+    let skip: Vec<bool> = units.iter().map(|u| u.resolved).collect();
+    let cached = session.cached_designs(&workloads, &config.cores, &config.subsets, &skip);
+    for (unit, result) in units.iter_mut().zip(cached) {
+        if let Some(result) = result {
+            settled.results.push(result);
+            unit.resolved = true;
+            stats.cached += 1;
+        }
+    }
+
     let mut coord = Coordinator {
         config,
-        env,
-        store,
+        net_token: env.net_token,
+        session,
+        workloads,
+        store: ArtifactStore::new(&config.artifact_dir),
         journal,
         pending: (0..units.len())
             .filter(|&uid| !units[uid].resolved)
             .collect(),
         units,
         workers: Vec::new(),
-        replay: replay_report,
+        settled,
         shard_reports: Vec::new(),
-        push_keys: Vec::new(),
         shutdown_deadline: None,
         stats,
     };
@@ -1034,6 +1008,7 @@ mod tests {
             workers_spawned: 2,
             workers_died: 1,
             units_total: 64,
+            cached: 21,
             units_retried: 3,
             units_reassigned: 4,
             local_fallback_units: 5,
@@ -1049,7 +1024,6 @@ mod tests {
                 units: 9,
                 recoveries: 10,
                 reconnects: 11,
-                bytes_shipped: 12,
                 walks: 17,
                 walks_skipped: 18,
                 shape_memo_hits: 19,
@@ -1057,6 +1031,10 @@ mod tests {
             }],
         };
         let text = stats.render();
+        assert!(
+            text.contains("64 total, 21 cached, 3 retried, 4 reassigned, 5 local"),
+            "{text}"
+        );
         assert!(text.contains("6 units resumed"), "{text}");
         assert!(text.contains("7 records replayed"), "{text}");
         assert!(text.contains("8 bytes reclaimed"), "{text}");
@@ -1068,7 +1046,7 @@ mod tests {
         );
         assert!(
             text.contains(
-                "host 10.0.0.9:7761 : 9 units, 10 recovered, 11 reconnects, 12 bytes shipped, \
+                "host 10.0.0.9:7761 : 9 units, 10 recovered, 11 reconnects, \
                  17 walks, 18 skipped (19 shape-memo, 20 artifacts)"
             ),
             "{text}"

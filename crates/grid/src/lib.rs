@@ -30,13 +30,16 @@
 //!
 //! All local shards share one content-addressed artifact store, so grid
 //! runs and single-process runs warm the same cache and — on a healthy
-//! fleet — produce byte-identical merged reports.
+//! fleet — produce byte-identical merged reports. A unit whose result the
+//! coordinator's store already holds is settled by the coordinator
+//! before any worker starts, as `prism explore` settles it, so a warm
+//! grid spawns and dials nothing.
 //!
 //! Any binary a coordinator re-invokes calls [`run_worker_if_env`] first
 //! in `main`. A worker, local or TCP daemon, takes its session settings,
 //! store cap and fault plan from a [`prism_pipeline::Config`]; the
 //! coordinator parses one from the environment for the net token and its
-//! own sessions.
+//! one session.
 //!
 //! The same protocol also runs over TCP (see [`prism_net`]): remote
 //! daemons started with `prism worker --listen` occupy shard slots after

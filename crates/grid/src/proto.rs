@@ -18,11 +18,9 @@
 //! crosses the wire once: [`FromWorker::UnitResult`] carries the
 //! [`DesignResult`] and names the design-point key the shard stored it
 //! under, and the coordinator stores it under that key before it journals
-//! the unit. The only other artifact traffic is [`ToWorker::Artifact`], a
-//! design result the coordinator already holds, pushed ahead of an
-//! `Assign` so the shard loads it instead of evaluating. That push is pure
-//! cache warmth: the journal embeds full results, so resume and
-//! correctness never depend on it arriving.
+//! the unit. No artifact travels the other way: a unit whose result the
+//! coordinator's store already holds is settled before any shard is
+//! spawned or dialed, so it is never assigned.
 
 use std::time::Duration;
 
@@ -38,9 +36,10 @@ use prism_pipeline::{
 /// artifact push/pull frames (`fetch`/`artifact`) and the `artifacts`
 /// list on `result`. v3 dropped `fetch` and the worker's `artifact`
 /// reply: `artifacts` names only the design-point key, and `artifact`
-/// frames go from coordinator to worker only. A worker of another
-/// version refuses the Hello outright.
-pub const PROTO_VERSION: u64 = 3;
+/// frames went from coordinator to worker only. v4 drops that last
+/// `artifact` push: a coordinator settles the units its store holds
+/// itself. A worker of another version refuses the Hello outright.
+pub const PROTO_VERSION: u64 = 4;
 
 /// How often a healthy worker emits [`FromWorker::Heartbeat`].
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
@@ -71,14 +70,6 @@ pub enum ToWorker {
         core: String,
         /// BSA subset as Fig. 12 code letters (e.g. `"SDN"`, `""`).
         bsas: String,
-    },
-    /// Push: a validated store envelope for `key`, seeding the worker's
-    /// cache with a design result the coordinator already has.
-    Artifact {
-        /// Hex content-hash key.
-        key: String,
-        /// The raw envelope text.
-        doc: String,
     },
     /// Clean shutdown: finish in-flight units, say `Bye`, exit 0.
     Shutdown,
@@ -181,13 +172,6 @@ impl ToWorker {
                     ("bsas".into(), Json::Str(bsas.clone())),
                 ],
             ),
-            ToWorker::Artifact { key, doc } => obj(
-                "artifact",
-                vec![
-                    ("key".into(), Json::Str(key.clone())),
-                    ("doc".into(), Json::Str(doc.clone())),
-                ],
-            ),
             ToWorker::Shutdown => obj("shutdown", vec![]),
         }
         .to_string()
@@ -223,13 +207,6 @@ impl ToWorker {
                     id: json.get("id")?.as_u64()?,
                     core: json.get("core")?.as_str()?.to_string(),
                     bsas: json.get("bsas")?.as_str()?.to_string(),
-                })
-            })()
-            .ok_or_else(shape),
-            "artifact" => (|| {
-                Some(ToWorker::Artifact {
-                    key: json.get("key")?.as_str()?.to_string(),
-                    doc: json.get("doc")?.as_str()?.to_string(),
                 })
             })()
             .ok_or_else(shape),
@@ -396,10 +373,6 @@ mod tests {
                 core: "OOO2".into(),
                 bsas: "SDN".into(),
             },
-            ToWorker::Artifact {
-                key: "ef".repeat(32),
-                doc: "{\"schema\":2,\"payload\":\"with \\\"quotes\\\" and \\n newline\"}".into(),
-            },
             ToWorker::Shutdown,
         ]
     }
@@ -477,14 +450,21 @@ mod tests {
 
     #[test]
     fn garbled_lines_are_typed_errors() {
+        // A whole v3 push, as a v3 coordinator sent it: v4 has no
+        // `artifact` frame in either direction.
+        let v3_push = format!(
+            "{{\"type\":\"artifact\",\"key\":\"{}\",\"doc\":\"{{\\\"schema\\\":2}}\"}}",
+            "ef".repeat(32)
+        );
+        assert!(Json::parse(&v3_push).is_ok(), "{v3_push}");
         for bad in [
             "",
             "{",
             "{\"type\":\"warp\"}",
             "{\"type\":\"assign\"}",
-            // v2's pull request and its reply are gone in v3.
+            // v2's pull request is gone since v3.
             "{\"type\":\"fetch\",\"keys\":[]}",
-            "{\"type\":\"artifact\",\"key\":7}",
+            v3_push.as_str(),
         ] {
             assert!(FromWorker::decode(bad).is_err(), "{bad:?}");
             assert!(ToWorker::decode(bad).is_err(), "{bad:?}");
@@ -513,7 +493,7 @@ mod tests {
         let result_without_artifacts = result.replace(",\"artifacts\":[]", "");
         assert_ne!(
             result, result_without_artifacts,
-            "artifacts field must be present in v3"
+            "artifacts field must be present since v3"
         );
         let bye = FromWorker::Bye {
             walks: 1,

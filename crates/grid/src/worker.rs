@@ -11,14 +11,19 @@
 //! Inside the worker, three threads run:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
-//!   queue, and imports artifacts the coordinator pushes into its local
-//!   store inline, so each lands before the assignment that follows it,
+//!   queue,
 //! - the **evaluator** pops units in order and reports one
-//!   result-or-quarantine per unit (the session memoizes preparation and
-//!   oracle tables, so only a shard's first unit per core pays for them),
+//!   result-or-quarantine per unit through `evaluate_unit`, the same
+//!   evaluator the coordinator's local fallback runs (the session
+//!   memoizes preparation and oracle tables, so only a shard's first unit
+//!   per core pays for them),
 //! - the **heartbeat** thread emits liveness beacons every
 //!   [`HEARTBEAT_INTERVAL`] until the
 //!   evaluator finishes.
+//!
+//! Nothing is pushed into a worker's store: the coordinator settles every
+//! unit its own store already holds before it spawns or dials anyone, and
+//! a worker evaluates what it is assigned through its own session.
 //!
 //! The `die`, `hang` and `quarantine` entries of a `PRISM_FAULTS` plan
 //! ([`prism_pipeline::FaultPlan`]) inject worker failures when a shard
@@ -30,9 +35,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use prism_exocore::DesignPoint;
+use prism_exocore::{bsas_by_codes, core_by_name, DesignPoint};
 use prism_pipeline::{
-    ArtifactStore, Config, ContentHash, PipelineError, Session, Stage, WorkerFault,
+    Config, ContentHash, PipelineError, Session, Stage, SweepReport, WorkerFault,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -81,29 +86,6 @@ pub struct WorkerOptions {
     /// session reads its store and stage kinds, the protocol loop its
     /// worker kinds.
     pub config: Config,
-}
-
-/// Looks a workload up in the main registry, then the microbenchmarks.
-pub(crate) fn find_workload(name: &str) -> Option<&'static Workload> {
-    prism_workloads::by_name(name)
-        .or_else(|| prism_workloads::MICRO.iter().find(|m| m.name == name))
-}
-
-fn parse_core(name: &str) -> Option<CoreConfig> {
-    match name {
-        "IO2" => Some(CoreConfig::io2()),
-        "OOO2" => Some(CoreConfig::ooo2()),
-        "OOO4" => Some(CoreConfig::ooo4()),
-        "OOO6" => Some(CoreConfig::ooo6()),
-        _ => None,
-    }
-}
-
-fn parse_bsas(codes: &str) -> Option<Vec<BsaKind>> {
-    codes
-        .chars()
-        .map(|c| BsaKind::ALL.iter().copied().find(|b| b.code() == c))
-        .collect()
 }
 
 /// One assignment queued on the worker.
@@ -248,16 +230,12 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         })
         .with_store_dir(&store_dir)
         .with_faults(faults.clone());
-    // A second handle on the same store for pushed artifacts: the reader
-    // thread imports them concurrently with evaluation, and the store's
-    // durability is file-level, not handle-level.
-    let store = ArtifactStore::new(&store_dir).with_cap(opts.config.store_cap);
 
     // Resolve the workload set; unknown names quarantine as whole-workload
     // units (same key shape the pipeline uses for preparation failures).
     let mut workloads: Vec<&'static Workload> = Vec::with_capacity(workload_names.len());
     for name in &workload_names {
-        match find_workload(name) {
+        match prism_workloads::by_name(name) {
             Some(w) => workloads.push(w),
             None => send(
                 &out,
@@ -367,7 +345,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     None => {}
                 }
                 started += 1;
-                evaluate_unit(
+                report_unit(
                     &session,
                     &workloads,
                     &unit,
@@ -380,9 +358,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         });
 
         // Reader (this thread): feed the queue until shutdown, EOF, or an
-        // I/O error (either way the coordinator is gone). Pushed artifacts
-        // are imported inline — a store import is cheap I/O and must not
-        // queue behind a long evaluation.
+        // I/O error (either way the coordinator is gone).
         'reader: while let Some(Ok(line)) = lines.next() {
             match ToWorker::decode(&line) {
                 Ok(ToWorker::Assign { id, core, bsas }) => {
@@ -391,16 +367,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     q.pending.push_back(QueuedUnit { id, core, bsas });
                     queue_cv.notify_all();
                 }
-                Ok(ToWorker::Artifact { key, doc }) => match ContentHash::from_hex(&key) {
-                    Some(k) => {
-                        if let Err(e) = store.import(&k, &doc) {
-                            eprintln!("[prism-grid] shard {shard}: artifact import failed: {e}");
-                        }
-                    }
-                    None => {
-                        eprintln!("[prism-grid] shard {shard}: artifact push with bad key {key}");
-                    }
-                },
                 Ok(ToWorker::Shutdown) => break 'reader,
                 Ok(ToWorker::Hello { .. }) | Err(_) => {
                     send(
@@ -432,17 +398,37 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
 
 /// The unit's sweep key (Fig. 12 label), derivable without evaluating.
 fn unit_label(unit: &QueuedUnit) -> String {
-    match (parse_core(&unit.core), parse_bsas(&unit.bsas)) {
+    match (core_by_name(&unit.core), bsas_by_codes(&unit.bsas)) {
         (Some(core), Some(bsas)) => DesignPoint::new(core, bsas).label(),
         _ => format!("{}-{}", unit.core, unit.bsas),
     }
 }
 
-/// Evaluates one unit and reports exactly one terminal message for it
-/// (plus at most one workload-level quarantine per workload per worker).
-/// With `name_key`, each result names the design-point key it is stored
-/// under.
-fn evaluate_unit<W: Write>(
+/// Evaluates one design point over `workloads`. The returned report
+/// always settles the point's label, with a result or a quarantine, also
+/// when no healthy workload is left to evaluate; workload-level failures
+/// stay in it as `workload:<name>` entries.
+pub(crate) fn evaluate_unit(
+    session: &Session,
+    workloads: &[&Workload],
+    core: &CoreConfig,
+    bsas: &[BsaKind],
+) -> SweepReport {
+    let mut report =
+        session.evaluate_designs(workloads, std::slice::from_ref(core), &[bsas.to_vec()]);
+    let label = DesignPoint::new(core.clone(), bsas.to_vec()).label();
+    if report.results.is_empty() && !report.quarantined.iter().any(|(k, _)| *k == label) {
+        let error = PipelineError::new(&label, Stage::Evaluate, "no healthy workloads to evaluate");
+        report.quarantined.push((label, error));
+    }
+    report
+}
+
+/// Evaluates one assigned unit and reports exactly one terminal message
+/// for it (plus at most one workload-level quarantine per workload per
+/// worker). With `name_key`, each result names the design-point key it is
+/// stored under.
+fn report_unit<W: Write>(
     session: &Session,
     workloads: &[&Workload],
     unit: &QueuedUnit,
@@ -451,7 +437,7 @@ fn evaluate_unit<W: Write>(
     out: &Mutex<W>,
 ) {
     let label = unit_label(unit);
-    let (Some(core), Some(bsas)) = (parse_core(&unit.core), parse_bsas(&unit.bsas)) else {
+    let (Some(core), Some(bsas)) = (core_by_name(&unit.core), bsas_by_codes(&unit.bsas)) else {
         send(
             out,
             &FromWorker::UnitQuarantine {
@@ -469,11 +455,7 @@ fn evaluate_unit<W: Write>(
         );
         return;
     };
-    let report = session.evaluate_designs(
-        workloads,
-        std::slice::from_ref(&core),
-        std::slice::from_ref(&bsas),
-    );
+    let report = evaluate_unit(session, workloads, &core, &bsas);
     // The result is keyed over the workloads this report did not
     // quarantine, so a remote coordinator can store it under the key this
     // store holds it under. Stdio shards share the coordinator's store.
@@ -492,7 +474,6 @@ fn evaluate_unit<W: Write>(
     } else {
         Vec::new()
     };
-    let mut resolved = false;
     for result in report.results {
         send(
             out,
@@ -502,45 +483,18 @@ fn evaluate_unit<W: Write>(
                 artifacts: artifacts.clone(),
             },
         );
-        resolved = true;
     }
     for (key, error) in report.quarantined {
-        if key == label {
-            send(
-                out,
-                &FromWorker::UnitQuarantine {
-                    id: Some(unit.id),
-                    key,
-                    error,
-                },
-            );
-            resolved = true;
+        // A workload-level failure is not tied to this assignment and is
+        // re-derived identically by every unit: report it once.
+        let id = if key == label {
+            Some(unit.id)
         } else if reported_workloads.insert(key.clone()) {
-            // Workload-level failure: not tied to this assignment, and
-            // re-derived identically by every unit — report it once.
-            send(
-                out,
-                &FromWorker::UnitQuarantine {
-                    id: None,
-                    key,
-                    error,
-                },
-            );
-        }
-    }
-    if !resolved {
-        send(
-            out,
-            &FromWorker::UnitQuarantine {
-                id: Some(unit.id),
-                key: label.clone(),
-                error: PipelineError::new(
-                    label,
-                    Stage::Evaluate,
-                    "no healthy workloads to evaluate",
-                ),
-            },
-        );
+            None
+        } else {
+            continue;
+        };
+        send(out, &FromWorker::UnitQuarantine { id, key, error });
     }
 }
 
@@ -636,7 +590,7 @@ mod tests {
             assert_eq!(result.per_workload.len(), covered, "{tag}: {output}");
             assert_eq!(artifacts.len(), 1, "{tag}: {artifacts:?}");
             let key = ContentHash::from_hex(&artifacts[0]).expect("hex key");
-            let stored = ArtifactStore::new(&dir)
+            let stored = prism_pipeline::ArtifactStore::new(&dir)
                 .load(&key)
                 .and_then(|payload| prism_pipeline::decode_design_result(&payload));
             let _ = std::fs::remove_dir_all(&dir);

@@ -5,7 +5,8 @@
 //!
 //! Scenarios:
 //! 1. a 2-worker grid run produces a report byte-identical to a
-//!    single-process sweep,
+//!    single-process sweep, and a second run settles every unit from the
+//!    store without spawning a worker,
 //! 2. an injected worker death mid-sweep loses no units,
 //! 3. an injected shard-local quarantine is retried on the other shard
 //!    and recovered,
@@ -18,8 +19,11 @@
 //! 7. the same sweep over two localhost TCP daemons — under an injected
 //!    mid-sweep disconnect — matches the single-process report, with the
 //!    cut surfacing as `recovered`, and leaves one result per unit in the
-//!    coordinator's store; a warm coordinator then spares two fresh
-//!    daemons every walk.
+//!    coordinator's store; a warm coordinator then dials no daemon,
+//! 8. over a store that holds one core's results, the grid settles those
+//!    units itself and evaluates only the other core's,
+//! 9. an unknown workload name is one `workload:<name>` quarantine, cold
+//!    and warm alike.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -105,17 +109,20 @@ fn run(config: &GridConfig) -> GridOutcome {
     run_grid(config).expect("grid run must start")
 }
 
-fn single_process_baseline(dir: &Path) -> SweepReport {
-    let (cores, subsets) = small_grid();
-    let session = Session::new()
+fn single_process_session(dir: &Path) -> Session {
+    Session::new()
         .with_tracer(TracerConfig {
             max_insts: MAX_INSTS,
             ..TracerConfig::default()
         })
         .with_store_dir(dir)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited());
-    session.evaluate_designs(&workload_refs(), &cores, &subsets)
+        .with_budget(ExecBudget::unlimited())
+}
+
+fn single_process_baseline(dir: &Path) -> SweepReport {
+    let (cores, subsets) = small_grid();
+    single_process_session(dir).evaluate_designs(&workload_refs(), &cores, &subsets)
 }
 
 fn scenario_equivalence() {
@@ -136,10 +143,18 @@ fn scenario_equivalence() {
     assert_eq!(outcome.stats.workers_died, 0);
     assert_eq!(outcome.stats.local_fallback_units, 0);
 
-    // A second grid run over the same store must serve everything from
-    // cache and still match.
+    // A second grid run over the same store settles every unit from it,
+    // as explore's fast path would, and starts no worker.
     let warm = run(&config(2, &dir_grid));
     assert_eq!(warm.report, baseline, "warm grid run must match");
+    assert_eq!(warm.stats.workers_spawned, 0, "{:?}", warm.stats);
+    assert_eq!(
+        warm.stats.cached,
+        expected_labels().len(),
+        "{:?}",
+        warm.stats
+    );
+    assert_eq!(warm.stats.walks, 0, "{:?}", warm.stats);
 
     let _ = std::fs::remove_dir_all(&dir_single);
     let _ = std::fs::remove_dir_all(&dir_grid);
@@ -270,6 +285,55 @@ fn scenario_resume_assigns_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store filled over IO2 alone: the grid settles IO2's units from it and
+/// workers evaluate only OOO2's, and the merged report equals the full
+/// single-process sweep.
+fn scenario_partial_warm() {
+    let dir_single = scratch_dir("partial-single");
+    let dir = scratch_dir("partial");
+    let baseline = single_process_baseline(&dir_single);
+    let (cores, subsets) = small_grid();
+    let io2 =
+        single_process_session(&dir).evaluate_designs(&workload_refs(), &cores[..1], &subsets);
+    assert_eq!(io2.results.len(), subsets.len(), "{:?}", io2.quarantined);
+
+    let outcome = run(&config(2, &dir));
+    assert_eq!(outcome.report, baseline, "partly warm grid must match");
+    assert_eq!(outcome.stats.cached, subsets.len(), "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.workers_spawned, 2, "{:?}", outcome.stats);
+    let _ = std::fs::remove_dir_all(&dir_single);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unknown workload name quarantines as `workload:<name>` once, from
+/// the coordinator, whether workers run (and report it too) or the store
+/// settles every unit and none runs.
+fn scenario_unknown_workload() {
+    let dir = scratch_dir("unknown");
+    let mut cfg = config(2, &dir);
+    cfg.workloads.push("no-such-workload".into());
+    let cold = run(&cfg);
+    let warm = run(&cfg);
+    assert_eq!(labels_of(&cold.report), expected_labels());
+    let keys: Vec<&str> = cold
+        .report
+        .quarantined
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(keys, ["workload:no-such-workload"], "{:?}", cold.report);
+    assert_eq!(warm.report, cold.report, "warm run must match the cold one");
+    assert_eq!(cold.stats.workers_spawned, 2, "{:?}", cold.stats);
+    assert_eq!(warm.stats.workers_spawned, 0, "{:?}", warm.stats);
+    assert_eq!(
+        warm.stats.cached,
+        expected_labels().len(),
+        "{:?}",
+        warm.stats
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Starts one in-process daemon per store on an ephemeral port (their
 /// listener threads outlive the scenario) and returns the `--hosts` list.
 fn start_daemons(token: &str, stores: &[PathBuf]) -> String {
@@ -295,7 +359,7 @@ fn start_daemons(token: &str, stores: &[PathBuf]) -> String {
 /// report as a single-process run, with the disconnect surfacing as
 /// `recovered`, stores each result once in the coordinator's store, and
 /// leaves every store clean. A coordinator whose store already holds
-/// every result pushes them, and two fresh daemons walk nothing.
+/// every result settles every unit itself and dials no daemon.
 fn scenario_tcp_equivalence() {
     let token = "smoke-secret";
     std::env::set_var(NET_TOKEN_ENV, token);
@@ -349,17 +413,19 @@ fn scenario_tcp_equivalence() {
     );
 
     // The single-process baseline filled `dir_single`: as a coordinator
-    // store, it pushes every result, so two fresh daemons walk nothing.
+    // store, it settles every unit, so neither fresh daemon is dialed.
     let mut warm = config(0, &dir_single);
     warm.hosts = parse_hosts(&start_daemons(token, &daemon_dirs[2..])).expect("host specs");
     let warm = run(&warm);
     assert_eq!(warm.report, baseline, "warm coordinator must match");
-    assert_eq!(warm.stats.walks, 0, "{:?}", warm.stats);
-    assert!(
-        warm.stats.hosts.iter().all(|h| h.bytes_shipped > 0),
-        "every host must receive pushed results: {:?}",
-        warm.stats.hosts
+    assert_eq!(
+        warm.stats.cached,
+        expected_labels().len(),
+        "{:?}",
+        warm.stats
     );
+    assert_eq!(warm.stats.workers_spawned, 0, "{:?}", warm.stats);
+    assert_eq!(warm.stats.walks, 0, "{:?}", warm.stats);
 
     for dir in [&dir_coord, &dir_single]
         .into_iter()
@@ -391,7 +457,7 @@ fn main() {
         }
     }
 
-    let scenarios: [(&str, fn()); 7] = [
+    let scenarios: [(&str, fn()); 9] = [
         ("grid matches single-process sweep", scenario_equivalence),
         ("worker death loses no units", scenario_worker_death),
         (
@@ -410,6 +476,14 @@ fn main() {
         (
             "TCP daemons match single-process sweep",
             scenario_tcp_equivalence,
+        ),
+        (
+            "a partly warm store settles its units",
+            scenario_partial_warm,
+        ),
+        (
+            "an unknown workload quarantines once",
+            scenario_unknown_workload,
         ),
     ];
     let mut failed = 0;

@@ -1004,12 +1004,8 @@ impl Session {
 
         // Fast path: everything cached under the full workload set (or
         // settled by the journal) — no preparation needed at all.
-        let full_keys: Vec<ContentHash> = workloads
-            .iter()
-            .map(|w| self.workload_key(w.name, w.scaled_n()))
-            .collect();
         for (i, cached) in self
-            .load_cached_except(&full_keys, cores, subsets, &settled)
+            .cached_designs(workloads, cores, subsets, &settled)
             .into_iter()
             .enumerate()
         {
@@ -1114,9 +1110,27 @@ impl Session {
         }
     }
 
-    /// Loads every (core × subset) design point keyed over `wkeys` from the
-    /// artifact store (`None` per point on miss), skipping indices where
-    /// `skip` is set (journal-settled units never touch the store).
+    /// Loads every (core × subset) design point keyed over the full
+    /// `workloads` set from the artifact store, in core-major order:
+    /// `None` per point on a miss and wherever `skip` is set
+    /// (journal-settled units never touch the store). This is the sweep's
+    /// fast path, and the grid coordinator's before it spawns anything.
+    #[must_use]
+    pub fn cached_designs(
+        &self,
+        workloads: &[&Workload],
+        cores: &[CoreConfig],
+        subsets: &[Vec<BsaKind>],
+        skip: &[bool],
+    ) -> Vec<Option<DesignResult>> {
+        let keys: Vec<ContentHash> = workloads
+            .iter()
+            .map(|w| self.workload_key(w.name, w.scaled_n()))
+            .collect();
+        self.load_cached_except(&keys, cores, subsets, skip)
+    }
+
+    /// [`Session::cached_designs`] keyed over the workload keys `wkeys`.
     fn load_cached_except(
         &self,
         wkeys: &[ContentHash],

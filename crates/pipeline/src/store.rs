@@ -111,13 +111,6 @@ impl ArtifactStore {
         self.cap_bytes = cap_bytes;
     }
 
-    /// Builder form of [`set_cap`](Self::set_cap).
-    #[must_use]
-    pub fn with_cap(mut self, cap_bytes: Option<u64>) -> Self {
-        self.cap_bytes = cap_bytes;
-        self
-    }
-
     /// The store directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
@@ -337,8 +330,8 @@ impl ArtifactStore {
         self.write_durable(&self.path_for(key), doc.to_string().as_bytes())
     }
 
-    /// The durable put protocol shared by [`save`](Self::save) and
-    /// [`import`](Self::import): write-then-rename so concurrent readers
+    /// The durable put protocol of [`save`](Self::save):
+    /// write-then-rename so concurrent readers
     /// never see a torn file. The tmp name embeds (pid, sequence) so the
     /// store is safe to share between grid worker processes *and* between
     /// threads of one process racing on the same key: every writer gets a
@@ -371,44 +364,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn contains(&self, key: &ContentHash) -> bool {
         self.path_for(key).exists()
-    }
-
-    /// Reads the raw envelope text stored under `key` for shipping to
-    /// another store, validating it first so corrupt bytes are never
-    /// propagated across hosts. `None` on a miss or a corrupt file (the
-    /// file is left for `load`/fsck to quarantine).
-    #[must_use]
-    pub fn export(&self, key: &ContentHash) -> Option<String> {
-        let text = std::fs::read_to_string(self.path_for(key)).ok()?;
-        Self::validate(&text, key).ok()?;
-        Some(text)
-    }
-
-    /// Imports an envelope shipped from another store: full validation
-    /// (schema, embedded key, payload checksum) and then the same
-    /// fsync-around-rename put protocol as [`save`](Self::save), so a
-    /// shipped artifact is exactly as durable as a locally computed one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the envelope fails validation or the
-    /// durable write keeps failing after retries.
-    pub fn import(&self, key: &ContentHash, text: &str) -> Result<(), String> {
-        Self::validate(text, key)?;
-        let op = format!("import:{}", key.short());
-        self.with_retry(&op, |site| {
-            if let Some(f) = &self.faults {
-                if f.store_io_error(site) {
-                    return Err(std::io::Error::other(format!(
-                        "injected I/O fault at {site}"
-                    )));
-                }
-            }
-            self.write_durable(&self.path_for(key), text.as_bytes())
-        })
-        .map_err(|e| format!("write failed after {IO_ATTEMPTS} attempts: {e}"))?;
-        self.enforce_cap();
-        Ok(())
     }
 
     /// Removes orphaned `*.tmp.<pid>.<seq>` files left behind by killed
@@ -825,56 +780,6 @@ mod tests {
         assert!(store.contains(&ka), "recently read artifact must survive");
         assert!(!store.contains(&kb));
         assert!(store.contains(&kc));
-    }
-
-    #[test]
-    fn export_import_ships_artifacts_between_stores() {
-        let src = temp_store("ship-src");
-        let dst = temp_store("ship-dst");
-        let k = key("ship");
-        let payload = Json::Obj(vec![("cycles".into(), Json::U64(777))]);
-        src.save(&k, payload.clone());
-        assert!(src.contains(&k));
-        assert!(!dst.contains(&k));
-        let doc = src.export(&k).expect("saved artifact must export");
-        dst.import(&k, &doc)
-            .expect("validated envelope must import");
-        assert!(dst.contains(&k));
-        assert_eq!(dst.load(&k), Some(payload));
-        // Byte-identical shipping: the imported file is the exported text.
-        assert_eq!(std::fs::read_to_string(dst.path_for(&k)).unwrap(), doc);
-    }
-
-    #[test]
-    fn import_rejects_corrupt_or_mismatched_envelopes() {
-        let src = temp_store("ship-bad-src");
-        let dst = temp_store("ship-bad-dst");
-        let k = key("ship-bad");
-        src.save(&k, Json::U64(5));
-        let doc = src.export(&k).unwrap();
-        // Wrong key: the envelope embeds a different hash.
-        let other = key("ship-other");
-        assert!(dst.import(&other, &doc).is_err());
-        // Torn/corrupt text never lands on disk.
-        assert!(dst.import(&k, &doc[..doc.len() / 2]).is_err());
-        assert!(dst.import(&k, &doc.replace('5', "6")).is_err());
-        // Nor do the envelopes older builds wrote.
-        for old in legacy_envelopes(&k) {
-            assert!(dst.import(&k, &old).is_err(), "{old}");
-        }
-        assert!(!dst.contains(&k));
-        // The intact envelope still imports fine afterwards.
-        assert!(dst.import(&k, &doc).is_ok());
-    }
-
-    #[test]
-    fn export_refuses_corrupt_files() {
-        let store = temp_store("export-corrupt");
-        let k = key("export-corrupt");
-        store.save(&k, Json::U64(3));
-        std::fs::write(store.path_for(&k), "{ torn").unwrap();
-        assert_eq!(store.export(&k), None);
-        assert_eq!(store.export(&key("never-saved")), None);
     }
 
     #[test]

@@ -279,10 +279,10 @@ pub const MICRO: &[Workload] = &[
     },
 ];
 
-/// Looks a workload up by name.
+/// Looks a workload up by name in the registry, then in [`MICRO`].
 #[must_use]
 pub fn by_name(name: &str) -> Option<&'static Workload> {
-    ALL.iter().find(|w| w.name == name)
+    ALL.iter().chain(MICRO).find(|w| w.name == name)
 }
 
 /// All workloads of one suite.
@@ -310,6 +310,7 @@ mod tests {
         let names: HashSet<&str> = ALL.iter().map(|w| w.name).collect();
         assert_eq!(names.len(), ALL.len(), "duplicate names");
         assert!(by_name("mm").is_some());
+        assert!(by_name("micro-fp").is_some());
         assert!(by_name("nonexistent").is_none());
     }
 

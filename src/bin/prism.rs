@@ -45,7 +45,9 @@
 //! shares that store across its worker fleet and produces output
 //! byte-identical to `prism explore`.
 
-use prism::exocore::{amdahl_schedule, oracle_schedule, DesignResult};
+use prism::exocore::{
+    all_cores, amdahl_schedule, bsas_by_codes, core_by_name, oracle_schedule, DesignResult,
+};
 use prism::grid::{run_grid, GridConfig};
 use prism::pipeline::{Config, PreparedWorkload, Session, SweepReport};
 use prism::tdg::{run_exocore, BsaKind, ExecUnit};
@@ -394,33 +396,6 @@ fn cmd_list() -> i32 {
     0
 }
 
-fn parse_core(s: &str) -> Option<CoreConfig> {
-    match s.to_ascii_uppercase().as_str() {
-        "IO2" => Some(CoreConfig::io2()),
-        "OOO2" => Some(CoreConfig::ooo2()),
-        "OOO4" => Some(CoreConfig::ooo4()),
-        "OOO6" => Some(CoreConfig::ooo6()),
-        _ => None,
-    }
-}
-
-fn parse_bsas(s: &str) -> Option<Vec<BsaKind>> {
-    if s.eq_ignore_ascii_case("none") {
-        return Some(Vec::new());
-    }
-    let mut out = Vec::new();
-    for c in s.to_ascii_uppercase().chars() {
-        out.push(match c {
-            'S' => BsaKind::Simd,
-            'D' => BsaKind::DpCgra,
-            'N' => BsaKind::NsDf,
-            'T' => BsaKind::TraceP,
-            _ => return None,
-        });
-    }
-    Some(out)
-}
-
 struct RunOpts {
     workload: String,
     core: CoreConfig,
@@ -448,11 +423,15 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
         match flag.as_str() {
             "--core" => {
                 let v = take()?;
-                opts.core = parse_core(&v).ok_or(format!("unknown core {v}"))?;
+                opts.core = core_by_name(&v).ok_or(format!("unknown core {v}"))?;
             }
             "--bsa" => {
                 let v = take()?;
-                opts.bsas = parse_bsas(&v).ok_or(format!("bad BSA set {v}"))?;
+                opts.bsas = if v.eq_ignore_ascii_case("none") {
+                    Vec::new()
+                } else {
+                    bsas_by_codes(&v).ok_or(format!("bad BSA set {v}"))?
+                };
             }
             "--scheduler" => opts.scheduler = take()?,
             "-n" => {
@@ -466,7 +445,6 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
 
 fn prepare(session: &Session, name: &str, n: Option<u32>) -> Result<PreparedWorkload, String> {
     let w = prism::workloads::by_name(name)
-        .or_else(|| prism::workloads::MICRO.iter().find(|m| m.name == name))
         .ok_or_else(|| format!("unknown workload {name} (try `prism list`)"))?;
     session
         .prepare_sized(w, n.unwrap_or(w.default_n))
@@ -568,12 +546,7 @@ fn cmd_compare(session: &Session, args: &[String]) -> i32 {
         "{:<6} {:>10} {:>7} | {:>10} {:>7} {:>8}",
         "core", "bare cyc", "µJ", "exo cyc", "µJ", "speedup"
     );
-    for core in [
-        CoreConfig::io2(),
-        CoreConfig::ooo2(),
-        CoreConfig::ooo4(),
-        CoreConfig::ooo6(),
-    ] {
+    for core in all_cores() {
         let base = simulate_trace(&data.trace, &core);
         let exo_core = core.clone().with_simd();
         let schedule = oracle_schedule(&data, &exo_core, &BsaKind::ALL);
