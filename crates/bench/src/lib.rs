@@ -60,26 +60,6 @@ pub fn run_or_exit<T>(result: Result<T, PipelineError>) -> T {
     })
 }
 
-/// Prepares every registered workload (trace + IR + plans), in parallel.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] naming the workload and failing stage.
-pub fn prepare_all_workloads() -> Result<Vec<PreparedWorkload>, PipelineError> {
-    session().prepare_all()
-}
-
-/// Prepares the workloads of one suite, in parallel.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] naming the workload and failing stage.
-pub fn prepare_suite(
-    suite: prism_workloads::Suite,
-) -> Result<Vec<PreparedWorkload>, PipelineError> {
-    session().prepare_suite(suite)
-}
-
 /// Prepares registry workloads by name, in parallel.
 ///
 /// # Errors
@@ -140,10 +120,4 @@ pub fn results_or_exit(report: SweepReport) -> Vec<DesignResult> {
         std::process::exit(report.exit_code());
     }
     report.results
-}
-
-/// Formats a ratio column.
-#[must_use]
-pub fn fmt2(x: f64) -> String {
-    format!("{x:.2}")
 }

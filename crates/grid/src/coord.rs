@@ -5,12 +5,13 @@
 //! merges every shard's [`SweepReport`] into one.
 //!
 //! Before it spawns or dials anything, the coordinator settles every unit
-//! the sweep journal records and every unit whose design result its own
-//! store holds under the full workload set, through the same
+//! the sweep journal records, through the same [`SweepLedger`] as
+//! `prism explore`, and every unit whose design result its own store
+//! holds under the full workload set, through the same
 //! [`Session::cached_designs`] call as `prism explore`'s fast path. Only
 //! the rest is assigned, so a warm grid starts no worker at all. The
 //! coordinator's one [`Session`] over [`GridConfig::artifact_dir`] serves
-//! that store pass and the local fallback.
+//! that store pass, the remote results and the local fallback.
 //!
 //! Local workers are re-invocations of the current executable with
 //! `PRISM_GRID_WORKER=1` (see [`crate::worker`]); they share one
@@ -44,11 +45,11 @@ use std::process::Command;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use prism_exocore::{all_bsa_subsets, all_cores, DesignPoint, DesignResult};
+use prism_exocore::{all_bsa_subsets, all_cores, DesignResult};
 use prism_net::{DeadLink, HostSpec, LinkEvent, ShardLink, StdioLink, TcpLink};
 use prism_pipeline::{
-    crash_point, encode_design_result, sweep_key, ArtifactStore, Config, ContentHash, FaultPlan,
-    JournalReplay, PipelineError, Session, Stage, SweepJournal, SweepReport, SITE_GRID_FRAME,
+    crash_point, encode_design_result, Config, ContentHash, FaultPlan, PipelineError, Session,
+    Stage, SweepLedger, SweepReport, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -281,7 +282,6 @@ fn err(message: impl Into<String>) -> GridError {
 
 /// One design-point unit of the sweep.
 struct Unit {
-    label: String,
     core_idx: usize,
     subset_idx: usize,
     core_name: String,
@@ -344,17 +344,17 @@ struct Coordinator<'a> {
     /// The shared secret remote links authenticate with.
     net_token: String,
     /// The coordinator's session over [`GridConfig::artifact_dir`]: the
-    /// store pass before any spawn, and the local fallback.
+    /// store pass before any spawn, the store remote results land in, and
+    /// the local fallback.
     session: Session,
     /// [`GridConfig::workloads`] resolved against the registry.
     workloads: Vec<&'static Workload>,
-    /// Where remote results land.
-    store: ArtifactStore,
-    journal: Option<SweepJournal>,
+    /// The sweep journal, shared with `prism explore`.
+    ledger: SweepLedger,
     units: Vec<Unit>,
     workers: Vec<WorkerState>,
-    /// What the coordinator settled before any worker ran: the journal's
-    /// units, the store's units and unknown workloads.
+    /// What the coordinator settled from its store before any worker ran,
+    /// and unknown workloads.
     settled: SweepReport,
     /// One report per shard, then the local fallback's.
     shard_reports: Vec<SweepReport>,
@@ -651,15 +651,7 @@ impl Coordinator<'_> {
         if let Some(h) = host {
             self.stats.hosts[h].units += 1;
         }
-        if let Some(journal) = &self.journal {
-            let appended = match outcome {
-                Ok(result) => journal.append_done(&unit.label, result),
-                Err(error) => journal.append_quarantined(&unit.label, error),
-            };
-            if let Err(e) = appended {
-                eprintln!("[prism-grid] journal append failed: {e}");
-            }
-        }
+        self.ledger.record(uid, outcome);
     }
 
     /// Stores a remote shard's result under the design-point key the
@@ -668,9 +660,10 @@ impl Coordinator<'_> {
     /// this store as a local one is; `encode_design_result` gives the
     /// bytes the shard stored.
     fn store_remote_result(&self, shard: usize, result: &DesignResult, artifacts: &[String]) {
+        let store = self.session.store();
         match artifacts.first().and_then(|key| ContentHash::from_hex(key)) {
-            Some(key) if self.store.contains(&key) => {}
-            Some(key) => self.store.save(&key, encode_design_result(result)),
+            Some(key) if store.contains(&key) => {}
+            Some(key) => store.save(&key, encode_design_result(result)),
             None => eprintln!(
                 "[prism-grid] shard {shard}: result {} names no design-point key",
                 result.label
@@ -710,9 +703,9 @@ impl Coordinator<'_> {
             if let Some(h) = w.host {
                 self.stats.hosts[h].recoveries += 1;
             }
-            let label = &self.units[uid].label;
+            let label = self.ledger.label(uid);
             self.shard_reports[shard].quarantined.push((
-                label.clone(),
+                label.to_string(),
                 PipelineError::new(
                     label,
                     Stage::Evaluate,
@@ -761,7 +754,7 @@ impl Coordinator<'_> {
                 &self.config.cores[unit.core_idx],
                 &self.config.subsets[unit.subset_idx],
             );
-            let label = &unit.label;
+            let label = self.ledger.label(uid);
             let outcome = match unit_report.results.first() {
                 Some(result) => Some(Ok(result)),
                 None => unit_report
@@ -788,35 +781,17 @@ impl Coordinator<'_> {
         self.shard_reports.push(report);
     }
 
-    /// Merges the settled and per-shard reports. A finished sweep with no
-    /// permanent quarantines has nothing left to resume; one *with*
-    /// quarantines keeps its journal so a `--resume` replays the
-    /// identical errors instead of re-running known-bad units.
+    /// Merges the settled and per-shard reports and closes the ledger,
+    /// which adds the journal's units.
     fn finish(self) -> GridOutcome {
         let mut merged = self.settled;
         for report in self.shard_reports {
             merged.merge(report);
         }
-        merged.normalize();
-        if let Some(journal) = self.journal {
-            if merged.quarantined.is_empty() {
-                if let Err(e) = journal.remove() {
-                    eprintln!("[prism-grid] could not remove finished journal: {e}");
-                }
-            }
-        }
         GridOutcome {
-            report: merged,
+            report: self.ledger.finish(merged),
             stats: self.stats,
         }
-    }
-}
-
-/// The tracer every shard runs with.
-fn tracer_for(config: &GridConfig) -> TracerConfig {
-    TracerConfig {
-        max_insts: config.max_insts,
-        ..TracerConfig::default()
     }
 }
 
@@ -850,10 +825,13 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         artifact_dir: config.artifact_dir.clone(),
         ..env.clone()
     })
-    .with_tracer(tracer_for(config));
+    .with_tracer(TracerConfig {
+        max_insts: config.max_insts,
+        ..TracerConfig::default()
+    });
 
     // The workload set, resolved once: an unknown name is one
-    // whole-workload quarantine, however many workers report it too.
+    // whole-workload quarantine, from the coordinator alone.
     let mut settled = SweepReport::default();
     let mut workloads: Vec<&'static Workload> = Vec::with_capacity(config.workloads.len());
     for name in &config.workloads {
@@ -866,25 +844,37 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         }
     }
 
-    // The unit space, in the same core-major order as `explore_grid`.
-    let mut units: Vec<Unit> = Vec::with_capacity(config.cores.len() * config.subsets.len());
+    // The sweep journal, keyed and opened as `prism explore` opens it, so
+    // the two commands resume each other's sweeps. Units it settles are
+    // resolved up front and never assigned to a worker.
+    let ledger = SweepLedger::open(
+        &config.artifact_dir,
+        &workloads,
+        session.tracer(),
+        &config.cores,
+        &config.subsets,
+        Some(config.resume),
+    );
+    // The unit space, in the ledger's core-major order.
+    let mut units: Vec<Unit> = Vec::with_capacity(ledger.replayed().len());
     for (core_idx, core) in config.cores.iter().enumerate() {
         for (subset_idx, subset) in config.subsets.iter().enumerate() {
             units.push(Unit {
-                label: DesignPoint::new(core.clone(), subset.clone()).label(),
                 core_idx,
                 subset_idx,
                 core_name: core.name.clone(),
                 bsa_codes: subset.iter().map(|b| b.code()).collect(),
                 attempts: 0,
                 failed_on: Vec::new(),
-                resolved: false,
+                resolved: ledger.replayed()[units.len()].is_some(),
                 local: false,
             });
         }
     }
     let mut stats = GridStats {
         units_total: units.len(),
+        resumed: units.iter().filter(|u| u.resolved).count(),
+        replayed: ledger.records() as usize,
         gc_reclaimed_bytes: session.stats().artifacts.gc_reclaimed_bytes,
         hosts: config
             .hosts
@@ -896,48 +886,6 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
             .collect(),
         ..GridStats::default()
     };
-
-    // Sweep journal: derived from the exact same inputs a single-process
-    // `Session` sweep uses, so `prism explore` and `prism grid` over the
-    // same space share one journal file. Units the journal records as
-    // settled are resolved up front and never assigned to a worker.
-    let wl_sizes: Vec<(String, u32)> = workloads
-        .iter()
-        .map(|w| (w.name.to_string(), w.scaled_n()))
-        .collect();
-    let sweep = sweep_key(
-        &wl_sizes,
-        &tracer_for(config),
-        &config.cores,
-        &config.subsets,
-    );
-    let (journal, replay) = match SweepJournal::open(&config.artifact_dir, &sweep, config.resume) {
-        Ok((journal, replay)) => (Some(journal), replay),
-        Err(e) => {
-            eprintln!("[prism-grid] journal unavailable ({e}); sweep will not be resumable");
-            (None, JournalReplay::default())
-        }
-    };
-    for unit in &mut units {
-        if let Some(result) = replay.done.get(&unit.label) {
-            settled.results.push(result.clone());
-        } else if let Some(error) = replay.quarantined.get(&unit.label) {
-            settled
-                .quarantined
-                .push((unit.label.clone(), error.clone()));
-        } else {
-            continue;
-        }
-        unit.resolved = true;
-        stats.resumed += 1;
-    }
-    stats.replayed = replay.records as usize;
-    if replay.dropped > 0 {
-        eprintln!(
-            "[prism-grid] journal: dropped {} torn/corrupt trailing record(s)",
-            replay.dropped
-        );
-    }
 
     // Explore's fast path: the units the store holds under the full
     // workload set are settled here and never assigned.
@@ -956,8 +904,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         net_token: env.net_token,
         session,
         workloads,
-        store: ArtifactStore::new(&config.artifact_dir),
-        journal,
+        ledger,
         pending: (0..units.len())
             .filter(|&uid| !units[uid].resolved)
             .collect(),

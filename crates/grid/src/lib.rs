@@ -33,7 +33,10 @@
 //! fleet — produce byte-identical merged reports. A unit whose result the
 //! coordinator's store already holds is settled by the coordinator
 //! before any worker starts, as `prism explore` settles it, so a warm
-//! grid spawns and dials nothing.
+//! grid spawns and dials nothing. The coordinator journals the sweep
+//! through the same [`prism_pipeline::SweepLedger`] as `prism explore`,
+//! so either command resumes the other's killed sweep, and it reaches its
+//! store through its one session only.
 //!
 //! Any binary a coordinator re-invokes calls [`run_worker_if_env`] first
 //! in `main`. A worker, local or TCP daemon, takes its session settings,

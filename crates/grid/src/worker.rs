@@ -231,22 +231,12 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         .with_store_dir(&store_dir)
         .with_faults(faults.clone());
 
-    // Resolve the workload set; unknown names quarantine as whole-workload
-    // units (same key shape the pipeline uses for preparation failures).
-    let mut workloads: Vec<&'static Workload> = Vec::with_capacity(workload_names.len());
-    for name in &workload_names {
-        match prism_workloads::by_name(name) {
-            Some(w) => workloads.push(w),
-            None => send(
-                &out,
-                &FromWorker::UnitQuarantine {
-                    id: None,
-                    key: format!("workload:{name}"),
-                    error: PipelineError::new(name, Stage::Build, "unknown workload"),
-                },
-            ),
-        }
-    }
+    // Resolve the workload set. Unknown names drop out: the coordinator
+    // resolves the same list and quarantines each one once.
+    let workloads: Vec<&'static Workload> = workload_names
+        .iter()
+        .filter_map(|name| prism_workloads::by_name(name))
+        .collect();
     send(
         &out,
         &FromWorker::HelloAck {

@@ -427,9 +427,11 @@ fn scenario_tcp_equivalence() {
     assert_eq!(warm.stats.workers_spawned, 0, "{:?}", warm.stats);
     assert_eq!(warm.stats.walks, 0, "{:?}", warm.stats);
 
+    // The warm run's daemons were never dialed, so they never opened a
+    // store: fsck would report each missing directory as an error.
     for dir in [&dir_coord, &dir_single]
         .into_iter()
-        .chain(daemon_dirs.iter())
+        .chain(daemon_dirs[..2].iter())
     {
         let report = run_fsck(dir).expect("fsck");
         assert!(report.is_clean(), "{dir:?}: {report:?}");

@@ -106,19 +106,15 @@ fn journal_header_readable(text: &str) -> bool {
             .is_some_and(|s| s.len() == 64)
 }
 
-/// Checks and repairs the store at `dir`. A missing directory is clean
-/// (nothing to check).
+/// Checks and repairs the store at `dir`.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from directory traversal; per-file read errors
-/// quarantine the file instead of aborting the pass.
+/// Propagates I/O errors from directory traversal — a missing `dir` is a
+/// `NotFound` error, not a clean store; per-file read errors quarantine
+/// the file instead of aborting the pass.
 pub fn run_fsck(dir: &Path) -> io::Result<FsckReport> {
     let mut report = FsckReport::default();
-    if !dir.exists() {
-        return Ok(report);
-    }
-
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -195,12 +191,16 @@ mod tests {
     }
 
     #[test]
-    fn missing_and_clean_stores_are_clean() {
-        let dir = scratch("clean");
-        let report = run_fsck(&dir.join("does-not-exist")).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.artifacts_checked, 0);
+    fn missing_store_is_an_error() {
+        let dir = scratch("missing");
+        let err = run_fsck(&dir.join("does-not-exist")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
+    #[test]
+    fn clean_store_is_clean() {
+        let dir = scratch("clean");
         let store = ArtifactStore::new(&dir);
         store.save(&key("a"), Json::U64(1));
         store.save(&key("b"), Json::U64(2));

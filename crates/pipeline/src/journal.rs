@@ -30,6 +30,11 @@
 //! durable in the store, so a `done` record always refers to a result
 //! that can be reloaded — the invariant behind the "zero journaled-done
 //! units recomputed" property.
+//!
+//! [`SweepLedger`] is the one journal policy over a (core × subset) unit
+//! space: `prism explore` ([`Session`](crate::Session)) and the grid
+//! coordinator both open, replay, record and close their sweep through it,
+//! so a sweep killed under one command resumes under the other.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -37,10 +42,11 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use prism_exocore::DesignResult;
+use prism_exocore::{DesignPoint, DesignResult};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
+use prism_workloads::Workload;
 
 use crate::codec::{
     decode_design_result, decode_pipeline_error, encode_design_result, encode_pipeline_error,
@@ -50,6 +56,7 @@ use crate::error::PipelineError;
 use crate::hash::{ContentHash, Sha256};
 use crate::json::Json;
 use crate::key::KeyBuilder;
+use crate::sweep::SweepReport;
 
 /// Journal format version, written into every header line. A reader
 /// treats any other version as stale (the journal is ignored and
@@ -388,6 +395,139 @@ impl SweepJournal {
     }
 }
 
+/// The journal of one (core × subset) sweep, as `prism explore` and the
+/// grid coordinator keep it: units are indexed in core-major order and
+/// journaled under their Fig. 12 label. Journal I/O failures degrade to
+/// an unjournaled sweep with a warning; they never fail the sweep.
+#[derive(Debug)]
+pub struct SweepLedger {
+    labels: Vec<String>,
+    journal: Option<SweepJournal>,
+    replayed: Vec<Option<Result<DesignResult, PipelineError>>>,
+    records: u64,
+}
+
+impl SweepLedger {
+    /// Opens the ledger of the sweep of `cores` × `subsets` over
+    /// `workloads` in the store at `dir`. `resume` is `None` for an
+    /// unjournaled sweep, `Some(false)` for a fresh journal (replacing any
+    /// earlier one) and `Some(true)` to replay the existing journal first.
+    #[must_use]
+    pub fn open(
+        dir: &Path,
+        workloads: &[&Workload],
+        tracer: &TracerConfig,
+        cores: &[CoreConfig],
+        subsets: &[Vec<BsaKind>],
+        resume: Option<bool>,
+    ) -> SweepLedger {
+        let labels: Vec<String> = cores
+            .iter()
+            .flat_map(|core| {
+                subsets
+                    .iter()
+                    .map(|bsas| DesignPoint::new(core.clone(), bsas.clone()).label())
+            })
+            .collect();
+        let mut ledger = SweepLedger {
+            replayed: vec![None; labels.len()],
+            labels,
+            journal: None,
+            records: 0,
+        };
+        let Some(resume) = resume else {
+            return ledger;
+        };
+        let sizes: Vec<(String, u32)> = workloads
+            .iter()
+            .map(|w| (w.name.to_string(), w.scaled_n()))
+            .collect();
+        let sweep = sweep_key(&sizes, tracer, cores, subsets);
+        let (journal, mut replay) = match SweepJournal::open(dir, &sweep, resume) {
+            Ok(opened) => opened,
+            Err(e) => {
+                eprintln!("[prism-pipeline] sweep journal unavailable ({e}); running unjournaled");
+                return ledger;
+            }
+        };
+        if replay.dropped > 0 {
+            eprintln!(
+                "[prism-pipeline] journal: dropped {} torn/corrupt trailing record(s)",
+                replay.dropped
+            );
+        }
+        // Labels outside the space are ignored: the sweep key covers the
+        // space, so only a colliding journal could hold one.
+        for (slot, label) in ledger.replayed.iter_mut().zip(&ledger.labels) {
+            let done = replay.done.remove(label).map(Ok);
+            *slot = done.or_else(|| replay.quarantined.remove(label).map(Err));
+        }
+        ledger.records = replay.records;
+        ledger.journal = Some(journal);
+        ledger
+    }
+
+    /// The journal's outcome of each unit, in core-major order (`None`:
+    /// the unit is still to be settled).
+    #[must_use]
+    pub fn replayed(&self) -> &[Option<Result<DesignResult, PipelineError>>] {
+        &self.replayed
+    }
+
+    /// Valid journal records read by the replay.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// The Fig. 12 label of unit `idx`.
+    #[must_use]
+    pub fn label(&self, idx: usize) -> &str {
+        &self.labels[idx]
+    }
+
+    /// Journals unit `idx`'s final outcome. A result must already be
+    /// saved in the store, so a `done` record always names a durable
+    /// artifact. A failed append is logged: only resumability degrades.
+    pub fn record(&self, idx: usize, outcome: Result<&DesignResult, &PipelineError>) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        let appended = match outcome {
+            Ok(result) => journal.append_done(&self.labels[idx], result),
+            Err(error) => journal.append_quarantined(&self.labels[idx], error),
+        };
+        if let Err(e) = appended {
+            eprintln!("[prism-pipeline] journal append failed: {e}");
+        }
+    }
+
+    /// Closes the sweep: adds the replayed outcomes to `report` (which
+    /// holds every other unit's), normalizes it, and removes the journal
+    /// when no unit is quarantined. A journal with quarantines is kept, so
+    /// `--resume` replays the identical errors instead of re-running
+    /// known-bad units.
+    #[must_use]
+    pub fn finish(self, mut report: SweepReport) -> SweepReport {
+        for (label, outcome) in self.labels.into_iter().zip(self.replayed) {
+            match outcome {
+                Some(Ok(result)) => report.results.push(result),
+                Some(Err(error)) => report.quarantined.push((label, error)),
+                None => {}
+            }
+        }
+        report.normalize();
+        if let Some(journal) = self.journal {
+            if report.quarantined.is_empty() {
+                if let Err(e) = journal.remove() {
+                    eprintln!("[prism-pipeline] could not remove finished journal: {e}");
+                }
+            }
+        }
+        report
+    }
+}
+
 /// Fsyncs a directory so a just-created/renamed entry survives power
 /// loss. Directory fsync is a unix concept; elsewhere this is a no-op.
 /// Errors are swallowed: some filesystems reject directory fsync, and a
@@ -638,6 +778,110 @@ mod tests {
         assert!(path.exists());
         j.remove().unwrap();
         assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A two-unit space (OOO2 bare and OOO2-S) over one workload.
+    fn ledger_space() -> (Vec<&'static Workload>, Vec<CoreConfig>, Vec<Vec<BsaKind>>) {
+        (
+            vec![&prism_workloads::MICRO[0]],
+            vec![CoreConfig::ooo2()],
+            vec![vec![], vec![BsaKind::Simd]],
+        )
+    }
+
+    fn open_ledger(dir: &Path, resume: Option<bool>) -> SweepLedger {
+        let (workloads, cores, subsets) = ledger_space();
+        SweepLedger::open(
+            dir,
+            &workloads,
+            &TracerConfig::default(),
+            &cores,
+            &subsets,
+            resume,
+        )
+    }
+
+    fn ledger_path(dir: &Path) -> PathBuf {
+        let (workloads, cores, subsets) = ledger_space();
+        let sizes: Vec<(String, u32)> = workloads
+            .iter()
+            .map(|w| (w.name.to_string(), w.scaled_n()))
+            .collect();
+        journal_path(
+            dir,
+            &sweep_key(&sizes, &TracerConfig::default(), &cores, &subsets),
+        )
+    }
+
+    #[test]
+    fn unjournaled_ledger_writes_no_file() {
+        let dir = scratch("ledger-none");
+        let ledger = open_ledger(&dir, None);
+        assert_eq!(ledger.label(1), "OOO2-S");
+        ledger.record(0, Ok(&sample_result("OOO2")));
+        let report = ledger.finish(SweepReport::healthy(vec![sample_result("OOO2")]));
+        assert_eq!(report.results.len(), 1);
+        assert!(!dir.join(JOURNAL_SUBDIR).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ledger_replay_fills_slots_by_label() {
+        let dir = scratch("ledger-replay");
+        let ledger = open_ledger(&dir, Some(false));
+        ledger.record(1, Err(&sample_error()));
+        ledger.record(0, Ok(&sample_result("OOO2")));
+        drop(ledger);
+        // A label outside the space is read but fills no slot.
+        let path = ledger_path(&dir);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&encode_record(
+            "done",
+            "IO2-S",
+            "result",
+            encode_design_result(&sample_result("IO2-S")),
+        ));
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+
+        let ledger = open_ledger(&dir, Some(true));
+        assert_eq!(ledger.records(), 3);
+        assert_eq!(
+            ledger.replayed(),
+            [Some(Ok(sample_result("OOO2"))), Some(Err(sample_error()))]
+        );
+        // Without `resume`, the journal starts over.
+        assert!(open_ledger(&dir, Some(false))
+            .replayed()
+            .iter()
+            .all(Option::is_none));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ledger_finish_removes_the_journal_only_without_quarantines() {
+        let dir = scratch("ledger-finish");
+        let path = ledger_path(&dir);
+        let healthy = open_ledger(&dir, Some(false))
+            .finish(SweepReport::healthy(vec![sample_result("OOO2")]));
+        assert!(healthy.quarantined.is_empty());
+        assert!(!path.exists(), "a clean finish removes the journal");
+
+        let ledger = open_ledger(&dir, Some(false));
+        ledger.record(1, Err(&sample_error()));
+        let mut report = SweepReport::healthy(vec![sample_result("OOO2")]);
+        report
+            .quarantined
+            .push((ledger.label(1).to_string(), sample_error()));
+        let _ = ledger.finish(report);
+        assert!(path.exists(), "a quarantine keeps the journal");
+
+        // A replayed quarantine counts too: the ledger adds it.
+        let resumed = open_ledger(&dir, Some(true));
+        let report = resumed.finish(SweepReport::healthy(vec![sample_result("OOO2")]));
+        assert_eq!(report.quarantined, [("OOO2-S".to_string(), sample_error())]);
+        assert!(path.exists(), "a replayed quarantine keeps the journal");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,9 +48,12 @@
 //! Store puts are fsync-then-rename durable, every sweep writes an
 //! append-only [`SweepJournal`] of settled units, and `--resume`
 //! replays it to skip completed work after a kill — producing
-//! byte-identical output. A deterministic kill harness ([`crash_point`],
-//! armed by `PRISM_FAULTS=crash:<site>@<n>`) proves the property at
-//! every kill site, and [`run_fsck`] checks and repairs a store offline.
+//! byte-identical output. `prism explore` and the `prism-grid`
+//! coordinator keep that journal through one [`SweepLedger`], so a sweep
+//! killed under one resumes under the other. A deterministic kill
+//! harness ([`crash_point`], armed by `PRISM_FAULTS=crash:<site>@<n>`)
+//! proves the property at every kill site, and [`run_fsck`] checks and
+//! repairs a store offline (a missing store is an error, not clean).
 
 #![warn(missing_docs)]
 
@@ -84,7 +87,9 @@ pub use fault::{
 };
 pub use fsck::{run_fsck, FsckReport, QUARANTINE_SUBDIR};
 pub use hash::ContentHash;
-pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_SUBDIR};
+pub use journal::{
+    journal_path, sweep_key, JournalReplay, SweepJournal, SweepLedger, JOURNAL_SUBDIR,
+};
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::parallel_map;

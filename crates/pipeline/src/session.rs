@@ -29,7 +29,7 @@ use prism_exocore::{
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
 use prism_udg::{CoreConfig, ExecBudget, NODES_PER_INST};
-use prism_workloads::{Suite, Workload};
+use prism_workloads::Workload;
 
 use crate::codec::{
     decode_design_result, decode_exo_timing, encode_design_result, encode_exo_timing,
@@ -39,7 +39,7 @@ use crate::crash::{crash_point, SITE_UNIT_COMPLETE};
 use crate::error::{PipelineError, Stage};
 use crate::fault::FaultPlan;
 use crate::hash::{ContentHash, Sha256};
-use crate::journal::{sweep_key, JournalReplay, SweepJournal};
+use crate::journal::SweepLedger;
 use crate::key::KeyBuilder;
 use crate::par::parallel_map;
 use crate::store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
@@ -105,25 +105,6 @@ pub struct SessionStats {
     pub resumed: u64,
     /// Journal records read during resume replays.
     pub replayed: u64,
-}
-
-impl std::ops::AddAssign for SessionStats {
-    fn add_assign(&mut self, rhs: SessionStats) {
-        self.artifacts += rhs.artifacts;
-        self.memo_hits += rhs.memo_hits;
-        self.memo_misses += rhs.memo_misses;
-        self.shape_memo_hits += rhs.shape_memo_hits;
-        self.timing_artifacts_loaded += rhs.timing_artifacts_loaded;
-        self.walks_skipped += rhs.walks_skipped;
-        self.trace_walks += rhs.trace_walks;
-        self.walk_insts += rhs.walk_insts;
-        self.sim_insts += rhs.sim_insts;
-        self.sim_nanos += rhs.sim_nanos;
-        self.udg_nanos += rhs.udg_nanos;
-        self.transform_nanos += rhs.transform_nanos;
-        self.resumed += rhs.resumed;
-        self.replayed += rhs.replayed;
-    }
 }
 
 impl SessionStats {
@@ -401,6 +382,12 @@ impl Session {
         &self.tracer
     }
 
+    /// The session's artifact store, with its fault plan and cap.
+    #[must_use]
+    pub fn store(&self) -> &ArtifactStore {
+        &self.store
+    }
+
     /// The content key of a registered workload at size `n` under this
     /// session's tracer config — computable without preparing anything.
     #[must_use]
@@ -583,24 +570,6 @@ impl Session {
         parallel_map(workloads, self.jobs, |_, w| self.prepare(w))
             .into_iter()
             .collect()
-    }
-
-    /// Prepares every registered workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in registry order.
-    pub fn prepare_all(&self) -> Result<Vec<PreparedWorkload>, PipelineError> {
-        self.prepare_batch(&prism_workloads::ALL.iter().collect::<Vec<_>>())
-    }
-
-    /// Prepares the workloads of one suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in registry order.
-    pub fn prepare_suite(&self, suite: Suite) -> Result<Vec<PreparedWorkload>, PipelineError> {
-        self.prepare_batch(&prism_workloads::by_suite(suite).collect::<Vec<_>>())
     }
 
     /// The oracle table for `workload` on `core`'s base configuration,
@@ -817,12 +786,6 @@ impl Session {
         (healthy, failed)
     }
 
-    /// The Fig. 12 label of grid point `idx` (core-major order).
-    fn point_label(cores: &[CoreConfig], subsets: &[Vec<BsaKind>], idx: usize) -> String {
-        let (c, s) = (idx / subsets.len(), idx % subsets.len());
-        DesignPoint::new(cores[c].clone(), subsets[s].clone()).label()
-    }
-
     /// Evaluates the grid points named by `missing` (indices in core-major
     /// order) with failure isolation, returning `(index, outcome)` pairs in
     /// input order. Fills the memo in one fan-out over (core, workload) —
@@ -894,9 +857,11 @@ impl Session {
         for (idx, res) in self.run_points(data, cores, subsets, &all, &|_, _| {}) {
             match res {
                 Ok(r) => report.results.push(r),
-                Err(e) => report
-                    .quarantined
-                    .push((Self::point_label(cores, subsets, idx), e)),
+                Err(e) => {
+                    let (c, s) = (idx / subsets.len(), idx % subsets.len());
+                    let label = DesignPoint::new(cores[c].clone(), subsets[s].clone()).label();
+                    report.quarantined.push((label, e));
+                }
             }
         }
         report.sort_units();
@@ -939,85 +904,40 @@ impl Session {
         subsets: &[Vec<BsaKind>],
         resume: bool,
     ) -> SweepReport {
-        let wl: Vec<(String, u32)> = workloads
-            .iter()
-            .map(|w| (w.name.to_string(), w.scaled_n()))
-            .collect();
-        let sweep = sweep_key(&wl, &self.tracer, cores, subsets);
-        match SweepJournal::open(self.store.dir(), &sweep, resume) {
-            Ok(journal) => self.evaluate_designs_inner(workloads, cores, subsets, Some(journal)),
-            Err(e) => {
-                eprintln!(
-                    "[prism-pipeline] sweep journal unavailable ({e}); \
-                     running unjournaled"
-                );
-                self.evaluate_designs_inner(workloads, cores, subsets, None)
-            }
-        }
+        self.evaluate_designs_inner(workloads, cores, subsets, Some(resume))
     }
 
+    /// The sweep behind both entry points, journaled through a
+    /// [`SweepLedger`] opened with `resume` (`None`: no journal).
     fn evaluate_designs_inner(
         &self,
         workloads: &[&Workload],
         cores: &[CoreConfig],
         subsets: &[Vec<BsaKind>],
-        journal: Option<(SweepJournal, JournalReplay)>,
+        resume: Option<bool>,
     ) -> SweepReport {
-        let mut report = SweepReport::default();
-        let total = cores.len() * subsets.len();
-        let mut results: Vec<Option<DesignResult>> = vec![None; total];
+        let ledger = SweepLedger::open(
+            self.store.dir(),
+            workloads,
+            &self.tracer,
+            cores,
+            subsets,
+            resume,
+        );
         // `settled[i]`: the journal already decided unit i (done or
         // quarantined) — never recompute it, never re-journal it.
-        let mut settled = vec![false; total];
-        let mut from_replay = vec![false; total];
-        let (journal, replay) = match journal {
-            Some((j, r)) => (Some(j), r),
-            None => (None, JournalReplay::default()),
-        };
-        if replay.records > 0 {
-            let label_to_idx: HashMap<String, usize> = (0..total)
-                .map(|i| (Self::point_label(cores, subsets, i), i))
-                .collect();
-            for (unit, result) in &replay.done {
-                // Units the current space doesn't contain (journal from a
-                // colliding-but-different sweep cannot happen — the sweep
-                // key covers the space — so this is purely defensive).
-                let Some(&idx) = label_to_idx.get(unit) else {
-                    continue;
-                };
-                results[idx] = Some(result.clone());
-                settled[idx] = true;
-                from_replay[idx] = true;
-                self.resumed.fetch_add(1, Ordering::Relaxed);
-            }
-            for (unit, error) in &replay.quarantined {
-                let Some(&idx) = label_to_idx.get(unit) else {
-                    continue;
-                };
-                report.quarantined.push((unit.clone(), error.clone()));
-                settled[idx] = true;
-                from_replay[idx] = true;
-                self.resumed.fetch_add(1, Ordering::Relaxed);
-            }
-            self.replayed.fetch_add(replay.records, Ordering::Relaxed);
-        }
+        let settled: Vec<bool> = ledger.replayed().iter().map(Option::is_some).collect();
+        let resumed = settled.iter().filter(|&&s| s).count();
+        self.resumed.fetch_add(resumed as u64, Ordering::Relaxed);
+        self.replayed.fetch_add(ledger.records(), Ordering::Relaxed);
+        let mut report = SweepReport::default();
 
         // Fast path: everything cached under the full workload set (or
         // settled by the journal) — no preparation needed at all.
-        for (i, cached) in self
-            .cached_designs(workloads, cores, subsets, &settled)
-            .into_iter()
-            .enumerate()
-        {
-            if !settled[i] {
-                results[i] = cached;
-            }
-        }
-        if (0..total).all(|i| settled[i] || results[i].is_some()) {
+        let mut results = self.cached_designs(workloads, cores, subsets, &settled);
+        if (0..results.len()).all(|i| settled[i] || results[i].is_some()) {
             report.results = results.into_iter().flatten().collect();
-            report.sort_units();
-            Self::finish_journal(journal, &report);
-            return report;
+            return ledger.finish(report);
         }
 
         // Prepare with quarantine; failed workloads drop out of the sweep.
@@ -1026,9 +946,7 @@ impl Session {
             report.quarantined.push((format!("workload:{name}"), err));
         }
         if data.is_empty() {
-            report.sort_units();
-            Self::finish_journal(journal, &report);
-            return report;
+            return ledger.finish(report);
         }
         let healthy_keys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
         if data.len() != workloads.len() {
@@ -1037,24 +955,15 @@ impl Session {
             // the deterministic fault plans the same workloads fail on
             // every run, so replayed results match what this run would
             // compute.
-            let rekeyed = self.load_cached_except(&healthy_keys, cores, subsets, &settled);
-            for (i, cached) in rekeyed.into_iter().enumerate() {
-                if !from_replay[i] {
-                    results[i] = cached;
-                }
-            }
+            results = self.load_cached_except(&healthy_keys, cores, subsets, &settled);
         }
-        let point_keys: Vec<ContentHash> = {
-            let mut keys = Vec::with_capacity(total);
-            for core in cores {
-                for bsas in subsets {
-                    keys.push(self.design_point_key(&healthy_keys, core, bsas));
-                }
-            }
-            keys
-        };
+        let point_keys: Vec<ContentHash> = cores
+            .iter()
+            .flat_map(|core| subsets.iter().map(move |bsas| (core, bsas)))
+            .map(|(core, bsas)| self.design_point_key(&healthy_keys, core, bsas))
+            .collect();
 
-        let missing: Vec<usize> = (0..total)
+        let missing: Vec<usize> = (0..results.len())
             .filter(|&i| !settled[i] && results[i].is_none())
             .collect();
         // Durability hook, run as each unit settles: persist the result
@@ -1062,52 +971,20 @@ impl Session {
         // `done` record must always refer to an artifact that is already
         // on disk, so a resume never recomputes a journaled-done unit.
         let on_unit = |idx: usize, res: &Result<DesignResult, PipelineError>| {
-            match res {
-                Ok(r) => {
-                    self.store.save(&point_keys[idx], encode_design_result(r));
-                    if let Some(j) = &journal {
-                        if let Err(e) = j.append_done(&Self::point_label(cores, subsets, idx), r) {
-                            eprintln!("[prism-pipeline] journal append failed: {e}");
-                        }
-                    }
-                }
-                Err(e) => {
-                    if let Some(j) = &journal {
-                        if let Err(we) =
-                            j.append_quarantined(&Self::point_label(cores, subsets, idx), e)
-                        {
-                            eprintln!("[prism-pipeline] journal append failed: {we}");
-                        }
-                    }
-                }
+            if let Ok(r) = res {
+                self.store.save(&point_keys[idx], encode_design_result(r));
             }
+            ledger.record(idx, res.as_ref());
             crash_point(SITE_UNIT_COMPLETE);
         };
         for (idx, res) in self.run_points(&data, cores, subsets, &missing, &on_unit) {
             match res {
                 Ok(r) => results[idx] = Some(r),
-                Err(e) => report
-                    .quarantined
-                    .push((Self::point_label(cores, subsets, idx), e)),
+                Err(e) => report.quarantined.push((ledger.label(idx).to_string(), e)),
             }
         }
         report.results = results.into_iter().flatten().collect();
-        report.sort_units();
-        Self::finish_journal(journal, &report);
-        report
-    }
-
-    /// Removes a finished sweep's journal when nothing remains to resume.
-    /// A journal with quarantined units is kept: `--resume` then replays
-    /// the identical errors instead of re-running known-bad units.
-    fn finish_journal(journal: Option<SweepJournal>, report: &SweepReport) {
-        if let Some(j) = journal {
-            if report.quarantined.is_empty() {
-                if let Err(e) = j.remove() {
-                    eprintln!("[prism-pipeline] could not remove finished journal: {e}");
-                }
-            }
-        }
+        ledger.finish(report)
     }
 
     /// Loads every (core × subset) design point keyed over the full

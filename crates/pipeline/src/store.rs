@@ -54,18 +54,6 @@ pub struct StoreStats {
     pub gc_reclaimed_bytes: u64,
 }
 
-impl std::ops::AddAssign for StoreStats {
-    fn add_assign(&mut self, rhs: StoreStats) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.discarded += rhs.discarded;
-        self.io_retries += rhs.io_retries;
-        self.io_errors += rhs.io_errors;
-        self.recomputes += rhs.recomputes;
-        self.gc_reclaimed_bytes += rhs.gc_reclaimed_bytes;
-    }
-}
-
 /// A content-addressed artifact directory.
 #[derive(Debug)]
 pub struct ArtifactStore {
@@ -513,25 +501,6 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.discarded), (1, 1, 0));
         assert_eq!(s.recomputes, 1, "each save counts as one recompute");
-    }
-
-    #[test]
-    fn stats_accumulate_with_add_assign() {
-        let mut a = StoreStats {
-            hits: 1,
-            misses: 2,
-            recomputes: 3,
-            ..StoreStats::default()
-        };
-        a += StoreStats {
-            hits: 10,
-            io_retries: 4,
-            ..StoreStats::default()
-        };
-        assert_eq!(
-            (a.hits, a.misses, a.io_retries, a.recomputes),
-            (11, 2, 4, 3)
-        );
     }
 
     #[test]

@@ -264,6 +264,36 @@ fn resume_composes_with_site_seeded_faults() {
 }
 
 #[test]
+fn journaled_results_survive_a_resume_where_no_workload_prepares() {
+    // Every trace truncates, so no workload prepares on resume: the report
+    // is the journal's four results plus one quarantine per workload.
+    let reference = run_resumable(&clean_session("noprep-ref"), false);
+    assert!(
+        reference.quarantined.is_empty(),
+        "{:?}",
+        reference.quarantined
+    );
+    let dir = temp_dir("noprep");
+    seed_partial_journal(&dir, &reference, 4);
+    let session = clean_session("noprep-unused")
+        .with_store_dir(&dir)
+        .with_faults(Some(Arc::new(
+            FaultPlan::seeded(7).with_trace_truncate(1.0),
+        )));
+    let resumed = run_resumable(&session, true);
+    assert_eq!(resumed.results, reference.results[..4]);
+    let keys: Vec<String> = resumed.quarantined.iter().map(|(k, _)| k.clone()).collect();
+    let mut expected: Vec<String> = micro_set()
+        .iter()
+        .map(|w| format!("workload:{}", w.name))
+        .collect();
+    expected.sort();
+    assert_eq!(keys, expected);
+    assert_eq!(session.stats().resumed, 4, "{:?}", session.stats());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn foreign_journal_is_ignored_not_replayed() {
     // A journal for a *different* sweep (other tracer length) under the
     // same store must never leak units into this sweep.

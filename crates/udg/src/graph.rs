@@ -1,19 +1,8 @@
-//! The dependence-graph engine.
-//!
-//! µDG nodes are inserted in topological (program) order; each node's time
-//! is the longest path to it, computed incrementally from its incoming
-//! edges at insertion. Because times are finalized at insertion, the graph
-//! needs to store only one `u64` per node — multi-million-instruction
-//! traces are cheap, exactly the property the paper relies on for its
-//! windowed transformation approach.
-//!
-//! With [`DepGraph::with_tracking`], each node additionally records which
-//! incoming edge determined its time, so the critical path can be walked
-//! backwards — the paper's Appendix A recommends exactly this ("examining
-//! which edges are on the critical path") for validating new BSA models.
-
-/// Identifies a node in a [`DepGraph`] (insertion index).
-pub type NodeId = u64;
+//! The µDG's edge kinds. The core model assigns node times in one forward
+//! pass and keeps no graph; it tallies, per [`EdgeKind`], which incoming
+//! edge bound each node ([`BindingCounts`](crate::BindingCounts)), the
+//! attribution the paper's Appendix A recommends for validating new BSA
+//! models ("examining which edges are on the critical path").
 
 /// Classification of µDG edges, for critical-path attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,223 +77,4 @@ impl EdgeKind {
         EdgeKind::AccelBus,
         EdgeKind::AccelReplay,
     ];
-}
-
-/// Per-node provenance when tracking is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Provenance {
-    /// The predecessor that determined this node's time.
-    pub pred: NodeId,
-    /// The kind of the determining edge.
-    pub kind: EdgeKind,
-}
-
-/// An append-only dependence graph with incremental longest-path times.
-///
-/// # Examples
-///
-/// ```
-/// use prism_udg::{DepGraph, EdgeKind};
-///
-/// let mut g = DepGraph::new();
-/// let a = g.add_node(0);
-/// let b = g.add_node(0);
-/// let c = g.add_node_after(&[(a, 3, EdgeKind::DataDep), (b, 1, EdgeKind::DataDep)]);
-/// assert_eq!(g.time(c), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DepGraph {
-    times: Vec<u64>,
-    provenance: Option<Vec<Option<Provenance>>>,
-}
-
-impl DepGraph {
-    /// Creates a graph without critical-path tracking.
-    #[must_use]
-    pub fn new() -> Self {
-        DepGraph::default()
-    }
-
-    /// Creates a graph that records, per node, the edge that determined its
-    /// time (enables [`DepGraph::critical_path`]).
-    #[must_use]
-    pub fn with_tracking() -> Self {
-        DepGraph {
-            times: Vec::new(),
-            provenance: Some(Vec::new()),
-        }
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.times.len() as u64
-    }
-
-    /// Returns `true` if the graph has no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Adds a node whose time is exactly `time` (no incoming edges).
-    pub fn add_node(&mut self, time: u64) -> NodeId {
-        self.times.push(time);
-        if let Some(p) = &mut self.provenance {
-            p.push(None);
-        }
-        self.len() - 1
-    }
-
-    /// Adds a node whose time is the max over `(pred, latency, kind)`
-    /// incoming edges, with a floor of zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any predecessor id is not yet in the graph (insertion must
-    /// be topological).
-    pub fn add_node_after(&mut self, edges: &[(NodeId, u64, EdgeKind)]) -> NodeId {
-        self.add_node_after_min(0, edges)
-    }
-
-    /// Like [`DepGraph::add_node_after`] with an additional lower bound
-    /// `floor` on the node's time (used for absolute constraints such as
-    /// resource grants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any predecessor id is not yet in the graph.
-    pub fn add_node_after_min(&mut self, floor: u64, edges: &[(NodeId, u64, EdgeKind)]) -> NodeId {
-        let mut best = floor;
-        let mut prov: Option<Provenance> = None;
-        for &(pred, latency, kind) in edges {
-            let t = self.time(pred) + latency;
-            if t > best || (t == best && prov.is_none() && t > floor) {
-                best = t;
-                prov = Some(Provenance { pred, kind });
-            }
-        }
-        self.times.push(best);
-        if let Some(p) = &mut self.provenance {
-            p.push(prov);
-        }
-        self.len() - 1
-    }
-
-    /// The longest-path time of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn time(&self, id: NodeId) -> u64 {
-        self.times[id as usize]
-    }
-
-    /// Raises `id`'s recorded time to at least `time` (used when a resource
-    /// grant retro-actively delays a node being constructed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not the most recently inserted node — earlier
-    /// nodes' times may already have been consumed.
-    pub fn delay_last(&mut self, id: NodeId, time: u64) {
-        assert_eq!(id, self.len() - 1, "only the newest node may be delayed");
-        let t = &mut self.times[id as usize];
-        if time > *t {
-            *t = time;
-        }
-    }
-
-    /// Walks the recorded critical path backwards from `id`.
-    ///
-    /// Returns `(node, determining edge kind)` pairs from `id` back to a
-    /// source node. Empty if tracking was not enabled.
-    #[must_use]
-    pub fn critical_path(&self, id: NodeId) -> Vec<(NodeId, EdgeKind)> {
-        let Some(prov) = &self.provenance else {
-            return Vec::new();
-        };
-        let mut path = Vec::new();
-        let mut cur = id;
-        while let Some(p) = prov[cur as usize] {
-            path.push((cur, p.kind));
-            cur = p.pred;
-        }
-        path
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn longest_path_is_incremental_max() {
-        let mut g = DepGraph::new();
-        let a = g.add_node(5);
-        let b = g.add_node(0);
-        let c = g.add_node_after(&[(a, 2, EdgeKind::DataDep), (b, 10, EdgeKind::DataDep)]);
-        assert_eq!(g.time(c), 10);
-        let d = g.add_node_after(&[(c, 1, EdgeKind::Exec)]);
-        assert_eq!(g.time(d), 11);
-    }
-
-    #[test]
-    fn floor_applies() {
-        let mut g = DepGraph::new();
-        let a = g.add_node(0);
-        let b = g.add_node_after_min(7, &[(a, 2, EdgeKind::DataDep)]);
-        assert_eq!(g.time(b), 7);
-        let c = g.add_node_after_min(1, &[(b, 2, EdgeKind::DataDep)]);
-        assert_eq!(g.time(c), 9);
-    }
-
-    #[test]
-    fn delay_last_raises_time() {
-        let mut g = DepGraph::new();
-        let a = g.add_node(3);
-        g.delay_last(a, 8);
-        assert_eq!(g.time(a), 8);
-        g.delay_last(a, 2); // lowering is a no-op
-        assert_eq!(g.time(a), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "newest node")]
-    fn delay_non_last_panics() {
-        let mut g = DepGraph::new();
-        let a = g.add_node(0);
-        let _b = g.add_node(0);
-        g.delay_last(a, 5);
-    }
-
-    #[test]
-    fn critical_path_walk() {
-        let mut g = DepGraph::with_tracking();
-        let a = g.add_node(0);
-        let b = g.add_node_after(&[(a, 4, EdgeKind::Exec)]);
-        let c = g.add_node_after(&[(b, 1, EdgeKind::DataDep), (a, 2, EdgeKind::FetchBw)]);
-        let path = g.critical_path(c);
-        assert_eq!(path, vec![(c, EdgeKind::DataDep), (b, EdgeKind::Exec)]);
-    }
-
-    #[test]
-    fn critical_path_empty_without_tracking() {
-        let mut g = DepGraph::new();
-        let a = g.add_node(0);
-        let b = g.add_node_after(&[(a, 1, EdgeKind::Exec)]);
-        assert!(g.critical_path(b).is_empty());
-    }
-
-    #[test]
-    fn zero_latency_edges_tie_break_to_floor() {
-        let mut g = DepGraph::with_tracking();
-        let a = g.add_node(0);
-        // Edge lands exactly on the floor of 0: floor wins the tie, so no
-        // provenance is recorded (the node is effectively a source).
-        let b = g.add_node_after(&[(a, 0, EdgeKind::DataDep)]);
-        assert_eq!(g.time(b), 0);
-        assert!(g.critical_path(b).is_empty());
-    }
 }

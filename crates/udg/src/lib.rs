@@ -17,8 +17,8 @@
 //!   OOO4, OOO6) plus parametric widths for validation,
 //! * [`CoreModel`] — a streaming timing model that assigns the five µDG
 //!   node times per instruction in a single forward pass,
-//! * [`DepGraph`] — a general longest-path dependence graph used by
-//!   accelerator models and for critical-path inspection,
+//! * [`EdgeKind`] — the µDG's edge kinds, which [`BindingCounts`] tallies
+//!   per binding constraint,
 //! * [`ResourceTable`] — the windowed cycle-indexed structural-hazard
 //!   table described in the paper's §2.7,
 //! * [`simulate_trace`] — whole-trace evaluation producing the paper's
@@ -47,7 +47,7 @@ mod seqtable;
 
 pub use budget::{BudgetExceeded, ExecBudget, FuelMeter, NODES_PER_INST};
 pub use config::CoreConfig;
-pub use graph::{DepGraph, EdgeKind, NodeId, Provenance};
+pub use graph::EdgeKind;
 pub use model::{BindingCounts, CoreModel, InstTimes, MemDepTracker, ModelDep, ModelInst};
 pub use reference::{simulate_reference, try_simulate_reference, ReferenceRun, Watchdog};
 pub use resource::ResourceTable;

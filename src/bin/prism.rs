@@ -23,7 +23,7 @@
 //! prism fsck [--dir PATH]             check/repair an artifact store
 //!                                     (quarantines corrupt artifacts, GCs orphan
 //!                                     tmp files and stale journals; exit 1 on
-//!                                     corruption)
+//!                                     corruption or a missing store)
 //! prism bench [options]               perf microbench suite (BENCH_<rev>.json)
 //!     --quick                         microbenches + MICRO-registry explore only
 //!     --iters N                       iterations per microbench (default 10)

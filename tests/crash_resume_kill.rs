@@ -13,7 +13,9 @@
 //! journaled in-process sweep; the grid child runs a 2-worker grid whose
 //! workers are further re-invocations of this binary. The parent injects
 //! `PRISM_FAULTS=crash:<site>@<n>`, expects exit code 137, inspects the
-//! journal and store it left behind, then resumes and diffs.
+//! journal and store it left behind, then resumes and diffs. The cross
+//! scenario kills one mode and resumes with the other: both keep one
+//! journal.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -306,6 +308,64 @@ fn scenario_grid_coordinator_kill() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// One cross-command round: kill a `killed` child at `spec`, resume the
+/// sweep with a `resumer` child, and require the reference stdout with
+/// every journaled unit resumed.
+fn cross_round(reference: &str, killed: &str, spec: &str, resumer: &str) {
+    let store = scratch(&format!("cross-{killed}-{resumer}"));
+    let crashed = run_child(killed, &store, Some(spec), false);
+    assert_eq!(
+        crashed.status,
+        Some(CRASH_EXIT_CODE),
+        "{killed} {spec}: child must die at the injected kill point"
+    );
+    let sweep = test_sweep_key();
+    let replay = JournalReplay::read(&journal_path(&store, &sweep), &sweep).expect("read journal");
+    assert!(
+        !replay.done.is_empty(),
+        "{killed} {spec}: nothing journaled"
+    );
+
+    let resumed = run_child(resumer, &store, None, true);
+    assert_eq!(
+        resumed.status,
+        Some(0),
+        "{resumer} resume of a {killed} kill must finish clean"
+    );
+    assert_eq!(
+        resumed.stdout, reference,
+        "{resumer} resume of a {killed} kill must be byte-identical"
+    );
+    assert_eq!(
+        read_stats(&store, "resumed"),
+        replay.done.len() as u64,
+        "{resumer} must resume every unit the {killed} journal holds"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// DESIGN §11: both commands keep one journal, so a sweep killed under
+/// one resumes under the other.
+fn scenario_cross_command_resume() {
+    let ref_store = scratch("cross-ref");
+    let reference = run_child("explore", &ref_store, None, false);
+    assert_eq!(reference.status, Some(0));
+    let _ = std::fs::remove_dir_all(&ref_store);
+
+    cross_round(
+        &reference.stdout,
+        "explore",
+        &format!("{SITE_UNIT_COMPLETE}@3"),
+        "grid",
+    );
+    cross_round(
+        &reference.stdout,
+        "grid",
+        &format!("{SITE_GRID_FRAME}@2"),
+        "explore",
+    );
+}
+
 fn main() {
     // Worker mode first: the grid child's coordinator re-invokes this
     // binary with PRISM_GRID_WORKER=1, and nothing may touch stdout
@@ -334,7 +394,7 @@ fn main() {
         std::env::remove_var(var);
     }
 
-    let scenarios: [(&str, fn()); 2] = [
+    let scenarios: [(&str, fn()); 3] = [
         (
             "explore: kill at every site, resume byte-identical",
             scenario_explore_kill_everywhere,
@@ -342,6 +402,10 @@ fn main() {
         (
             "grid: kill coordinator mid-sweep, resume byte-identical",
             scenario_grid_coordinator_kill,
+        ),
+        (
+            "cross: kill under one command, resume under the other",
+            scenario_cross_command_resume,
         ),
     ];
     let mut failed = 0;
