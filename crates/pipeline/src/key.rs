@@ -94,8 +94,8 @@ impl KeyBuilder {
     }
 
     /// Feeds only the core parameters that shape a timing walk — the
-    /// µDG *timing class* — omitting the display name so core variants
-    /// that differ only in priced parameters share one key.
+    /// µDG *timing class* — omitting the display name and `has_simd`, so
+    /// core variants that differ only in priced parameters share one key.
     pub fn core_timing(&mut self, core: &CoreConfig) {
         self.field("core.timing_class", core.timing_class());
     }
@@ -178,7 +178,7 @@ mod tests {
         renamed.name = "OOO2-relabeled".into();
         assert_eq!(mk(&base), mk(&renamed));
         assert_ne!(mk(&base), mk(&CoreConfig::ooo4()));
-        assert_ne!(mk(&base), mk(&base.clone().with_simd()));
+        assert_eq!(mk(&base), mk(&base.clone().with_simd()));
     }
 
     #[test]

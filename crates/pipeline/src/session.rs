@@ -615,13 +615,13 @@ impl Session {
     }
 
     /// The canonical **µDG shape key** of one trace-walk timing: a
-    /// [`ContentHash`] over every structural feature that determines the
-    /// walk — workload trace identity, the core's
-    /// [timing class](CoreConfig::timing_class) (display name excluded,
-    /// so variants differing only in priced parameters share one walk),
-    /// the sorted transform assignment, and the execution-budget knob.
-    /// Both the in-process timing memo and the persistent timing
-    /// artifacts are keyed by it.
+    /// [`ContentHash`] over exactly what the walk reads — workload trace
+    /// identity, the core's [timing class](CoreConfig::timing_class)
+    /// (display name and SIMD presence excluded, so variants differing
+    /// only in priced parameters share one walk) and the sorted transform
+    /// assignment. The execution budget is charged before the walk is
+    /// requested, not read by it. Both the in-process timing memo and the
+    /// persistent timing artifacts are keyed by it.
     #[must_use]
     pub fn shape_key(
         &self,
@@ -639,7 +639,6 @@ impl Session {
             .map(|(l, k)| format!("{l}={};", k.code()))
             .collect();
         kb.field("assigned", assigned);
-        kb.field("budget.max_nodes", self.budget.max_nodes);
         kb.finish()
     }
 

@@ -9,11 +9,12 @@
 use std::sync::Arc;
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, headline_claims, DesignPoint, DesignResult, WorkloadData,
+    all_bsa_subsets, all_cores, headline_claims, oracle_pick, DesignPoint, DesignResult,
+    WorkloadData,
 };
-use prism_pipeline::{FaultPlan, Session, SweepReport};
+use prism_pipeline::{encode_exo_timing, FaultPlan, Session, SweepReport};
 use prism_sim::TracerConfig;
-use prism_tdg::BsaKind;
+use prism_tdg::{run_exocore_timing, Assignment, BsaKind};
 use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::Workload;
 
@@ -54,13 +55,7 @@ fn reference(
     cores: &[CoreConfig],
     subsets: &[Vec<BsaKind>],
 ) -> Vec<DesignResult> {
-    let data: Vec<WorkloadData> = workloads
-        .iter()
-        .map(|w| {
-            WorkloadData::prepare_with(&(w.build)(w.scaled_n()), &quick_tracer())
-                .expect("registry workloads trace")
-        })
-        .collect();
+    let data: Vec<WorkloadData> = workloads.iter().map(|w| quick_data(w)).collect();
     let mut results = Vec::with_capacity(cores.len() * subsets.len());
     for core in cores {
         let tables: Vec<_> = data
@@ -76,16 +71,25 @@ fn reference(
     results
 }
 
+/// `w` on the quick tracer, traced and analysed by the model crates alone.
+fn quick_data(w: &Workload) -> WorkloadData {
+    WorkloadData::prepare_with(&(w.build)(w.scaled_n()), &quick_tracer())
+        .expect("registry and micro workloads trace")
+}
+
 fn registry() -> Vec<&'static Workload> {
     prism_workloads::ALL.iter().collect()
 }
 
-/// A core that shares IO2's timing shape but not its display name: the
-/// design-point key differs (name is priced identity), the µDG shape
-/// hash does not.
+/// A core that shares IO2's timing shape but not its display name or its
+/// SIMD datapath: the design-point key differs (both are priced
+/// identity), the µDG shape hash does not. `has_simd` is set so the tests
+/// that share walks with the twin also pin that a `-S…` point's core
+/// walks as its base core does.
 fn io2_twin() -> CoreConfig {
     let mut core = CoreConfig::io2();
     core.name = "IO2-twin".into();
+    core.has_simd = true;
     core
 }
 
@@ -285,9 +289,25 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
 
 #[test]
 fn oracle_tables_rebuild_from_stored_walks() {
+    tables_rebuild_from_stored_walks("oracle", ExecBudget::unlimited());
+}
+
+/// The execution budget is charged before a walk is requested and never
+/// read by one, so a budget that does not trip must find the walks an
+/// unlimited session stored.
+#[test]
+fn budgeted_oracle_tables_rebuild_from_stored_walks() {
+    tables_rebuild_from_stored_walks("oracle-budget", ExecBudget::new(1_000_000_000_000_000));
+}
+
+/// Fills a fresh store with an unlimited IO2 sweep, then rebuilds every
+/// registry workload's IO2 oracle table in a fresh session under
+/// `budget`: each table must equal the model's and load every walk it
+/// requests from the store.
+fn tables_rebuild_from_stored_walks(tag: &str, budget: ExecBudget) {
     let workloads = registry();
     let core = CoreConfig::io2();
-    let dir = fresh_dir("oracle");
+    let dir = fresh_dir(tag);
     let cold = session_at(&dir).evaluate_designs(
         &workloads,
         std::slice::from_ref(&core),
@@ -297,13 +317,13 @@ fn oracle_tables_rebuild_from_stored_walks() {
 
     // A fresh session over the filled store prices every table from
     // stored walks: the baseline's and each candidate's.
-    let session = session_at(&dir);
+    let session = session_at(&dir).with_budget(budget);
     let mut runs = 0;
     for w in &workloads {
         let prepared = session.prepare(w).expect("registry workloads prepare");
         let table = session
             .oracle_table(&prepared, &core)
-            .expect("unlimited budget");
+            .expect("the budget does not trip");
         let want = prism_exocore::oracle_table(&prepared, &core);
         // Debug covers the baseline and every candidate's lid, kind,
         // cycles, energy, ed_gain and perf_ok, floats to the bit.
@@ -366,4 +386,108 @@ fn faulted_store_sweep_matches_the_reference() {
         fingerprint(&healthy(swept)),
         fingerprint(&reference(&workloads, &cores, &subsets))
     );
+}
+
+/// The MICRO workloads on the quick tracer.
+fn micro_data() -> Vec<WorkloadData> {
+    prism_workloads::MICRO.iter().map(quick_data).collect()
+}
+
+/// Every assignment a sweep walks for `data` on `core`: the empty one,
+/// each single-loop plan of each BSA (the oracle table's candidates), and
+/// the oracle's pick for each of the 16 subsets on `core`'s table.
+fn sweep_assignments(data: &WorkloadData, core: &CoreConfig) -> Vec<Assignment> {
+    let table = prism_exocore::oracle_table(data, core);
+    let singles = table.candidates.iter().map(|c| {
+        let mut a = Assignment::none();
+        a.set(c.lid, c.kind);
+        a
+    });
+    let picks = all_bsa_subsets()
+        .into_iter()
+        .map(|subset| oracle_pick(&table, data, &subset));
+    std::iter::once(Assignment::none())
+        .chain(singles)
+        .chain(picks)
+        .collect()
+}
+
+/// The walk's stored form, so the comparison covers every field bit for bit.
+fn walk(data: &WorkloadData, core: &CoreConfig, assignment: &Assignment) -> String {
+    encode_exo_timing(&run_exocore_timing(
+        &data.trace,
+        &data.ir,
+        core,
+        &data.plans,
+        assignment,
+    ))
+    .to_string()
+}
+
+/// `has_simd` is not in the timing class, so a `-S…` point's core must
+/// walk every assignment exactly as its base core does.
+#[test]
+fn simd_twin_walks_are_identical() {
+    let data = micro_data();
+    let (mut pairs, mut simd_pairs) = (0, 0);
+    for core in all_cores() {
+        let twin = core.clone().with_simd();
+        assert_eq!(core.timing_class(), twin.timing_class());
+        for w in &data {
+            for a in sweep_assignments(w, &core) {
+                assert_eq!(
+                    walk(w, &core, &a),
+                    walk(w, &twin, &a),
+                    "{} on {} under {:?}",
+                    w.name,
+                    core.name,
+                    a.map
+                );
+                pairs += 1;
+                simd_pairs += usize::from(a.map.values().any(|&k| k == BsaKind::Simd));
+            }
+        }
+    }
+    assert!(
+        pairs > 0 && simd_pairs > 0,
+        "{pairs} pairs, {simd_pairs} with SIMD"
+    );
+}
+
+/// The timing class holds no field a walk ignores: an edit of any one of
+/// its fields changes the class and at least one MICRO walk.
+#[test]
+fn every_timing_class_field_changes_a_walk() {
+    type Edit = (&'static str, fn() -> CoreConfig, fn(&mut CoreConfig));
+    let ooo2 = CoreConfig::ooo2;
+    let edits: [Edit; 10] = [
+        ("width", ooo2, |c| c.width += 1),
+        ("rob_size", ooo2, |c| c.rob_size /= 2),
+        ("window_size", ooo2, |c| c.window_size /= 2),
+        ("dcache_ports", ooo2, |c| c.dcache_ports += 1),
+        ("alus", ooo2, |c| c.alus -= 1),
+        ("muldivs", CoreConfig::ooo4, |c| c.muldivs = 1),
+        ("fpus", ooo2, |c| c.fpus += 1),
+        ("out_of_order", ooo2, |c| c.out_of_order = !c.out_of_order),
+        ("frontend_depth", ooo2, |c| c.frontend_depth += 2),
+        ("mispredict_penalty", ooo2, |c| c.mispredict_penalty += 4),
+    ];
+    assert_eq!(
+        CoreConfig::ooo2().timing_class().split(';').count(),
+        edits.len(),
+        "every field of the timing class needs an edit here"
+    );
+    let data = micro_data();
+    for (field, base, edit) in edits {
+        let base = base();
+        let mut edited = base.clone();
+        edit(&mut edited);
+        assert_ne!(base.timing_class(), edited.timing_class(), "{field}");
+        let moved = data.iter().any(|w| {
+            sweep_assignments(w, &base)
+                .iter()
+                .any(|a| walk(w, &base, a) != walk(w, &edited, a))
+        });
+        assert!(moved, "editing {field} changed no walk");
+    }
 }

@@ -150,13 +150,13 @@ impl CoreConfig {
     /// Two cores with equal timing classes produce bit-identical
     /// `run_exocore_timing` output for the same trace/IR/plans/schedule;
     /// only priced quantities (energy constants, area) may differ. The
-    /// display [`name`](CoreConfig::name) is deliberately excluded, so a
-    /// renamed or relabeled variant of the same microarchitecture shares
-    /// one walk.
+    /// display [`name`](CoreConfig::name) and `has_simd` (SIMD enters a
+    /// walk only through the assignment's SIMD transform) are excluded, so
+    /// a relabeled variant and a `-S…` point share their base core's walks.
     #[must_use]
     pub fn timing_class(&self) -> String {
         format!(
-            "w{};rob{};win{};dcp{};alu{};md{};fp{};ooo{};fe{};mp{};simd{}",
+            "w{};rob{};win{};dcp{};alu{};md{};fp{};ooo{};fe{};mp{}",
             self.width,
             self.rob_size,
             self.window_size,
@@ -167,7 +167,6 @@ impl CoreConfig {
             u8::from(self.out_of_order),
             self.frontend_depth,
             self.mispredict_penalty,
-            u8::from(self.has_simd),
         )
     }
 
@@ -272,7 +271,7 @@ mod tests {
         renamed.name = "OOO2-cheap".into();
         assert_eq!(a.timing_class(), renamed.timing_class());
         assert_ne!(a.timing_class(), CoreConfig::ooo4().timing_class());
-        assert_ne!(a.timing_class(), a.clone().with_simd().timing_class());
+        assert_eq!(a.timing_class(), a.clone().with_simd().timing_class());
         assert_ne!(CoreConfig::io2().timing_class(), a.timing_class());
     }
 
