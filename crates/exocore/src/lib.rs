@@ -11,8 +11,9 @@
 //! * [`oracle_schedule`] / [`oracle_table`] / [`oracle_pick`] — the
 //!   paper's Oracle scheduler (measured energy-delay, ≤10% region
 //!   slowdown); [`oracle_table_with`] builds the table from any trace-walk
-//!   timing provider, so `prism_pipeline::Session` measures it with the
-//!   same memoized walks its design points use,
+//!   timing provider, asked in the fixed [`oracle_assignments`] order, so
+//!   `prism_pipeline::Session` measures it with the same memoized walks
+//!   its design points use and stores them as one pack,
 //! * [`amdahl_schedule`] — the Amdahl-tree scheduler of §3.3 (static
 //!   estimates, no oracle information),
 //! * [`all_design_points`] / [`evaluate_point`] / [`DesignPoint`] — the
@@ -55,7 +56,7 @@ pub use dse::{
     WorkloadMetrics,
 };
 pub use schedule::{
-    amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,
-    oracle_table_with, CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
+    amdahl_schedule, oracle_assignments, oracle_pick, oracle_schedule, oracle_table,
+    oracle_table_budgeted, oracle_table_with, CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
 };
 pub use timeline::{switching_timeline, WindowPoint};

@@ -72,12 +72,38 @@ pub fn oracle_table_budgeted(
     oracle_table_with(data, core, budget, |a| Arc::new(walk(a)))
 }
 
+/// The walks an Oracle table measures, in its canonical order: the empty
+/// (baseline) assignment first, then one single-loop assignment per plan,
+/// by BSA in [`BsaKind::ALL`] order and by ascending [`LoopId`] within a
+/// BSA. The plans are hash maps, so this order is fixed here, not by
+/// their iteration; [`oracle_pick`] breaks exact gain ties by it.
+#[must_use]
+pub fn oracle_assignments(data: &WorkloadData) -> Vec<Assignment> {
+    let mut assignments = vec![Assignment::none()];
+    for kind in BsaKind::ALL {
+        let mut lids: Vec<LoopId> = match kind {
+            BsaKind::Simd => data.plans.simd.keys().copied().collect(),
+            BsaKind::DpCgra => data.plans.dp_cgra.keys().copied().collect(),
+            BsaKind::NsDf => data.plans.ns_df.keys().copied().collect(),
+            BsaKind::TraceP => data.plans.trace_p.keys().copied().collect(),
+        };
+        lids.sort_unstable();
+        for lid in lids {
+            let mut a = Assignment::none();
+            a.set(lid, kind);
+            assignments.push(a);
+        }
+    }
+    assignments
+}
+
 /// Builds the Oracle table from the walks `timing` provides on `core`,
-/// each priced with [`price_exocore`]: the baseline is the empty
-/// assignment with no BSAs, each candidate its one-loop assignment with
-/// that BSA. The budget covers the baseline plus every candidate, each
-/// charged [`NODES_PER_INST`] nodes per dynamic instruction before
-/// `timing` is asked, whether the provider walks or hits a memo.
+/// asked for in [`oracle_assignments`] order and each priced with
+/// [`price_exocore`]: the baseline is the empty assignment with no BSAs,
+/// each candidate its one-loop assignment with that BSA. The budget
+/// covers the baseline plus every candidate, each charged
+/// [`NODES_PER_INST`] nodes per dynamic instruction before `timing` is
+/// asked, whether the provider walks or hits a memo.
 ///
 /// # Errors
 ///
@@ -88,39 +114,32 @@ pub fn oracle_table_with(
     budget: &ExecBudget,
     timing: impl Fn(&Assignment) -> Arc<ExoTiming>,
 ) -> Result<OracleTable, BudgetExceeded> {
+    let assignments = oracle_assignments(data);
+    let (none, singles) = assignments.split_first().expect("the baseline comes first");
     let mut meter = budget.meter();
     charge_run(&mut meter, data.trace.len())?;
-    let baseline = price_exocore(&timing(&Assignment::none()), core, &[]);
+    let baseline = price_exocore(&timing(none), core, &[]);
     let base_ed = baseline.cycles as f64 * baseline.energy.total();
-    let mut candidates = Vec::new();
-    for kind in BsaKind::ALL {
-        let lids: Vec<LoopId> = match kind {
-            BsaKind::Simd => data.plans.simd.keys().copied().collect(),
-            BsaKind::DpCgra => data.plans.dp_cgra.keys().copied().collect(),
-            BsaKind::NsDf => data.plans.ns_df.keys().copied().collect(),
-            BsaKind::TraceP => data.plans.trace_p.keys().copied().collect(),
-        };
-        for lid in lids {
-            let mut a = Assignment::none();
-            a.set(lid, kind);
-            charge_run(&mut meter, data.trace.len())?;
-            let run = price_exocore(&timing(&a), core, &[kind]);
-            let ed = run.cycles as f64 * run.energy.total();
-            // Region share of baseline time, approximated by its dynamic-
-            // instruction share.
-            let region_share =
-                data.ir.loops.loops[lid as usize].dyn_insts as f64 / data.trace.len().max(1) as f64;
-            let slowdown = run.cycles as f64 - baseline.cycles as f64;
-            let allowed = MAX_REGION_SLOWDOWN * region_share * baseline.cycles as f64;
-            candidates.push(CandidateGain {
-                lid,
-                kind,
-                cycles: run.cycles,
-                energy: run.energy.total(),
-                ed_gain: base_ed - ed,
-                perf_ok: slowdown <= allowed.max(1.0),
-            });
-        }
+    let mut candidates = Vec::with_capacity(singles.len());
+    for a in singles {
+        let (&lid, &kind) = a.map.iter().next().expect("one loop per candidate");
+        charge_run(&mut meter, data.trace.len())?;
+        let run = price_exocore(&timing(a), core, &[kind]);
+        let ed = run.cycles as f64 * run.energy.total();
+        // Region share of baseline time, approximated by its dynamic-
+        // instruction share.
+        let region_share =
+            data.ir.loops.loops[lid as usize].dyn_insts as f64 / data.trace.len().max(1) as f64;
+        let slowdown = run.cycles as f64 - baseline.cycles as f64;
+        let allowed = MAX_REGION_SLOWDOWN * region_share * baseline.cycles as f64;
+        candidates.push(CandidateGain {
+            lid,
+            kind,
+            cycles: run.cycles,
+            energy: run.energy.total(),
+            ed_gain: base_ed - ed,
+            perf_ok: slowdown <= allowed.max(1.0),
+        });
     }
     Ok(OracleTable {
         baseline,
@@ -129,7 +148,9 @@ pub fn oracle_table_with(
 }
 
 /// Picks the Oracle assignment from a measured table, restricted to the
-/// `enabled` BSAs: best energy-delay first, greedy non-overlapping.
+/// `enabled` BSAs: best energy-delay first, greedy non-overlapping. The
+/// sort is stable, so candidates with exactly equal gains keep the
+/// table's [`oracle_assignments`] order.
 #[must_use]
 pub fn oracle_pick(table: &OracleTable, data: &WorkloadData, enabled: &[BsaKind]) -> Assignment {
     let mut ranked: Vec<&CandidateGain> = table

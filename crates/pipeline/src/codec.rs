@@ -1,7 +1,8 @@
 //! JSON encoding/decoding for the payloads the store and the wire carry:
-//! cached [`DesignResult`]s, trace-walk timing summaries ([`ExoTiming`])
-//! and pipeline errors. Traces themselves are never encoded: a trace is
-//! cheaper to re-simulate than to read back.
+//! cached [`DesignResult`]s, trace-walk timing summaries ([`ExoTiming`]),
+//! alone or packed per oracle table, and pipeline errors. Traces
+//! themselves are never encoded: a trace is cheaper to re-simulate than to
+//! read back.
 //!
 //! Decoding is strict: any missing or mistyped field yields `None`, which
 //! the session treats as a cache miss (recompute and overwrite) rather than
@@ -150,6 +151,45 @@ pub fn encode_exo_timing(t: &ExoTiming) -> Json {
         ),
         ("trace_replays".into(), Json::U64(t.trace_replays)),
     ])
+}
+
+/// Encodes an oracle walk pack: one `{assigned, timing}` entry per walk of
+/// one oracle table, in [`prism_exocore::oracle_assignments`] order, where
+/// `assigned` is the walk's shape-key label.
+pub(crate) fn encode_oracle_pack<'a>(
+    walks: impl IntoIterator<Item = (&'a str, &'a ExoTiming)>,
+) -> Json {
+    Json::Arr(
+        walks
+            .into_iter()
+            .map(|(assigned, t)| {
+                Json::Obj(vec![
+                    ("assigned".into(), Json::Str(assigned.into())),
+                    ("timing".into(), encode_exo_timing(t)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Decodes an oracle walk pack whose labels are exactly `labels`, in
+/// order; `None` for any other label list or a timing that does not
+/// decode.
+pub(crate) fn decode_oracle_pack(json: &Json, labels: &[String]) -> Option<Vec<ExoTiming>> {
+    let entries = json.as_arr()?;
+    if entries.len() != labels.len() {
+        return None;
+    }
+    entries
+        .iter()
+        .zip(labels)
+        .map(|(entry, label)| {
+            if entry.get("assigned")?.as_str()? != label {
+                return None;
+            }
+            decode_exo_timing(entry.get("timing")?)
+        })
+        .collect()
 }
 
 fn encode_energy_events(e: &EnergyEvents) -> Json {

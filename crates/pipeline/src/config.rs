@@ -38,8 +38,9 @@ const RETIRED: &str = "Every fault kind (store, stage, worker, link, crash) goes
      were removed (traces are re-simulated, never stored, in fixed 64 Ki-instruction \
      chunks); PRISM_GRID_SHARD was removed (a worker takes its shard from the \
      coordinator's hello); PRISM_GRID_TIMEOUT_MS was removed (the heartbeat timeout is \
-     10 s); PRISM_NO_FSYNC was removed (store puts and journal appends always fsync); \
-     PRISM_NO_TIMING_CACHE was removed (trace-walk timings are always stored); \
+     10 s); PRISM_NO_FSYNC was removed (a store put's durability follows from what the \
+     artifact is: design results and journal appends are fsynced, trace-walk timings are \
+     not); PRISM_NO_TIMING_CACHE was removed (trace-walk timings are always stored); \
      PRISM_WORKERS was removed (use `prism grid --workers N`; figure binaries read the \
      store it fills); PRISM_HOSTS was removed (use `prism grid --hosts`); \
      PRISM_DIVERGENCE was removed (the µDG is held to the reference simulator by the \

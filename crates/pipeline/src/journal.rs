@@ -1,7 +1,7 @@
 //! Append-only sweep journal: a per-sweep NDJSON write-ahead log that
 //! makes design-space sweeps resumable after a process kill.
 //!
-//! The content-addressed store already makes individual *artifacts*
+//! The content-addressed store already makes individual design results
 //! crash-safe (write-then-rename, fsynced), but sweep bookkeeping —
 //! which units finished, which quarantined — lived only in process
 //! memory. The journal persists exactly that: one file per sweep under
@@ -56,6 +56,7 @@ use crate::error::PipelineError;
 use crate::hash::{ContentHash, Sha256};
 use crate::json::Json;
 use crate::key::KeyBuilder;
+use crate::store::sync_dir;
 use crate::sweep::SweepReport;
 
 /// Journal format version, written into every header line. A reader
@@ -526,19 +527,6 @@ impl SweepLedger {
         }
         report
     }
-}
-
-/// Fsyncs a directory so a just-created/renamed entry survives power
-/// loss. Directory fsync is a unix concept; elsewhere this is a no-op.
-/// Errors are swallowed: some filesystems reject directory fsync, and a
-/// failed dir sync only widens the crash window, never corrupts.
-pub(crate) fn sync_dir(dir: &Path) {
-    #[cfg(unix)]
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
 }
 
 #[cfg(test)]

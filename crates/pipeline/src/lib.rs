@@ -45,10 +45,12 @@
 //!
 //! ## Crash consistency
 //!
-//! Store puts are fsync-then-rename durable, every sweep writes an
-//! append-only [`SweepJournal`] of settled units, and `--resume`
-//! replays it to skip completed work after a kill — producing
-//! byte-identical output. `prism explore` and the `prism-grid`
+//! A store put's durability follows from the artifact's role: design
+//! results are fsync-then-rename durable, and trace-walk timings, a cache
+//! a rerun recomputes, are renamed into place without the fsync pair.
+//! Every sweep writes an append-only [`SweepJournal`] of settled units,
+//! and `--resume` replays it to skip completed work after a kill —
+//! producing byte-identical output. `prism explore` and the `prism-grid`
 //! coordinator keep that journal through one [`SweepLedger`], so a sweep
 //! killed under one resumes under the other. A deterministic kill
 //! harness ([`crash_point`], armed by `PRISM_FAULTS=crash:<site>@<n>`)
@@ -93,6 +95,6 @@ pub use journal::{
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::parallel_map;
-pub use session::{PreparedWorkload, Session, SessionStats};
+pub use session::{PreparedWorkload, Session, SessionStats, TimingWrites};
 pub use store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 pub use sweep::SweepReport;

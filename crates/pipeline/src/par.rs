@@ -15,7 +15,7 @@ use std::sync::Mutex;
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads.
+/// Propagates a worker thread's panic, with its payload.
 pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -33,17 +33,29 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                // A slot holds plain data; recover rather than cascade a
-                // panic from another worker that died holding a lock.
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-            });
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let result = f(i, &items[i]);
+                    // A slot holds plain data; recover rather than cascade a
+                    // panic from another worker that died holding a lock.
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+                })
+            })
+            .collect();
+        // Join each worker rather than let the scope end: the scope ends
+        // when the closures return, before the threads exit and hand their
+        // malloc arenas back. The next fan-out's threads would then find
+        // no free arena and make new ones, while the old arenas keep the
+        // memory this fan-out's data freed.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots
@@ -74,6 +86,21 @@ mod tests {
         let items = vec!["a", "b", "c"];
         let out = parallel_map(&items, 2, |i, s| format!("{i}:{s}"));
         assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(&[1u32, 2, 3], 2, |_, &x| {
+                assert_ne!(x, 2, "worker panic");
+                x
+            })
+        })
+        .expect_err("the panic propagates");
+        let message = caught
+            .downcast_ref::<String>()
+            .expect("assert_ne! panics with a String");
+        assert!(message.contains("worker panic"), "{message}");
     }
 
     #[test]

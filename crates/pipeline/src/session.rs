@@ -9,12 +9,15 @@
 //! reuses every trace and recomputes only the affected oracle tables and
 //! design points. Oracle tables and design points take their trace walks
 //! from the same shape-keyed timing memo, so each distinct walk runs once
-//! per store.
+//! per store. An oracle table's walks are stored together, as one oracle
+//! walk pack per (workload, core timing class); a design point's other
+//! walks are stored one per file.
 //!
 //! All fan-out runs through [`parallel_map`], so results are reduced in
 //! canonical (input-index) order and a `--jobs 1` run is bit-identical to a
 //! `--jobs N` run.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, oracle_pick, oracle_table_with, DesignPoint, DesignResult,
-    OracleTable, WorkloadData, WorkloadMetrics,
+    all_bsa_subsets, all_cores, oracle_assignments, oracle_pick, oracle_table_with, DesignPoint,
+    DesignResult, OracleTable, WorkloadData, WorkloadMetrics,
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
@@ -32,7 +35,8 @@ use prism_udg::{CoreConfig, ExecBudget, NODES_PER_INST};
 use prism_workloads::Workload;
 
 use crate::codec::{
-    decode_design_result, decode_exo_timing, encode_design_result, encode_exo_timing,
+    decode_design_result, decode_exo_timing, decode_oracle_pack, encode_design_result,
+    encode_exo_timing, encode_oracle_pack,
 };
 use crate::config::Config;
 use crate::crash::{crash_point, SITE_UNIT_COMPLETE};
@@ -42,7 +46,7 @@ use crate::hash::{ContentHash, Sha256};
 use crate::journal::SweepLedger;
 use crate::key::KeyBuilder;
 use crate::par::parallel_map;
-use crate::store::{ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
+use crate::store::{ArtifactRole, ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 use crate::sweep::SweepReport;
 
 /// A workload prepared by a [`Session`]: its content key plus the shared
@@ -63,6 +67,32 @@ impl Deref for PreparedWorkload {
     }
 }
 
+/// Timing artifacts a session wrote to its store: oracle walk packs and
+/// design-point walks stored one per file.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimingWrites {
+    /// Oracle walk packs, one per oracle table measured without one.
+    pub packs: u64,
+    /// Walks those packs hold.
+    pub pack_walks: u64,
+    /// Design-point walks stored on their own.
+    pub walks: u64,
+}
+
+impl TimingWrites {
+    /// Artifact files written: packs plus single walks.
+    #[must_use]
+    pub fn artifacts(&self) -> u64 {
+        self.packs + self.walks
+    }
+
+    /// Walks the written artifacts hold.
+    #[must_use]
+    pub fn walks_held(&self) -> u64 {
+        self.pack_walks + self.walks
+    }
+}
+
 /// Aggregate cache counters for one session. Oracle tables have no
 /// counter of their own: their walks are trace walks like any other, and
 /// pricing them is negligible.
@@ -77,8 +107,12 @@ pub struct SessionStats {
     /// Timing requests satisfied by the in-process µDG shape memo.
     pub shape_memo_hits: u64,
     /// Timing summaries loaded from the persistent artifact store
-    /// instead of recomputed.
+    /// instead of recomputed (a loaded pack counts each walk it holds).
     pub timing_artifacts_loaded: u64,
+    /// Timing artifacts written to the store. Every one is a store miss
+    /// and a store recompute, so `recomputes` minus
+    /// [`artifacts`](TimingWrites::artifacts) counts design results.
+    pub timing_written: TimingWrites,
     /// Trace walks avoided (shape-memo hits + timing artifacts loaded).
     pub walks_skipped: u64,
     /// Trace walks actually performed ([`run_exocore_timing`]), for
@@ -134,6 +168,7 @@ impl SessionStats {
              memo           : {} hits, {} misses\n\
              trace walks    : {} performed, {} skipped \
              ({} shape-memo hits, {} timing artifacts loaded)\n\
+             timing artifacts : {} written ({} oracle packs holding {} walks, {} walks)\n\
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              walk throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage busy     : sim {} ms, uDG {} ms, transforms {} ms \
@@ -152,6 +187,10 @@ impl SessionStats {
             self.walks_skipped,
             self.shape_memo_hits,
             self.timing_artifacts_loaded,
+            self.timing_written.artifacts(),
+            self.timing_written.packs,
+            self.timing_written.pack_walks,
+            self.timing_written.walks,
             self.sim_insts,
             self.sim_nanos / 1_000_000,
             self.insts_per_sec(),
@@ -207,6 +246,17 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
+/// The `assigned` label of a walk: its (loop, BSA) pairs in loop order, as
+/// a shape key hashes them and an oracle walk pack lists them.
+fn assigned_label(assignment: &Assignment) -> String {
+    let mut pairs: Vec<_> = assignment.map.iter().map(|(&l, &k)| (l, k)).collect();
+    pairs.sort_unstable();
+    pairs
+        .iter()
+        .map(|(l, k)| format!("{l}={};", k.code()))
+        .collect()
+}
+
 /// One shape key's slot in the session's timing memo: filled once, by the
 /// first request, while concurrent requests for the same key wait.
 type TimingCell = Arc<OnceLock<Arc<ExoTiming>>>;
@@ -228,6 +278,9 @@ pub struct Session {
     memo_misses: AtomicU64,
     shape_memo_hits: AtomicU64,
     timing_artifacts_loaded: AtomicU64,
+    packs_written: AtomicU64,
+    pack_walks_written: AtomicU64,
+    walks_written: AtomicU64,
     walks_skipped: AtomicU64,
     trace_walks: AtomicU64,
     walk_insts: AtomicU64,
@@ -290,6 +343,9 @@ impl Session {
             memo_misses: AtomicU64::new(0),
             shape_memo_hits: AtomicU64::new(0),
             timing_artifacts_loaded: AtomicU64::new(0),
+            packs_written: AtomicU64::new(0),
+            pack_walks_written: AtomicU64::new(0),
+            walks_written: AtomicU64::new(0),
             walks_skipped: AtomicU64::new(0),
             trace_walks: AtomicU64::new(0),
             walk_insts: AtomicU64::new(0),
@@ -574,10 +630,13 @@ impl Session {
 
     /// The oracle table for `workload` on `core`'s base configuration,
     /// memoized per (workload key, core) and metered against the session's
-    /// execution budget. Its baseline and candidate walks come from the
-    /// session's shape-keyed timing memo, so they share its counters and
-    /// stored timing artifacts with every design point: a table whose
-    /// walks are all stored is rebuilt by pricing alone.
+    /// execution budget. Its walks (the baseline and every candidate, in
+    /// [`oracle_assignments`] order) come from the session's shape-keyed
+    /// timing memo, so design points share them. They are stored together
+    /// as one **oracle walk pack** per (workload, core timing class): a
+    /// table whose pack is stored is rebuilt by pricing alone, and one
+    /// without walks through the memo and stores its pack once. A pack
+    /// whose `assigned` labels differ from the table's is a miss.
     ///
     /// # Errors
     ///
@@ -602,10 +661,44 @@ impl Session {
             return Ok(Arc::clone(table));
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        let labels: Vec<String> = oracle_assignments(&workload.data)
+            .iter()
+            .map(assigned_label)
+            .collect();
+        let mut kb = KeyBuilder::new("oracle-walks");
+        kb.hash_field("workload", &workload.key);
+        kb.core_timing(core);
+        let pack_key = kb.finish();
+        let stored: Option<Vec<Arc<ExoTiming>>> = self
+            .store
+            .load(&pack_key)
+            .and_then(|payload| decode_oracle_pack(&payload, &labels))
+            .map(|pack| pack.into_iter().map(Arc::new).collect());
+        // The walks in request order; on a hit, its length indexes the pack.
+        let walks = RefCell::new(Vec::with_capacity(labels.len()));
         let table = oracle_table_with(&workload.data, core, &self.budget, |assignment| {
-            self.exo_timing(workload, core, assignment)
+            debug_assert_eq!(assigned_label(assignment), labels[walks.borrow().len()]);
+            let key = self.shape_key(workload, core, assignment);
+            let timing = self.memo_timing(key, || match &stored {
+                Some(pack) => self.loaded(Arc::clone(&pack[walks.borrow().len()])),
+                None => self.walk(workload, core, assignment),
+            });
+            walks.borrow_mut().push(Arc::clone(&timing));
+            timing
         })
         .map_err(|e| PipelineError::budget(&workload.name, &e))?;
+        if stored.is_none() {
+            let walks = walks.into_inner();
+            let pack = labels
+                .iter()
+                .map(String::as_str)
+                .zip(walks.iter().map(|t| &**t));
+            self.store
+                .put(&pack_key, encode_oracle_pack(pack), ArtifactRole::Cache);
+            self.packs_written.fetch_add(1, Ordering::Relaxed);
+            self.pack_walks_written
+                .fetch_add(walks.len() as u64, Ordering::Relaxed);
+        }
         let table = Arc::new(table);
         self.tables
             .lock()
@@ -620,8 +713,8 @@ impl Session {
     /// (display name and SIMD presence excluded, so variants differing
     /// only in priced parameters share one walk) and the sorted transform
     /// assignment. The execution budget is charged before the walk is
-    /// requested, not read by it. Both the in-process timing memo and the
-    /// persistent timing artifacts are keyed by it.
+    /// requested, not read by it. The in-process timing memo and the
+    /// design-point timing artifacts are keyed by it.
     #[must_use]
     pub fn shape_key(
         &self,
@@ -632,31 +725,18 @@ impl Session {
         let mut kb = KeyBuilder::new("exo-timing-shape");
         kb.hash_field("workload", &workload.key);
         kb.core_timing(core);
-        let mut pairs: Vec<_> = assignment.map.iter().map(|(&l, &k)| (l, k)).collect();
-        pairs.sort_unstable();
-        let assigned: String = pairs
-            .iter()
-            .map(|(l, k)| format!("{l}={};", k.code()))
-            .collect();
-        kb.field("assigned", assigned);
+        kb.field("assigned", assigned_label(assignment));
         kb.finish()
     }
 
-    /// The trace-walk timing for (workload, core variant, assignment),
-    /// memoized for the session's lifetime under the [µDG shape
-    /// key](Session::shape_key) and persisted to the artifact store, so a
-    /// warm run loads the summary instead of walking the trace. Concurrent
-    /// requests for one key wait for a single walk. A corrupt or stale
-    /// stored timing degrades to a recompute (the store validates on load,
-    /// the decoder is strict). Counts against the session's memo and walk
-    /// stats and the µDG stage busy time.
-    fn exo_timing(
+    /// The memoized timing of shape `key`, filled by `fill` on the first
+    /// request while concurrent requests for the key wait. Counts against
+    /// the session's memo and shape-memo stats.
+    fn memo_timing(
         &self,
-        workload: &PreparedWorkload,
-        core: &CoreConfig,
-        assignment: &Assignment,
+        key: ContentHash,
+        fill: impl FnOnce() -> Arc<ExoTiming>,
     ) -> Arc<ExoTiming> {
-        let key = self.shape_key(workload, core, assignment);
         let cell = Arc::clone(
             self.timings
                 .lock()
@@ -668,30 +748,7 @@ impl Session {
         let timing = cell.get_or_init(|| {
             filled = true;
             self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(timing) = self
-                .store
-                .load(&key)
-                .and_then(|payload| decode_exo_timing(&payload))
-            {
-                self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
-                self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-                return Arc::new(timing);
-            }
-            let started = std::time::Instant::now();
-            let timing = Arc::new(run_exocore_timing(
-                &workload.trace,
-                &workload.ir,
-                core,
-                &workload.plans,
-                assignment,
-            ));
-            self.udg_nanos
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.trace_walks.fetch_add(1, Ordering::Relaxed);
-            self.walk_insts
-                .fetch_add(workload.trace.len() as u64, Ordering::Relaxed);
-            self.store.save(&key, encode_exo_timing(&timing));
-            timing
+            fill()
         });
         if !filled {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -699,6 +756,67 @@ impl Session {
             self.walks_skipped.fetch_add(1, Ordering::Relaxed);
         }
         Arc::clone(timing)
+    }
+
+    /// Counts `timing` as loaded from the store instead of walked.
+    fn loaded(&self, timing: Arc<ExoTiming>) -> Arc<ExoTiming> {
+        self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
+        self.walks_skipped.fetch_add(1, Ordering::Relaxed);
+        timing
+    }
+
+    /// One trace walk ([`run_exocore_timing`]), counted in the walk stats
+    /// and the µDG stage busy time.
+    fn walk(
+        &self,
+        workload: &PreparedWorkload,
+        core: &CoreConfig,
+        assignment: &Assignment,
+    ) -> Arc<ExoTiming> {
+        let started = std::time::Instant::now();
+        let timing = Arc::new(run_exocore_timing(
+            &workload.trace,
+            &workload.ir,
+            core,
+            &workload.plans,
+            assignment,
+        ));
+        self.udg_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.trace_walks.fetch_add(1, Ordering::Relaxed);
+        self.walk_insts
+            .fetch_add(workload.trace.len() as u64, Ordering::Relaxed);
+        timing
+    }
+
+    /// A design point's trace-walk timing for (workload, core variant,
+    /// assignment): the [shape-keyed](Session::shape_key) memo, else the
+    /// walk stored under that key, else a walk stored there. The oracle
+    /// table's walks are always in the memo by then, so only a design
+    /// point's multi-loop assignments reach the store. A corrupt or stale
+    /// stored timing degrades to a recompute (the store validates on load,
+    /// the decoder is strict).
+    fn exo_timing(
+        &self,
+        workload: &PreparedWorkload,
+        core: &CoreConfig,
+        assignment: &Assignment,
+    ) -> Arc<ExoTiming> {
+        let key = self.shape_key(workload, core, assignment);
+        self.memo_timing(key, || {
+            if let Some(timing) = self
+                .store
+                .load(&key)
+                .and_then(|payload| decode_exo_timing(&payload))
+            {
+                return self.loaded(Arc::new(timing));
+            }
+            let timing = self.walk(workload, core, assignment);
+            self.store
+                .put(&key, encode_exo_timing(&timing), ArtifactRole::Cache);
+            self.walks_written.fetch_add(1, Ordering::Relaxed);
+            timing
+        })
     }
 
     fn evaluate_point(
@@ -1051,6 +1169,11 @@ impl Session {
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
             shape_memo_hits: self.shape_memo_hits.load(Ordering::Relaxed),
             timing_artifacts_loaded: self.timing_artifacts_loaded.load(Ordering::Relaxed),
+            timing_written: TimingWrites {
+                packs: self.packs_written.load(Ordering::Relaxed),
+                pack_walks: self.pack_walks_written.load(Ordering::Relaxed),
+                walks: self.walks_written.load(Ordering::Relaxed),
+            },
             walks_skipped: self.walks_skipped.load(Ordering::Relaxed),
             trace_walks: self.trace_walks.load(Ordering::Relaxed),
             walk_insts: self.walk_insts.load(Ordering::Relaxed),

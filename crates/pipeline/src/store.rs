@@ -3,10 +3,15 @@
 //! files are *detected* and discarded with a warning — never silently
 //! reused and never a panic.
 //!
-//! Durability: puts are write-then-rename with the tmp file fsynced before
-//! the rename and the parent directory fsynced after it, so a crash (or
-//! power loss) can lose at most the artifact being written — never surface
-//! a torn or empty file under a final name.
+//! Durability follows from an artifact's role. Every put writes a private
+//! tmp file and renames it over the final name, so a concurrent reader
+//! sees the old file or the new one, never a torn one. A design result —
+//! what a rerun settles from, and what a journal `done` record names — is
+//! fsynced before the rename and its directory after it, so a power loss
+//! loses at most the artifact being written. A trace-walk timing, a cache,
+//! skips that fsync pair: after a power loss it may be empty or torn under
+//! its final name, and then its checksum fails, the load is a miss, and
+//! the walk is done again.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +21,6 @@ use std::time::Duration;
 use crate::crash::{crash_point, SITE_STORE_PUT};
 use crate::fault::FaultPlan;
 use crate::hash::{ContentHash, Sha256};
-use crate::journal::sync_dir;
 use crate::json::Json;
 use crate::key::SCHEMA_VERSION;
 
@@ -52,6 +56,19 @@ pub struct StoreStats {
     pub recomputes: u64,
     /// Bytes reclaimed by garbage-collecting orphaned tmp files.
     pub gc_reclaimed_bytes: u64,
+}
+
+/// What an artifact is to a rerun, which decides how durably
+/// [`ArtifactStore::put`] writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ArtifactRole {
+    /// A design result: a rerun settles from it and a journal `done`
+    /// record names it, so the put fsyncs the file before the rename and
+    /// the directory after it.
+    Result,
+    /// A trace-walk timing: a rerun can recompute it, and nothing names
+    /// it, so the put renames it into place without the fsync pair.
+    Cache,
 }
 
 /// A content-addressed artifact directory.
@@ -212,10 +229,18 @@ impl ArtifactStore {
         Ok(payload)
     }
 
-    /// Stores `payload` under `key`. Transient I/O failures are retried
-    /// with bounded backoff; persistent failures are reported as warnings,
-    /// not errors: a read-only cache degrades to recompute-every-time.
+    /// Stores the result `payload` under `key`, durably: the file is
+    /// fsynced before its rename and the directory after it. Transient
+    /// I/O failures are retried with bounded backoff; persistent failures
+    /// are reported as warnings, not errors: a read-only cache degrades to
+    /// recompute-every-time.
     pub fn save(&self, key: &ContentHash, payload: Json) {
+        self.put(key, payload, ArtifactRole::Result);
+    }
+
+    /// Stores `payload` under `key` with the durability its `role` needs,
+    /// retrying and warning as [`save`](Self::save) does.
+    pub(crate) fn put(&self, key: &ContentHash, payload: Json, role: ArtifactRole) {
         let sum = payload_sum(&payload.to_string());
         let doc = Json::Obj(vec![
             ("schema".into(), Json::U64(u64::from(SCHEMA_VERSION))),
@@ -225,7 +250,7 @@ impl ArtifactStore {
         ]);
         let op = format!("save:{}", key.short());
         self.recomputes.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.with_retry(&op, |site| self.try_save(key, &doc, site)) {
+        if let Err(e) = self.with_retry(&op, |site| self.try_put(key, &doc, role, site)) {
             eprintln!(
                 "[prism-pipeline] failed to store artifact {} after {IO_ATTEMPTS} attempts: {e}",
                 self.path_for(key).display()
@@ -301,13 +326,19 @@ impl ArtifactStore {
         (evicted, bytes)
     }
 
-    /// One save attempt. `site` names this attempt for deterministic fault
+    /// One put attempt. `site` names this attempt for deterministic fault
     /// injection.
     ///
     /// # Errors
     ///
     /// Returns the underlying (or injected) I/O error.
-    fn try_save(&self, key: &ContentHash, doc: &Json, site: &str) -> std::io::Result<()> {
+    fn try_put(
+        &self,
+        key: &ContentHash,
+        doc: &Json,
+        role: ArtifactRole,
+        site: &str,
+    ) -> std::io::Result<()> {
         if let Some(f) = &self.faults {
             if f.store_io_error(site) {
                 return Err(std::io::Error::other(format!(
@@ -315,20 +346,22 @@ impl ArtifactStore {
                 )));
             }
         }
-        self.write_durable(&self.path_for(key), doc.to_string().as_bytes())
+        self.write(&self.path_for(key), doc.to_string().as_bytes(), role)
     }
 
-    /// The durable put protocol of [`save`](Self::save):
-    /// write-then-rename so concurrent readers
-    /// never see a torn file. The tmp name embeds (pid, sequence) so the
-    /// store is safe to share between grid worker processes *and* between
-    /// threads of one process racing on the same key: every writer gets a
-    /// private tmp file, and the rename is atomic per key.
-    fn write_durable(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    /// The put protocol of [`put`](Self::put): write-then-rename so
+    /// concurrent readers never see a torn file, with the fsync pair for a
+    /// [`Result`](ArtifactRole::Result) only. The tmp name embeds (pid,
+    /// sequence) so the store is safe to share between grid worker
+    /// processes *and* between threads of one process racing on the same
+    /// key: every writer gets a private tmp file, and the rename is atomic
+    /// per key.
+    fn write(&self, path: &Path, bytes: &[u8], role: ArtifactRole) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+        let durable = role == ArtifactRole::Result;
         {
             use std::io::Write;
             let mut f = std::fs::File::create(&tmp)?;
@@ -336,13 +369,17 @@ impl ArtifactStore {
             // fsync *before* the rename: once the final name exists, its
             // content must already be on stable storage — otherwise a
             // crash can surface an empty/torn file under the final name.
-            f.sync_all()?;
+            if durable {
+                f.sync_all()?;
+            }
         }
         crash_point(SITE_STORE_PUT);
         std::fs::rename(&tmp, path)?;
         // And fsync the directory *after* the rename so the new entry
         // itself survives power loss.
-        sync_dir(&self.dir);
+        if durable {
+            sync_dir(&self.dir);
+        }
         Ok(())
     }
 
@@ -407,6 +444,19 @@ impl ArtifactStore {
             gc_reclaimed_bytes: self.gc_reclaimed.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Fsyncs a directory so a just-created/renamed entry survives power
+/// loss. Directory fsync is a unix concept; elsewhere this is a no-op.
+/// Errors are swallowed: some filesystems reject directory fsync, and a
+/// failed dir sync only widens the crash window, never corrupts.
+pub(crate) fn sync_dir(dir: &Path) {
+    #[cfg(unix)]
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    #[cfg(not(unix))]
+    let _ = dir;
 }
 
 /// SHA-256 hex of a serialized payload — the `sum` envelope field.

@@ -114,11 +114,11 @@ fn partial_journal_resumes_to_identical_report() {
     let stats = session.stats();
     assert_eq!(stats.resumed, (total / 2) as u64, "{stats:?}");
     assert_eq!(stats.replayed, (total / 2) as u64, "{stats:?}");
-    // `recomputes` counts every store save, and each trace walk also
-    // saves a shape-keyed timing artifact — subtract those to get the
+    // `recomputes` counts every store save, timing artifacts (oracle walk
+    // packs and single walks) included — subtract those to get the
     // design-point recomputes.
     assert_eq!(
-        stats.artifacts.recomputes - stats.trace_walks,
+        stats.artifacts.recomputes - stats.timing_written.artifacts(),
         (total - total / 2) as u64,
         "journaled units must not be recomputed: {stats:?}"
     );
@@ -183,7 +183,7 @@ fn legacy_diverged_quarantine_is_dropped_and_recomputed() {
     let stats = session.stats();
     assert_eq!(stats.resumed, 2, "{stats:?}");
     assert_eq!(
-        stats.artifacts.recomputes - stats.trace_walks,
+        stats.artifacts.recomputes - stats.timing_written.artifacts(),
         (total - 2) as u64,
         "every unit but the two replayed ones is recomputed: {stats:?}"
     );

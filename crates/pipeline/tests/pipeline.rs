@@ -1,6 +1,7 @@
 //! End-to-end pipeline tests: artifact-cache round-trips, content-key
 //! invalidation, and the determinism guarantee (`--jobs 1` ≡ `--jobs N`).
 
+use prism_exocore::{oracle_assignments, WorkloadData};
 use prism_pipeline::{Json, Session};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
@@ -63,13 +64,16 @@ fn artifact_cache_roundtrip_hits_on_second_run() {
         .expect("cold run");
     let s = cold.stats();
     assert_eq!(s.artifacts.hits, 0);
-    // Every design point misses once, and each distinct timing shape
-    // attempts (and misses) a timing-artifact load before its walk.
+    // Every design point misses once, and each timing artifact written
+    // (an oracle table's walk pack, or a design point's own walk) missed
+    // its load first.
     assert_eq!(
         s.artifacts.misses,
-        (cores.len() * subsets.len()) as u64 + s.trace_walks,
+        (cores.len() * subsets.len()) as u64 + s.timing_written.artifacts(),
         "{s:?}"
     );
+    // The written artifacts hold every walk, each once.
+    assert_eq!(s.timing_written.walks_held(), s.trace_walks, "{s:?}");
 
     // Warm run in a fresh session: every point loads from disk — no
     // tracing happens at all (the workload memo stays empty).
@@ -112,13 +116,14 @@ fn tracer_config_change_invalidates_artifacts() {
         s.artifacts.hits, 0,
         "changed tracer config must miss every artifact"
     );
-    // Changed trace identity changes timing shapes too, so each walk's
-    // load-before-walk also misses.
+    // Changed trace identity changes timing shapes too, so each timing
+    // artifact's load-before-write also misses.
     assert_eq!(
         s.artifacts.misses,
-        (cores.len() * subsets.len()) as u64 + s.trace_walks,
+        (cores.len() * subsets.len()) as u64 + s.timing_written.artifacts(),
         "{s:?}"
     );
+    assert_eq!(s.timing_written.walks_held(), s.trace_walks, "{s:?}");
 }
 
 #[test]
@@ -135,22 +140,29 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
 
     // Truncate one *design* artifact and swap valid JSON of the wrong
     // shape into another; both must be treated as misses and recomputed.
-    // (Timing artifacts — payloads carrying `timeline_len` — share the
-    // store; skip them so exactly two design points are hit.)
+    // (Timing artifacts share the store; a design result is the payload
+    // object with `per_workload`, so exactly two design points are hit.)
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("store dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            let text = std::fs::read_to_string(p).expect("read artifact");
+        .filter_map(|e| {
+            let path = e.expect("dir entry").path();
+            let text = std::fs::read_to_string(&path).expect("read artifact");
             let doc = Json::parse(&text).expect("parse artifact");
-            doc.get("payload")
-                .map(|pl| pl.get("timeline_len").is_none())
-                .unwrap_or(true)
+            let payload = doc.get("payload")?;
+            payload.get("per_workload")?;
+            let label = payload.get("label")?.as_str()?.to_string();
+            Some((path, label))
         })
         .collect();
+    assert_eq!(files.len(), cores.len() * subsets.len());
     files.sort();
-    std::fs::write(&files[0], "{ truncated").expect("corrupt file");
-    std::fs::write(&files[1], Json::Obj(vec![]).to_string()).expect("wrong shape");
+    std::fs::write(&files[0].0, "{ truncated").expect("corrupt file");
+    std::fs::write(&files[1].0, Json::Obj(vec![]).to_string()).expect("wrong shape");
+    // The recomputed points' cores, by their labels' core name.
+    let recomputed_cores: std::collections::BTreeSet<&str> = files[..2]
+        .iter()
+        .map(|(_, label)| label.split('-').next().expect("a label names its core"))
+        .collect();
 
     let b = clean_session().with_store_dir(&dir);
     let second = b
@@ -160,11 +172,26 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
     assert_eq!(first, second);
     let s = b.stats();
     assert_eq!(s.artifacts.misses, 2, "{s:?}");
+    assert_eq!(s.artifacts.recomputes, 2, "{s:?}");
+    assert_eq!(s.timing_written.artifacts(), 0, "{s:?}");
     // The 6 intact design points hit, and the 2 recomputed points reuse
-    // the first run's (uncorrupted) timing artifacts instead of walking.
+    // the first run's (uncorrupted) timing artifacts instead of walking:
+    // one stored walk pack per (recomputed core, workload) serves its
+    // whole oracle table, and every other timing loaded is one stored
+    // walk, each read once.
+    let packs = (recomputed_cores.len() * workloads.len()) as u64;
+    let pack_walks: u64 = workloads
+        .iter()
+        .map(|w| {
+            let data = WorkloadData::prepare_with(&(w.build)(w.scaled_n()), &quick_tracer())
+                .expect("micro workloads trace");
+            oracle_assignments(&data).len() as u64
+        })
+        .sum::<u64>()
+        * recomputed_cores.len() as u64;
     assert_eq!(
         s.artifacts.hits,
-        (cores.len() * subsets.len()) as u64 - 2 + s.timing_artifacts_loaded,
+        (cores.len() * subsets.len()) as u64 - 2 + packs + s.timing_artifacts_loaded - pack_walks,
         "{s:?}"
     );
     assert_eq!(s.trace_walks, 0, "timing artifacts must cover the walks");

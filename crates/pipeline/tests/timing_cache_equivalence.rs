@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, headline_claims, oracle_pick, DesignPoint, DesignResult,
-    WorkloadData,
+    all_bsa_subsets, all_cores, headline_claims, oracle_assignments, oracle_pick, DesignPoint,
+    DesignResult, WorkloadData,
 };
-use prism_pipeline::{encode_exo_timing, FaultPlan, Session, SweepReport};
+use prism_pipeline::{encode_exo_timing, FaultPlan, Json, Session, SweepReport, TimingWrites};
 use prism_sim::TracerConfig;
 use prism_tdg::{run_exocore_timing, Assignment, BsaKind};
 use prism_udg::{CoreConfig, ExecBudget};
@@ -365,6 +365,111 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
         fingerprint(&warm),
         fingerprint(&reference(&workloads, &[io2_twin()], &subsets))
     );
+}
+
+/// Timing artifacts are written without the fsync pair, so after a power
+/// loss one may be empty or torn under its final name. Each is a miss and
+/// a walk, never an error: a fresh session walks exactly the torn walks
+/// again, stores them again and returns the same report. (Two workloads
+/// whose 20 000-instruction traces give design points multi-loop picks,
+/// so the store holds single walks besides the oracle walk packs.)
+#[test]
+fn torn_timing_artifacts_are_misses_never_errors() {
+    let workloads: Vec<&Workload> = ["cjpeg-1", "mpeg2enc"]
+        .iter()
+        .map(|name| prism_workloads::by_name(name).expect("registered"))
+        .collect();
+    let (cores, subsets) = (all_cores(), all_bsa_subsets());
+    let dir = fresh_dir("torn");
+    let session = || {
+        session_at(&dir).with_tracer(TracerConfig {
+            max_insts: 20_000,
+            ..TracerConfig::default()
+        })
+    };
+    let cold = healthy(session().evaluate_designs(&workloads, &cores, &subsets));
+
+    // Oracle walk packs are arrays of walks, design results objects with
+    // `per_workload`, single walks the other objects. Delete the design
+    // results, so every point is evaluated again from the timings.
+    let (mut packs, mut walks) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(&dir).expect("store dir exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read artifact");
+        let doc = Json::parse(&text).expect("parse artifact");
+        let payload = doc.get("payload").expect("an envelope has a payload");
+        if let Some(pack) = payload.as_arr() {
+            packs.push((path, pack.len() as u64));
+        } else if payload.get("per_workload").is_some() {
+            std::fs::remove_file(&path).expect("remove design result");
+        } else {
+            walks.push(path);
+        }
+    }
+    packs.sort();
+    walks.sort();
+    assert!(packs.len() >= 2 && !walks.is_empty(), "{packs:?} {walks:?}");
+    std::fs::write(&packs[0].0, b"").expect("empty a pack");
+    let text = std::fs::read(&packs[1].0).expect("read a pack");
+    std::fs::write(&packs[1].0, &text[..text.len() / 2]).expect("cut a pack");
+    std::fs::write(&walks[0], b"").expect("empty a walk");
+
+    let session = session();
+    let again = healthy(session.evaluate_designs(&workloads, &cores, &subsets));
+    assert_eq!(fingerprint(&again), fingerprint(&cold));
+    let stats = session.stats();
+    let torn_walks = packs[0].1 + packs[1].1;
+    assert_eq!(stats.trace_walks, torn_walks + 1, "{stats:?}");
+    assert_eq!(
+        stats.timing_written,
+        TimingWrites {
+            packs: 2,
+            pack_walks: torn_walks,
+            walks: 1,
+        }
+    );
+    assert_eq!(stats.artifacts.discarded, 3, "{stats:?}");
+    assert_eq!(stats.artifacts.io_errors, 0, "{stats:?}");
+}
+
+/// An oracle table lists its candidates in [`oracle_assignments`] order,
+/// by BSA in `BsaKind::ALL` order and then by ascending loop, whatever
+/// order the plans' hash maps iterate in: an oracle walk pack is
+/// positional in that order, and `oracle_pick` breaks exact gain ties by
+/// it.
+#[test]
+fn oracle_candidates_follow_the_canonical_assignment_order() {
+    let core = CoreConfig::io2();
+    let mut multi_loop_kinds = 0;
+    for w in registry() {
+        let data = quick_data(w);
+        let assignments = oracle_assignments(&data);
+        assert!(assignments[0].map.is_empty(), "{}: baseline first", w.name);
+        let table = prism_exocore::oracle_table(&data, &core);
+        assert_eq!(table.candidates.len() + 1, assignments.len(), "{}", w.name);
+        for (c, a) in table.candidates.iter().zip(&assignments[1..]) {
+            assert_eq!(a.map.len(), 1, "{}", w.name);
+            assert_eq!(a.map.get(&c.lid), Some(&c.kind), "{}", w.name);
+        }
+        let order: Vec<_> = table
+            .candidates
+            .iter()
+            .map(|c| (BsaKind::ALL.iter().position(|&k| k == c.kind), c.lid))
+            .collect();
+        assert!(
+            order.windows(2).all(|p| p[0] < p[1]),
+            "{}: {order:?}",
+            w.name
+        );
+        multi_loop_kinds += BsaKind::ALL
+            .iter()
+            .filter(|&&k| table.candidates.iter().filter(|c| c.kind == k).count() > 1)
+            .count();
+    }
+    assert!(multi_loop_kinds > 0, "no BSA plans more than one loop");
 }
 
 #[test]

@@ -102,11 +102,15 @@ fn child_explore() -> ! {
     print_report(&report);
     let stats = session.stats();
     // `recomputes` counts every store save — design results *and* timing
-    // artifacts (one per trace walk performed) — so the parent subtracts
-    // `walks` to recover the design-result recompute count.
+    // artifacts (oracle walk packs and single walks) — so the parent
+    // subtracts `timing_written` to recover the design-result recompute
+    // count.
     write_stats_file(format!(
-        "resumed={} replayed={} recomputes={} walks={}\n",
-        stats.resumed, stats.replayed, stats.artifacts.recomputes, stats.trace_walks
+        "resumed={} replayed={} recomputes={} timing_written={}\n",
+        stats.resumed,
+        stats.replayed,
+        stats.artifacts.recomputes,
+        stats.timing_written.artifacts()
     ));
     std::process::exit(report.exit_code());
 }
@@ -190,8 +194,9 @@ fn read_stats(store: &Path, key: &str) -> u64 {
 
 /// Point-result artifacts currently durable in the store (top level only;
 /// journals live in a subdirectory). Timing artifacts share the flat
-/// namespace but are pure cache warmth, so they are told apart by their
-/// payload shape (only timing summaries carry `timeline_len`) and
+/// namespace but are pure cache warmth, so a design result is told apart
+/// by its payload shape (an object with `per_workload`; a walk is an
+/// object without it, an oracle walk pack an array) and the rest are
 /// excluded from the recompute accounting.
 fn artifacts_on_disk(store: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(store) else {
@@ -208,7 +213,7 @@ fn artifacts_on_disk(store: &Path) -> u64 {
             std::fs::read_to_string(e.path())
                 .ok()
                 .and_then(|text| Json::parse(&text).ok())
-                .and_then(|doc| doc.get("payload").map(|p| p.get("timeline_len").is_none()))
+                .and_then(|doc| doc.get("payload").map(|p| p.get("per_workload").is_some()))
                 .unwrap_or(false)
         })
         .count() as u64
@@ -257,7 +262,7 @@ fn explore_round(reference: &str, site: &str, hit: u64) {
         "{spec}: every journaled unit must be resumed"
     );
     assert_eq!(
-        read_stats(&store, "recomputes") - read_stats(&store, "walks"),
+        read_stats(&store, "recomputes") - read_stats(&store, "timing_written"),
         total - saved,
         "{spec}: only units without durable artifacts may recompute"
     );
