@@ -362,7 +362,7 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
 
 /// A fixed integer-hash spin loop measuring this machine's scalar
 /// throughput in Mops (best of three samples, for the same
-/// noise-robustness as [`bench_secs`]). Deterministic work, no
+/// noise-robustness as `bench_secs`). Deterministic work, no
 /// allocation — the ratio of two hosts' calibrations approximates their
 /// single-thread speed ratio.
 #[must_use]

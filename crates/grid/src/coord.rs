@@ -2,7 +2,7 @@
 //! fleet of workers — local subprocesses and/or remote TCP daemons —
 //! supervises them by heartbeat, retries quarantined units on a
 //! different shard, reassigns the in-flight units of dead workers, and
-//! merges every shard's [`SweepReport`] into one.
+//! gathers every shard's outcomes into one [`SweepReport`].
 //!
 //! Before it spawns or dials anything, the coordinator settles every unit
 //! the sweep journal records, through the same [`SweepLedger`] as
@@ -11,21 +11,23 @@
 //! [`Session::cached_designs`] call as `prism explore`'s fast path. Only
 //! the rest is assigned, so a warm grid starts no worker at all. The
 //! coordinator's one [`Session`] over [`GridConfig::artifact_dir`] serves
-//! that store pass, the remote results and the local fallback.
+//! that store pass, every shard's results and the local fallback.
 //!
 //! Local workers are re-invocations of the current executable with
-//! `PRISM_GRID_WORKER=1` (see [`crate::worker`]); they share one
-//! content-addressed artifact store, whose write-then-rename protocol
-//! with per-process temp names makes concurrent writers safe. Remote
-//! workers (`prism worker --listen`, reached via
-//! [`GridConfig::hosts`]) have their *own* store; each remote `result`
-//! names the design-point key its shard stored it under, and the
-//! coordinator stores the result under that key before it journals the
-//! unit, so its store ends up holding every result wherever it was
-//! computed. Because every unit is keyed identically in every process, a
-//! grid run and a single-process run produce byte-identical merged
-//! reports (after [`SweepReport::normalize`]) on a healthy fleet —
-//! wherever the shards ran.
+//! `PRISM_GRID_WORKER=1` (see [`crate::worker`]) and
+//! `PRISM_ARTIFACT_DIR` set to the coordinator's store, whose
+//! write-then-rename protocol with per-process temp names makes
+//! concurrent writers safe. Remote workers (`prism worker --listen`,
+//! reached via [`GridConfig::hosts`]) open their *own* store. Either kind
+//! is one kind of shard: each `result` names the design-point key its
+//! shard stored it under, and the coordinator stores the result under
+//! that key, unless its store already holds it (always, for a local
+//! shard), before it journals the unit. So its store ends up holding
+//! every result wherever it was computed. Because every unit is keyed
+//! identically in every process, a grid run and a single-process run
+//! produce byte-identical merged reports (after
+//! [`SweepReport::normalize`]) on a healthy fleet — wherever the shards
+//! ran.
 //!
 //! A worker that dies or disconnects mid-unit leaves a synthetic
 //! quarantine entry behind; when the reassigned unit later succeeds,
@@ -37,8 +39,10 @@
 //! settled or queued for local fallback, the loop sends `Shutdown` once
 //! and keeps handling frames until each live link has delivered its
 //! `Eof`: frames on one link arrive in order, so its `Bye` counters land
-//! before it. Links still open after [`SHUTDOWN_GRACE`] are killed, and
-//! every link is then reaped.
+//! before it. Links still open after a grace period (5 s) are killed, and
+//! every link is then reaped. Every settled unit, every shard's frames
+//! and the local fallback land in one report, which the ledger
+//! normalizes once.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -93,19 +97,23 @@ pub struct GridConfig {
     pub subsets: Vec<Vec<BsaKind>>,
     /// Tracer instruction limit shared by every shard.
     pub max_insts: u64,
-    /// Content-addressed artifact store shared by every *local* shard
-    /// (remote daemons use their own).
+    /// The coordinator's content-addressed artifact store, which every
+    /// *local* shard opens too (remote daemons open their own).
     pub artifact_dir: PathBuf,
     /// Worker executable; defaults to the current executable.
     pub worker_cmd: Option<PathBuf>,
     /// A worker silent for this long is presumed dead and killed.
     pub heartbeat_timeout: Duration,
     /// Outstanding assignments per worker: 2 keeps the next unit's
-    /// prepare phase overlapping the current unit's evaluate phase.
+    /// prepare phase overlapping the current unit's evaluate phase. At
+    /// least 1: [`run_grid`] refuses 0, which no shard could ever take.
     pub window: usize,
     /// Extra environment for workers (test hook, e.g. worker faults).
+    /// It cannot override `PRISM_GRID_WORKER` or `PRISM_ARTIFACT_DIR`,
+    /// which the coordinator sets last.
     pub env: Vec<(String, String)>,
-    /// Environment variables removed from workers (test hook).
+    /// Environment variables removed from workers (test hook); the two
+    /// the coordinator sets are set again after it.
     pub env_remove: Vec<String>,
     /// Fault plan whose link entries are applied to remote links.
     pub net_faults: Option<Arc<FaultPlan>>,
@@ -303,25 +311,28 @@ struct WorkerState {
     inflight: Vec<usize>,
     /// Link generation current events must carry (see [`LinkEvent`]).
     gen: u64,
-    /// Index into [`GridStats::hosts`] for remote shards.
+    /// Index into [`GridStats::hosts`] for remote shards: only those
+    /// reconnect.
     host: Option<usize>,
-    /// Remaining reconnect attempts for this link.
+    /// Remaining reconnect attempts for a remote shard's link.
     reconnects_left: u32,
 }
 
 /// The worker subprocess command for local shards (the link layer pipes
-/// its stdin/stdout; stderr stays inherited).
+/// its stdin/stdout; stderr stays inherited). The worker mode and the
+/// store are set after the caller's environment edits, so no edit can
+/// unset them.
 fn worker_command(cmd: &PathBuf, config: &GridConfig) -> Command {
     let mut builder = Command::new(cmd);
-    builder
-        .env(WORKER_ENV, "1")
-        .env("PRISM_ARTIFACT_DIR", &config.artifact_dir);
     for key in &config.env_remove {
         builder.env_remove(key);
     }
     for (key, value) in &config.env {
         builder.env(key, value);
     }
+    builder
+        .env(WORKER_ENV, "1")
+        .env("PRISM_ARTIFACT_DIR", &config.artifact_dir);
     builder
 }
 
@@ -332,7 +343,6 @@ fn hello_line(config: &GridConfig, shard: usize) -> String {
         shard,
         workloads: config.workloads.clone(),
         max_insts: config.max_insts,
-        artifact_dir: config.artifact_dir.display().to_string(),
     }
     .encode()
 }
@@ -344,8 +354,8 @@ struct Coordinator<'a> {
     /// The shared secret remote links authenticate with.
     net_token: String,
     /// The coordinator's session over [`GridConfig::artifact_dir`]: the
-    /// store pass before any spawn, the store remote results land in, and
-    /// the local fallback.
+    /// store pass before any spawn, the store every shard's results land
+    /// in, and the local fallback.
     session: Session,
     /// [`GridConfig::workloads`] resolved against the registry.
     workloads: Vec<&'static Workload>,
@@ -353,11 +363,10 @@ struct Coordinator<'a> {
     ledger: SweepLedger,
     units: Vec<Unit>,
     workers: Vec<WorkerState>,
-    /// What the coordinator settled from its store before any worker ran,
-    /// and unknown workloads.
-    settled: SweepReport,
-    /// One report per shard, then the local fallback's.
-    shard_reports: Vec<SweepReport>,
+    /// The run's one report, in arrival order: unknown workloads and what
+    /// the store settled before any worker ran, then every shard's
+    /// frames, then the local fallback's outcomes.
+    report: SweepReport,
     /// Units waiting for a shard, in dispatch order.
     pending: Vec<usize>,
     /// When links still open after `Shutdown` are killed; `None` until
@@ -402,9 +411,6 @@ impl Coordinator<'_> {
                 }
             }
         }
-        self.shard_reports = (0..self.workers.len())
-            .map(|_| SweepReport::default())
-            .collect();
         Ok(rx)
     }
 
@@ -422,12 +428,12 @@ impl Coordinator<'_> {
             }
             Err(e) => {
                 eprintln!("[prism-grid] shard {shard}: {what} failed: {e}");
-                (Box::new(DeadLink::new(what)) as Box<dyn ShardLink>, false)
+                (Box::new(DeadLink) as Box<dyn ShardLink>, false)
             }
         };
         self.workers.push(WorkerState {
             gen: link.generation(),
-            reconnects_left: if link.is_remote() { LINK_RECONNECTS } else { 0 },
+            reconnects_left: LINK_RECONNECTS,
             link,
             alive,
             last_beat: Instant::now(),
@@ -439,7 +445,7 @@ impl Coordinator<'_> {
     /// The event loop, from the first `Assign` to the last link's `Eof`.
     /// Once every unit is settled or queued for local fallback it sends
     /// `Shutdown` once and keeps handling frames until each live link has
-    /// delivered its `Eof` or [`SHUTDOWN_GRACE`] passes; links still open
+    /// delivered its `Eof` or `SHUTDOWN_GRACE` passes; links still open
     /// then are killed, every link is reaped, and whatever their readers
     /// forwarded meanwhile goes through the same handler.
     fn run(&mut self, rx: &mpsc::Receiver<(usize, LinkEvent)>) {
@@ -573,10 +579,9 @@ impl Coordinator<'_> {
         };
         let host = self.workers[shard].host;
         match msg {
-            FromWorker::HelloAck { .. } | FromWorker::Heartbeat { .. } => {}
+            FromWorker::Heartbeat => {}
             FromWorker::Bye {
                 walks,
-                walks_skipped,
                 shape_memo_hits,
                 timing_artifacts_loaded,
             } => {
@@ -584,7 +589,6 @@ impl Coordinator<'_> {
                     &mut self.stats,
                     host,
                     walks,
-                    walks_skipped,
                     shape_memo_hits,
                     timing_artifacts_loaded,
                 );
@@ -601,13 +605,11 @@ impl Coordinator<'_> {
                 crash_point(SITE_GRID_FRAME);
                 let uid = id as usize;
                 self.workers[shard].inflight.retain(|&u| u != uid);
-                if self.workers[shard].link.is_remote() {
-                    self.store_remote_result(shard, &result, &artifacts);
-                }
+                self.store_result(shard, &result, &artifacts);
                 if uid < self.units.len() {
                     self.settle(uid, host, Ok(&result));
                 }
-                self.shard_reports[shard].results.push(result);
+                self.report.results.push(result);
             }
             FromWorker::UnitQuarantine { id, key, error } => {
                 crash_point(SITE_GRID_FRAME);
@@ -625,7 +627,7 @@ impl Coordinator<'_> {
                         }
                     }
                 }
-                self.shard_reports[shard].quarantined.push((key, error));
+                self.report.quarantined.push((key, error));
             }
             FromWorker::Fatal { message } => {
                 self.mark_dead(shard, &format!("fatal: {message}"));
@@ -654,12 +656,12 @@ impl Coordinator<'_> {
         self.ledger.record(uid, outcome);
     }
 
-    /// Stores a remote shard's result under the design-point key the
-    /// shard named, unless the store already holds that key. Called
-    /// before the unit is journaled, so a journaled remote result is in
-    /// this store as a local one is; `encode_design_result` gives the
-    /// bytes the shard stored.
-    fn store_remote_result(&self, shard: usize, result: &DesignResult, artifacts: &[String]) {
+    /// Stores a shard's result under the design-point key the shard
+    /// named, unless the store already holds that key: a local shard
+    /// shares this store, so for it this is one probe. Called before the
+    /// unit is journaled, so every journaled result is in this store;
+    /// `encode_design_result` gives the bytes the shard stored.
+    fn store_result(&self, shard: usize, result: &DesignResult, artifacts: &[String]) {
         let store = self.session.store();
         match artifacts.first().and_then(|key| ContentHash::from_hex(key)) {
             Some(key) if store.contains(&key) => {}
@@ -687,6 +689,7 @@ impl Coordinator<'_> {
     /// surfaces as `recovered`), and — before `Shutdown`, for remote links
     /// with attempts left — tries to reconnect and open a fresh session.
     fn mark_dead(&mut self, shard: usize, reason: &str) {
+        let config = self.config;
         let w = &mut self.workers[shard];
         if !w.alive {
             return;
@@ -704,7 +707,7 @@ impl Coordinator<'_> {
                 self.stats.hosts[h].recoveries += 1;
             }
             let label = self.ledger.label(uid);
-            self.shard_reports[shard].quarantined.push((
+            self.report.quarantined.push((
                 label.to_string(),
                 PipelineError::new(
                     label,
@@ -714,20 +717,19 @@ impl Coordinator<'_> {
             ));
             self.pending.push(uid);
         }
-        if self.shutdown_deadline.is_none() && w.link.is_remote() && w.reconnects_left > 0 {
+        let Some(h) = w.host else { return };
+        if self.shutdown_deadline.is_none() && w.reconnects_left > 0 {
             w.reconnects_left -= 1;
             match w.link.reconnect() {
                 Ok(gen) => {
                     w.gen = gen;
-                    if w.link.send_line(&hello_line(self.config, shard)).is_ok() {
+                    if w.link.send_line(&hello_line(config, shard)).is_ok() {
                         w.alive = true;
                         w.last_beat = Instant::now();
-                        if let Some(h) = w.host {
-                            self.stats.hosts[h].reconnects += 1;
-                        }
+                        self.stats.hosts[h].reconnects += 1;
                         eprintln!(
-                            "[prism-grid] shard {shard}: reconnected ({})",
-                            w.link.describe()
+                            "[prism-grid] shard {shard}: reconnected to {}",
+                            config.hosts[h]
                         );
                     }
                 }
@@ -745,7 +747,6 @@ impl Coordinator<'_> {
         if local.is_empty() {
             return;
         }
-        let mut report = SweepReport::default();
         for uid in local {
             let unit = &self.units[uid];
             let unit_report = evaluate_unit(
@@ -766,7 +767,8 @@ impl Coordinator<'_> {
             if let Some(outcome) = outcome {
                 self.settle(uid, None, outcome);
             }
-            report.merge(unit_report);
+            self.report.results.extend(unit_report.results);
+            self.report.quarantined.extend(unit_report.quarantined);
             self.stats.local_fallback_units += 1;
         }
         let local_stats = self.session.stats();
@@ -774,22 +776,16 @@ impl Coordinator<'_> {
             &mut self.stats,
             None,
             local_stats.trace_walks,
-            local_stats.walks_skipped,
             local_stats.shape_memo_hits,
             local_stats.timing_artifacts_loaded,
         );
-        self.shard_reports.push(report);
     }
 
-    /// Merges the settled and per-shard reports and closes the ledger,
-    /// which adds the journal's units.
+    /// Closes the ledger, which adds the journal's units to the run's
+    /// report and normalizes it once.
     fn finish(self) -> GridOutcome {
-        let mut merged = self.settled;
-        for report in self.shard_reports {
-            merged.merge(report);
-        }
         GridOutcome {
-            report: self.ledger.finish(merged),
+            report: self.ledger.finish(self.report),
             stats: self.stats,
         }
     }
@@ -801,20 +797,25 @@ impl Coordinator<'_> {
 /// per-worker window (so prepare overlaps evaluate), supervises by
 /// heartbeat, retries quarantined units on a different shard, reassigns
 /// the in-flight units of dead workers (reconnecting remote links),
-/// stores each remote result under the key its shard names, falls back to
-/// in-process evaluation when no eligible worker remains, and merges
-/// every shard's report. When the journal and the store settle every
-/// unit, nothing is spawned or dialed.
+/// stores each result under the key its shard names unless the store
+/// holds it, falls back to in-process evaluation when no eligible worker
+/// remains, and merges every shard's frames into one report. When the
+/// journal and the store settle every unit, nothing is spawned or dialed.
 ///
 /// # Errors
 ///
 /// Returns a [`GridError`] only when the run cannot start (zero workers
-/// and zero hosts configured, an environment that does not parse, no
-/// worker executable); anything that fails *during* the run quarantines
-/// units instead.
+/// and zero hosts configured, a zero [`GridConfig::window`], an
+/// environment that does not parse, no worker executable); anything that
+/// fails *during* the run quarantines units instead.
 pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     if config.workers == 0 && config.hosts.is_empty() {
         return Err(err("at least one worker or host is required"));
+    }
+    if config.window == 0 {
+        return Err(err(
+            "window must be at least 1: no shard can take a unit with 0 outstanding assignments",
+        ));
     }
     // The net token and the coordinator's session settings come from the
     // environment; a `GridConfig` describes only the sweep.
@@ -832,12 +833,12 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
 
     // The workload set, resolved once: an unknown name is one
     // whole-workload quarantine, from the coordinator alone.
-    let mut settled = SweepReport::default();
+    let mut report = SweepReport::default();
     let mut workloads: Vec<&'static Workload> = Vec::with_capacity(config.workloads.len());
     for name in &config.workloads {
         match prism_workloads::by_name(name) {
             Some(w) => workloads.push(w),
-            None => settled.quarantined.push((
+            None => report.quarantined.push((
                 format!("workload:{name}"),
                 PipelineError::new(name, Stage::Build, "unknown workload"),
             )),
@@ -893,7 +894,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     let cached = session.cached_designs(&workloads, &config.cores, &config.subsets, &skip);
     for (unit, result) in units.iter_mut().zip(cached) {
         if let Some(result) = result {
-            settled.results.push(result);
+            report.results.push(result);
             unit.resolved = true;
             stats.cached += 1;
         }
@@ -910,8 +911,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
             .collect(),
         units,
         workers: Vec::new(),
-        settled,
-        shard_reports: Vec::new(),
+        report,
         shutdown_deadline: None,
         stats,
     };
@@ -924,15 +924,16 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
 }
 
 /// Adds one session's timing-reuse counters to the run totals and, for a
-/// remote shard, to its per-host breakdown.
+/// remote shard, to its per-host breakdown. A skipped walk is a
+/// shape-memo hit or a loaded timing artifact.
 fn fold_walk_stats(
     stats: &mut GridStats,
     host: Option<usize>,
     walks: u64,
-    walks_skipped: u64,
     shape_memo_hits: u64,
     timing_artifacts_loaded: u64,
 ) {
+    let walks_skipped = shape_memo_hits + timing_artifacts_loaded;
     stats.walks += walks;
     stats.walks_skipped += walks_skipped;
     stats.shape_memo_hits += shape_memo_hits;
@@ -948,6 +949,26 @@ fn fold_walk_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A zero window would leave every unit pending forever: no shard is
+    /// ever eligible, yet one stays alive. The run is refused before any
+    /// spawn or dial, so this test starts no process. (Were it not, the
+    /// worker command would fail to spawn and the empty workload set
+    /// would settle every unit in-process at once: a quick failure, not a
+    /// hang.)
+    #[test]
+    fn a_zero_window_is_refused_before_anything_starts() {
+        let dir = std::env::temp_dir().join(format!("prism-grid-window-{}", std::process::id()));
+        let mut config = GridConfig::full_space(1, &Config::default());
+        config.artifact_dir = dir.clone();
+        config.window = 0;
+        config.workloads.clear();
+        config.worker_cmd = Some(PathBuf::from("prism-no-such-worker"));
+        let outcome = run_grid(&config);
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = outcome.expect_err("a zero window must be refused");
+        assert!(e.message.contains("window"), "{e}");
+    }
 
     #[test]
     fn grid_stats_render_names_every_counter() {

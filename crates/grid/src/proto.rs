@@ -1,5 +1,5 @@
 //! The coordinator ↔ worker wire protocol: newline-delimited JSON over
-//! the worker's stdin/stdout.
+//! the worker's stdin/stdout or a TCP connection.
 //!
 //! One message per line, each a JSON object with a `"type"` field. The
 //! [`prism_pipeline::Json`] writer escapes every control character (`\n`
@@ -10,17 +10,19 @@
 //! the grid-vs-single-process equivalence guarantee.
 //!
 //! Handshake: the coordinator opens with [`ToWorker::Hello`] carrying the
-//! protocol version; the worker answers [`FromWorker::HelloAck`] (or
-//! [`FromWorker::Fatal`] on a version mismatch) and then heartbeats every
-//! [`HEARTBEAT_INTERVAL`] until shutdown.
+//! protocol version and starts assigning at once. A worker of another
+//! version answers [`FromWorker::Fatal`] and exits; otherwise it
+//! heartbeats every [`HEARTBEAT_INTERVAL`] until shutdown. No frame
+//! acknowledges the Hello: the first heartbeat or result is the reply.
 //!
-//! A remote shard does not share the coordinator's store, so its result
-//! crosses the wire once: [`FromWorker::UnitResult`] carries the
-//! [`DesignResult`] and names the design-point key the shard stored it
-//! under, and the coordinator stores it under that key before it journals
-//! the unit. No artifact travels the other way: a unit whose result the
-//! coordinator's store already holds is settled before any shard is
-//! spawned or dialed, so it is never assigned.
+//! Every worker opens the store its own configuration names, local
+//! subprocess and TCP daemon alike, so every result takes one route:
+//! [`FromWorker::UnitResult`] carries the [`DesignResult`] and names the
+//! design-point key the worker stored it under, and the coordinator
+//! stores it under that key, unless its store already holds it, before it
+//! journals the unit. No artifact travels the other way: a unit whose
+//! result the coordinator's store already holds is settled before any
+//! shard is spawned or dialed, so it is never assigned.
 
 use std::time::Duration;
 
@@ -36,10 +38,14 @@ use prism_pipeline::{
 /// artifact push/pull frames (`fetch`/`artifact`) and the `artifacts`
 /// list on `result`. v3 dropped `fetch` and the worker's `artifact`
 /// reply: `artifacts` names only the design-point key, and `artifact`
-/// frames went from coordinator to worker only. v4 drops that last
+/// frames went from coordinator to worker only. v4 dropped that last
 /// `artifact` push: a coordinator settles the units its store holds
-/// itself. A worker of another version refuses the Hello outright.
-pub const PROTO_VERSION: u64 = 4;
+/// itself. v5 drops what no reader read: the Hello's store directory
+/// (every worker opens its own configured store), the `hello-ack` frame,
+/// the heartbeat's fields and `bye`'s `walks_skipped` (the sum of two
+/// counters it also carries). A worker of another version refuses the
+/// Hello outright.
+pub const PROTO_VERSION: u64 = 5;
 
 /// How often a healthy worker emits [`FromWorker::Heartbeat`].
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
@@ -48,7 +54,7 @@ pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
     /// Handshake: protocol version, shard id, and the sweep parameters
-    /// shared by every unit (workload set, trace length, artifact store).
+    /// shared by every unit (workload set, trace length).
     Hello {
         /// Must equal [`PROTO_VERSION`].
         proto: u64,
@@ -59,8 +65,6 @@ pub enum ToWorker {
         workloads: Vec<String>,
         /// Tracer instruction limit (the stage-1 cache key input).
         max_insts: u64,
-        /// Content-addressed artifact store shared by all shards.
-        artifact_dir: String,
     },
     /// One unit of work: evaluate design point (`core`, `bsas`).
     Assign {
@@ -78,30 +82,18 @@ pub enum ToWorker {
 /// Messages a worker sends to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FromWorker {
-    /// Handshake accepted.
-    HelloAck {
-        /// The worker's shard id.
-        shard: usize,
-        /// The worker's protocol version.
-        proto: u64,
-    },
-    /// Liveness signal, sent every [`HEARTBEAT_INTERVAL`].
-    Heartbeat {
-        /// The worker's shard id.
-        shard: usize,
-        /// Units currently queued or evaluating on this worker.
-        inflight: u64,
-    },
+    /// Liveness signal, sent every [`HEARTBEAT_INTERVAL`]; the link it
+    /// arrives on names the shard.
+    Heartbeat,
     /// A unit evaluated successfully.
     UnitResult {
         /// The assigned unit id.
         id: u64,
         /// The evaluated design point.
         result: DesignResult,
-        /// From a worker with its own store: exactly the hex
-        /// design-point key it stored `result` under, which the
-        /// coordinator stores it under too. Always present on the wire;
-        /// empty from local workers, which share the coordinator's store.
+        /// Exactly the hex design-point key the worker stored `result`
+        /// under, which the coordinator stores it under too unless its
+        /// store already holds it. Always present on the wire.
         artifacts: Vec<String>,
     },
     /// A unit (or a whole workload) was quarantined on this shard.
@@ -116,12 +108,11 @@ pub enum FromWorker {
     },
     /// Clean shutdown acknowledgement (last message), carrying the
     /// session's timing-reuse counters so the coordinator can surface
-    /// per-host walk savings in `--stats`.
+    /// per-host walk savings in `--stats`; the walks it skipped are the
+    /// sum of the last two.
     Bye {
         /// Trace walks this session actually performed.
         walks: u64,
-        /// Walks skipped (shape-memo hits + timing artifacts loaded).
-        walks_skipped: u64,
         /// In-memory shape-keyed timing memo hits.
         shape_memo_hits: u64,
         /// Timing summaries loaded from the artifact store.
@@ -150,7 +141,6 @@ impl ToWorker {
                 shard,
                 workloads,
                 max_insts,
-                artifact_dir,
             } => obj(
                 "hello",
                 vec![
@@ -161,7 +151,6 @@ impl ToWorker {
                         Json::Arr(workloads.iter().map(|w| Json::Str(w.clone())).collect()),
                     ),
                     ("max_insts".into(), Json::U64(*max_insts)),
-                    ("artifact_dir".into(), Json::Str(artifact_dir.clone())),
                 ],
             ),
             ToWorker::Assign { id, core, bsas } => obj(
@@ -198,7 +187,6 @@ impl ToWorker {
                         .map(|w| Some(w.as_str()?.to_string()))
                         .collect::<Option<_>>()?,
                     max_insts: json.get("max_insts")?.as_u64()?,
-                    artifact_dir: json.get("artifact_dir")?.as_str()?.to_string(),
                 })
             })()
             .ok_or_else(shape),
@@ -221,20 +209,7 @@ impl FromWorker {
     #[must_use]
     pub fn encode(&self) -> String {
         match self {
-            FromWorker::HelloAck { shard, proto } => obj(
-                "hello-ack",
-                vec![
-                    ("shard".into(), Json::U64(*shard as u64)),
-                    ("proto".into(), Json::U64(*proto)),
-                ],
-            ),
-            FromWorker::Heartbeat { shard, inflight } => obj(
-                "heartbeat",
-                vec![
-                    ("shard".into(), Json::U64(*shard as u64)),
-                    ("inflight".into(), Json::U64(*inflight)),
-                ],
-            ),
+            FromWorker::Heartbeat => obj("heartbeat", vec![]),
             FromWorker::UnitResult {
                 id,
                 result,
@@ -260,14 +235,12 @@ impl FromWorker {
             ),
             FromWorker::Bye {
                 walks,
-                walks_skipped,
                 shape_memo_hits,
                 timing_artifacts_loaded,
             } => obj(
                 "bye",
                 vec![
                     ("walks".into(), Json::U64(*walks)),
-                    ("walks_skipped".into(), Json::U64(*walks_skipped)),
                     ("shape_memo_hits".into(), Json::U64(*shape_memo_hits)),
                     (
                         "timing_artifacts_loaded".into(),
@@ -293,20 +266,7 @@ impl FromWorker {
         let kind = json.get("type").and_then(Json::as_str).unwrap_or_default();
         let shape = || format!("bad `{kind}` message: {line}");
         match kind {
-            "hello-ack" => (|| {
-                Some(FromWorker::HelloAck {
-                    shard: json.get("shard")?.as_u64()? as usize,
-                    proto: json.get("proto")?.as_u64()?,
-                })
-            })()
-            .ok_or_else(shape),
-            "heartbeat" => (|| {
-                Some(FromWorker::Heartbeat {
-                    shard: json.get("shard")?.as_u64()? as usize,
-                    inflight: json.get("inflight")?.as_u64()?,
-                })
-            })()
-            .ok_or_else(shape),
+            "heartbeat" => Ok(FromWorker::Heartbeat),
             "result" => (|| {
                 Some(FromWorker::UnitResult {
                     id: json.get("id")?.as_u64()?,
@@ -335,7 +295,6 @@ impl FromWorker {
             "bye" => (|| {
                 Some(FromWorker::Bye {
                     walks: json.get("walks")?.as_u64()?,
-                    walks_skipped: json.get("walks_skipped")?.as_u64()?,
                     shape_memo_hits: json.get("shape_memo_hits")?.as_u64()?,
                     timing_artifacts_loaded: json.get("timing_artifacts_loaded")?.as_u64()?,
                 })
@@ -366,7 +325,6 @@ mod tests {
                 shard: 3,
                 workloads: vec!["fft".into(), "micro-fetch".into()],
                 max_insts: 20_000,
-                artifact_dir: "/tmp/prism artifacts".into(),
             },
             ToWorker::Assign {
                 id: 17,
@@ -395,14 +353,7 @@ mod tests {
             }],
         };
         vec![
-            FromWorker::HelloAck {
-                shard: 1,
-                proto: PROTO_VERSION,
-            },
-            FromWorker::Heartbeat {
-                shard: 1,
-                inflight: 2,
-            },
+            FromWorker::Heartbeat,
             FromWorker::UnitResult {
                 id: 5,
                 result,
@@ -420,7 +371,6 @@ mod tests {
             },
             FromWorker::Bye {
                 walks: 3,
-                walks_skipped: 61,
                 shape_memo_hits: 40,
                 timing_artifacts_loaded: 21,
             },
@@ -448,10 +398,42 @@ mod tests {
         }
     }
 
+    /// The field names of one encoded frame, in wire order.
+    fn fields(line: &str) -> Vec<String> {
+        match Json::parse(line) {
+            Ok(Json::Obj(fields)) => fields.into_iter().map(|(name, _)| name).collect(),
+            other => panic!("{line} is not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v5_frames_carry_exactly_their_fields() {
+        assert_eq!(PROTO_VERSION, 5);
+        let hello = &coordinator_messages()[0];
+        assert_eq!(
+            fields(&hello.encode()),
+            ["type", "proto", "shard", "workloads", "max_insts"]
+        );
+        assert_eq!(FromWorker::Heartbeat.encode(), "{\"type\":\"heartbeat\"}");
+        for frame in worker_messages() {
+            let expected: &[&str] = match frame {
+                FromWorker::UnitResult { .. } => &["type", "id", "result", "artifacts"],
+                FromWorker::Bye { .. } => &[
+                    "type",
+                    "walks",
+                    "shape_memo_hits",
+                    "timing_artifacts_loaded",
+                ],
+                _ => continue,
+            };
+            assert_eq!(fields(&frame.encode()), expected);
+        }
+    }
+
     #[test]
     fn garbled_lines_are_typed_errors() {
-        // A whole v3 push, as a v3 coordinator sent it: v4 has no
-        // `artifact` frame in either direction.
+        // A whole v3 push, as a v3 coordinator sent it: no version since
+        // v4 has an `artifact` frame in either direction.
         let v3_push = format!(
             "{{\"type\":\"artifact\",\"key\":\"{}\",\"doc\":\"{{\\\"schema\\\":2}}\"}}",
             "ef".repeat(32)
@@ -465,6 +447,8 @@ mod tests {
             // v2's pull request is gone since v3.
             "{\"type\":\"fetch\",\"keys\":[]}",
             v3_push.as_str(),
+            // v4's handshake reply is gone since v5.
+            "{\"type\":\"hello-ack\",\"shard\":1,\"proto\":4}",
         ] {
             assert!(FromWorker::decode(bad).is_err(), "{bad:?}");
             assert!(ToWorker::decode(bad).is_err(), "{bad:?}");
@@ -497,7 +481,6 @@ mod tests {
         );
         let bye = FromWorker::Bye {
             walks: 1,
-            walks_skipped: 2,
             shape_memo_hits: 3,
             timing_artifacts_loaded: 4,
         }

@@ -8,6 +8,12 @@
 //! serves TCP connections via [`serve_tcp`]: the transport differs, the
 //! protocol does not — [`run_worker_io`] is generic over the byte streams.
 //!
+//! Every worker is the same kind of shard. Its session opens, once, the
+//! store its own [`Config::artifact_dir`] names: for a local worker the
+//! `PRISM_ARTIFACT_DIR` the coordinator sets, which is the coordinator's
+//! own store; for a daemon its `--store`. Every result names the
+//! design-point key the worker stored it under.
+//!
 //! Inside the worker, three threads run:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
@@ -31,8 +37,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use prism_exocore::{bsas_by_codes, core_by_name, DesignPoint};
@@ -68,26 +73,6 @@ pub fn run_worker_if_env() {
     }
 }
 
-/// How [`run_worker_io`] binds the protocol loop to its surroundings.
-#[derive(Debug, Default)]
-pub struct WorkerOptions {
-    /// Shard id this link is supposed to carry; the Hello's shard must
-    /// match or the worker refuses the session. `None` trusts the Hello.
-    pub expected_shard: Option<usize>,
-    /// Artifact store directory override. `None` uses the Hello's
-    /// `artifact_dir` (the stdio case, where coordinator and worker share
-    /// a filesystem); TCP daemons pass their own local store here and the
-    /// Hello's path — meaningless on another host — is ignored. Only a
-    /// worker with its own store names the design-point key each result
-    /// is stored under, so the coordinator can store it there too.
-    pub store_dir: Option<PathBuf>,
-    /// The worker's configuration: its session's jobs, budget, guard and
-    /// store cap, and the fault plan each session parses afresh — the
-    /// session reads its store and stage kinds, the protocol loop its
-    /// worker kinds.
-    pub config: Config,
-}
-
 /// One assignment queued on the worker.
 struct QueuedUnit {
     id: u64,
@@ -113,17 +98,12 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) {
 }
 
 /// Runs the worker protocol over this process's stdin/stdout until
-/// shutdown, returning the process exit code. The shard id and the store
-/// directory come from the coordinator's Hello.
+/// shutdown, returning the process exit code. The shard id comes from
+/// the coordinator's Hello, the store from `config.artifact_dir`.
 #[must_use]
 pub fn run_worker(config: &Config) -> i32 {
-    let opts = WorkerOptions {
-        expected_shard: None,
-        store_dir: None,
-        config: config.clone(),
-    };
     let stdin = std::io::stdin();
-    run_worker_io(stdin.lock(), std::io::stdout(), &opts)
+    run_worker_io(stdin.lock(), std::io::stdout(), config, None)
 }
 
 /// Serves grid worker sessions over TCP forever: each accepted (and
@@ -136,11 +116,6 @@ pub fn run_worker(config: &Config) -> i32 {
 /// growth stays bounded.
 pub fn serve_tcp(listener: std::net::TcpListener, config: Config) -> ! {
     prism_net::serve(listener, config.net_token.clone(), move |stream, shard| {
-        let opts = WorkerOptions {
-            expected_shard: Some(shard),
-            store_dir: Some(config.artifact_dir.clone()),
-            config: config.clone(),
-        };
         let reader = match stream.try_clone() {
             Ok(clone) => std::io::BufReader::new(clone),
             Err(e) => {
@@ -148,7 +123,7 @@ pub fn serve_tcp(listener: std::net::TcpListener, config: Config) -> ! {
                 return;
             }
         };
-        let code = run_worker_io(reader, stream, &opts);
+        let code = run_worker_io(reader, stream, &config, Some(shard));
         eprintln!("[prism-net] shard {shard}: worker session ended (exit {code})");
     })
 }
@@ -157,11 +132,19 @@ pub fn serve_tcp(listener: std::net::TcpListener, config: Config) -> ! {
 /// shutdown or EOF, returning what would be the process exit code. This
 /// is the transport-agnostic core behind [`run_worker`] (stdin/stdout)
 /// and [`serve_tcp`] (one TCP connection per call).
+///
+/// `config` is the worker's own: its session's jobs, budget and store
+/// cap, the store at `config.artifact_dir` (opened once per session),
+/// and the fault plan each session parses afresh — the session reads its
+/// store and stage kinds, the protocol loop its worker kinds. With
+/// `expected_shard`, the Hello's shard must match it or the worker
+/// refuses the session; `None` trusts the Hello.
 #[must_use]
 pub fn run_worker_io<R: BufRead, W: Write + Send>(
     input: R,
     output: W,
-    opts: &WorkerOptions,
+    config: &Config,
+    expected_shard: Option<usize>,
 ) -> i32 {
     let out = Mutex::new(output);
     let mut lines = input.lines();
@@ -171,13 +154,12 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         Some(Ok(line)) => line,
         _ => return 2,
     };
-    let (shard, workload_names, max_insts, artifact_dir) = match ToWorker::decode(&first) {
+    let (shard, workload_names, max_insts) = match ToWorker::decode(&first) {
         Ok(ToWorker::Hello {
             proto,
             shard: hello_shard,
             workloads,
             max_insts,
-            artifact_dir,
         }) => {
             if proto != PROTO_VERSION {
                 send(
@@ -190,7 +172,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                 );
                 return 2;
             }
-            if let Some(expected) = opts.expected_shard {
+            if let Some(expected) = expected_shard {
                 if hello_shard != expected {
                     send(
                         &out,
@@ -203,7 +185,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     return 2;
                 }
             }
-            (hello_shard, workloads, max_insts, artifact_dir)
+            (hello_shard, workloads, max_insts)
         }
         _ => {
             send(
@@ -216,19 +198,14 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         }
     };
 
-    let store_dir = opts
-        .store_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(&artifact_dir));
     // One plan for the session (store and stage kinds) and the protocol
     // loop (worker kinds), fresh for every session.
-    let faults = opts.config.fault_plan();
-    let session = Session::from_config(&opts.config)
+    let faults = config.fault_plan();
+    let session = Session::from_config(config)
         .with_tracer(TracerConfig {
             max_insts,
             ..TracerConfig::default()
         })
-        .with_store_dir(&store_dir)
         .with_faults(faults.clone());
 
     // Resolve the workload set. Unknown names drop out: the coordinator
@@ -237,13 +214,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         .iter()
         .filter_map(|name| prism_workloads::by_name(name))
         .collect();
-    send(
-        &out,
-        &FromWorker::HelloAck {
-            shard,
-            proto: PROTO_VERSION,
-        },
-    );
 
     let queue = Mutex::new(UnitQueue {
         pending: VecDeque::new(),
@@ -251,7 +221,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         finished: false,
     });
     let queue_cv = Condvar::new();
-    let inflight = AtomicU64::new(0);
     // Set by an injected hang fault: the worker stalls *and* goes silent,
     // so the coordinator must catch it by heartbeat timeout.
     let hang = AtomicBool::new(false);
@@ -261,13 +230,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         // for it at once rather than sleeping out the interval.
         scope.spawn(|| loop {
             if !hang.load(Ordering::Relaxed) {
-                send(
-                    &out,
-                    &FromWorker::Heartbeat {
-                        shard,
-                        inflight: inflight.load(Ordering::Relaxed),
-                    },
-                );
+                send(&out, &FromWorker::Heartbeat);
             }
             let q = queue.lock().unwrap_or_else(|e| e.into_inner());
             let (q, _) = queue_cv
@@ -329,21 +292,12 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                                 ),
                             },
                         );
-                        inflight.fetch_sub(1, Ordering::Relaxed);
                         continue;
                     }
                     None => {}
                 }
                 started += 1;
-                report_unit(
-                    &session,
-                    &workloads,
-                    &unit,
-                    opts.store_dir.is_some(),
-                    &mut reported_workloads,
-                    &out,
-                );
-                inflight.fetch_sub(1, Ordering::Relaxed);
+                report_unit(&session, &workloads, &unit, &mut reported_workloads, &out);
             }
         });
 
@@ -352,7 +306,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         'reader: while let Some(Ok(line)) = lines.next() {
             match ToWorker::decode(&line) {
                 Ok(ToWorker::Assign { id, core, bsas }) => {
-                    inflight.fetch_add(1, Ordering::Relaxed);
                     let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
                     q.pending.push_back(QueuedUnit { id, core, bsas });
                     queue_cv.notify_all();
@@ -378,7 +331,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         &out,
         &FromWorker::Bye {
             walks: session_stats.trace_walks,
-            walks_skipped: session_stats.walks_skipped,
             shape_memo_hits: session_stats.shape_memo_hits,
             timing_artifacts_loaded: session_stats.timing_artifacts_loaded,
         },
@@ -416,13 +368,11 @@ pub(crate) fn evaluate_unit(
 
 /// Evaluates one assigned unit and reports exactly one terminal message
 /// for it (plus at most one workload-level quarantine per workload per
-/// worker). With `name_key`, each result names the design-point key it is
-/// stored under.
+/// worker). A result names the design-point key it is stored under.
 fn report_unit<W: Write>(
     session: &Session,
     workloads: &[&Workload],
     unit: &QueuedUnit,
-    name_key: bool,
     reported_workloads: &mut BTreeSet<String>,
     out: &Mutex<W>,
 ) {
@@ -447,23 +397,19 @@ fn report_unit<W: Write>(
     };
     let report = evaluate_unit(session, workloads, &core, &bsas);
     // The result is keyed over the workloads this report did not
-    // quarantine, so a remote coordinator can store it under the key this
-    // store holds it under. Stdio shards share the coordinator's store.
-    let artifacts = if name_key {
-        let healthy: Vec<ContentHash> = workloads
-            .iter()
-            .filter(|w| {
-                !report
-                    .quarantined
-                    .iter()
-                    .any(|(key, _)| key.strip_prefix("workload:") == Some(w.name))
-            })
-            .map(|w| session.workload_key(w.name, w.scaled_n()))
-            .collect();
-        vec![session.design_point_key(&healthy, &core, &bsas).hex()]
-    } else {
-        Vec::new()
-    };
+    // quarantine, so the coordinator can store it under the key this
+    // store holds it under.
+    let healthy: Vec<ContentHash> = workloads
+        .iter()
+        .filter(|w| {
+            !report
+                .quarantined
+                .iter()
+                .any(|(key, _)| key.strip_prefix("workload:") == Some(w.name))
+        })
+        .map(|w| session.workload_key(w.name, w.scaled_n()))
+        .collect();
+    let artifacts = vec![session.design_point_key(&healthy, &core, &bsas).hex()];
     for result in report.results {
         send(
             out,
@@ -492,6 +438,16 @@ fn report_unit<W: Write>(
 mod tests {
     use super::*;
 
+    /// A worker's own configuration: one job, the store at `dir`.
+    fn config(dir: &std::path::Path, faults: Option<&str>) -> Config {
+        Config {
+            jobs: 1,
+            artifact_dir: dir.to_path_buf(),
+            faults: faults.map(String::from),
+            ..Config::default()
+        }
+    }
+
     #[test]
     fn shutdown_returns_without_waiting_out_a_heartbeat() {
         let dir = std::env::temp_dir().join(format!("prism-worker-exit-{}", std::process::id()));
@@ -500,12 +456,11 @@ mod tests {
             shard: 0,
             workloads: Vec::new(),
             max_insts: 1_000,
-            artifact_dir: dir.display().to_string(),
         };
         let input = format!("{}\n{}\n", hello.encode(), ToWorker::Shutdown.encode());
         let mut output = Vec::new();
         let started = std::time::Instant::now();
-        let code = run_worker_io(input.as_bytes(), &mut output, &WorkerOptions::default());
+        let code = run_worker_io(input.as_bytes(), &mut output, &config(&dir, None), None);
         let elapsed = started.elapsed();
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(code, 0);
@@ -521,11 +476,39 @@ mod tests {
         );
     }
 
-    /// A TCP-mode worker (its own store) names the key its store holds the
-    /// result under — also when a workload's preparation fails once and
-    /// then succeeds, so the result covers fewer workloads than the sweep.
+    /// A v4 coordinator's Hello (which still named a store directory) is
+    /// refused before the session starts: one `fatal` naming both
+    /// versions, no heartbeat, exit 2.
     #[test]
-    fn a_tcp_worker_names_a_key_its_store_holds() {
+    fn a_v4_hello_gets_one_fatal_and_no_heartbeat() {
+        let dir = std::env::temp_dir().join(format!("prism-worker-v4-{}", std::process::id()));
+        let v4_hello = "{\"type\":\"hello\",\"proto\":4,\"shard\":0,\"workloads\":[],\
+                        \"max_insts\":1000,\"artifact_dir\":\"prism artifacts\"}";
+        let input = format!("{v4_hello}\n{}\n", ToWorker::Shutdown.encode());
+        let mut output = Vec::new();
+        let code = run_worker_io(input.as_bytes(), &mut output, &config(&dir, None), None);
+        let output = String::from_utf8(output).unwrap();
+        assert_eq!(code, 2, "{output}");
+        let frames: Vec<FromWorker> = output
+            .lines()
+            .map(|line| FromWorker::decode(line).expect("a v5 frame"))
+            .collect();
+        let [FromWorker::Fatal { message }] = frames.as_slice() else {
+            panic!("expected one fatal, got {frames:?}");
+        };
+        assert!(
+            message.contains("coordinator 4")
+                && message.contains(&format!("worker {PROTO_VERSION}")),
+            "{message}"
+        );
+    }
+
+    /// Every worker names the key its own store (`Config::artifact_dir`)
+    /// holds the result under — also when a workload's preparation fails
+    /// once and then succeeds, so the result covers fewer workloads than
+    /// the sweep.
+    #[test]
+    fn a_worker_names_a_key_its_store_holds() {
         let workloads: Vec<String> = prism_workloads::MICRO
             .iter()
             .take(3)
@@ -543,7 +526,6 @@ mod tests {
                 shard: 0,
                 workloads: workloads.clone(),
                 max_insts: 5_000,
-                artifact_dir: String::new(),
             };
             let assign = ToWorker::Assign {
                 id: 0,
@@ -556,17 +538,9 @@ mod tests {
                 assign.encode(),
                 ToWorker::Shutdown.encode()
             );
-            let opts = WorkerOptions {
-                expected_shard: None,
-                store_dir: Some(dir.clone()),
-                config: Config {
-                    jobs: 1,
-                    faults: faults.map(String::from),
-                    ..Config::default()
-                },
-            };
             let mut output = Vec::new();
-            assert_eq!(run_worker_io(input.as_bytes(), &mut output, &opts), 0);
+            let code = run_worker_io(input.as_bytes(), &mut output, &config(&dir, faults), None);
+            assert_eq!(code, 0);
             let output = String::from_utf8(output).unwrap();
             let (result, artifacts) = output
                 .lines()

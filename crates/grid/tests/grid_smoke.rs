@@ -376,11 +376,12 @@ fn scenario_tcp_equivalence() {
 
     let mut cfg = config(0, &dir_coord);
     cfg.hosts = parse_hosts(&start_daemons(token, &daemon_dirs[..2])).expect("host specs");
-    // Cut shard 1's connection after its 3rd inbound frame: in-flight
+    // Cut shard 1's connection after its 2nd inbound frame (frame 0 is
+    // the first heartbeat, so this is the frame after it): in-flight
     // units get synthetic quarantines, the link reconnects, and the
     // re-evaluated units surface as recovered.
     cfg.net_faults = Some(Arc::new(
-        FaultPlan::parse("disconnect:1@2").expect("fault spec"),
+        FaultPlan::parse("disconnect:1@1").expect("fault spec"),
     ));
     let outcome = run(&cfg);
 

@@ -11,7 +11,10 @@
 //!   grid transport), [`TcpLink`] (remote daemon over TCP with
 //!   bounded-backoff [`ShardLink::reconnect`]), and [`DeadLink`] (a
 //!   permanently dead placeholder that keeps shard == slot-index
-//!   invariants intact when a spawn or connect fails).
+//!   invariants intact when a spawn or connect fails). A link neither
+//!   says whether its peer is remote nor describes it: every shard speaks
+//!   the same protocol and opens its own configured store, and the
+//!   coordinator records which slot dialed which host.
 //! - [`serve`] — the daemon side: accept loop + handshake that hands
 //!   authenticated connections to a caller-supplied session handler
 //!   (`prism worker --listen` plugs the grid worker loop in here).

@@ -67,13 +67,6 @@ pub trait ShardLink: Send {
 
     /// Current link generation (see [`LinkEvent`]).
     fn generation(&self) -> u64;
-
-    /// Whether the peer is on another host (and thus does not share the
-    /// coordinator's artifact store).
-    fn is_remote(&self) -> bool;
-
-    /// Human-readable peer description for logs and stats.
-    fn describe(&self) -> String;
 }
 
 // ---------------------------------------------------------------------
@@ -87,7 +80,6 @@ pub struct StdioLink {
     child: Child,
     stdin: Option<ChildStdin>,
     reader: Option<JoinHandle<()>>,
-    desc: String,
 }
 
 impl StdioLink {
@@ -103,7 +95,6 @@ impl StdioLink {
         shard: usize,
         tx: &mpsc::Sender<(usize, LinkEvent)>,
     ) -> io::Result<StdioLink> {
-        let desc = format!("{:?}", command.get_program());
         command.stdin(Stdio::piped()).stdout(Stdio::piped());
         let mut child = command.spawn()?;
         let stdin = child.stdin.take();
@@ -125,7 +116,6 @@ impl StdioLink {
             child,
             stdin,
             reader: Some(reader),
-            desc,
         })
     }
 }
@@ -166,14 +156,6 @@ impl ShardLink for StdioLink {
 
     fn generation(&self) -> u64 {
         0
-    }
-
-    fn is_remote(&self) -> bool {
-        false
-    }
-
-    fn describe(&self) -> String {
-        format!("local subprocess {}", self.desc)
     }
 }
 
@@ -358,14 +340,6 @@ impl ShardLink for TcpLink {
     fn generation(&self) -> u64 {
         self.gen
     }
-
-    fn is_remote(&self) -> bool {
-        true
-    }
-
-    fn describe(&self) -> String {
-        format!("remote host {}", self.addr)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -374,19 +348,7 @@ impl ShardLink for TcpLink {
 
 /// A permanently dead link: fills a shard slot when a spawn or connect
 /// fails, keeping the shard == slot-index invariant without a live peer.
-pub struct DeadLink {
-    desc: String,
-}
-
-impl DeadLink {
-    /// A dead link described as `desc` in logs.
-    #[must_use]
-    pub fn new(desc: &str) -> DeadLink {
-        DeadLink {
-            desc: desc.to_string(),
-        }
-    }
-}
+pub struct DeadLink;
 
 impl ShardLink for DeadLink {
     fn send_line(&mut self, _line: &str) -> io::Result<()> {
@@ -405,14 +367,6 @@ impl ShardLink for DeadLink {
 
     fn generation(&self) -> u64 {
         0
-    }
-
-    fn is_remote(&self) -> bool {
-        false
-    }
-
-    fn describe(&self) -> String {
-        format!("dead slot ({})", self.desc)
     }
 }
 
@@ -465,7 +419,6 @@ mod tests {
         let (addr, daemon) = echo_daemon("tok");
         let (tx, rx) = mpsc::channel();
         let mut link = TcpLink::connect(&addr, 3, "tok", None, tx).unwrap();
-        assert!(link.is_remote());
         assert_eq!(link.generation(), 1);
         assert_eq!(
             next_line(&rx),
@@ -545,12 +498,10 @@ mod tests {
 
     #[test]
     fn dead_link_rejects_everything() {
-        let mut link = DeadLink::new("connect refused");
+        let mut link = DeadLink;
         assert!(link.send_line("x").is_err());
         assert!(link.reconnect().is_err());
-        assert!(!link.is_remote());
         assert_eq!(link.generation(), 0);
-        assert!(link.describe().contains("connect refused"));
         link.kill();
         link.reap();
     }

@@ -370,8 +370,12 @@ fn decode_timeline_sample(json: &Json) -> Option<TimelineSample> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::error::Stage;
+    use crate::json::fuzz;
+    use std::panic::RefUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample() -> DesignResult {
         DesignResult {
@@ -480,6 +484,55 @@ mod tests {
         // ExoTiming is all integers/enums, so the Debug forms are a
         // complete field-by-field equality check.
         assert_eq!(format!("{back:?}"), format!("{t:?}"));
+    }
+
+    /// The `assigned` labels of [`payloads`]' oracle walk pack.
+    const PACK_LABELS: [&str; 2] = ["", "L3=S;"];
+
+    /// One encoded payload per decoder here: a design result, a timing
+    /// with a non-empty timeline, an oracle walk pack and a pipeline
+    /// error.
+    pub(crate) fn payloads() -> Vec<String> {
+        let timing = sample_timing();
+        let error = PipelineError::panicked("OOO4-T", Stage::Evaluate, "boom\nline two");
+        vec![
+            encode_design_result(&sample()).to_string(),
+            encode_exo_timing(&timing).to_string(),
+            encode_oracle_pack(PACK_LABELS.iter().map(|&label| (label, &timing))).to_string(),
+            encode_pipeline_error(&error).to_string(),
+        ]
+    }
+
+    #[test]
+    fn mutated_payloads_decode_or_fail_never_panic() {
+        let labels: Vec<String> = PACK_LABELS.iter().map(|&l| l.to_string()).collect();
+        let decoders: [&(dyn Fn(&Json) -> bool + RefUnwindSafe); 4] = [
+            &|json| decode_design_result(json).is_some(),
+            &|json| decode_exo_timing(json).is_some(),
+            &|json| decode_oracle_pack(json, &labels).is_some(),
+            &|json| decode_pipeline_error(json).is_some(),
+        ];
+        for (i, (doc, decode)) in payloads().iter().zip(decoders).enumerate() {
+            assert!(decode(&Json::parse(doc).unwrap()), "{doc}");
+            let parsed = AtomicUsize::new(0);
+            fuzz::for_each_mutant(0x5EED_C0DE + i as u64, std::slice::from_ref(doc), |text| {
+                if let Ok(json) = Json::parse(text) {
+                    parsed.fetch_add(1, Ordering::Relaxed);
+                    decode(&json);
+                }
+            });
+            // Edits inside strings and numbers keep a payload valid JSON,
+            // so the decoder itself sees many mutants.
+            assert!(parsed.into_inner() > fuzz::EDITS / 10, "{doc}");
+            // Past the depth cap the parser refuses the text, and a value
+            // built that deep decodes to nothing.
+            assert!(Json::parse(&fuzz::nested_past_the_cap(doc)).is_err());
+            let mut deep = Json::parse(doc).unwrap();
+            for _ in 0..64 {
+                deep = Json::Arr(vec![deep]);
+            }
+            assert!(!decode(&deep), "{doc}");
+        }
     }
 
     #[test]

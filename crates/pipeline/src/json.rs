@@ -379,6 +379,81 @@ impl Parser<'_> {
     }
 }
 
+/// Seeded byte-edit fuzzing for this crate's decoder tests: every
+/// decoder of bytes from disk or the network must turn corrupt input into
+/// an error, never a panic.
+#[cfg(test)]
+pub(crate) mod fuzz {
+    use std::panic::{catch_unwind, RefUnwindSafe};
+
+    /// Mutated documents per decoder.
+    pub(crate) const EDITS: usize = 20_000;
+
+    /// Bytes that steer the parser: structure, digits, escapes, literals.
+    const STEER: &[u8] = b"{}[]\",:\\-.0123456789eEtfnul ";
+
+    /// SplitMix64: small, seedable, no dependencies.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Makes [`EDITS`] mutants of `docs` (taken in turn), each with one to
+    /// four edits that overwrite, delete or insert one byte, and runs
+    /// `check` on each under `catch_unwind`. Panics, naming the mutant,
+    /// when `check` panicked.
+    pub(crate) fn for_each_mutant(
+        seed: u64,
+        docs: &[String],
+        check: impl Fn(&str) + RefUnwindSafe,
+    ) {
+        let mut gen = Gen(seed);
+        for i in 0..EDITS {
+            let mut bytes = docs[i % docs.len()].clone().into_bytes();
+            for _ in 0..=gen.below(4) {
+                let at = gen.below(bytes.len() + 1);
+                let byte = if gen.next().is_multiple_of(2) {
+                    STEER[gen.below(STEER.len())]
+                } else {
+                    gen.next() as u8
+                };
+                match gen.below(3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            assert!(
+                catch_unwind(|| check(&text)).is_ok(),
+                "a decoder panicked on {text:?}"
+            );
+        }
+    }
+
+    /// `doc` nested inside enough arrays to pass the parser's depth cap.
+    pub(crate) fn nested_past_the_cap(doc: &str) -> String {
+        format!(
+            "{}{doc}{}",
+            "[".repeat(super::MAX_DEPTH),
+            "]".repeat(super::MAX_DEPTH)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,5 +505,24 @@ mod tests {
         assert!(Json::parse(&format!("{}{}", "[".repeat(33), "]".repeat(33))).is_err());
         let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&at_cap).is_ok());
+    }
+
+    #[test]
+    fn mutated_payloads_parse_or_fail_never_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let docs = crate::codec::tests::payloads();
+        let parsed = AtomicUsize::new(0);
+        fuzz::for_each_mutant(0x5EED_0001, &docs, |text| {
+            if Json::parse(text).is_ok() {
+                parsed.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Edits inside strings and numbers keep a document valid: the
+        // mutants reach past the first syntax check.
+        assert!(parsed.into_inner() > fuzz::EDITS / 10);
+        for doc in &docs {
+            assert!(Json::parse(doc).is_ok(), "{doc}");
+            assert!(Json::parse(&fuzz::nested_past_the_cap(doc)).is_err());
+        }
     }
 }

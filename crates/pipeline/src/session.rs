@@ -281,7 +281,6 @@ pub struct Session {
     packs_written: AtomicU64,
     pack_walks_written: AtomicU64,
     walks_written: AtomicU64,
-    walks_skipped: AtomicU64,
     trace_walks: AtomicU64,
     walk_insts: AtomicU64,
     sim_insts: AtomicU64,
@@ -346,7 +345,6 @@ impl Session {
             packs_written: AtomicU64::new(0),
             pack_walks_written: AtomicU64::new(0),
             walks_written: AtomicU64::new(0),
-            walks_skipped: AtomicU64::new(0),
             trace_walks: AtomicU64::new(0),
             walk_insts: AtomicU64::new(0),
             sim_insts: AtomicU64::new(0),
@@ -753,7 +751,6 @@ impl Session {
         if !filled {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
         }
         Arc::clone(timing)
     }
@@ -761,7 +758,6 @@ impl Session {
     /// Counts `timing` as loaded from the store instead of walked.
     fn loaded(&self, timing: Arc<ExoTiming>) -> Arc<ExoTiming> {
         self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
-        self.walks_skipped.fetch_add(1, Ordering::Relaxed);
         timing
     }
 
@@ -1163,18 +1159,20 @@ impl Session {
     /// Current cache counters.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
+        let shape_memo_hits = self.shape_memo_hits.load(Ordering::Relaxed);
+        let timing_artifacts_loaded = self.timing_artifacts_loaded.load(Ordering::Relaxed);
         SessionStats {
             artifacts: self.store.stats(),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            shape_memo_hits: self.shape_memo_hits.load(Ordering::Relaxed),
-            timing_artifacts_loaded: self.timing_artifacts_loaded.load(Ordering::Relaxed),
+            shape_memo_hits,
+            timing_artifacts_loaded,
             timing_written: TimingWrites {
                 packs: self.packs_written.load(Ordering::Relaxed),
                 pack_walks: self.pack_walks_written.load(Ordering::Relaxed),
                 walks: self.walks_written.load(Ordering::Relaxed),
             },
-            walks_skipped: self.walks_skipped.load(Ordering::Relaxed),
+            walks_skipped: shape_memo_hits + timing_artifacts_loaded,
             trace_walks: self.trace_walks.load(Ordering::Relaxed),
             walk_insts: self.walk_insts.load(Ordering::Relaxed),
             sim_insts: self.sim_insts.load(Ordering::Relaxed),

@@ -275,9 +275,9 @@ impl ArtifactStore {
 
     /// Evicts least-recently-used artifacts until the store's `.json`
     /// bytes fit under the cap; a no-op without one. Mtime is the recency
-    /// signal (capped stores [`touch`](Self::touch) artifacts on every
-    /// load hit). Journals and quarantined files live in subdirectories,
-    /// so only top-level artifacts are ever evicted. Returns
+    /// signal (capped stores touch artifacts on every load hit). Journals
+    /// and quarantined files live in subdirectories, so only top-level
+    /// artifacts are ever evicted. Returns
     /// `(files_evicted, bytes_reclaimed)` and folds the bytes into
     /// [`StoreStats::gc_reclaimed_bytes`].
     pub fn enforce_cap(&self) -> (u64, u64) {

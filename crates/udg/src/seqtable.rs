@@ -281,6 +281,78 @@ mod tests {
         }
     }
 
+    /// SplitMix64: small, seedable, no dependencies.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+    }
+
+    /// A `SeqTable` and a `HashMap` driven by the same seeded operations
+    /// — dense inserts, sparse jumps, overwrites, stragglers below the
+    /// base, and trims whose keep sets also name seqs never inserted —
+    /// agree on `len` and on `get` around every operation.
+    #[test]
+    fn matches_a_hash_map_under_random_operations() {
+        for seed in 1..=4u64 {
+            let mut gen = Gen(seed);
+            let mut table = SeqTable::new();
+            let mut model: HashMap<u64, u64> = HashMap::new();
+            // One past the highest seq inserted so far.
+            let mut end = 0u64;
+            for op in 0..200_000 {
+                let value = gen.below(1 << 40);
+                let seq = match gen.below(100) {
+                    0..=59 => end,
+                    60..=69 => end + gen.below(5_000),
+                    70..=84 => end.saturating_sub(1 + gen.below(64)),
+                    85..=98 => table.base.saturating_sub(1 + gen.below(1_000)),
+                    _ => {
+                        // Sorted, so the keep set does not hang on the
+                        // map's per-process iteration order.
+                        let mut held: Vec<u64> = model.keys().copied().collect();
+                        held.sort_unstable();
+                        let mut keep: Vec<u64> =
+                            held.into_iter().filter(|_| gen.below(8) == 0).collect();
+                        for _ in 0..gen.below(4) {
+                            keep.push(gen.below(end + 100));
+                        }
+                        table.trim(keep.iter().copied());
+                        model.retain(|seq, _| keep.contains(seq));
+                        assert_eq!(table.len(), model.len(), "seed {seed} op {op}: trim");
+                        for &seq in &keep {
+                            assert_eq!(table.get(seq), model.get(&seq).copied());
+                        }
+                        continue;
+                    }
+                };
+                table.insert(seq, value);
+                model.insert(seq, value);
+                end = end.max(seq + 1);
+                assert_eq!(table.len(), model.len(), "seed {seed} op {op}: {seq}");
+                for probe in seq.saturating_sub(3)..seq + 4 {
+                    assert_eq!(
+                        table.get(probe),
+                        model.get(&probe).copied(),
+                        "seed {seed} op {op}: get({probe}) after insert({seq})"
+                    );
+                }
+                let probe = gen.below(end + 10);
+                assert_eq!(table.get(probe), model.get(&probe).copied());
+            }
+        }
+    }
+
     #[test]
     fn fast_map_holds_word_keys() {
         let mut m: FastMap<u64, u64> = FastMap::default();

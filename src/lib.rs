@@ -20,8 +20,8 @@
 //!   ([`grid::run_grid`]),
 //! * [`net`] — the multi-host sweep fabric: shard links, the TCP worker
 //!   daemon handshake, and network fault injection ([`net::ShardLink`]),
-//! * [`bench`] — the figure/table harness and the perf microbench suite
-//!   behind `prism bench` ([`bench::perf`]).
+//! * [`bench`](mod@bench) — the figure/table harness and the perf
+//!   microbench suite behind `prism bench` ([`bench::perf`]).
 //!
 //! See the repository's `README.md` for a tour and `DESIGN.md` for the
 //! system inventory.
