@@ -83,7 +83,8 @@ pub fn prepare_named(names: &[&str]) -> Result<Vec<PreparedWorkload>, PipelineEr
 /// store (`target/prism-artifacts`, override with `PRISM_ARTIFACT_DIR`).
 /// Artifacts invalidate automatically when any input changes; a fully
 /// cached run does no tracing at all. Cache hit/miss counts are logged,
-/// and `--stats` adds the resolved config and the session counters.
+/// and `--stats` adds the resolved config, the session counters, the
+/// results digest and the process's peak RSS.
 ///
 /// Failures are isolated per unit: the report carries results for every
 /// healthy design point plus a quarantine list for the rest.
@@ -102,6 +103,7 @@ pub fn full_design_space() -> SweepReport {
     s.log_stats();
     if config.stats {
         eprint!("{}", s.stats().render());
+        eprint!("{}", report.render_stats());
     }
     report
 }

@@ -56,7 +56,8 @@ pub use dse::{
     WorkloadMetrics,
 };
 pub use schedule::{
-    amdahl_schedule, oracle_assignments, oracle_pick, oracle_schedule, oracle_table,
-    oracle_table_budgeted, oracle_table_with, CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
+    amdahl_schedule, oracle_assignments, oracle_pick, oracle_pick_in, oracle_schedule,
+    oracle_table, oracle_table_budgeted, oracle_table_with, CandidateGain, OracleTable,
+    MAX_REGION_SLOWDOWN,
 };
 pub use timeline::{switching_timeline, WindowPoint};

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use prism_ir::LoopId;
+use prism_ir::{LoopForest, LoopId};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoRunResult, ExoTiming};
 use prism_udg::{BudgetExceeded, CoreConfig, ExecBudget, FuelMeter, NODES_PER_INST};
 
@@ -153,6 +153,13 @@ pub fn oracle_table_with(
 /// table's [`oracle_assignments`] order.
 #[must_use]
 pub fn oracle_pick(table: &OracleTable, data: &WorkloadData, enabled: &[BsaKind]) -> Assignment {
+    oracle_pick_in(table, &data.ir.loops, enabled)
+}
+
+/// [`oracle_pick`] over the workload's loop forest, the one part of its
+/// data a pick reads: a caller that has dropped the trace can still pick.
+#[must_use]
+pub fn oracle_pick_in(table: &OracleTable, loops: &LoopForest, enabled: &[BsaKind]) -> Assignment {
     let mut ranked: Vec<&CandidateGain> = table
         .candidates
         .iter()
@@ -171,7 +178,7 @@ pub fn oracle_pick(table: &OracleTable, data: &WorkloadData, enabled: &[BsaKind]
             if x == y {
                 return true;
             }
-            match data.ir.loops.loops[x as usize].parent {
+            match loops.loops[x as usize].parent {
                 Some(p) => x = p,
                 None => return false,
             }

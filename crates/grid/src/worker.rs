@@ -350,14 +350,23 @@ fn unit_label(unit: &QueuedUnit) -> String {
 /// always settles the point's label, with a result or a quarantine, also
 /// when no healthy workload is left to evaluate; workload-level failures
 /// stay in it as `workload:<name>` entries.
+///
+/// Units arrive one at a time, and a shard gets units of every core, so
+/// the session keeps every trace it prepares: each workload is prepared
+/// at most once per session, and not at all for a unit the store holds.
+/// Dropping a workload's traces after its last unit needs core-affine
+/// dispatch first.
 pub(crate) fn evaluate_unit(
     session: &Session,
     workloads: &[&Workload],
     core: &CoreConfig,
     bsas: &[BsaKind],
 ) -> SweepReport {
-    let mut report =
-        session.evaluate_designs(workloads, std::slice::from_ref(core), &[bsas.to_vec()]);
+    let mut report = session.evaluate_designs_keeping_traces(
+        workloads,
+        std::slice::from_ref(core),
+        &[bsas.to_vec()],
+    );
     let label = DesignPoint::new(core.clone(), bsas.to_vec()).label();
     if report.results.is_empty() && !report.quarantined.iter().any(|(k, _)| *k == label) {
         let error = PipelineError::new(&label, Stage::Evaluate, "no healthy workloads to evaluate");
@@ -560,5 +569,43 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(stored, Some(result), "{tag}: named key not in the store");
         }
+    }
+
+    /// A shard keeps every trace it prepares: units of two cores prepare
+    /// each workload once, and a unit whose result the store holds
+    /// prepares nothing.
+    #[test]
+    fn units_prepare_each_workload_once_per_session() {
+        let dir = std::env::temp_dir().join(format!("prism-worker-prep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = || {
+            Session::from_config(&config(&dir, None)).with_tracer(TracerConfig {
+                max_insts: 4_000,
+                ..TracerConfig::default()
+            })
+        };
+        let workloads: Vec<&Workload> = prism_workloads::MICRO.iter().take(3).collect();
+        let units = [
+            (CoreConfig::io2(), vec![]),
+            (CoreConfig::ooo2(), vec![BsaKind::Simd]),
+            (CoreConfig::io2(), BsaKind::ALL.to_vec()),
+        ];
+        let shard = session();
+        for (core, bsas) in &units {
+            let report = evaluate_unit(&shard, &workloads, core, bsas);
+            assert_eq!(report.results.len(), 1, "{report:?}");
+        }
+        let prepared = shard.stats().traces_prepared;
+        let warm = session();
+        let (core, bsas) = &units[1];
+        let report = evaluate_unit(&warm, &workloads, core, bsas);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(prepared, workloads.len() as u64);
+        assert_eq!(report.results.len(), 1, "{report:?}");
+        assert_eq!(
+            warm.stats().traces_prepared,
+            0,
+            "a stored unit prepares nothing"
+        );
     }
 }

@@ -70,6 +70,7 @@ pub mod journal;
 pub mod json;
 pub mod key;
 pub mod par;
+mod queue;
 pub mod session;
 pub mod store;
 pub mod sweep;

@@ -32,21 +32,39 @@ where
     }
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    run_workers(workers, || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
+        }
+        let result = f(i, &items[i]);
+        // A slot holds plain data; recover rather than cascade a panic
+        // from another worker that died holding a lock.
+        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("worker filled every slot")
+        })
+        .collect()
+}
+
+/// Runs `work` on `jobs` threads (on the caller's thread when `jobs` is
+/// at most 1) and returns once every thread has exited.
+///
+/// # Panics
+///
+/// Propagates a worker thread's panic, with its payload.
+pub(crate) fn run_workers(jobs: usize, work: impl Fn() + Sync) {
+    if jobs <= 1 {
+        work();
+        return;
+    }
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let result = f(i, &items[i]);
-                    // A slot holds plain data; recover rather than cascade a
-                    // panic from another worker that died holding a lock.
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                })
-            })
-            .collect();
+        let workers: Vec<_> = (0..jobs).map(|_| scope.spawn(&work)).collect();
         // Join each worker rather than let the scope end: the scope ends
         // when the closures return, before the threads exit and hand their
         // malloc arenas back. The next fan-out's threads would then find
@@ -58,14 +76,6 @@ where
             }
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 #[cfg(test)]

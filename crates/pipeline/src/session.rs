@@ -13,9 +13,14 @@
 //! walk pack per (workload, core timing class); a design point's other
 //! walks are stored one per file.
 //!
-//! All fan-out runs through [`parallel_map`], so results are reduced in
-//! canonical (input-index) order and a `--jobs 1` run is bit-identical to a
-//! `--jobs N` run.
+//! A sweep keeps no trace longer than its walks need: one work queue
+//! (`queue.rs`) prepares each workload and fills the memo for it,
+//! and drops the trace after its last fill, so at most `jobs` traces are
+//! live. Pricing reads no trace.
+//!
+//! All fan-out runs through [`parallel_map`] or that queue, so results are
+//! reduced in canonical (input-index) order and a `--jobs 1` run is
+//! bit-identical to a `--jobs N` run.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -26,9 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, oracle_assignments, oracle_pick, oracle_table_with, DesignPoint,
-    DesignResult, OracleTable, WorkloadData, WorkloadMetrics,
+    all_bsa_subsets, all_cores, oracle_assignments, oracle_pick, oracle_pick_in, oracle_table_with,
+    DesignPoint, DesignResult, OracleTable, WorkloadData, WorkloadMetrics,
 };
+use prism_ir::LoopForest;
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
 use prism_udg::{CoreConfig, ExecBudget, NODES_PER_INST};
@@ -46,6 +52,7 @@ use crate::hash::{ContentHash, Sha256};
 use crate::journal::SweepLedger;
 use crate::key::KeyBuilder;
 use crate::par::parallel_map;
+use crate::queue::{prepare_and_fill, Slot};
 use crate::store::{ArtifactRole, ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 use crate::sweep::SweepReport;
 
@@ -134,6 +141,13 @@ pub struct SessionStats {
     /// Busy nanoseconds, summed over threads, spent in IR reconstruction +
     /// accelerator analysis ([`WorkloadData::from_trace`]).
     pub transform_nanos: u64,
+    /// Traces the session simulated: one per preparation, whether a
+    /// memo or a sweep kept it.
+    pub traces_prepared: u64,
+    /// The most traces alive at once: those in the workload memo plus
+    /// those a sweep held. A sweep over workloads the memo does not hold
+    /// keeps this at most its job count.
+    pub peak_live_traces: u64,
     /// Units settled from a sweep-journal replay instead of recomputed
     /// (completed *and* quarantined units both count).
     pub resumed: u64,
@@ -173,6 +187,7 @@ impl SessionStats {
              walk throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage busy     : sim {} ms, uDG {} ms, transforms {} ms \
              (summed over threads)\n\
+             traces         : {} prepared, at most {} live\n\
              journal        : {} units resumed, {} records replayed\n\
              tmp-file GC    : {} bytes reclaimed\n",
             a.hits,
@@ -200,6 +215,8 @@ impl SessionStats {
             self.sim_nanos / 1_000_000,
             self.udg_nanos / 1_000_000,
             self.transform_nanos / 1_000_000,
+            self.traces_prepared,
+            self.peak_live_traces,
             self.resumed,
             self.replayed,
             a.gc_reclaimed_bytes,
@@ -246,6 +263,19 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
+/// Runs one workload's preparation behind a panic boundary: a panic
+/// becomes a typed error naming the workload.
+fn guarded_prepare<T>(
+    name: &str,
+    prepare: impl FnOnce() -> Result<T, PipelineError>,
+) -> Result<T, PipelineError> {
+    catch_unwind(AssertUnwindSafe(prepare)).unwrap_or_else(|payload| {
+        let msg = panic_message(payload.as_ref());
+        let stage = panic_stage(&msg, Stage::Build);
+        Err(PipelineError::panicked(name, stage, msg))
+    })
+}
+
 /// The `assigned` label of a walk: its (loop, BSA) pairs in loop order, as
 /// a shape key hashes them and an oracle walk pack lists them.
 fn assigned_label(assignment: &Assignment) -> String {
@@ -257,9 +287,102 @@ fn assigned_label(assignment: &Assignment) -> String {
         .collect()
 }
 
+/// The memo key of the oracle table of workload `workload` on `core`.
+fn table_key(workload: &ContentHash, core: &CoreConfig) -> ContentHash {
+    let mut kb = KeyBuilder::new("oracle-table");
+    kb.hash_field("workload", workload);
+    kb.core(core);
+    kb.finish()
+}
+
+/// [`Session::shape_key`] over the workload's content key.
+fn shape_key(workload: &ContentHash, core: &CoreConfig, assignment: &Assignment) -> ContentHash {
+    let mut kb = KeyBuilder::new("exo-timing-shape");
+    kb.hash_field("workload", workload);
+    kb.core_timing(core);
+    kb.field("assigned", assigned_label(assignment));
+    kb.finish()
+}
+
 /// One shape key's slot in the session's timing memo: filled once, by the
 /// first request, while concurrent requests for the same key wait.
 type TimingCell = Arc<OnceLock<Arc<ExoTiming>>>;
+
+/// Traces alive in a session (memoized, or held by a sweep) and the most
+/// alive at once.
+#[derive(Debug, Default)]
+struct LiveTraces {
+    now: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl LiveTraces {
+    fn add(&self) {
+        let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+/// Where a sweep gets one workload's data, and who keeps it.
+#[derive(Debug, Clone, Copy)]
+enum Origin<'a> {
+    /// A registered workload. The sweep reuses the memo's copy or
+    /// prepares one of its own, which it drops after its fills.
+    Release(&'a Workload),
+    /// A registered workload prepared into the memo, which keeps it (a
+    /// caller that sweeps one unit at a time).
+    Keep(&'a Workload),
+    /// Data the caller prepared and holds ([`Session::explore_grid`]).
+    Held(&'a PreparedWorkload),
+}
+
+impl Origin<'_> {
+    fn name(&self) -> &str {
+        match self {
+            Origin::Release(w) | Origin::Keep(w) => w.name,
+            Origin::Held(p) => &p.name,
+        }
+    }
+}
+
+/// A prepared workload a sweep holds. One the memo does not hold counts
+/// among the session's live traces until its last copy drops.
+struct Live<'s> {
+    workload: PreparedWorkload,
+    counted: Option<&'s LiveTraces>,
+}
+
+impl Drop for Live<'_> {
+    fn drop(&mut self) {
+        if let Some(live) = self.counted {
+            live.now.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A workload as a sweep's evaluation sees it: no trace, only what
+/// pricing reads (the loop forest for [`oracle_pick_in`], the trace
+/// length for the budget charge) and where to get the data again on a
+/// memo miss.
+struct Swept<'a> {
+    origin: Origin<'a>,
+    key: ContentHash,
+    name: String,
+    loops: LoopForest,
+    trace_len: usize,
+}
+
+impl<'a> Swept<'a> {
+    fn of(origin: Origin<'a>, workload: &PreparedWorkload) -> Self {
+        Swept {
+            origin,
+            key: workload.key,
+            name: workload.name.clone(),
+            loops: workload.ir.loops.clone(),
+            trace_len: workload.trace.len(),
+        }
+    }
+}
 
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
@@ -287,6 +410,8 @@ pub struct Session {
     sim_nanos: AtomicU64,
     udg_nanos: AtomicU64,
     transform_nanos: AtomicU64,
+    traces_prepared: AtomicU64,
+    live_traces: LiveTraces,
     resumed: AtomicU64,
     replayed: AtomicU64,
 }
@@ -351,6 +476,8 @@ impl Session {
             sim_nanos: AtomicU64::new(0),
             udg_nanos: AtomicU64::new(0),
             transform_nanos: AtomicU64::new(0),
+            traces_prepared: AtomicU64::new(0),
+            live_traces: LiveTraces::default(),
             resumed: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
         }
@@ -477,22 +604,48 @@ impl Session {
         name: &str,
         build: impl FnOnce() -> prism_isa::Program,
     ) -> Result<PreparedWorkload, PipelineError> {
+        if let Some(workload) = self.memoized(key) {
+            return Ok(workload);
+        }
+        let workload = self.trace_workload(key, name, build)?;
         // Poison recovery: the memo holds plain data, so a panic in some
         // other thread that happened to hold the lock cannot have left it
         // half-updated — recover the guard instead of cascading the panic.
-        if let Some(data) = self
+        let raced = self
+            .workloads
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(key, Arc::clone(&workload.data));
+        if raced.is_none() {
+            self.live_traces.add();
+        }
+        Ok(workload)
+    }
+
+    /// The memo's copy of workload `key`, counted as a memo hit or miss.
+    fn memoized(&self, key: ContentHash) -> Option<PreparedWorkload> {
+        let data = self
             .workloads
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PreparedWorkload {
-                key,
-                data: Arc::clone(data),
-            });
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+            .cloned();
+        let counter = if data.is_some() {
+            &self.memo_hits
+        } else {
+            &self.memo_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        data.map(|data| PreparedWorkload { key, data })
+    }
+
+    /// Builds, traces and analyses one workload, memoizing nothing.
+    fn trace_workload(
+        &self,
+        key: ContentHash,
+        name: &str,
+        build: impl FnOnce() -> prism_isa::Program,
+    ) -> Result<PreparedWorkload, PipelineError> {
         if let Some(f) = &self.faults {
             f.maybe_panic(Stage::Build, name);
         }
@@ -515,11 +668,33 @@ impl Session {
         let data = Arc::new(WorkloadData::from_trace(trace));
         self.transform_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&data));
+        self.traces_prepared.fetch_add(1, Ordering::Relaxed);
         Ok(PreparedWorkload { key, data })
+    }
+
+    /// One workload's data for a sweep: the caller's for
+    /// [`Origin::Held`], else the memo's copy when it holds one, else a
+    /// fresh preparation that only [`Origin::Keep`] memoizes.
+    fn sweep_prepare(&self, origin: Origin<'_>) -> Result<Live<'_>, PipelineError> {
+        let unowned = |workload| Live {
+            workload,
+            counted: None,
+        };
+        let w = match origin {
+            Origin::Held(workload) => return Ok(unowned(workload.clone())),
+            Origin::Keep(w) => return self.prepare(w).map(unowned),
+            Origin::Release(w) => w,
+        };
+        let key = self.workload_key(w.name, w.scaled_n());
+        if let Some(workload) = self.memoized(key) {
+            return Ok(unowned(workload));
+        }
+        let workload = self.trace_workload(key, w.name, || (w.build)(w.scaled_n()))?;
+        self.live_traces.add();
+        Ok(Live {
+            workload,
+            counted: Some(&self.live_traces),
+        })
     }
 
     /// Records `program`'s trace chunk-by-chunk from the streaming
@@ -645,18 +820,9 @@ impl Session {
         workload: &PreparedWorkload,
         core: &CoreConfig,
     ) -> Result<Arc<OracleTable>, PipelineError> {
-        let mut kb = KeyBuilder::new("oracle-table");
-        kb.hash_field("workload", &workload.key);
-        kb.core(core);
-        let key = kb.finish();
-        if let Some(table) = self
-            .tables
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(table));
+        let key = table_key(&workload.key, core);
+        if let Some(table) = self.memo_table(&key) {
+            return Ok(table);
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let labels: Vec<String> = oracle_assignments(&workload.data)
@@ -676,7 +842,7 @@ impl Session {
         let walks = RefCell::new(Vec::with_capacity(labels.len()));
         let table = oracle_table_with(&workload.data, core, &self.budget, |assignment| {
             debug_assert_eq!(assigned_label(assignment), labels[walks.borrow().len()]);
-            let key = self.shape_key(workload, core, assignment);
+            let key = shape_key(&workload.key, core, assignment);
             let timing = self.memo_timing(key, || match &stored {
                 Some(pack) => self.loaded(Arc::clone(&pack[walks.borrow().len()])),
                 None => self.walk(workload, core, assignment),
@@ -705,6 +871,20 @@ impl Session {
         Ok(table)
     }
 
+    /// The memo's oracle table under `key`, counted as a memo hit.
+    fn memo_table(&self, key: &ContentHash) -> Option<Arc<OracleTable>> {
+        let table = self
+            .tables
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+            .cloned();
+        if table.is_some() {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        table
+    }
+
     /// The canonical **µDG shape key** of one trace-walk timing: a
     /// [`ContentHash`] over exactly what the walk reads — workload trace
     /// identity, the core's [timing class](CoreConfig::timing_class)
@@ -720,11 +900,7 @@ impl Session {
         core: &CoreConfig,
         assignment: &Assignment,
     ) -> ContentHash {
-        let mut kb = KeyBuilder::new("exo-timing-shape");
-        kb.hash_field("workload", &workload.key);
-        kb.core_timing(core);
-        kb.field("assigned", assigned_label(assignment));
-        kb.finish()
+        shape_key(&workload.key, core, assignment)
     }
 
     /// The memoized timing of shape `key`, filled by `fill` on the first
@@ -749,10 +925,29 @@ impl Session {
             fill()
         });
         if !filled {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.shape_memo_hit();
         }
         Arc::clone(timing)
+    }
+
+    /// The memo's timing of shape `key` if it is filled, counted as a
+    /// shape-memo hit.
+    fn memoized_timing(&self, key: &ContentHash) -> Option<Arc<ExoTiming>> {
+        let timing = self
+            .timings
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+            .and_then(|cell| cell.get().cloned());
+        if timing.is_some() {
+            self.shape_memo_hit();
+        }
+        timing
+    }
+
+    fn shape_memo_hit(&self) {
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts `timing` as loaded from the store instead of walked.
@@ -798,7 +993,7 @@ impl Session {
         core: &CoreConfig,
         assignment: &Assignment,
     ) -> Arc<ExoTiming> {
-        let key = self.shape_key(workload, core, assignment);
+        let key = shape_key(&workload.key, core, assignment);
         self.memo_timing(key, || {
             if let Some(timing) = self
                 .store
@@ -817,7 +1012,7 @@ impl Session {
 
     fn evaluate_point(
         &self,
-        data: &[PreparedWorkload],
+        data: &[Swept<'_>],
         core: &CoreConfig,
         bsas: &[BsaKind],
     ) -> Result<DesignResult, PipelineError> {
@@ -831,10 +1026,17 @@ impl Session {
         let mut meter = self.budget.meter();
         let mut per_workload = Vec::with_capacity(data.len());
         for w in data {
-            let table = self.oracle_table(w, core)?;
-            let assignment = oracle_pick(&table, &w.data, &point.bsas);
+            // The sweep's fills stocked the memo, so this prices and reads
+            // no trace. A miss (after a fill that failed) prepares the
+            // workload again, at most once per point, and walks that.
+            let mut again = None;
+            let table = match self.memo_table(&table_key(&w.key, core)) {
+                Some(table) => table,
+                None => self.oracle_table(self.prepare_again(w, &mut again)?, core)?,
+            };
+            let assignment = oracle_pick_in(&table, &w.loops, &point.bsas);
             meter
-                .charge((w.trace.len() as u64).saturating_mul(NODES_PER_INST))
+                .charge((w.trace_len as u64).saturating_mul(NODES_PER_INST))
                 .map_err(|e| PipelineError::budget(&w.name, &e))?;
             for &kind in assignment.map.values() {
                 assert!(
@@ -842,7 +1044,10 @@ impl Session {
                     "assignment to absent accelerator {kind}"
                 );
             }
-            let timing = self.exo_timing(w, &point.core, &assignment);
+            let timing = match self.memoized_timing(&shape_key(&w.key, core, &assignment)) {
+                Some(timing) => timing,
+                None => self.exo_timing(self.prepare_again(w, &mut again)?, core, &assignment),
+            };
             let run = price_exocore(&timing, &point.core, &point.bsas);
             per_workload.push(WorkloadMetrics::from_run(&run, &w.name));
         }
@@ -855,11 +1060,25 @@ impl Session {
         })
     }
 
+    /// `w`'s data for a memo miss in evaluation: prepared again from its
+    /// origin into `slot`, once. Preparation is deterministic, so the
+    /// walks see the same trace the fills did.
+    fn prepare_again<'s, 'x>(
+        &'s self,
+        w: &Swept<'_>,
+        slot: &'x mut Option<Live<'s>>,
+    ) -> Result<&'x PreparedWorkload, PipelineError> {
+        if slot.is_none() {
+            *slot = Some(self.sweep_prepare(w.origin)?);
+        }
+        Ok(&slot.as_ref().expect("prepared above").workload)
+    }
+
     /// [`Session::evaluate_point`] behind a panic boundary: a panicking
     /// model stage becomes a typed error attributed to this design point.
     fn evaluate_point_guarded(
         &self,
-        data: &[PreparedWorkload],
+        data: &[Swept<'_>],
         core: &CoreConfig,
         bsas: &[BsaKind],
     ) -> Result<DesignResult, PipelineError> {
@@ -882,11 +1101,7 @@ impl Session {
         workloads: &[&Workload],
     ) -> (Vec<PreparedWorkload>, Vec<(String, PipelineError)>) {
         let outcomes = parallel_map(workloads, self.jobs, |_, w| {
-            catch_unwind(AssertUnwindSafe(|| self.prepare(w))).unwrap_or_else(|payload| {
-                let msg = panic_message(payload.as_ref());
-                let stage = panic_stage(&msg, Stage::Build);
-                Err(PipelineError::panicked(w.name, stage, msg))
-            })
+            guarded_prepare(w.name, || self.prepare(w))
         });
         let mut healthy = Vec::new();
         let mut failed = Vec::new();
@@ -899,49 +1114,103 @@ impl Session {
         (healthy, failed)
     }
 
+    /// The sweep's work queue ([`crate::queue`]) over `origins`: prepares
+    /// each workload and fills the memo for the points `fill` names
+    /// (indices in core-major order). A fill is one (workload, core)
+    /// pair: the oracle table, then the walks of that core's points. A
+    /// workload the sweep prepared for itself is dropped after its last
+    /// fill, so at most `jobs` of them are live. Fill failures resurface,
+    /// typed, when the point is evaluated. Returns each workload's
+    /// trace-less handle, or its preparation error, in input order.
+    fn prepare_and_fill<'a>(
+        &self,
+        origins: &[Origin<'a>],
+        cores: &[CoreConfig],
+        subsets: &[Vec<BsaKind>],
+        fill: &[usize],
+    ) -> Vec<Result<Swept<'a>, PipelineError>> {
+        // Cores that have points to fill (`fill` is sorted, so dedup works).
+        let mut core_ids: Vec<usize> = fill.iter().map(|&i| i / subsets.len()).collect();
+        core_ids.dedup();
+        let handles: Vec<OnceLock<Result<Swept<'a>, PipelineError>>> =
+            origins.iter().map(|_| OnceLock::new()).collect();
+        let slots = origins
+            .iter()
+            .zip(&handles)
+            .map(|(&origin, handle)| match origin {
+                Origin::Held(workload) => {
+                    let _ = handle.set(Ok(Swept::of(origin, workload)));
+                    let live = Live {
+                        workload: workload.clone(),
+                        counted: None,
+                    };
+                    Slot::Ready(Arc::new(live), workload.trace.len() as u64)
+                }
+                Origin::Release(_) | Origin::Keep(_) => Slot::Pending,
+            })
+            .collect();
+        prepare_and_fill(
+            self.jobs,
+            slots,
+            core_ids.len(),
+            |i| {
+                let origin = origins[i];
+                match guarded_prepare(origin.name(), || self.sweep_prepare(origin)) {
+                    Ok(live) => {
+                        let _ = handles[i].set(Ok(Swept::of(origin, &live.workload)));
+                        let weight = live.workload.trace.len() as u64;
+                        Some((Arc::new(live), weight))
+                    }
+                    Err(e) => {
+                        let _ = handles[i].set(Err(e));
+                        None
+                    }
+                }
+            },
+            |live: &Arc<Live<'_>>, c| {
+                let core_id = core_ids[c];
+                let points = fill.iter().filter(|&&i| i / subsets.len() == core_id);
+                let subsets = points.map(|&i| &subsets[i % subsets.len()]);
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    self.fill(&live.workload, &cores[core_id], subsets)
+                }));
+            },
+        );
+        handles
+            .into_iter()
+            .map(|h| h.into_inner().expect("the queue prepares every workload"))
+            .collect()
+    }
+
+    /// One fill: `workload`'s oracle table on `core`, then the walk of
+    /// each of `subsets` on that core.
+    fn fill<'b>(
+        &self,
+        workload: &PreparedWorkload,
+        core: &CoreConfig,
+        subsets: impl Iterator<Item = &'b Vec<BsaKind>>,
+    ) -> Result<(), PipelineError> {
+        let table = self.oracle_table(workload, core)?;
+        for bsas in subsets {
+            let assignment = oracle_pick(&table, workload, bsas);
+            self.exo_timing(workload, core, &assignment);
+        }
+        Ok(())
+    }
+
     /// Evaluates the grid points named by `missing` (indices in core-major
     /// order) with failure isolation, returning `(index, outcome)` pairs in
-    /// input order. Fills the memo in one fan-out over (core, workload) —
-    /// the oracle table, then the walks of that core's missing points —
-    /// and evaluates and quarantines per point. `on_unit` runs inside the
-    /// evaluation fan-out as each unit settles — the durability hook
-    /// (store save + journal append) for callers that persist
-    /// incrementally.
-    fn run_points(
+    /// input order. `on_unit` runs inside the fan-out as each unit settles
+    /// — the durability hook (store save + journal append) for callers
+    /// that persist incrementally.
+    fn evaluate_points(
         &self,
-        data: &[PreparedWorkload],
+        data: &[Swept<'_>],
         cores: &[CoreConfig],
         subsets: &[Vec<BsaKind>],
         missing: &[usize],
         on_unit: &(dyn Fn(usize, &Result<DesignResult, PipelineError>) + Sync),
     ) -> Vec<(usize, Result<DesignResult, PipelineError>)> {
-        // Cores that still have work (missing is sorted, so dedup works).
-        let mut core_ids: Vec<usize> = missing.iter().map(|&i| i / subsets.len()).collect();
-        core_ids.dedup();
-
-        // Fill the memo over (core × workload): the oracle table, then the
-        // walks the core's missing points need, so parallel point
-        // evaluation only prices. Failures here resurface (typed) when the
-        // point is evaluated.
-        let pairs: Vec<(usize, usize)> = core_ids
-            .iter()
-            .flat_map(|&c| (0..data.len()).map(move |w| (c, w)))
-            .collect();
-        parallel_map(&pairs, self.jobs, |_, &(c, w)| {
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let table = self.oracle_table(&data[w], &cores[c])?;
-                for idx in missing.iter().filter(|&&i| i / subsets.len() == c) {
-                    let point =
-                        DesignPoint::new(cores[c].clone(), subsets[idx % subsets.len()].clone());
-                    let assignment = oracle_pick(&table, &data[w].data, &point.bsas);
-                    self.exo_timing(&data[w], &point.core, &assignment);
-                }
-                Ok::<_, PipelineError>(())
-            }));
-        });
-
-        // Evaluate every missing point; tables and timings now come from
-        // the memo.
         parallel_map(missing, self.jobs, |_, &idx| {
             let (c, s) = (idx / subsets.len(), idx % subsets.len());
             let res = self.evaluate_point_guarded(data, &cores[c], &subsets[s]);
@@ -966,8 +1235,14 @@ impl Session {
         subsets: &[Vec<BsaKind>],
     ) -> SweepReport {
         let all: Vec<usize> = (0..cores.len() * subsets.len()).collect();
+        let origins: Vec<Origin<'_>> = data.iter().map(Origin::Held).collect();
+        let swept: Vec<Swept<'_>> = self
+            .prepare_and_fill(&origins, cores, subsets, &all)
+            .into_iter()
+            .map(|held| held.expect("the caller's data needs no preparation"))
+            .collect();
         let mut report = SweepReport::default();
-        for (idx, res) in self.run_points(data, cores, subsets, &all, &|_, _| {}) {
+        for (idx, res) in self.evaluate_points(&swept, cores, subsets, &all, &|_, _| {}) {
             match res {
                 Ok(r) => report.results.push(r),
                 Err(e) => {
@@ -987,7 +1262,8 @@ impl Session {
     /// missing, and every failure — workload preparation, stage panic,
     /// budget, store I/O — quarantines the smallest unit it affects
     /// instead of aborting the sweep. A fully cached run does no tracing
-    /// at all.
+    /// at all. A workload the memo does not hold is prepared for the
+    /// sweep alone and its trace dropped once its walks are done.
     ///
     /// When workloads are quarantined, the surviving points are keyed (and
     /// cached) over the healthy workload subset, so their artifacts are
@@ -1000,7 +1276,21 @@ impl Session {
         cores: &[CoreConfig],
         subsets: &[Vec<BsaKind>],
     ) -> SweepReport {
-        self.evaluate_designs_inner(workloads, cores, subsets, None)
+        self.evaluate_designs_inner(workloads, cores, subsets, None, false)
+    }
+
+    /// [`Session::evaluate_designs`] for a caller that sweeps one unit at
+    /// a time, as the grid's workers do: every workload it prepares goes
+    /// into the session's memo and stays there, so a later unit prepares
+    /// nothing.
+    #[must_use]
+    pub fn evaluate_designs_keeping_traces(
+        &self,
+        workloads: &[&Workload],
+        cores: &[CoreConfig],
+        subsets: &[Vec<BsaKind>],
+    ) -> SweepReport {
+        self.evaluate_designs_inner(workloads, cores, subsets, None, true)
     }
 
     /// [`Session::evaluate_designs`] with a sweep journal: every settled
@@ -1017,17 +1307,19 @@ impl Session {
         subsets: &[Vec<BsaKind>],
         resume: bool,
     ) -> SweepReport {
-        self.evaluate_designs_inner(workloads, cores, subsets, Some(resume))
+        self.evaluate_designs_inner(workloads, cores, subsets, Some(resume), false)
     }
 
-    /// The sweep behind both entry points, journaled through a
-    /// [`SweepLedger`] opened with `resume` (`None`: no journal).
+    /// The sweep behind every entry point, journaled through a
+    /// [`SweepLedger`] opened with `resume` (`None`: no journal); with
+    /// `keep`, its preparations stay in the memo.
     fn evaluate_designs_inner(
         &self,
         workloads: &[&Workload],
         cores: &[CoreConfig],
         subsets: &[Vec<BsaKind>],
         resume: Option<bool>,
+        keep: bool,
     ) -> SweepReport {
         let ledger = SweepLedger::open(
             self.store.dir(),
@@ -1043,25 +1335,48 @@ impl Session {
         let resumed = settled.iter().filter(|&&s| s).count();
         self.resumed.fetch_add(resumed as u64, Ordering::Relaxed);
         self.replayed.fetch_add(ledger.records(), Ordering::Relaxed);
+        let missing = |results: &[Option<DesignResult>]| -> Vec<usize> {
+            (0..results.len())
+                .filter(|&i| !settled[i] && results[i].is_none())
+                .collect()
+        };
         let mut report = SweepReport::default();
 
         // Fast path: everything cached under the full workload set (or
         // settled by the journal) — no preparation needed at all.
         let mut results = self.cached_designs(workloads, cores, subsets, &settled);
-        if (0..results.len()).all(|i| settled[i] || results[i].is_some()) {
+        let to_fill = missing(&results);
+        if to_fill.is_empty() {
             report.results = results.into_iter().flatten().collect();
             return ledger.finish(report);
         }
 
-        // Prepare with quarantine; failed workloads drop out of the sweep.
-        let (data, failed) = self.prepare_quarantined(workloads);
-        for (name, err) in failed {
-            report.quarantined.push((format!("workload:{name}"), err));
+        // Prepare with quarantine, and fill the memo for the points missing
+        // under the full set; failed workloads drop out of the sweep.
+        let origins: Vec<Origin<'_>> = workloads
+            .iter()
+            .map(|&w| {
+                if keep {
+                    Origin::Keep(w)
+                } else {
+                    Origin::Release(w)
+                }
+            })
+            .collect();
+        let mut data = Vec::with_capacity(workloads.len());
+        let prepared = self.prepare_and_fill(&origins, cores, subsets, &to_fill);
+        for (w, prepared) in workloads.iter().zip(prepared) {
+            match prepared {
+                Ok(swept) => data.push(swept),
+                Err(err) => report
+                    .quarantined
+                    .push((format!("workload:{}", w.name), err)),
+            }
         }
         if data.is_empty() {
             return ledger.finish(report);
         }
-        let healthy_keys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
+        let healthy_keys: Vec<ContentHash> = data.iter().map(|w| w.key).collect();
         if data.len() != workloads.len() {
             // The cache above was keyed over the full set; re-key over the
             // healthy subset. Journal-replayed units stay settled — under
@@ -1076,9 +1391,6 @@ impl Session {
             .map(|(core, bsas)| self.design_point_key(&healthy_keys, core, bsas))
             .collect();
 
-        let missing: Vec<usize> = (0..results.len())
-            .filter(|&i| !settled[i] && results[i].is_none())
-            .collect();
         // Durability hook, run as each unit settles: persist the result
         // artifact first, then journal the unit. Ordering matters — a
         // `done` record must always refer to an artifact that is already
@@ -1090,7 +1402,8 @@ impl Session {
             ledger.record(idx, res.as_ref());
             crash_point(SITE_UNIT_COMPLETE);
         };
-        for (idx, res) in self.run_points(&data, cores, subsets, &missing, &on_unit) {
+        let missing = missing(&results);
+        for (idx, res) in self.evaluate_points(&data, cores, subsets, &missing, &on_unit) {
             match res {
                 Ok(r) => results[idx] = Some(r),
                 Err(e) => report.quarantined.push((ledger.label(idx).to_string(), e)),
@@ -1179,6 +1492,8 @@ impl Session {
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
             transform_nanos: self.transform_nanos.load(Ordering::Relaxed),
+            traces_prepared: self.traces_prepared.load(Ordering::Relaxed),
+            peak_live_traces: self.live_traces.peak.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }

@@ -13,7 +13,9 @@ use std::collections::BTreeSet;
 
 use prism_exocore::DesignResult;
 
+use crate::codec::encode_design_result;
 use crate::error::PipelineError;
+use crate::hash::{ContentHash, Sha256};
 
 /// The outcome of a fault-isolated design-space sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -136,6 +138,41 @@ impl SweepReport {
         self.normalize();
     }
 
+    /// The report's **results digest**: SHA-256 over each result's stored
+    /// bytes ([`encode_design_result`]) in report order, then each
+    /// quarantined unit's key. Two sweeps that print the same table can
+    /// still differ in every metric; two with the same digest cannot.
+    #[must_use]
+    pub fn digest(&self) -> ContentHash {
+        let mut h = Sha256::new();
+        for r in &self.results {
+            h.update_str(&encode_design_result(r).to_string());
+            h.update(b"\n");
+        }
+        for (key, _) in &self.quarantined {
+            h.update_str("quarantined ");
+            h.update_str(key);
+            h.update(b"\n");
+        }
+        h.finish()
+    }
+
+    /// The `--stats` lines that close a sweep: its [digest](Self::digest)
+    /// and this process's peak resident set (`VmHWM` in
+    /// `/proc/self/status`; the line is left out where that file does not
+    /// exist).
+    #[must_use]
+    pub fn render_stats(&self) -> String {
+        let mut out = format!("results digest : {}\n", self.digest());
+        if let Some(kib) = peak_rss_kib() {
+            out.push_str(&format!(
+                "peak RSS       : {:.1} MiB\n",
+                kib as f64 / 1024.0
+            ));
+        }
+        out
+    }
+
     /// Results, consuming the report — convenience for callers that treat
     /// any quarantine as fatal.
     ///
@@ -148,6 +185,13 @@ impl SweepReport {
             None => Ok(self.results),
         }
     }
+}
+
+/// This process's peak resident set in KiB, from `/proc/self/status`.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 #[cfg(test)]

@@ -110,6 +110,9 @@ pub struct SeqTable {
     live: usize,
     /// Entries below `base` that survived a trim (or were inserted late).
     spill: FastMap<u64, u64>,
+    /// [`SeqTable::trim`]'s survivors, kept between trims so a trim
+    /// reuses its allocation.
+    kept: Vec<(u64, u64)>,
 }
 
 impl SeqTable {
@@ -182,20 +185,20 @@ impl SeqTable {
 
     /// Drops every entry not named by `keep`, then re-bases the window one
     /// past its current end: survivors move to the spill map (bounded by
-    /// the keep-set size), the dense window restarts empty, and its
+    /// the keep-set size), the dense window restarts empty, and every
     /// allocation is reused.
     pub fn trim(&mut self, keep: impl IntoIterator<Item = u64>) {
-        let survivors: Vec<(u64, u64)> = keep
-            .into_iter()
-            .filter_map(|s| self.get(s).map(|t| (s, t)))
-            .collect();
+        self.kept.clear();
+        for s in keep {
+            if let Some(t) = self.get(s) {
+                self.kept.push((s, t));
+            }
+        }
         self.base += self.slots.len() as u64;
         self.slots.clear();
         self.live = 0;
         self.spill.clear();
-        for (s, t) in survivors {
-            self.spill.insert(s, t);
-        }
+        self.spill.extend(self.kept.iter().copied());
     }
 }
 

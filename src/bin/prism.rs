@@ -35,7 +35,10 @@
 //! ```
 //!
 //! `--stats` on `explore` and `grid` prints the resolved config as one
-//! `config` line on stderr, then the run's counters.
+//! `config` line on stderr, then the run's counters, the results digest
+//! (SHA-256 over every result's stored bytes, so two runs that print the
+//! same table can be checked metric for metric) and the process's peak
+//! RSS.
 //!
 //! Every `PRISM_*` knob and the global flags are resolved once, at the
 //! top of `main`, into a `prism_pipeline::Config`; an unknown knob or a
@@ -119,6 +122,7 @@ fn cmd_explore(config: &Config) -> i32 {
     session.log_stats();
     if config.stats {
         eprint!("{}", session.stats().render());
+        eprint!("{}", report.render_stats());
     }
     code
 }
@@ -306,6 +310,7 @@ fn cmd_grid(config: &Config, args: &[String]) -> i32 {
             let code = finish_sweep(&outcome.report);
             if config.stats {
                 eprint!("{}", outcome.stats.render());
+                eprint!("{}", outcome.report.render_stats());
             }
             code
         }
