@@ -82,9 +82,9 @@ pub fn prepare_named(names: &[&str]) -> Result<Vec<PreparedWorkload>, PipelineEr
 /// loading already-evaluated points from the content-addressed artifact
 /// store (`target/prism-artifacts`, override with `PRISM_ARTIFACT_DIR`).
 /// Artifacts invalidate automatically when any input changes; a fully
-/// cached run does no tracing at all. Cache hit/miss counts are logged,
-/// and `--stats` adds the resolved config, the session counters, the
-/// results digest and the process's peak RSS.
+/// cached run does no tracing at all. `--stats` prints the resolved
+/// config, the session counters, the results digest and the process's
+/// peak RSS to stderr.
 ///
 /// Failures are isolated per unit: the report carries results for every
 /// healthy design point plus a quarantine list for the rest.
@@ -100,7 +100,6 @@ pub fn full_design_space() -> SweepReport {
         eprint!("{}", config.render());
     }
     let report = s.full_design_space_resumable(config.resume);
-    s.log_stats();
     if config.stats {
         eprint!("{}", s.stats().render());
         eprint!("{}", report.render_stats());

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use prism_exocore::{all_bsa_subsets, all_cores};
 use prism_pipeline::{Json, Session};
-use prism_udg::{simulate_trace, CoreConfig, ExecBudget};
+use prism_udg::{simulate_trace, CoreConfig};
 use prism_workloads::Workload;
 
 /// Options for one perf run.
@@ -302,7 +302,6 @@ fn explore_secs(workloads: &[&Workload]) -> f64 {
         .with_store_dir(&dir)
         .with_jobs(1)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
         .with_store_cap(None);
     let start = Instant::now();
     let report = session.evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());
@@ -337,7 +336,6 @@ fn explore_warm_secs(workloads: &[&Workload]) -> f64 {
             .with_store_dir(&dir)
             .with_jobs(1)
             .with_faults(None)
-            .with_budget(ExecBudget::unlimited())
             .with_store_cap(None)
     };
     let cold = session_at().evaluate_designs(workloads, &all_cores(), &all_bsa_subsets());

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use prism_ir::{LoopForest, LoopId};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoRunResult, ExoTiming};
-use prism_udg::{BudgetExceeded, CoreConfig, ExecBudget, FuelMeter, NODES_PER_INST};
+use prism_udg::{CoreConfig, ExecBudget};
 
 use crate::WorkloadData;
 
@@ -47,29 +47,23 @@ pub struct OracleTable {
 /// paper's Oracle uses.
 #[must_use]
 pub fn oracle_table(data: &WorkloadData, core: &CoreConfig) -> OracleTable {
-    oracle_table_budgeted(data, core, &ExecBudget::unlimited())
-        .expect("unlimited budget cannot trip")
+    let walk = |a: &Assignment| run_exocore_timing(&data.trace, &data.ir, core, &data.plans, a);
+    oracle_table_with(data, core, |a| Arc::new(walk(a)))
 }
 
-/// Charges one whole-trace evaluation (µDG nodes for every dynamic
-/// instruction) against `meter`.
-fn charge_run(meter: &mut FuelMeter, trace_len: usize) -> Result<(), BudgetExceeded> {
-    meter.charge((trace_len as u64).saturating_mul(NODES_PER_INST))
-}
-
-/// [`oracle_table`] under an [`ExecBudget`]: [`oracle_table_with`] over
-/// unshared [`run_exocore_timing`] walks, the model-crate reference.
+/// [`oracle_table`], kept as a no-op wrapper only because `sweepbench/`
+/// calls it with [`ExecBudget::unlimited`]. No code outside `sweepbench/`
+/// may call it.
 ///
 /// # Errors
 ///
-/// Returns [`BudgetExceeded`] as soon as the next run would not fit.
+/// Never.
 pub fn oracle_table_budgeted(
     data: &WorkloadData,
     core: &CoreConfig,
-    budget: &ExecBudget,
-) -> Result<OracleTable, BudgetExceeded> {
-    let walk = |a: &Assignment| run_exocore_timing(&data.trace, &data.ir, core, &data.plans, a);
-    oracle_table_with(data, core, budget, |a| Arc::new(walk(a)))
+    _: &ExecBudget,
+) -> Result<OracleTable, std::convert::Infallible> {
+    Ok(oracle_table(data, core))
 }
 
 /// The walks an Oracle table measures, in its canonical order: the empty
@@ -100,30 +94,20 @@ pub fn oracle_assignments(data: &WorkloadData) -> Vec<Assignment> {
 /// Builds the Oracle table from the walks `timing` provides on `core`,
 /// asked for in [`oracle_assignments`] order and each priced with
 /// [`price_exocore`]: the baseline is the empty assignment with no BSAs,
-/// each candidate its one-loop assignment with that BSA. The budget
-/// covers the baseline plus every candidate, each charged
-/// [`NODES_PER_INST`] nodes per dynamic instruction before `timing` is
-/// asked, whether the provider walks or hits a memo.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] as soon as the next run would not fit.
+/// each candidate its one-loop assignment with that BSA.
+#[must_use]
 pub fn oracle_table_with(
     data: &WorkloadData,
     core: &CoreConfig,
-    budget: &ExecBudget,
     timing: impl Fn(&Assignment) -> Arc<ExoTiming>,
-) -> Result<OracleTable, BudgetExceeded> {
+) -> OracleTable {
     let assignments = oracle_assignments(data);
     let (none, singles) = assignments.split_first().expect("the baseline comes first");
-    let mut meter = budget.meter();
-    charge_run(&mut meter, data.trace.len())?;
     let baseline = price_exocore(&timing(none), core, &[]);
     let base_ed = baseline.cycles as f64 * baseline.energy.total();
     let mut candidates = Vec::with_capacity(singles.len());
     for a in singles {
         let (&lid, &kind) = a.map.iter().next().expect("one loop per candidate");
-        charge_run(&mut meter, data.trace.len())?;
         let run = price_exocore(&timing(a), core, &[kind]);
         let ed = run.cycles as f64 * run.energy.total();
         // Region share of baseline time, approximated by its dynamic-
@@ -141,10 +125,10 @@ pub fn oracle_table_with(
             perf_ok: slowdown <= allowed.max(1.0),
         });
     }
-    Ok(OracleTable {
+    OracleTable {
         baseline,
         candidates,
-    })
+    }
 }
 
 /// Picks the Oracle assignment from a measured table, restricted to the
@@ -327,24 +311,6 @@ mod tests {
         }
         let none = oracle_pick(&table, &data, &[]);
         assert!(none.map.is_empty());
-    }
-
-    #[test]
-    fn oracle_table_budget_trips_before_candidates() {
-        let data = WorkloadData::prepare(&dp_kernel(600)).unwrap();
-        let core = CoreConfig::ooo2();
-        // Enough for the baseline run but not for the first candidate.
-        let one_run = ExecBudget::for_trace_insts(data.trace.len() as u64, 1);
-        let err = oracle_table_budgeted(&data, &core, &one_run)
-            .expect_err("one-run budget cannot cover the candidate sweep");
-        assert!(err.used > err.max_nodes);
-        // A generous budget reproduces the unbudgeted table.
-        let full = oracle_table(&data, &core);
-        let roomy =
-            ExecBudget::for_trace_insts(data.trace.len() as u64, full.candidates.len() as u64 + 1);
-        let budgeted = oracle_table_budgeted(&data, &core, &roomy).expect("roomy budget");
-        assert_eq!(budgeted.candidates.len(), full.candidates.len());
-        assert_eq!(budgeted.baseline.cycles, full.baseline.cycles);
     }
 
     #[test]

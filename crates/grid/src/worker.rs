@@ -133,10 +133,10 @@ pub fn serve_tcp(listener: std::net::TcpListener, config: Config) -> ! {
 /// is the transport-agnostic core behind [`run_worker`] (stdin/stdout)
 /// and [`serve_tcp`] (one TCP connection per call).
 ///
-/// `config` is the worker's own: its session's jobs, budget and store
-/// cap, the store at `config.artifact_dir` (opened once per session),
-/// and the fault plan each session parses afresh — the session reads its
-/// store and stage kinds, the protocol loop its worker kinds. With
+/// `config` is the worker's own: its session's jobs and store cap, the
+/// store at `config.artifact_dir` (opened once per session), and the
+/// fault plan each session parses afresh — the session reads its store
+/// and stage kinds, the protocol loop its worker kinds. With
 /// `expected_shard`, the Hello's shard must match it or the worker
 /// refuses the session; `None` trusts the Hello.
 #[must_use]

@@ -37,7 +37,7 @@ use prism_pipeline::{
     run_fsck, sweep_key, Config, FaultPlan, Session, SweepJournal, SweepReport, FAULTS_ENV,
 };
 use prism_sim::TracerConfig;
-use prism_udg::{CoreConfig, ExecBudget};
+use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
 const MAX_INSTS: u64 = 20_000;
@@ -117,7 +117,6 @@ fn single_process_session(dir: &Path) -> Session {
         })
         .with_store_dir(dir)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
 }
 
 fn single_process_baseline(dir: &Path) -> SweepReport {

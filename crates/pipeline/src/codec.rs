@@ -422,10 +422,16 @@ pub(crate) mod tests {
 
     #[test]
     fn pipeline_error_rejects_unknown_stage() {
-        // `diverged` is the kind of the retired runtime divergence guard:
-        // a record an older build wrote decodes to `None`, like any name
-        // this build does not know.
-        for (field, value) in [("stage", "warp"), ("kind", "warp"), ("kind", "diverged")] {
+        // `diverged` and `budget-exceeded` are the kinds of the retired
+        // runtime divergence guard and execution budget: a record an older
+        // build wrote decodes to `None`, like any name this build does not
+        // know.
+        for (field, value) in [
+            ("stage", "warp"),
+            ("kind", "warp"),
+            ("kind", "diverged"),
+            ("kind", "budget-exceeded"),
+        ] {
             let mut json = encode_pipeline_error(&PipelineError::store_io("x", "y"));
             if let Json::Obj(fields) = &mut json {
                 for (k, v) in fields.iter_mut() {

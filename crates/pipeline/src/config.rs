@@ -20,12 +20,11 @@ use crate::fault::{FaultPlan, FaultSpecError};
 /// Every `PRISM_*` environment variable prism reads. Any other `PRISM_*`
 /// name is a [`ConfigError`]: a retired or misspelt knob must not
 /// silently stop doing what it used to do.
-const KNOBS: [&str; 8] = [
+const KNOBS: [&str; 7] = [
     "PRISM_ARTIFACT_DIR",
     "PRISM_FAULTS",
     "PRISM_GRID_WORKER",
     "PRISM_JOBS",
-    "PRISM_MAX_NODES",
     "PRISM_NET_TOKEN",
     "PRISM_SCALE",
     "PRISM_STORE_CAP",
@@ -45,7 +44,8 @@ const RETIRED: &str = "Every fault kind (store, stage, worker, link, crash) goes
      store it fills); PRISM_HOSTS was removed (use `prism grid --hosts`); \
      PRISM_DIVERGENCE was removed (the µDG is held to the reference simulator by the \
      tests in tests/model_validation.rs, and the headline claims by \
-     full_registry_sweep_matches_the_reference)";
+     full_registry_sweep_matches_the_reference); PRISM_MAX_NODES was removed (every \
+     trace is capped at the tracer's max_insts, and a walk is one pass over its trace)";
 
 /// A configuration that cannot be used: an unknown `PRISM_*` variable, a
 /// malformed value, or a flag without its value.
@@ -101,9 +101,6 @@ pub struct Config {
     /// Counted faults live in the parsed plan, so each consumer parses its
     /// own ([`Config::fault_plan`]).
     pub faults: Option<String>,
-    /// `PRISM_MAX_NODES`: the µDG node budget of every evaluation unit;
-    /// `None` is unlimited.
-    pub max_nodes: Option<u64>,
     /// `PRISM_STORE_CAP`: the store's LRU byte cap; `None` when unset,
     /// blank or 0.
     pub store_cap: Option<u64>,
@@ -198,7 +195,6 @@ impl Config {
                 PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/prism-artifacts")
             }),
             faults: knob(&vars, "PRISM_FAULTS", parse_faults)?.flatten(),
-            max_nodes: knob(&vars, "PRISM_MAX_NODES", |v| v.trim().parse::<u64>())?,
             store_cap: knob(&vars, "PRISM_STORE_CAP", |v| match v.trim() {
                 "" => Ok(0),
                 cap => cap.parse::<u64>(),
@@ -292,12 +288,11 @@ impl Config {
     pub fn render(&self) -> String {
         let or_dash = |value: Option<String>| value.unwrap_or_else(|| "-".to_string());
         format!(
-            "config         : jobs={} artifact_dir={} faults={} max_nodes={} store_cap={} \
-             scale={} net_token={}\n",
+            "config         : jobs={} artifact_dir={} faults={} store_cap={} scale={} \
+             net_token={}\n",
             self.jobs,
             self.artifact_dir.display(),
             or_dash(self.faults.clone()),
-            or_dash(self.max_nodes.map(|n| n.to_string())),
             or_dash(self.store_cap.map(|c| c.to_string())),
             self.scale,
             if self.net_token.is_empty() {
@@ -341,7 +336,6 @@ mod tests {
         assert!(config.artifact_dir.ends_with("target/prism-artifacts"));
         assert_eq!(config.faults, None);
         assert_eq!(config.fault_plan().map(|_| ()), None);
-        assert_eq!(config.max_nodes, None);
         assert_eq!(config.store_cap, None);
         assert_eq!(config.scale, 1);
         assert_eq!(config.net_token, "");
@@ -356,7 +350,6 @@ mod tests {
             ("PRISM_FAULTS", " die:0@1,seed=7 "),
             ("PRISM_GRID_WORKER", "1"),
             ("PRISM_JOBS", "3"),
-            ("PRISM_MAX_NODES", "5000"),
             ("PRISM_NET_TOKEN", "s3cret"),
             ("PRISM_SCALE", "16"),
             ("PRISM_STORE_CAP", "4096"),
@@ -366,7 +359,6 @@ mod tests {
         assert_eq!(config.faults.as_deref(), Some("die:0@1,seed=7"));
         assert!(config.fault_plan().is_some());
         assert_eq!(config.jobs, 3);
-        assert_eq!(config.max_nodes, Some(5000));
         assert_eq!(config.net_token, "s3cret");
         assert_eq!(config.scale, 16);
         assert_eq!(config.store_cap, Some(4096));
@@ -400,7 +392,6 @@ mod tests {
     fn malformed_values_name_their_variable() {
         for name in [
             "PRISM_JOBS",
-            "PRISM_MAX_NODES",
             "PRISM_FAULTS",
             "PRISM_STORE_CAP",
             "PRISM_SCALE",
@@ -408,14 +399,14 @@ mod tests {
             assert_rejects(name, "two");
         }
         assert_rejects("PRISM_JOBS", "");
-        assert_rejects("PRISM_MAX_NODES", "-1");
+        assert_rejects("PRISM_STORE_CAP", "-1");
         assert_rejects("PRISM_FAULTS", "die:0@1@seed");
         assert_rejects("PRISM_SCALE", "0");
         assert_rejects("PRISM_ARTIFACT_DIR", "");
-        let err = vars(&[("PRISM_MAX_NODES", "two")]).unwrap_err();
+        let err = vars(&[("PRISM_STORE_CAP", "two")]).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "bad PRISM_MAX_NODES value `two`: invalid digit found in string"
+            "bad PRISM_STORE_CAP value `two`: invalid digit found in string"
         );
     }
 
@@ -464,7 +455,6 @@ mod tests {
             ("PRISM_ARTIFACT_DIR", "/tmp/store"),
             ("PRISM_FAULTS", "die:0@1"),
             ("PRISM_JOBS", "3"),
-            ("PRISM_MAX_NODES", "5000"),
             ("PRISM_NET_TOKEN", "s3cret"),
             ("PRISM_SCALE", "16"),
             ("PRISM_STORE_CAP", "4096"),
@@ -490,7 +480,7 @@ mod tests {
         }
         assert!(!line.contains("s3cret"), "{line}");
         let defaults = Config::default().render();
-        for key in ["faults=-", "max_nodes=-", "store_cap=-", "scale=1"] {
+        for key in ["faults=-", "store_cap=-", "scale=1"] {
             assert!(defaults.contains(key), "{key} in {defaults}");
         }
         assert!(defaults.contains("net_token=unset"), "{defaults}");
@@ -507,6 +497,7 @@ mod tests {
             "GRID_SHARD",
             "GRID_TIMEOUT_MS",
             "HOSTS",
+            "MAX_NODES",
             "NET_FAULTS",
             "NO_FSYNC",
             "NO_TIMING_CACHE",
@@ -530,6 +521,15 @@ mod tests {
         assert!(message.contains("use `prism grid --hosts`"), "{message}");
         assert!(message.contains("tests/model_validation.rs"), "{message}");
         assert!(!message.contains('\n'), "one line: {message}");
+        let err = vars(&[("PRISM_MAX_NODES", "1000")]).unwrap_err();
+        assert_eq!(err.name, "PRISM_MAX_NODES");
+        assert!(
+            err.to_string().contains(
+                "PRISM_MAX_NODES was removed (every trace is capped \
+                 at the tracer's max_insts, and a walk is one pass over its trace)"
+            ),
+            "{err}"
+        );
     }
 
     /// The `"PRISM_*"` string literals in the non-test code of

@@ -59,8 +59,6 @@ pub enum ErrorKind {
     StagePanicked,
     /// Artifact-store I/O failed even after bounded retries.
     StoreIo,
-    /// The evaluation ran past its execution budget.
-    BudgetExceeded,
 }
 
 impl std::fmt::Display for ErrorKind {
@@ -69,7 +67,6 @@ impl std::fmt::Display for ErrorKind {
             ErrorKind::Failed => "failed",
             ErrorKind::StagePanicked => "panicked",
             ErrorKind::StoreIo => "store-io",
-            ErrorKind::BudgetExceeded => "budget-exceeded",
         })
     }
 }
@@ -83,7 +80,6 @@ impl std::str::FromStr for ErrorKind {
             "failed" => Ok(ErrorKind::Failed),
             "panicked" => Ok(ErrorKind::StagePanicked),
             "store-io" => Ok(ErrorKind::StoreIo),
-            "budget-exceeded" => Ok(ErrorKind::BudgetExceeded),
             other => Err(format!("unknown error kind `{other}`")),
         }
     }
@@ -140,15 +136,6 @@ impl PipelineError {
         }
     }
 
-    /// An evaluation that ran past its execution budget.
-    #[must_use]
-    pub fn budget(workload: impl Into<String>, err: &prism_udg::BudgetExceeded) -> Self {
-        PipelineError {
-            kind: ErrorKind::BudgetExceeded,
-            ..PipelineError::new(workload, Stage::Evaluate, err.to_string())
-        }
-    }
-
     /// Whether this error came from a caught panic.
     #[must_use]
     pub fn is_panic(&self) -> bool {
@@ -198,7 +185,6 @@ mod tests {
             ErrorKind::Failed,
             ErrorKind::StagePanicked,
             ErrorKind::StoreIo,
-            ErrorKind::BudgetExceeded,
         ] {
             assert_eq!(kind.to_string().parse::<ErrorKind>(), Ok(kind));
         }
@@ -215,15 +201,5 @@ mod tests {
         let io = PipelineError::store_io("fft", "disk on fire");
         assert_eq!(io.kind, ErrorKind::StoreIo);
         assert_eq!(io.stage, Stage::Store);
-
-        let b = PipelineError::budget(
-            "fft",
-            &prism_udg::BudgetExceeded {
-                used: 11,
-                max_nodes: 10,
-            },
-        );
-        assert_eq!(b.kind, ErrorKind::BudgetExceeded);
-        assert!(b.to_string().contains("budget"), "{b}");
     }
 }

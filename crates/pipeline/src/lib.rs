@@ -33,11 +33,11 @@
 //!
 //! ## Fault tolerance
 //!
-//! Sweeps isolate failures instead of aborting: a panicking model stage
-//! or a budget-blown evaluation quarantines the affected (workload,
-//! design point) unit into [`SweepReport::quarantined`] while every
-//! healthy point still produces a result. Store I/O is retried with bounded backoff and degrades to
-//! recompute. A seeded [`FaultPlan`] (the `PRISM_FAULTS` knob,
+//! Sweeps isolate failures instead of aborting: a failing or panicking
+//! model stage quarantines the affected (workload, design point) unit
+//! into [`SweepReport::quarantined`] while every healthy point still
+//! produces a result. Store I/O is retried with bounded backoff and
+//! degrades to recompute. A seeded [`FaultPlan`] (the `PRISM_FAULTS` knob,
 //! [`Config::fault_plan`]) injects store I/O errors, artifact
 //! corruption, trace truncation, and stage panics deterministically for
 //! chaos testing; the same plan carries the grid's worker and link

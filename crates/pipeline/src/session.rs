@@ -37,7 +37,7 @@ use prism_exocore::{
 use prism_ir::LoopForest;
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
-use prism_udg::{CoreConfig, ExecBudget, NODES_PER_INST};
+use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::Workload;
 
 use crate::codec::{
@@ -361,15 +361,13 @@ impl Drop for Live<'_> {
 }
 
 /// A workload as a sweep's evaluation sees it: no trace, only what
-/// pricing reads (the loop forest for [`oracle_pick_in`], the trace
-/// length for the budget charge) and where to get the data again on a
-/// memo miss.
+/// pricing reads (the loop forest for [`oracle_pick_in`]) and where to get
+/// the data again on a memo miss.
 struct Swept<'a> {
     origin: Origin<'a>,
     key: ContentHash,
     name: String,
     loops: LoopForest,
-    trace_len: usize,
 }
 
 impl<'a> Swept<'a> {
@@ -379,7 +377,6 @@ impl<'a> Swept<'a> {
             key: workload.key,
             name: workload.name.clone(),
             loops: workload.ir.loops.clone(),
-            trace_len: workload.trace.len(),
         }
     }
 }
@@ -393,7 +390,6 @@ pub struct Session {
     store: ArtifactStore,
     store_cap: Option<u64>,
     faults: Option<Arc<FaultPlan>>,
-    budget: ExecBudget,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
     timings: Mutex<HashMap<ContentHash, TimingCell>>,
@@ -439,8 +435,8 @@ impl Session {
 
     /// Creates a session from a resolved configuration: default tracer
     /// config, `config.jobs` workers, artifacts under
-    /// `config.artifact_dir`, a fresh fault plan from `config.faults`, a
-    /// node budget from `config.max_nodes` and the store cap.
+    /// `config.artifact_dir`, a fresh fault plan from `config.faults` and
+    /// the store cap.
     #[must_use]
     pub fn from_config(config: &Config) -> Self {
         let faults = config.fault_plan();
@@ -457,9 +453,6 @@ impl Session {
             store,
             store_cap: config.store_cap,
             faults,
-            budget: config
-                .max_nodes
-                .map_or_else(ExecBudget::unlimited, ExecBudget::new),
             workloads: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
             timings: Mutex::new(HashMap::new()),
@@ -527,11 +520,12 @@ impl Session {
         self
     }
 
-    /// Caps every evaluation unit (oracle table, design point) at an
-    /// execution budget. Overrides `PRISM_MAX_NODES`.
+    /// A no-op that exists only because `sweepbench/` calls it: the
+    /// execution budget is gone, since the tracer's `max_insts` caps every
+    /// trace and a walk is one pass over its trace. No code outside
+    /// `sweepbench/` may call it.
     #[must_use]
-    pub fn with_budget(mut self, budget: ExecBudget) -> Self {
-        self.budget = budget;
+    pub fn with_budget(self, _: ExecBudget) -> Self {
         self
     }
 
@@ -802,27 +796,19 @@ impl Session {
     }
 
     /// The oracle table for `workload` on `core`'s base configuration,
-    /// memoized per (workload key, core) and metered against the session's
-    /// execution budget. Its walks (the baseline and every candidate, in
-    /// [`oracle_assignments`] order) come from the session's shape-keyed
-    /// timing memo, so design points share them. They are stored together
-    /// as one **oracle walk pack** per (workload, core timing class): a
-    /// table whose pack is stored is rebuilt by pricing alone, and one
-    /// without walks through the memo and stores its pack once. A pack
-    /// whose `assigned` labels differ from the table's is a miss.
-    ///
-    /// # Errors
-    ///
-    /// Returns a budget-kind [`PipelineError`] when the table cannot be
-    /// measured within the session's [`ExecBudget`].
-    pub fn oracle_table(
-        &self,
-        workload: &PreparedWorkload,
-        core: &CoreConfig,
-    ) -> Result<Arc<OracleTable>, PipelineError> {
+    /// memoized per (workload key, core). Its walks (the baseline and
+    /// every candidate, in [`oracle_assignments`] order) come from the
+    /// session's shape-keyed timing memo, so design points share them.
+    /// They are stored together as one **oracle walk pack** per (workload,
+    /// core timing class): a table whose pack is stored is rebuilt by
+    /// pricing alone, and one without walks through the memo and stores
+    /// its pack once. A pack whose `assigned` labels differ from the
+    /// table's is a miss.
+    #[must_use]
+    pub fn oracle_table(&self, workload: &PreparedWorkload, core: &CoreConfig) -> Arc<OracleTable> {
         let key = table_key(&workload.key, core);
         if let Some(table) = self.memo_table(&key) {
-            return Ok(table);
+            return table;
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let labels: Vec<String> = oracle_assignments(&workload.data)
@@ -840,7 +826,7 @@ impl Session {
             .map(|pack| pack.into_iter().map(Arc::new).collect());
         // The walks in request order; on a hit, its length indexes the pack.
         let walks = RefCell::new(Vec::with_capacity(labels.len()));
-        let table = oracle_table_with(&workload.data, core, &self.budget, |assignment| {
+        let table = oracle_table_with(&workload.data, core, |assignment| {
             debug_assert_eq!(assigned_label(assignment), labels[walks.borrow().len()]);
             let key = shape_key(&workload.key, core, assignment);
             let timing = self.memo_timing(key, || match &stored {
@@ -849,8 +835,7 @@ impl Session {
             });
             walks.borrow_mut().push(Arc::clone(&timing));
             timing
-        })
-        .map_err(|e| PipelineError::budget(&workload.name, &e))?;
+        });
         if stored.is_none() {
             let walks = walks.into_inner();
             let pack = labels
@@ -868,7 +853,7 @@ impl Session {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, Arc::clone(&table));
-        Ok(table)
+        table
     }
 
     /// The memo's oracle table under `key`, counted as a memo hit.
@@ -890,9 +875,8 @@ impl Session {
     /// identity, the core's [timing class](CoreConfig::timing_class)
     /// (display name and SIMD presence excluded, so variants differing
     /// only in priced parameters share one walk) and the sorted transform
-    /// assignment. The execution budget is charged before the walk is
-    /// requested, not read by it. The in-process timing memo and the
-    /// design-point timing artifacts are keyed by it.
+    /// assignment. The in-process timing memo and the design-point timing
+    /// artifacts are keyed by it.
     #[must_use]
     pub fn shape_key(
         &self,
@@ -1020,10 +1004,6 @@ impl Session {
         if let Some(f) = &self.faults {
             f.maybe_panic(Stage::Evaluate, &point.label());
         }
-        // One fuel meter per design point: every combined-TDG run charges
-        // the µDG nodes it would place — also when a memo hit skips the
-        // walk, so budget semantics never depend on the cache.
-        let mut meter = self.budget.meter();
         let mut per_workload = Vec::with_capacity(data.len());
         for w in data {
             // The sweep's fills stocked the memo, so this prices and reads
@@ -1032,12 +1012,9 @@ impl Session {
             let mut again = None;
             let table = match self.memo_table(&table_key(&w.key, core)) {
                 Some(table) => table,
-                None => self.oracle_table(self.prepare_again(w, &mut again)?, core)?,
+                None => self.oracle_table(self.prepare_again(w, &mut again)?, core),
             };
             let assignment = oracle_pick_in(&table, &w.loops, &point.bsas);
-            meter
-                .charge((w.trace_len as u64).saturating_mul(NODES_PER_INST))
-                .map_err(|e| PipelineError::budget(&w.name, &e))?;
             for &kind in assignment.map.values() {
                 assert!(
                     point.bsas.contains(&kind),
@@ -1189,13 +1166,12 @@ impl Session {
         workload: &PreparedWorkload,
         core: &CoreConfig,
         subsets: impl Iterator<Item = &'b Vec<BsaKind>>,
-    ) -> Result<(), PipelineError> {
-        let table = self.oracle_table(workload, core)?;
+    ) {
+        let table = self.oracle_table(workload, core);
         for bsas in subsets {
             let assignment = oracle_pick(&table, workload, bsas);
             self.exo_timing(workload, core, &assignment);
         }
-        Ok(())
     }
 
     /// Evaluates the grid points named by `missing` (indices in core-major
@@ -1221,12 +1197,11 @@ impl Session {
 
     /// Evaluates every (core × BSA-subset) design point over `data`,
     /// in canonical core-major order, isolating failures: points whose
-    /// evaluation panics or blows the execution budget land in
-    /// [`SweepReport::quarantined`] while every healthy point still
-    /// produces a result. Oracle tables are measured once per (workload,
-    /// base core) and shared across that core's subsets. Work is
-    /// distributed over [`Session::jobs`] threads; the report (sorted by
-    /// unit key) is independent of the job count.
+    /// evaluation panics land in [`SweepReport::quarantined`] while every
+    /// healthy point still produces a result. Oracle tables are measured
+    /// once per (workload, base core) and shared across that core's
+    /// subsets. Work is distributed over [`Session::jobs`] threads; the
+    /// report (sorted by unit key) is independent of the job count.
     #[must_use]
     pub fn explore_grid(
         &self,
@@ -1260,10 +1235,10 @@ impl Session {
     /// points already on disk are loaded instead of recomputed, workloads
     /// are prepared (with quarantine) only if at least one point is
     /// missing, and every failure — workload preparation, stage panic,
-    /// budget, store I/O — quarantines the smallest unit it affects
-    /// instead of aborting the sweep. A fully cached run does no tracing
-    /// at all. A workload the memo does not hold is prepared for the
-    /// sweep alone and its trace dropped once its walks are done.
+    /// store I/O — quarantines the smallest unit it affects instead of
+    /// aborting the sweep. A fully cached run does no tracing at all. A
+    /// workload the memo does not hold is prepared for the sweep alone and
+    /// its trace dropped once its walks are done.
     ///
     /// When workloads are quarantined, the surviving points are keyed (and
     /// cached) over the healthy workload subset, so their artifacts are
@@ -1498,40 +1473,6 @@ impl Session {
             replayed: self.replayed.load(Ordering::Relaxed),
         }
     }
-
-    /// Logs cache hit/miss counts to stderr.
-    pub fn log_stats(&self) {
-        let s = self.stats();
-        eprintln!(
-            "[prism-pipeline] artifact cache: {} hits, {} misses ({} discarded, \
-             {} I/O retries, {} I/O errors, {} recomputes); memo: {} hits, \
-             {} misses; walks: {} performed, {} skipped ({} shape-memo, \
-             {} artifacts); sim: {} insts at {:.0} insts/sec; \
-             walk throughput: {} insts in {} ms ({:.0} insts/sec); stage busy (summed over threads): sim {} ms, uDG {} ms, \
-             transforms {} ms; jobs={}",
-            s.artifacts.hits,
-            s.artifacts.misses,
-            s.artifacts.discarded,
-            s.artifacts.io_retries,
-            s.artifacts.io_errors,
-            s.artifacts.recomputes,
-            s.memo_hits,
-            s.memo_misses,
-            s.trace_walks,
-            s.walks_skipped,
-            s.shape_memo_hits,
-            s.timing_artifacts_loaded,
-            s.sim_insts,
-            s.insts_per_sec(),
-            s.walk_insts,
-            s.udg_nanos / 1_000_000,
-            s.walk_insts_per_sec(),
-            s.sim_nanos / 1_000_000,
-            s.udg_nanos / 1_000_000,
-            s.transform_nanos / 1_000_000,
-            self.jobs,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1552,7 +1493,6 @@ mod tests {
             .with_tracer(quick_tracer())
             .with_jobs(1)
             .with_faults(None)
-            .with_budget(ExecBudget::unlimited())
     }
 
     #[test]
@@ -1598,29 +1538,11 @@ mod tests {
         let session = clean_session();
         let w = &prism_workloads::MICRO[0];
         let prepared = session.prepare(w).expect("prepare");
-        let t1 = session
-            .oracle_table(&prepared, &CoreConfig::ooo2())
-            .unwrap();
-        let t2 = session
-            .oracle_table(&prepared, &CoreConfig::ooo2())
-            .unwrap();
+        let t1 = session.oracle_table(&prepared, &CoreConfig::ooo2());
+        let t2 = session.oracle_table(&prepared, &CoreConfig::ooo2());
         assert!(Arc::ptr_eq(&t1, &t2));
-        let t3 = session
-            .oracle_table(&prepared, &CoreConfig::ooo4())
-            .unwrap();
+        let t3 = session.oracle_table(&prepared, &CoreConfig::ooo4());
         assert!(!Arc::ptr_eq(&t1, &t3));
-    }
-
-    #[test]
-    fn oracle_table_budget_errors_are_typed() {
-        let session = clean_session().with_budget(ExecBudget::new(10));
-        let w = &prism_workloads::MICRO[0];
-        let prepared = session.prepare(w).expect("prepare");
-        let err = session
-            .oracle_table(&prepared, &CoreConfig::ooo2())
-            .expect_err("10-node budget cannot measure a table");
-        assert_eq!(err.kind, crate::error::ErrorKind::BudgetExceeded);
-        assert_eq!(err.workload, w.name);
     }
 
     #[test]

@@ -527,11 +527,35 @@ mod tests {
     use super::*;
     use crate::key::KeyBuilder;
 
-    fn temp_store(tag: &str) -> ArtifactStore {
+    /// An [`ArtifactStore`] in a fresh temp directory, removed when
+    /// dropped.
+    struct TempStore(ArtifactStore);
+
+    impl std::ops::Deref for TempStore {
+        type Target = ArtifactStore;
+
+        fn deref(&self) -> &ArtifactStore {
+            &self.0
+        }
+    }
+
+    impl std::ops::DerefMut for TempStore {
+        fn deref_mut(&mut self) -> &mut ArtifactStore {
+            &mut self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn temp_store(tag: &str) -> TempStore {
         let dir =
             std::env::temp_dir().join(format!("prism-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        ArtifactStore::new(dir)
+        TempStore(ArtifactStore::new(dir))
     }
 
     fn key(tag: &str) -> ContentHash {

@@ -1,14 +1,17 @@
 //! Fault-injection integration tests: sweeps under injected stage panics,
-//! corrupt artifacts, failing store I/O and execution budgets must isolate
-//! failures per unit and keep every healthy point.
+//! corrupt artifacts and failing store I/O must isolate failures per unit
+//! and keep every healthy point.
 
 use std::sync::Arc;
 
 use prism_pipeline::{ErrorKind, FaultPlan, Session, Stage, SweepReport};
 use prism_sim::{TracerConfig, DEFAULT_CHUNK_INSTS};
 use prism_tdg::BsaKind;
-use prism_udg::{CoreConfig, ExecBudget};
+use prism_udg::CoreConfig;
 use prism_workloads::{Workload, MICRO};
+
+mod common;
+use common::Store;
 
 fn quick_tracer() -> TracerConfig {
     TracerConfig {
@@ -17,21 +20,15 @@ fn quick_tracer() -> TracerConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("prism-fault-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A session insulated from ambient env knobs, so these tests control
-/// fault injection explicitly even under the CI fault matrix.
-fn clean_session(tag: &str) -> Session {
+/// A session over `store`, insulated from ambient env knobs, so these
+/// tests control fault injection explicitly even under the CI fault
+/// matrix.
+fn clean_session(store: &Store) -> Session {
     Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(1)
-        .with_store_dir(temp_dir(tag))
+        .with_store_dir(store.path())
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
 }
 
 fn micro_set() -> Vec<&'static Workload> {
@@ -61,7 +58,7 @@ fn stage_panics_and_corrupt_artifacts_quarantine_per_point() {
     let total = cores.len() * subsets.len();
 
     // Reference: what a healthy sweep produces.
-    let healthy = run_sweep(&clean_session("panic-ref"));
+    let healthy = run_sweep(&clean_session(&Store::new("panic-ref")));
     assert!(healthy.quarantined.is_empty());
     assert_eq!(healthy.results.len(), total);
 
@@ -71,7 +68,8 @@ fn stage_panics_and_corrupt_artifacts_quarantine_per_point() {
     let plan = FaultPlan::seeded(42)
         .with_stage_panic(Stage::Evaluate, 2)
         .with_artifact_corrupt(1.0);
-    let session = clean_session("panic-chaos").with_faults(Some(Arc::new(plan)));
+    let store = Store::new("panic-chaos");
+    let session = clean_session(&store).with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
     assert_eq!(report.quarantined.len(), 2, "{:?}", report.quarantined);
@@ -107,7 +105,8 @@ fn stage_panics_and_corrupt_artifacts_quarantine_per_point() {
 #[test]
 fn total_trace_truncation_fails_everything_with_typed_errors() {
     let plan = FaultPlan::seeded(7).with_trace_truncate(1.0);
-    let session = clean_session("truncate").with_faults(Some(Arc::new(plan)));
+    let store = Store::new("truncate");
+    let session = clean_session(&store).with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
     assert!(report.results.is_empty());
@@ -124,10 +123,11 @@ fn total_trace_truncation_fails_everything_with_typed_errors() {
 
 #[test]
 fn dead_store_degrades_to_recompute_with_identical_results() {
-    let healthy = run_sweep(&clean_session("deadstore-ref"));
+    let healthy = run_sweep(&clean_session(&Store::new("deadstore-ref")));
 
     let plan = FaultPlan::seeded(3).with_store_io(1.0);
-    let session = clean_session("deadstore").with_faults(Some(Arc::new(plan)));
+    let store = Store::new("deadstore");
+    let session = clean_session(&store).with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
     assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
@@ -139,8 +139,11 @@ fn dead_store_degrades_to_recompute_with_identical_results() {
 }
 
 #[test]
-fn tiny_budget_quarantines_every_point_as_budget_exceeded() {
-    let session = clean_session("budget").with_budget(ExecBudget::new(100));
+fn a_panic_in_every_evaluation_quarantines_every_point() {
+    // One injected panic per point of the small grid.
+    let plan = FaultPlan::seeded(5).with_stage_panic(Stage::Evaluate, 8);
+    let store = Store::new("every-point");
+    let session = clean_session(&store).with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
     let (cores, subsets) = small_grid();
@@ -148,8 +151,8 @@ fn tiny_budget_quarantines_every_point_as_budget_exceeded() {
     assert_eq!(report.quarantined.len(), cores.len() * subsets.len());
     assert!(report.all_failed());
     for (_, err) in &report.quarantined {
-        assert_eq!(err.kind, ErrorKind::BudgetExceeded, "{err}");
-        assert!(err.message.contains("budget"), "{err}");
+        assert_eq!(err.kind, ErrorKind::StagePanicked, "{err}");
+        assert_eq!(err.stage, Stage::Evaluate, "{err}");
     }
 }
 
@@ -158,10 +161,11 @@ fn env_driven_fault_plan_still_completes_the_sweep() {
     // Under the CI fault matrix (PRISM_FAULTS set) this exercises the
     // whole chaos path end-to-end; without it, it's a plain healthy sweep.
     // Either way: no aborts, and every grid point is accounted for.
+    let store = Store::new("env-driven");
     let session = Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(2)
-        .with_store_dir(temp_dir("env-driven"));
+        .with_store_dir(store.path());
     let (cores, subsets) = small_grid();
     let report = session.evaluate_designs(&micro_set(), &cores, &subsets);
     let total = cores.len() * subsets.len();
@@ -188,13 +192,14 @@ fn worker_link_and_crash_entries_leave_a_session_sweep_untouched() {
     // One `PRISM_FAULTS` plan feeds every layer; the session reads only
     // its store and stage kinds, so a plan holding nothing else sweeps
     // exactly like no plan at all.
-    let clean = run_sweep(&clean_session("plane-ref"));
+    let clean = run_sweep(&clean_session(&Store::new("plane-ref")));
     let plan = FaultPlan::parse(
         "die:0@0,hang:1@0,quarantine:0@1,drop:0@0,delay:1@1,disconnect:0@2,\
          crash:store-put@1,crash:grid-frame@1,seed=9",
     )
     .expect("valid plan");
-    let session = clean_session("plane").with_faults(Some(Arc::new(plan)));
+    let store = Store::new("plane");
+    let session = clean_session(&store).with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
     assert_eq!(report, clean);
     let stats = session.stats().artifacts;
@@ -228,7 +233,8 @@ fn mid_trace_truncation_quarantines_only_its_workload() {
         })
         .expect("some seed in 0..10000 truncates only mm, at chunk 1");
 
-    let session = clean_session("mid-trace")
+    let store = Store::new("mid-trace");
+    let session = clean_session(&store)
         .with_tracer(tracer)
         .with_faults(Some(Arc::new(plan_for(seed))));
     let (prepared, failed) = session.prepare_quarantined(&set);

@@ -1,7 +1,7 @@
 //! Property-style fuzzing: random valid programs pushed through the whole
 //! trace → µDG → evaluation pipeline. The invariant under test is the
 //! failure model itself — every outcome is a typed error or a success,
-//! never an unhandled panic, and budgets are always respected.
+//! never an unhandled panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -9,7 +9,10 @@ use prism_isa::{Program, ProgramBuilder, Reg};
 use prism_pipeline::Session;
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
-use prism_udg::{try_simulate_trace, CoreConfig, ExecBudget};
+use prism_udg::{simulate_trace, CoreConfig};
+
+mod common;
+use common::Store;
 
 /// SplitMix64: small, seedable PRNG (no dependencies).
 struct Gen {
@@ -102,7 +105,7 @@ fn random_program(seed: u64) -> Program {
 }
 
 #[test]
-fn random_programs_never_panic_and_respect_budgets() {
+fn random_programs_never_panic_and_model_every_instruction() {
     let tracer = TracerConfig {
         max_insts: 50_000,
         ..TracerConfig::default()
@@ -111,16 +114,8 @@ fn random_programs_never_panic_and_respect_budgets() {
         let program = random_program(seed);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let trace = prism_sim::trace_with(&program, &tracer)?;
-            // Roomy budget: must succeed and model every instruction.
-            let roomy = ExecBudget::for_trace_insts(trace.len() as u64, 1);
-            let run = try_simulate_trace(&trace, &CoreConfig::ooo2(), &roomy)
-                .expect("a budget sized for the trace cannot trip");
+            let run = simulate_trace(&trace, &CoreConfig::ooo2());
             assert_eq!(run.insts, trace.len() as u64);
-            // Starved budget: must trip with the typed error, not panic.
-            let starved = ExecBudget::new(7);
-            let err = try_simulate_trace(&trace, &CoreConfig::ooo2(), &starved)
-                .expect_err("a 7-node budget cannot cover any trace");
-            assert!(err.used > err.max_nodes);
             Ok::<u64, prism_sim::TraceError>(run.cycles)
         }));
         match outcome {
@@ -139,6 +134,7 @@ fn random_programs_never_panic_and_respect_budgets() {
 fn random_programs_survive_full_pipeline_evaluation() {
     // Heavier per seed (IR analysis + oracle tables + evaluation), so
     // fewer seeds: the invariant is typed-error-or-success, no panics.
+    let store = Store::new("full-pipeline");
     let session = Session::new()
         .with_tracer(TracerConfig {
             max_insts: 20_000,
@@ -146,7 +142,7 @@ fn random_programs_survive_full_pipeline_evaluation() {
         })
         .with_jobs(1)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited());
+        .with_store_dir(store.path());
     let cores = [CoreConfig::ooo2()];
     let subsets = [vec![], BsaKind::ALL.to_vec()];
     for seed in 0..8 {

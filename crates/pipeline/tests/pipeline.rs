@@ -5,8 +5,11 @@ use prism_exocore::{oracle_assignments, WorkloadData};
 use prism_pipeline::{Json, Session};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
-use prism_udg::{CoreConfig, ExecBudget};
+use prism_udg::CoreConfig;
 use prism_workloads::{Workload, MICRO};
+
+mod common;
+use common::Store;
 
 fn quick_tracer() -> TracerConfig {
     TracerConfig {
@@ -15,23 +18,16 @@ fn quick_tracer() -> TracerConfig {
     }
 }
 
-/// A session insulated from ambient env knobs (`PRISM_FAULTS`,
-/// `PRISM_MAX_NODES`, `PRISM_STORE_CAP`), so these determinism and cache
+/// A session over `store`, insulated from ambient env knobs
+/// (`PRISM_FAULTS`, `PRISM_STORE_CAP`), so these determinism and cache
 /// tests hold even under the CI fault-injection matrix.
-fn clean_session() -> Session {
+fn clean_session(store: &Store) -> Session {
     Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(1)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
         .with_store_cap(None)
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("prism-pipeline-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+        .with_store_dir(store.path())
 }
 
 fn micro_set() -> Vec<&'static Workload> {
@@ -52,12 +48,12 @@ fn small_grid() -> (Vec<CoreConfig>, Vec<Vec<BsaKind>>) {
 
 #[test]
 fn artifact_cache_roundtrip_hits_on_second_run() {
-    let dir = temp_dir("roundtrip");
+    let dir = Store::new("roundtrip");
     let (cores, subsets) = small_grid();
     let workloads = micro_set();
 
     // Cold run: every point is a miss, then gets stored.
-    let cold = clean_session().with_store_dir(&dir);
+    let cold = clean_session(&dir);
     let first = cold
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
@@ -77,7 +73,7 @@ fn artifact_cache_roundtrip_hits_on_second_run() {
 
     // Warm run in a fresh session: every point loads from disk — no
     // tracing happens at all (the workload memo stays empty).
-    let warm = clean_session().with_store_dir(&dir);
+    let warm = clean_session(&dir);
     let second = warm
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
@@ -93,11 +89,11 @@ fn artifact_cache_roundtrip_hits_on_second_run() {
 
 #[test]
 fn tracer_config_change_invalidates_artifacts() {
-    let dir = temp_dir("tracer-invalidation");
+    let dir = Store::new("tracer-invalidation");
     let (cores, subsets) = small_grid();
     let workloads = micro_set();
 
-    let a = clean_session().with_store_dir(&dir);
+    let a = clean_session(&dir);
     a.evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
         .expect("first run");
@@ -107,7 +103,7 @@ fn tracer_config_change_invalidates_artifacts() {
         max_insts: 10_000,
         ..quick_tracer()
     };
-    let b = clean_session().with_tracer(other).with_store_dir(&dir);
+    let b = clean_session(&dir).with_tracer(other);
     b.evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
         .expect("second run");
@@ -128,11 +124,11 @@ fn tracer_config_change_invalidates_artifacts() {
 
 #[test]
 fn corrupt_artifact_recomputes_instead_of_failing() {
-    let dir = temp_dir("corrupt");
+    let dir = Store::new("corrupt");
     let (cores, subsets) = small_grid();
     let workloads = micro_set();
 
-    let a = clean_session().with_store_dir(&dir);
+    let a = clean_session(&dir);
     let first = a
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
@@ -142,7 +138,7 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
     // shape into another; both must be treated as misses and recomputed.
     // (Timing artifacts share the store; a design result is the payload
     // object with `per_workload`, so exactly two design points are hit.)
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
+    let mut files: Vec<_> = std::fs::read_dir(dir.path())
         .expect("store dir")
         .filter_map(|e| {
             let path = e.expect("dir entry").path();
@@ -164,7 +160,7 @@ fn corrupt_artifact_recomputes_instead_of_failing() {
         .map(|(_, label)| label.split('-').next().expect("a label names its core"))
         .collect();
 
-    let b = clean_session().with_store_dir(&dir);
+    let b = clean_session(&dir);
     let second = b
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
@@ -202,12 +198,15 @@ fn parallel_and_sequential_runs_are_bit_identical() {
     let (cores, subsets) = small_grid();
     let workloads = micro_set();
 
-    let seq = clean_session();
+    // A fresh store per run, so no run loads another's walks.
+    let seq_store = Store::new("seq");
+    let seq = clean_session(&seq_store);
     let data = seq.prepare_batch(&workloads).expect("prepare");
     let sequential = seq.explore_grid(&data, &cores, &subsets);
 
     for jobs in [2, 4] {
-        let par = clean_session().with_jobs(jobs);
+        let par_store = Store::new(&format!("jobs{jobs}"));
+        let par = clean_session(&par_store).with_jobs(jobs);
         let data = par.prepare_batch(&workloads).expect("prepare");
         let parallel = par.explore_grid(&data, &cores, &subsets);
         assert_eq!(
@@ -219,11 +218,11 @@ fn parallel_and_sequential_runs_are_bit_identical() {
 
 #[test]
 fn deleting_the_store_forces_a_clean_recompute() {
-    let dir = temp_dir("cold");
+    let dir = Store::new("cold");
     let (cores, subsets) = small_grid();
     let workloads = micro_set();
 
-    let a = clean_session().with_store_dir(&dir);
+    let a = clean_session(&dir);
     let first = a
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()
@@ -231,8 +230,8 @@ fn deleting_the_store_forces_a_clean_recompute() {
 
     // The supported way to force a cold run (PRISM_REFRESH was removed):
     // delete the store directory.
-    std::fs::remove_dir_all(&dir).expect("remove store");
-    let b = clean_session().with_store_dir(&dir);
+    std::fs::remove_dir_all(dir.path()).expect("remove store");
+    let b = clean_session(&dir);
     let second = b
         .evaluate_designs(&workloads, &cores, &subsets)
         .into_strict()

@@ -15,8 +15,11 @@ use prism_exocore::{
 use prism_pipeline::{encode_exo_timing, FaultPlan, Json, Session, SweepReport, TimingWrites};
 use prism_sim::TracerConfig;
 use prism_tdg::{run_exocore_timing, Assignment, BsaKind};
-use prism_udg::{CoreConfig, ExecBudget};
+use prism_udg::CoreConfig;
 use prism_workloads::Workload;
+
+mod common;
+use common::Store;
 
 fn quick_tracer() -> TracerConfig {
     TracerConfig {
@@ -26,23 +29,15 @@ fn quick_tracer() -> TracerConfig {
 }
 
 /// A session insulated from ambient env knobs, writing artifacts under
-/// the given per-test store directory (shared across sessions of one
-/// test to model warm restarts; pass a fresh tag for a cold store).
-fn session_at(dir: &std::path::Path) -> Session {
+/// the given per-test store (shared across sessions of one test to model
+/// warm restarts; a fresh [`Store`] is a cold one).
+fn session_at(store: &Store) -> Session {
     Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(2)
         .with_faults(None)
-        .with_budget(ExecBudget::unlimited())
         .with_store_cap(None)
-        .with_store_dir(dir)
-}
-
-/// A fresh (removed) store directory unique to this test.
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("prism-timing-equiv-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+        .with_store_dir(store.path())
 }
 
 /// The sweep the session must reproduce, built from the model crates
@@ -135,7 +130,7 @@ const REFERENCE_SHA256: &str = "ed0df2769531e830c804fa71f8659c0e9562c17c4ca3db4c
 fn full_registry_sweep_matches_the_reference() {
     let workloads = registry();
     let (cores, subsets) = (all_cores(), all_bsa_subsets());
-    let swept = session_at(&fresh_dir("full")).evaluate_designs(&workloads, &cores, &subsets);
+    let swept = session_at(&Store::new("full")).evaluate_designs(&workloads, &cores, &subsets);
     let reference = reference(&workloads, &cores, &subsets);
     let want = fingerprint(&reference);
     let mut sha = prism_pipeline::hash::Sha256::new();
@@ -166,11 +161,11 @@ fn faulted_sweep_survivors_match_the_reference() {
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), CoreConfig::ooo4()];
     let subsets = small_subsets();
-    let report = session_at(&fresh_dir("faults"))
+    let report = session_at(&Store::new("faults"))
         .with_faults(Some(plan()))
         .evaluate_designs(&workloads, &cores, &subsets);
 
-    let (_, dropped) = session_at(&fresh_dir("faults-prepare"))
+    let (_, dropped) = session_at(&Store::new("faults-prepare"))
         .with_faults(Some(plan()))
         .prepare_quarantined(&workloads);
     assert!(
@@ -209,7 +204,7 @@ fn warm_store_sweep_is_byte_identical_and_walk_free() {
     let cores = vec![CoreConfig::io2(), CoreConfig::ooo4()];
     let subsets = small_subsets();
 
-    let warm_dir = fresh_dir("warm");
+    let warm_dir = Store::new("warm");
     let cold = healthy(session_at(&warm_dir).evaluate_designs(&workloads, &cores, &subsets));
     assert_eq!(
         fingerprint(&cold),
@@ -232,14 +227,16 @@ fn shape_sharing_core_reuses_walks_in_process() {
 
     // Walk count for IO2 alone, with the store disabled as a source
     // (cold dir) so every walk is really performed.
-    let solo_session = session_at(&fresh_dir("solo"));
+    let solo = Store::new("solo");
+    let solo_session = session_at(&solo);
     let _ = solo_session.evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
     let solo_walks = solo_session.stats().trace_walks;
     assert!(solo_walks > 0, "cold run must walk");
 
     // IO2 plus its renamed twin in one session: the twin's timing comes
     // from the shape-keyed memo, so the walk count must not grow.
-    let pair_session = session_at(&fresh_dir("pair"));
+    let pair_store = Store::new("pair");
+    let pair_session = session_at(&pair_store);
     let pair =
         pair_session.evaluate_designs(&workloads, &[CoreConfig::io2(), io2_twin()], &subsets);
     let stats = pair_session.stats();
@@ -265,7 +262,7 @@ fn shape_sharing_core_reuses_walks_in_process() {
 fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
     let workloads = registry();
     let subsets = small_subsets();
-    let dir = fresh_dir("across");
+    let dir = Store::new("across");
 
     // Cold run settles IO2's timing artifacts into the store.
     let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
@@ -287,27 +284,14 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
     );
 }
 
+/// Fills a fresh store with an IO2 sweep, then rebuilds every registry
+/// workload's IO2 oracle table in a fresh session: each table must equal
+/// the model's and load every walk it requests from the store.
 #[test]
 fn oracle_tables_rebuild_from_stored_walks() {
-    tables_rebuild_from_stored_walks("oracle", ExecBudget::unlimited());
-}
-
-/// The execution budget is charged before a walk is requested and never
-/// read by one, so a budget that does not trip must find the walks an
-/// unlimited session stored.
-#[test]
-fn budgeted_oracle_tables_rebuild_from_stored_walks() {
-    tables_rebuild_from_stored_walks("oracle-budget", ExecBudget::new(1_000_000_000_000_000));
-}
-
-/// Fills a fresh store with an unlimited IO2 sweep, then rebuilds every
-/// registry workload's IO2 oracle table in a fresh session under
-/// `budget`: each table must equal the model's and load every walk it
-/// requests from the store.
-fn tables_rebuild_from_stored_walks(tag: &str, budget: ExecBudget) {
     let workloads = registry();
     let core = CoreConfig::io2();
-    let dir = fresh_dir(tag);
+    let dir = Store::new("oracle");
     let cold = session_at(&dir).evaluate_designs(
         &workloads,
         std::slice::from_ref(&core),
@@ -317,13 +301,11 @@ fn tables_rebuild_from_stored_walks(tag: &str, budget: ExecBudget) {
 
     // A fresh session over the filled store prices every table from
     // stored walks: the baseline's and each candidate's.
-    let session = session_at(&dir).with_budget(budget);
+    let session = session_at(&dir);
     let mut runs = 0;
     for w in &workloads {
         let prepared = session.prepare(w).expect("registry workloads prepare");
-        let table = session
-            .oracle_table(&prepared, &core)
-            .expect("the budget does not trip");
+        let table = session.oracle_table(&prepared, &core);
         let want = prism_exocore::oracle_table(&prepared, &core);
         // Debug covers the baseline and every candidate's lid, kind,
         // cycles, energy, ed_gain and perf_ok, floats to the bit.
@@ -339,13 +321,13 @@ fn tables_rebuild_from_stored_walks(tag: &str, budget: ExecBudget) {
 fn corrupt_timing_artifacts_degrade_to_recompute() {
     let workloads = registry();
     let subsets = small_subsets();
-    let dir = fresh_dir("corrupt");
+    let dir = Store::new("corrupt");
 
     let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
 
     // Corrupt every stored artifact in place (timing summaries included).
     let mut corrupted = 0;
-    for entry in std::fs::read_dir(&dir).expect("store dir exists") {
+    for entry in std::fs::read_dir(dir.path()).expect("store dir exists") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_some_and(|e| e == "json") {
             std::fs::write(&path, b"{ not an envelope").expect("overwrite artifact");
@@ -380,7 +362,7 @@ fn torn_timing_artifacts_are_misses_never_errors() {
         .map(|name| prism_workloads::by_name(name).expect("registered"))
         .collect();
     let (cores, subsets) = (all_cores(), all_bsa_subsets());
-    let dir = fresh_dir("torn");
+    let dir = Store::new("torn");
     let session = || {
         session_at(&dir).with_tracer(TracerConfig {
             max_insts: 20_000,
@@ -393,7 +375,7 @@ fn torn_timing_artifacts_are_misses_never_errors() {
     // `per_workload`, single walks the other objects. Delete the design
     // results, so every point is evaluated again from the timings.
     let (mut packs, mut walks) = (Vec::new(), Vec::new());
-    for entry in std::fs::read_dir(&dir).expect("store dir exists") {
+    for entry in std::fs::read_dir(dir.path()).expect("store dir exists") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_none_or(|e| e != "json") {
             continue;
@@ -484,7 +466,7 @@ fn faulted_store_sweep_matches_the_reference() {
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();
 
-    let swept = session_at(&fresh_dir("faults-store"))
+    let swept = session_at(&Store::new("faults-store"))
         .with_faults(Some(plan))
         .evaluate_designs(&workloads, &cores, &subsets);
     assert_eq!(

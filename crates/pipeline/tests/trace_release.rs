@@ -3,13 +3,14 @@
 //! nothing it drops is ever walked. A later request for a dropped
 //! workload prepares it again, bit for bit.
 
-use std::path::PathBuf;
-
 use prism_pipeline::{Session, SweepReport};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
-use prism_udg::{CoreConfig, ExecBudget};
+use prism_udg::CoreConfig;
 use prism_workloads::Workload;
+
+mod common;
+use common::Store;
 
 fn quick_tracer() -> TracerConfig {
     TracerConfig {
@@ -18,34 +19,15 @@ fn quick_tracer() -> TracerConfig {
     }
 }
 
-/// A fresh store directory per `tag`, removed when dropped.
-struct Store(PathBuf);
-
-impl Store {
-    fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("prism-trace-release-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Store(dir)
-    }
-
-    /// A session over this store, insulated from ambient env knobs, with
-    /// `jobs` workers.
-    fn session(&self, jobs: usize) -> Session {
-        Session::new()
-            .with_tracer(quick_tracer())
-            .with_jobs(jobs)
-            .with_faults(None)
-            .with_budget(ExecBudget::unlimited())
-            .with_store_cap(None)
-            .with_store_dir(&self.0)
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// A session over `store`, insulated from ambient env knobs, with `jobs`
+/// workers.
+fn session(store: &Store, jobs: usize) -> Session {
+    Session::new()
+        .with_tracer(quick_tracer())
+        .with_jobs(jobs)
+        .with_faults(None)
+        .with_store_cap(None)
+        .with_store_dir(store.path())
 }
 
 /// Twelve registry workloads, more than any job count below.
@@ -74,7 +56,7 @@ fn a_sweep_holds_at_most_jobs_traces_and_the_same_report_at_any_job_count() {
     let mut reports = Vec::new();
     for jobs in [1, 2, 4] {
         let store = Store::new(&format!("jobs{jobs}"));
-        let session = store.session(jobs);
+        let session = session(&store, jobs);
         reports.push(sweep(&session, &cores));
         let stats = session.stats();
         assert_eq!(stats.traces_prepared, workloads().len() as u64, "{stats:?}");
@@ -94,9 +76,9 @@ fn a_sweep_holds_at_most_jobs_traces_and_the_same_report_at_any_job_count() {
 #[test]
 fn a_workload_prepared_after_a_sweep_matches_a_fresh_session() {
     let (swept_store, fresh_store) = (Store::new("prepare-after"), Store::new("prepare-fresh"));
-    let swept = swept_store.session(2);
+    let swept = session(&swept_store, 2);
     let _ = sweep(&swept, &[CoreConfig::ooo2()]);
-    let fresh = fresh_store.session(2);
+    let fresh = session(&fresh_store, 2);
     for w in workloads() {
         let again = swept.prepare(w).expect("prepares");
         let first = fresh.prepare(w).expect("prepares");
@@ -110,23 +92,21 @@ fn a_workload_prepared_after_a_sweep_matches_a_fresh_session() {
 #[test]
 fn an_oracle_table_after_a_sweep_prepares_its_workload_again() {
     let (swept_store, fresh_store) = (Store::new("table-after"), Store::new("table-fresh"));
-    let swept = swept_store.session(2);
+    let swept = session(&swept_store, 2);
     let _ = sweep(&swept, &[CoreConfig::io2(), CoreConfig::ooo2()]);
-    let fresh = fresh_store.session(2);
+    let fresh = session(&fresh_store, 2);
     let third = CoreConfig::ooo6();
     for w in workloads() {
         let before = swept.stats().sim_insts;
         let prepared = swept.prepare(w).expect("prepares");
-        let table = swept.oracle_table(&prepared, &third).expect("table");
+        let table = swept.oracle_table(&prepared, &third);
         assert_eq!(
             swept.stats().sim_insts - before,
             prepared.trace.len() as u64,
             "{}: a re-preparation simulates the whole trace once",
             w.name
         );
-        let reference = fresh
-            .oracle_table(&fresh.prepare(w).expect("prepares"), &third)
-            .expect("table");
+        let reference = fresh.oracle_table(&fresh.prepare(w).expect("prepares"), &third);
         assert_eq!(format!("{table:?}"), format!("{reference:?}"), "{}", w.name);
     }
 }

@@ -1,154 +1,21 @@
-//! Execution budgets: bounded fuel for the µDG critical-path engine and
-//! everything built on top of it.
+//! The retired execution budget's one survivor, kept for the `sweepbench/`
+//! benchmark package until its next change drops the call.
 //!
-//! A µDG evaluation is a single forward pass, so its cost is proportional
-//! to the number of graph nodes it places (five per instruction). An
-//! [`ExecBudget`] caps that node count; exceeding it yields a typed
-//! [`BudgetExceeded`] error instead of an open-ended run — the timing-model
-//! counterpart of [`prism_sim::TracerConfig::max_insts`], which bounds the
-//! *functional* side the same way.
+//! A µDG walk is one forward pass over its trace, and
+//! [`prism_sim::TracerConfig::max_insts`] caps every trace, so nothing
+//! meters a walk.
 
-/// µDG nodes placed per modeled instruction (fetch, dispatch, execute,
-/// complete, commit).
-pub const NODES_PER_INST: u64 = 5;
-
-/// A cap on the number of µDG nodes one evaluation unit may place.
-///
-/// The default is [`ExecBudget::unlimited`]; pipelines opt in to a finite
-/// budget per evaluation unit (one trace simulation, one oracle table, one
-/// design point).
+/// A no-op that exists only because `sweepbench/` passes
+/// `ExecBudget::unlimited()` to `Session::with_budget` and
+/// `oracle_table_budgeted`; nothing reads it. No code outside
+/// `sweepbench/` may use it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecBudget {
-    /// Maximum µDG nodes this budget allows.
-    pub max_nodes: u64,
-}
-
-impl Default for ExecBudget {
-    fn default() -> Self {
-        ExecBudget::unlimited()
-    }
-}
+pub struct ExecBudget(());
 
 impl ExecBudget {
-    /// A finite budget of `max_nodes` µDG nodes.
-    #[must_use]
-    pub fn new(max_nodes: u64) -> Self {
-        ExecBudget { max_nodes }
-    }
-
-    /// No cap (`u64::MAX` nodes).
+    /// The only value.
     #[must_use]
     pub fn unlimited() -> Self {
-        ExecBudget {
-            max_nodes: u64::MAX,
-        }
-    }
-
-    /// A budget sized from a tracer's instruction cap: enough for
-    /// `runs` full-length evaluations of a `max_insts`-instruction trace.
-    #[must_use]
-    pub fn for_trace_insts(max_insts: u64, runs: u64) -> Self {
-        ExecBudget {
-            max_nodes: max_insts
-                .saturating_mul(NODES_PER_INST)
-                .saturating_mul(runs.max(1)),
-        }
-    }
-
-    /// Whether this budget can never trip.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_nodes == u64::MAX
-    }
-
-    /// Starts metering against this budget.
-    #[must_use]
-    pub fn meter(&self) -> FuelMeter {
-        FuelMeter {
-            max_nodes: self.max_nodes,
-            used: 0,
-        }
-    }
-}
-
-/// Running fuel counter for one evaluation unit.
-#[derive(Debug, Clone)]
-pub struct FuelMeter {
-    max_nodes: u64,
-    used: u64,
-}
-
-impl FuelMeter {
-    /// Charges `nodes` against the budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] once the total charged passes the cap.
-    pub fn charge(&mut self, nodes: u64) -> Result<(), BudgetExceeded> {
-        self.used = self.used.saturating_add(nodes);
-        if self.used > self.max_nodes {
-            return Err(BudgetExceeded {
-                used: self.used,
-                max_nodes: self.max_nodes,
-            });
-        }
-        Ok(())
-    }
-
-    /// Nodes charged so far.
-    #[must_use]
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-}
-
-/// An evaluation ran past its [`ExecBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// Nodes the evaluation needed when it tripped.
-    pub used: u64,
-    /// The cap it tripped over.
-    pub max_nodes: u64,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "execution budget exceeded: {} uDG nodes needed, {} allowed",
-            self.used, self.max_nodes
-        )
-    }
-}
-
-impl std::error::Error for BudgetExceeded {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unlimited_never_trips() {
-        let mut m = ExecBudget::unlimited().meter();
-        m.charge(u64::MAX / 2).expect("unlimited");
-        m.charge(u64::MAX / 2).expect("unlimited (saturating)");
-        assert!(ExecBudget::default().is_unlimited());
-    }
-
-    #[test]
-    fn finite_budget_trips_at_the_boundary() {
-        let mut m = ExecBudget::new(10).meter();
-        m.charge(10).expect("exactly at the cap is fine");
-        let err = m.charge(1).expect_err("one past the cap trips");
-        assert_eq!(err.max_nodes, 10);
-        assert_eq!(err.used, 11);
-        assert!(err.to_string().contains("budget exceeded"));
-    }
-
-    #[test]
-    fn for_trace_insts_scales_with_runs() {
-        let b = ExecBudget::for_trace_insts(1000, 3);
-        assert_eq!(b.max_nodes, 1000 * NODES_PER_INST * 3);
-        assert!(!b.is_unlimited());
+        ExecBudget(())
     }
 }

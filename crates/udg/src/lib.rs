@@ -45,14 +45,11 @@ mod resource;
 mod run;
 mod seqtable;
 
-pub use budget::{BudgetExceeded, ExecBudget, FuelMeter, NODES_PER_INST};
+pub use budget::ExecBudget;
 pub use config::CoreConfig;
 pub use graph::EdgeKind;
 pub use model::{BindingCounts, CoreModel, InstTimes, MemDepTracker, ModelDep, ModelInst};
 pub use reference::{simulate_reference, try_simulate_reference, ReferenceRun, Watchdog};
 pub use resource::ResourceTable;
-pub use run::{
-    finish_run, model_inst_for, model_inst_for_into, simulate_trace, try_simulate_trace, CoreRun,
-    RegTimes, StreamSim,
-};
+pub use run::{finish_run, model_inst_for, model_inst_for_into, simulate_trace, CoreRun, RegTimes};
 pub use seqtable::{FastBuildHasher, FastHasher, FastMap, FastSet, SeqTable};

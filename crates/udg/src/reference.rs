@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use prism_sim::{RegDepTracker, Trace};
 
-use crate::{BudgetExceeded, CoreConfig, ExecBudget, FastMap, FastSet, SeqTable, NODES_PER_INST};
+use crate::{CoreConfig, FastMap, FastSet, SeqTable};
 
 /// Result of a reference simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,17 +91,14 @@ const PRUNE_FLOOR: usize = 4096;
 /// [`try_simulate_reference`] to surface that as a typed error instead.
 #[must_use]
 pub fn simulate_reference(trace: &Trace, config: &CoreConfig) -> ReferenceRun {
-    match try_simulate_reference(trace, config, &ExecBudget::unlimited()) {
+    match try_simulate_reference(trace, config) {
         Ok(run) | Err(Watchdog::Partial(run)) => run,
-        Err(Watchdog::Budget(e)) => unreachable!("unlimited budget tripped: {e}"),
     }
 }
 
-/// How a budgeted reference simulation was cut short.
+/// How a reference simulation was cut short.
 #[derive(Debug, Clone)]
 pub enum Watchdog {
-    /// The explicit [`ExecBudget`] tripped.
-    Budget(BudgetExceeded),
     /// The internal cycle watchdog tripped (machine deadlock); the partial
     /// run observed so far is attached.
     Partial(ReferenceRun),
@@ -110,7 +107,6 @@ pub enum Watchdog {
 impl std::fmt::Display for Watchdog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Watchdog::Budget(e) => e.fmt(f),
             Watchdog::Partial(run) => write!(
                 f,
                 "reference simulator watchdog tripped after {} cycles ({} insts committed)",
@@ -122,27 +118,17 @@ impl std::fmt::Display for Watchdog {
 
 impl std::error::Error for Watchdog {}
 
-impl From<BudgetExceeded> for Watchdog {
-    fn from(e: BudgetExceeded) -> Self {
-        Watchdog::Budget(e)
-    }
-}
-
-/// [`simulate_reference`] under an [`ExecBudget`]: charges
-/// [`NODES_PER_INST`] fuel per committed instruction plus one per simulated
-/// cycle (so a deadlocked machine still burns fuel), and converts the
-/// internal cycle watchdog into a typed error.
+/// [`simulate_reference`] that turns the internal cycle watchdog into a
+/// typed error.
 ///
 /// # Errors
 ///
-/// [`Watchdog::Budget`] when the budget trips; [`Watchdog::Partial`] when
-/// the machine stops committing and the internal cycle cap is reached.
+/// [`Watchdog::Partial`] when the machine stops committing and the
+/// internal cycle cap is reached.
 pub fn try_simulate_reference(
     trace: &Trace,
     config: &CoreConfig,
-    budget: &ExecBudget,
 ) -> Result<ReferenceRun, Watchdog> {
-    let mut meter = budget.meter();
     let width = config.width as usize;
     let rob_cap = if config.out_of_order {
         config.rob_size as usize
@@ -174,7 +160,6 @@ pub fn try_simulate_reference(
     let max_cycles = 2_000 + trace.len() as u64 * 256;
 
     while (committed as usize) < trace.len() && cycle < max_cycles {
-        meter.charge(1)?;
         // ---- Complete ----------------------------------------------------
         for e in rob.iter_mut() {
             if let Stage::Executing { done_at } = e.stage {
@@ -195,7 +180,6 @@ pub fn try_simulate_reference(
         while committed_this_cycle < width {
             match rob.front() {
                 Some(e) if matches!(e.stage, Stage::Done) => {
-                    meter.charge(NODES_PER_INST)?;
                     rob.pop_front();
                     committed += 1;
                     committed_this_cycle += 1;

@@ -5,17 +5,14 @@
 //! The evaluation state is O(window), not O(trace): node times are
 //! finalized at insertion, and the only cross-instruction state is the
 //! per-register last-writer completion time ([`RegTimes`]) plus the
-//! memory-dependence footprint ([`MemDepTracker`]), so [`StreamSim`]
+//! memory-dependence footprint ([`MemDepTracker`]), so [`simulate_trace`]
 //! takes instructions one at a time.
 
 use prism_energy::{EnergyBreakdown, EnergyEvents, EnergyModel};
 use prism_isa::{Inst, Program, NUM_REGS};
-use prism_sim::{DynInst, RegDepTracker, Trace};
+use prism_sim::{RegDepTracker, Trace};
 
-use crate::{
-    BudgetExceeded, CoreConfig, CoreModel, ExecBudget, FuelMeter, MemDepTracker, ModelDep,
-    ModelInst, NODES_PER_INST,
-};
+use crate::{CoreConfig, CoreModel, MemDepTracker, ModelDep, ModelInst};
 
 /// Result of evaluating a trace on a core configuration.
 #[derive(Debug, Clone)]
@@ -197,104 +194,37 @@ pub fn model_inst_for_into(
 /// ```
 #[must_use]
 pub fn simulate_trace(trace: &Trace, config: &CoreConfig) -> CoreRun {
-    try_simulate_trace(trace, config, &ExecBudget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// [`simulate_trace`] under an [`ExecBudget`]: the evaluation charges
-/// [`NODES_PER_INST`] fuel per instruction and stops with a typed error
-/// instead of grinding through a pathologically long trace.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when the trace needs more µDG nodes than the
-/// budget allows.
-pub fn try_simulate_trace(
-    trace: &Trace,
-    config: &CoreConfig,
-    budget: &ExecBudget,
-) -> Result<CoreRun, BudgetExceeded> {
-    let mut sim = StreamSim::new(config, budget);
+    let program = &trace.program;
+    let mut core = CoreModel::new(config);
+    let mut regs = RegTimes::new();
+    let mut mems = MemDepTracker::new();
+    // Reused per-instruction model buffer (no per-inst allocation).
+    let mut scratch = ModelInst::default();
+    let mut mem_prune_watermark = MEM_PRUNE_FLOOR;
     for d in &trace.insts {
-        sim.step(&trace.program, d)?;
-    }
-    Ok(sim.finish(config))
-}
-
-/// Store-footprint entries between prune passes of a [`StreamSim`]. Pruning
-/// rescans the footprint, so the watermark re-arms at twice the surviving
-/// size (amortized O(1) per instruction), never below this floor.
-const MEM_PRUNE_FLOOR: usize = 4096;
-
-/// Incremental µDG evaluation engine: feed dynamic instructions as they
-/// are produced; state stays O(window).
-#[derive(Debug)]
-pub struct StreamSim {
-    core: CoreModel,
-    regs: RegTimes,
-    mems: MemDepTracker,
-    meter: FuelMeter,
-    insts: u64,
-    /// Reused per-instruction model buffer (no per-inst allocation).
-    scratch: ModelInst,
-    mem_prune_watermark: usize,
-}
-
-impl StreamSim {
-    /// Creates an engine for `config` under `budget`.
-    #[must_use]
-    pub fn new(config: &CoreConfig, budget: &ExecBudget) -> Self {
-        StreamSim {
-            core: CoreModel::new(config),
-            regs: RegTimes::new(),
-            mems: MemDepTracker::new(),
-            meter: budget.meter(),
-            insts: 0,
-            scratch: ModelInst::default(),
-            mem_prune_watermark: MEM_PRUNE_FLOOR,
-        }
-    }
-
-    /// Issues one dynamic instruction into the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] if charging [`NODES_PER_INST`] fuel trips
-    /// the budget.
-    pub fn step(&mut self, program: &Program, d: &DynInst) -> Result<(), BudgetExceeded> {
-        self.meter.charge(NODES_PER_INST)?;
-        model_inst_for_into(program, d, &self.regs, &self.mems, &mut self.scratch);
-        let times = self.core.issue(&self.scratch);
-        let inst = program.inst(d.sid);
-        self.regs.retire(inst, d.seq, times.complete);
+        model_inst_for_into(program, d, &regs, &mems, &mut scratch);
+        let times = core.issue(&scratch);
+        regs.retire(program.inst(d.sid), d.seq, times.complete);
         if let Some(m) = &d.mem {
             if m.is_store {
-                self.mems.record_store(m.addr, m.width, times.complete);
+                mems.record_store(m.addr, m.width, times.complete);
             }
         }
         // Keep the store footprint O(live): dispatch times are
         // non-decreasing, so any store that completed by this dispatch can
         // never delay a later load — dropping it is timing-exact.
-        if self.mems.len() >= self.mem_prune_watermark {
-            self.mems.prune_completed_by(times.dispatch);
-            self.mem_prune_watermark = (self.mems.len() * 2).max(MEM_PRUNE_FLOOR);
+        if mems.len() >= mem_prune_watermark {
+            mems.prune_completed_by(times.dispatch);
+            mem_prune_watermark = (mems.len() * 2).max(MEM_PRUNE_FLOOR);
         }
-        self.insts += 1;
-        Ok(())
     }
-
-    /// Instructions issued so far.
-    #[must_use]
-    pub fn insts(&self) -> u64 {
-        self.insts
-    }
-
-    /// Finalizes the run into a [`CoreRun`].
-    #[must_use]
-    pub fn finish(self, config: &CoreConfig) -> CoreRun {
-        finish_run(self.core, config, self.insts)
-    }
+    finish_run(core, config, trace.len() as u64)
 }
+
+/// Store-footprint entries between prune passes of [`simulate_trace`].
+/// Pruning rescans the footprint, so the watermark re-arms at twice the
+/// surviving size (amortized O(1) per instruction), never below this floor.
+const MEM_PRUNE_FLOOR: usize = 4096;
 
 /// Packages a finished [`CoreModel`] into a [`CoreRun`], pricing its events
 /// with the default [`EnergyModel`].
@@ -441,38 +371,6 @@ mod tests {
         let run = simulate_trace(&t, &CoreConfig::ooo2());
         let total: u64 = run.binding.values().sum();
         assert_eq!(total, 4 * run.insts);
-    }
-
-    #[test]
-    fn runaway_trace_trips_the_budget() {
-        let t = prism_sim::trace(&dp_kernel(500)).unwrap();
-        // Budget for 10 instructions; the trace has thousands.
-        let budget = ExecBudget::new(10 * NODES_PER_INST);
-        let err = try_simulate_trace(&t, &CoreConfig::ooo2(), &budget)
-            .expect_err("a 500-iteration kernel must blow a 10-inst budget");
-        assert_eq!(err.max_nodes, 10 * NODES_PER_INST);
-        // A budget sized for the whole trace succeeds and matches the
-        // unbudgeted result.
-        let roomy = ExecBudget::for_trace_insts(t.len() as u64, 1);
-        let run = try_simulate_trace(&t, &CoreConfig::ooo2(), &roomy).expect("roomy budget");
-        assert_eq!(run.cycles, simulate_trace(&t, &CoreConfig::ooo2()).cycles);
-    }
-
-    #[test]
-    fn reference_sim_respects_budget() {
-        let t = prism_sim::trace(&dp_kernel(200)).unwrap();
-        let tight = ExecBudget::new(20);
-        match crate::try_simulate_reference(&t, &CoreConfig::ooo2(), &tight) {
-            Err(crate::Watchdog::Budget(e)) => assert_eq!(e.max_nodes, 20),
-            other => panic!("expected budget trip, got {other:?}"),
-        }
-        let roomy = ExecBudget::unlimited();
-        let run = crate::try_simulate_reference(&t, &CoreConfig::ooo2(), &roomy)
-            .expect("unlimited reference run");
-        assert_eq!(
-            run.cycles,
-            crate::simulate_reference(&t, &CoreConfig::ooo2()).cycles
-        );
     }
 
     #[test]

@@ -119,7 +119,6 @@ fn cmd_explore(config: &Config) -> i32 {
     let session = Session::from_config(config);
     let report = session.full_design_space_resumable(config.resume);
     let code = finish_sweep(&report);
-    session.log_stats();
     if config.stats {
         eprint!("{}", session.stats().render());
         eprint!("{}", report.render_stats());

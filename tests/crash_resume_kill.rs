@@ -28,7 +28,7 @@ use prism::pipeline::{
 };
 use prism::sim::TracerConfig;
 use prism::tdg::BsaKind;
-use prism::udg::{CoreConfig, ExecBudget};
+use prism::udg::CoreConfig;
 use prism::workloads::{Workload, MICRO};
 
 // The test's own variables stay outside the `PRISM_` namespace, which
@@ -95,8 +95,7 @@ fn child_explore() -> ! {
         .with_tracer(quick_tracer())
         .with_jobs(2)
         .with_store_dir(PathBuf::from(store))
-        .with_faults(None)
-        .with_budget(ExecBudget::unlimited());
+        .with_faults(None);
     let (cores, subsets) = small_grid();
     let report = session.evaluate_designs_resumable(&micro_set(), &cores, &subsets, resume);
     print_report(&report);
